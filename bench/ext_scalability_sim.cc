@@ -16,10 +16,11 @@
  *    format (the paper-faithful row; mirroring organizations fit
  *    because the private cache has >= numSlices sets).
  *  - 1024 / 4096 cores: the memory-lean subset — Cuckoo with the
- *    compressed (sparse-word) format, Sparse with the hierarchical and
- *    coarse formats. Full-vector state at 4096 caches would cost
- *    4096 bits x entry x 4096 slices (~2 GB of vectors alone); the
- *    lean formats keep a 4096-core cell under ~1 GB of host RAM.
+ *    compressed format, Sparse with the hierarchical and coarse
+ *    formats. Every format keeps a set whose sharers fit one 64-cache
+ *    span inline and spills wider sets to a per-slice block pool
+ *    (sharers/sharer_set.hh), so the host cost is the same for all of
+ *    them; the formats differ in the modelled "sharer bits" column.
  *
  * One measured effect the analytical model cannot see: the workload
  * reproduces the Solaris page-coloring address structure (§5.1,
@@ -55,7 +56,7 @@
 #include <string>
 #include <vector>
 
-#include "sharers/sharer_rep.hh"
+#include "sharers/sharer_set.hh"
 #include "sim/campaign.hh"
 #include "sim_common.hh"
 

@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "model/directory_model.hh"
-#include "sharers/sharer_rep.hh"
+#include "sharers/sharer_set.hh"
 #include "sim/sweep.hh"
 
 using namespace cdir;

@@ -98,6 +98,17 @@ class DynamicBitset
         words[pos >> 6] &= ~(std::uint64_t{1} << (pos & 63));
     }
 
+    /**
+     * Overwrite word @p index (bits [64*index, 64*index + 64)); bits at
+     * or past size() must be clear in @p bits.
+     */
+    void
+    setWord(std::size_t index, std::uint64_t bits)
+    {
+        assert(index < words.size());
+        words[index] = bits;
+    }
+
     /** Test bit @p pos. */
     bool
     test(std::size_t pos) const

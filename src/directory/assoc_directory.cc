@@ -29,7 +29,7 @@ AssocDirectory::AssocDirectory(std::size_t num_caches, unsigned num_ways,
                                std::size_t num_sets, SharerFormat fmt,
                                HashKind hash, std::uint64_t hash_seed)
     : Directory(num_caches),
-      format(fmt),
+      sharers(fmt, num_caches),
       hashKind(hash),
       family(makeHashFamily(hash, num_ways, num_sets, hash_seed)),
       ways(num_ways),
@@ -38,10 +38,9 @@ AssocDirectory::AssocDirectory(std::size_t num_caches, unsigned num_ways,
       tags(std::size_t{num_ways} * num_sets, 0),
       valids(std::size_t{num_ways} * num_sets, 0),
       lastUses(std::size_t{num_ways} * num_sets, 0),
-      reps(std::size_t{num_ways} * num_sets)
+      sharerSets(std::size_t{num_ways} * num_sets)
 {
     assert(num_ways >= 1 && num_ways <= kMaxProbeWays);
-    prefillRepPool(fmt, tags.size());
 }
 
 std::size_t
@@ -105,7 +104,7 @@ AssocDirectory::access(const DirRequest &request, DirAccessContext &ctx)
         out.hit = true;
         ++statistics.hits;
         lastUses[found] = useClock;
-        updateEntryOnHit(*reps[found], request, ctx, out);
+        updateEntryOnHit(sharers, sharerSets[found], request, ctx, out);
         return;
     }
 
@@ -142,17 +141,16 @@ AssocDirectory::access(const DirRequest &request, DirAccessContext &ctx)
     if (valids[victim] != 0) {
         EvictedEntry &evicted = ctx.appendEviction(out);
         evicted.tag = tags[victim];
-        reps[victim]->invalidationTargets(evicted.targets);
+        sharers.invalidationTargets(sharerSets[victim], evicted.targets);
         ++statistics.forcedEvictions;
         statistics.forcedBlockInvalidations += evicted.targets.count();
-        reps[victim]->clear(); // reuse the evicted entry's rep in place
+        sharers.clear(sharerSets[victim]);
     } else {
         ++occupied;
-        reps[victim] = acquireRep(format);
     }
 
     tags[victim] = request.tag;
-    reps[victim]->add(request.cache);
+    sharers.add(sharerSets[victim], request.cache);
     valids[victim] = 1;
     lastUses[victim] = useClock;
 
@@ -170,22 +168,21 @@ AssocDirectory::removeSharer(Tag tag, CacheId cache)
     if (p == npos)
         return;
     ++statistics.sharerRemovals;
-    if (reps[p]->remove(cache)) {
+    if (sharers.remove(sharerSets[p], cache)) {
         valids[p] = 0;
-        recycleRep(std::move(reps[p]));
         --occupied;
         ++statistics.entryFrees;
     }
 }
 
 bool
-AssocDirectory::probe(Tag tag, DynamicBitset *sharers) const
+AssocDirectory::probe(Tag tag, DynamicBitset *sharer_targets) const
 {
     const std::size_t p = findPosOf(tag);
     if (p == npos)
         return false;
-    if (sharers)
-        reps[p]->invalidationTargets(*sharers);
+    if (sharer_targets)
+        sharers.invalidationTargets(sharerSets[p], *sharer_targets);
     return true;
 }
 

@@ -11,7 +11,7 @@
  * (a conventional set), Skewed uses a different skewing function per
  * way, which breaks *direct* conflicts but not transitive ones (§4).
  *
- * Tags, valid bytes, LRU stamps, and sharer reps live in parallel SoA
+ * Tags, valid bytes, LRU stamps, and sharer sets live in parallel SoA
  * arrays, with the stride chosen per hash kind: Modulo indexing means
  * every way probes the same set, so storage is set-major
  * (pos = idx*ways + w) and one probe's candidates are a single
@@ -39,7 +39,7 @@ class AssocDirectory : public Directory
      * @param num_caches private caches tracked.
      * @param ways       associativity.
      * @param sets       sets per way.
-     * @param format     sharer-set representation.
+     * @param format     sharer-set format of every entry.
      * @param hash       Modulo => Sparse; Skewing/Strong => Skewed.
      * @param hash_seed  seed for the Strong family.
      */
@@ -58,16 +58,11 @@ class AssocDirectory : public Directory
     std::size_t
     memoryBytes() const override
     {
-        std::size_t total =
-            sizeof(*this) + tags.capacity() * sizeof(Tag) +
-            valids.capacity() * sizeof(std::uint8_t) +
-            lastUses.capacity() * sizeof(std::uint64_t) +
-            reps.capacity() * sizeof(std::unique_ptr<SharerRep>) +
-            pooledRepBytes();
-        for (const auto &rep : reps)
-            if (rep)
-                total += rep->memoryBytes();
-        return total;
+        return sizeof(*this) + tags.capacity() * sizeof(Tag) +
+               valids.capacity() * sizeof(std::uint8_t) +
+               lastUses.capacity() * sizeof(std::uint64_t) +
+               sharerSets.capacity() * sizeof(SharerSet) +
+               sharers.heapBytes();
     }
 
   private:
@@ -86,7 +81,7 @@ class AssocDirectory : public Directory
     /** findPosOf with the way indices already computed. */
     std::size_t findPosWithIdx(Tag tag, const std::size_t *idx) const;
 
-    SharerFormat format;
+    SharerStore sharers;
     HashKind hashKind;
     std::unique_ptr<HashFamily> family;
     unsigned ways;
@@ -96,7 +91,7 @@ class AssocDirectory : public Directory
     std::vector<Tag> tags;                         //!< SoA tag lane
     std::vector<std::uint8_t> valids;              //!< SoA valid lane
     std::vector<std::uint64_t> lastUses;           //!< SoA LRU lane
-    std::vector<std::unique_ptr<SharerRep>> reps;  //!< SoA payload lane
+    std::vector<SharerSet> sharerSets;             //!< SoA payload lane
     std::size_t occupied = 0;
     std::uint64_t useClock = 0;
 };

@@ -24,16 +24,12 @@ CuckooDirectory::CuckooDirectory(std::size_t num_caches, unsigned ways,
                                  unsigned bucket_slots,
                                  unsigned stash_entries)
     : Directory(num_caches),
-      format(fmt),
-      hashKind(hash),
+      sharers(fmt, num_caches),
       family(makeHashFamily(hash, ways, sets_per_way, hash_seed)),
       table(*family, max_attempts, bucket_slots),
       stashCapacity(stash_entries)
 {
     stash.reserve(stash_entries);
-    // +1 covers the in-flight rep a give-up insertion holds while the
-    // table and stash are both full.
-    prefillRepPool(fmt, table.capacity() + stash_entries + 1);
 }
 
 CuckooDirectory::StashEntry *
@@ -45,19 +41,27 @@ CuckooDirectory::findStash(Tag tag)
     return nullptr;
 }
 
+const CuckooDirectory::StashEntry *
+CuckooDirectory::findStash(Tag tag) const
+{
+    for (const StashEntry &e : stash)
+        if (e.tag == tag)
+            return &e;
+    return nullptr;
+}
+
 void
 CuckooDirectory::drainStash()
 {
     if (stash.empty())
         return;
-    StashEntry entry = std::move(stash.back());
+    const StashEntry entry = stash.back();
     stash.pop_back();
-    auto ins = table.insert(entry.tag, std::move(entry.rep));
+    auto ins = table.insert(entry.tag, SharerSet(entry.set));
     if (ins.discarded) {
         // No room yet: park the (possibly different) displaced entry.
         assert(ins.discardedPayload.has_value());
-        stash.push_back(
-            {ins.discardedTag, std::move(*ins.discardedPayload)});
+        stash.push_back({ins.discardedTag, *ins.discardedPayload});
     }
 }
 
@@ -67,23 +71,23 @@ CuckooDirectory::access(const DirRequest &request, DirAccessContext &ctx)
     DirAccessOutcome &out = ctx.beginOutcome();
     ++statistics.lookups;
 
-    if (Rep *rep = table.find(request.tag)) {
+    if (SharerSet *set = table.find(request.tag)) {
         out.hit = true;
         ++statistics.hits;
-        updateEntryOnHit(**rep, request, ctx, out);
+        updateEntryOnHit(sharers, *set, request, ctx, out);
         return;
     }
     if (StashEntry *entry = findStash(request.tag)) {
         out.hit = true;
         ++statistics.hits;
-        updateEntryOnHit(*entry->rep, request, ctx, out);
+        updateEntryOnHit(sharers, entry->set, request, ctx, out);
         return;
     }
 
     // Miss: allocate an entry tracking the requester.
-    Rep rep = acquireRep(format);
-    rep->add(request.cache);
-    auto ins = table.insert(request.tag, std::move(rep));
+    SharerSet set;
+    sharers.add(set, request.cache);
+    auto ins = table.insert(request.tag, std::move(set));
 
     out.inserted = true;
     out.attempts = ins.attempts;
@@ -96,8 +100,7 @@ CuckooDirectory::access(const DirRequest &request, DirAccessContext &ctx)
         if (stash.size() < stashCapacity) {
             // Kirsch-style stash extension: park the overflow entry
             // instead of invalidating its blocks.
-            stash.push_back(
-                {ins.discardedTag, std::move(*ins.discardedPayload)});
+            stash.push_back({ins.discardedTag, *ins.discardedPayload});
             ++stashAbsorbs;
         } else {
             out.insertDiscarded = true;
@@ -105,9 +108,10 @@ CuckooDirectory::access(const DirRequest &request, DirAccessContext &ctx)
             ++statistics.forcedEvictions;
             EvictedEntry &evicted = ctx.appendEviction(out);
             evicted.tag = ins.discardedTag;
-            (*ins.discardedPayload)->invalidationTargets(evicted.targets);
+            sharers.invalidationTargets(*ins.discardedPayload,
+                                        evicted.targets);
             statistics.forcedBlockInvalidations += evicted.targets.count();
-            recycleRep(std::move(*ins.discardedPayload));
+            sharers.clear(*ins.discardedPayload);
         }
     }
 }
@@ -116,14 +120,13 @@ void
 CuckooDirectory::removeSharer(Tag tag, CacheId cache)
 {
     const std::size_t pos = table.findPos(tag);
-    if (pos != CuckooTable<Rep>::npos) {
+    if (pos != CuckooTable<SharerSet>::npos) {
         ++statistics.sharerRemovals;
-        Rep &rep = table.payloadAt(pos);
-        if (rep->remove(cache)) {
+        if (sharers.remove(table.payloadAt(pos), cache)) {
             // One probe serves both the removal and the free: erase at
             // the position the lookup already found instead of
-            // re-probing all ways.
-            recycleRep(table.eraseAt(pos));
+            // re-probing all ways. The emptied set owns no storage.
+            table.eraseAt(pos);
             ++statistics.entryFrees;
             // A freed slot is the opportunity to re-home a parked
             // overflow entry.
@@ -133,10 +136,8 @@ CuckooDirectory::removeSharer(Tag tag, CacheId cache)
     }
     if (StashEntry *entry = findStash(tag)) {
         ++statistics.sharerRemovals;
-        if (entry->rep->remove(cache)) {
-            recycleRep(std::move(entry->rep));
-            if (entry != &stash.back())
-                *entry = std::move(stash.back());
+        if (sharers.remove(entry->set, cache)) {
+            *entry = stash.back();
             stash.pop_back();
             ++statistics.entryFrees;
         }
@@ -144,20 +145,18 @@ CuckooDirectory::removeSharer(Tag tag, CacheId cache)
 }
 
 bool
-CuckooDirectory::probe(Tag tag, DynamicBitset *sharers) const
+CuckooDirectory::probe(Tag tag, DynamicBitset *sharer_targets) const
 {
-    if (const Rep *rep = table.find(tag)) {
-        if (sharers)
-            (*rep)->invalidationTargets(*sharers);
-        return true;
+    const SharerSet *set = table.find(tag);
+    if (set == nullptr) {
+        const StashEntry *entry = findStash(tag);
+        if (entry == nullptr)
+            return false;
+        set = &entry->set;
     }
-    auto *self = const_cast<CuckooDirectory *>(this);
-    if (StashEntry *entry = self->findStash(tag)) {
-        if (sharers)
-            entry->rep->invalidationTargets(*sharers);
-        return true;
-    }
-    return false;
+    if (sharer_targets)
+        sharers.invalidationTargets(*set, *sharer_targets);
+    return true;
 }
 
 std::size_t

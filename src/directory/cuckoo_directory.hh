@@ -31,7 +31,7 @@ class CuckooDirectory : public Directory
      * @param num_caches   private caches tracked.
      * @param ways         cuckoo arity d (paper evaluates 3 and 4).
      * @param sets_per_way slots per way.
-     * @param format       sharer-set representation per entry.
+     * @param format       sharer-set format of every entry.
      * @param hash         indexing family (Skewing is the paper default).
      * @param max_attempts insertion bound (paper: 32).
      * @param hash_seed    seed for the Strong hash family.
@@ -68,37 +68,27 @@ class CuckooDirectory : public Directory
     std::size_t
     memoryBytes() const override
     {
-        std::size_t total =
-            sizeof(*this) + pooledRepBytes() +
-            table.memoryBytes([](const Rep &rep) {
-                return rep ? rep->memoryBytes() : std::size_t{0};
-            }) +
-            stash.capacity() * sizeof(StashEntry);
-        for (const auto &entry : stash)
-            if (entry.rep)
-                total += entry.rep->memoryBytes();
-        return total;
+        return sizeof(*this) + table.memoryBytes() +
+               stash.capacity() * sizeof(StashEntry) + sharers.heapBytes();
     }
 
   private:
-    using Rep = std::unique_ptr<SharerRep>;
-
     struct StashEntry
     {
         Tag tag;
-        Rep rep;
+        SharerSet set;
     };
 
     /** Stash lookup; nullptr if absent. */
     StashEntry *findStash(Tag tag);
+    const StashEntry *findStash(Tag tag) const;
 
     /** Opportunistically drain one stash entry back into the table. */
     void drainStash();
 
-    SharerFormat format;
-    HashKind hashKind;
+    SharerStore sharers;
     std::unique_ptr<HashFamily> family;
-    CuckooTable<Rep> table;
+    CuckooTable<SharerSet> table;
     unsigned stashCapacity;
     std::vector<StashEntry> stash;
     std::uint64_t stashAbsorbs = 0;

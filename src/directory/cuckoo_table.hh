@@ -142,7 +142,8 @@ class CuckooTable
     const Payload *
     find(Tag tag) const
     {
-        return const_cast<CuckooTable *>(this)->find(tag);
+        const std::size_t pos = findPos(tag);
+        return pos == npos ? nullptr : &payloads[pos];
     }
 
     /** Payload stored at a position returned by findPos(). */
@@ -301,22 +302,15 @@ class CuckooTable
     }
 
     /**
-     * Host bytes of the SoA lanes plus the payloads' owned storage:
-     * @p payload_bytes maps a valid payload to the heap it owns (e.g. a
-     * sharer rep's memoryBytes()). Feeds Directory::memoryBytes().
+     * Host bytes of the SoA lanes (payloads included, stored inline).
+     * Feeds Directory::memoryBytes().
      */
-    template <typename PayloadBytes>
     std::size_t
-    memoryBytes(PayloadBytes &&payload_bytes) const
+    memoryBytes() const
     {
-        std::size_t total = tags.capacity() * sizeof(Tag) +
-                            valids.capacity() * sizeof(std::uint8_t) +
-                            payloads.capacity() * sizeof(Payload);
-        const std::size_t n = tags.size();
-        for (std::size_t i = 0; i < n; ++i)
-            if (valids[i] != 0)
-                total += payload_bytes(payloads[i]);
-        return total;
+        return tags.capacity() * sizeof(Tag) +
+               valids.capacity() * sizeof(std::uint8_t) +
+               payloads.capacity() * sizeof(Payload);
     }
 
     /** Occupancy of one way (test support for uniform-way utilization). */

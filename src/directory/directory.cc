@@ -34,75 +34,23 @@ Directory::accessBatch(std::span<const DirRequest> requests,
     }
 }
 
-Directory::~Directory()
-{
-    while (repFree != nullptr) {
-        SharerRep *next = repFree->poolNext;
-        delete repFree;
-        repFree = next;
-    }
-}
-
-std::unique_ptr<SharerRep>
-Directory::acquireRep(SharerFormat format)
-{
-    if (repFree != nullptr) {
-        SharerRep *rep = repFree;
-        repFree = rep->poolNext;
-        rep->poolNext = nullptr;
-        rep->clear();
-        return std::unique_ptr<SharerRep>(rep);
-    }
-    return makeSharerRep(format, caches);
-}
-
 void
-Directory::recycleRep(std::unique_ptr<SharerRep> rep)
-{
-    if (rep) {
-        SharerRep *node = rep.release();
-        node->poolNext = repFree;
-        repFree = node;
-    }
-}
-
-void
-Directory::prefillRepPool(SharerFormat format, std::size_t count)
-{
-    for (std::size_t i = 0; i < count; ++i) {
-        SharerRep *node = makeSharerRep(format, caches).release();
-        node->poolNext = repFree;
-        repFree = node;
-    }
-}
-
-std::size_t
-Directory::pooledRepBytes() const
-{
-    std::size_t total = 0;
-    for (const SharerRep *rep = repFree; rep != nullptr;
-         rep = rep->poolNext)
-        total += rep->memoryBytes();
-    return total;
-}
-
-void
-Directory::updateEntryOnHit(SharerRep &rep, const DirRequest &request,
-                            DirAccessContext &ctx, DirAccessOutcome &out)
+Directory::updateEntryOnHit(SharerStore &store, SharerSet &set,
+                            const DirRequest &request, DirAccessContext &ctx,
+                            DirAccessOutcome &out)
 {
     if (request.isWrite) {
         DynamicBitset &targets = ctx.sharerTargets(out);
-        rep.invalidationTargets(targets);
+        store.invalidationTargets(set, targets);
         if (request.cache < targets.size() && targets.test(request.cache))
             targets.reset(request.cache);
         if (targets.any()) {
             out.hadSharerInvalidations = true;
             ++statistics.writeUpgrades;
         }
-        rep.clear();
-        rep.add(request.cache);
+        store.assign(set, request.cache);
     } else {
-        rep.add(request.cache);
+        store.add(set, request.cache);
         ++statistics.sharerAdds;
     }
 }

@@ -64,7 +64,7 @@ class DuplicateTagDirectory : public Directory
                valids.capacity() * sizeof(std::uint8_t) +
                lastUses.capacity() * sizeof(std::uint64_t) +
                chunkValid.capacity() * sizeof(std::uint32_t) +
-               scratchHolders.heapBytes() + pooledRepBytes();
+               scratchHolders.heapBytes();
     }
 
   private:

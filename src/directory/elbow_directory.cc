@@ -19,7 +19,7 @@ ElbowDirectory::ElbowDirectory(std::size_t num_caches, unsigned num_ways,
                                std::size_t num_sets, SharerFormat fmt,
                                std::uint64_t hash_seed)
     : Directory(num_caches),
-      format(fmt),
+      sharers(fmt, num_caches),
       family(makeHashFamily(HashKind::Skewing, num_ways, num_sets,
                             hash_seed)),
       ways(num_ways),
@@ -27,10 +27,9 @@ ElbowDirectory::ElbowDirectory(std::size_t num_caches, unsigned num_ways,
       tags(std::size_t{num_ways} * num_sets, 0),
       valids(std::size_t{num_ways} * num_sets, 0),
       lastUses(std::size_t{num_ways} * num_sets, 0),
-      reps(std::size_t{num_ways} * num_sets)
+      sharerSets(std::size_t{num_ways} * num_sets)
 {
     assert(num_ways >= 1 && num_ways <= kMaxProbeWays);
-    prefillRepPool(fmt, tags.size());
 }
 
 std::size_t
@@ -83,7 +82,7 @@ ElbowDirectory::access(const DirRequest &request, DirAccessContext &ctx)
             out.hit = true;
             ++statistics.hits;
             lastUses[p] = useClock;
-            updateEntryOnHit(*reps[p], request, ctx, out);
+            updateEntryOnHit(sharers, sharerSets[p], request, ctx, out);
             return;
         }
     }
@@ -113,7 +112,8 @@ ElbowDirectory::access(const DirRequest &request, DirAccessContext &ctx)
                 const std::size_t target = pos(alt, altIdx[alt]);
                 if (valids[target] == 0) {
                     tags[target] = tags[occ];
-                    reps[target] = std::move(reps[occ]);
+                    sharerSets[target] = sharerSets[occ];
+                    sharerSets[occ] = SharerSet{};
                     lastUses[target] = lastUses[occ];
                     valids[target] = 1;
                     valids[occ] = 0;
@@ -137,19 +137,17 @@ ElbowDirectory::access(const DirRequest &request, DirAccessContext &ctx)
         assert(victim != npos && valids[victim] != 0);
         EvictedEntry &evicted = ctx.appendEviction(out);
         evicted.tag = tags[victim];
-        reps[victim]->invalidationTargets(evicted.targets);
+        sharers.invalidationTargets(sharerSets[victim], evicted.targets);
         ++statistics.forcedEvictions;
         statistics.forcedBlockInvalidations += evicted.targets.count();
         valids[victim] = 0;
-        reps[victim]->clear(); // reuse the evicted entry's rep in place
+        sharers.clear(sharerSets[victim]);
         --occupied;
         dest = victim;
     }
 
     tags[dest] = request.tag;
-    if (!reps[dest])
-        reps[dest] = acquireRep(format);
-    reps[dest]->add(request.cache);
+    sharers.add(sharerSets[dest], request.cache);
     valids[dest] = 1;
     lastUses[dest] = useClock;
     ++occupied;
@@ -168,22 +166,21 @@ ElbowDirectory::removeSharer(Tag tag, CacheId cache)
     if (p == npos)
         return;
     ++statistics.sharerRemovals;
-    if (reps[p]->remove(cache)) {
+    if (sharers.remove(sharerSets[p], cache)) {
         valids[p] = 0;
-        recycleRep(std::move(reps[p]));
         --occupied;
         ++statistics.entryFrees;
     }
 }
 
 bool
-ElbowDirectory::probe(Tag tag, DynamicBitset *sharers) const
+ElbowDirectory::probe(Tag tag, DynamicBitset *sharer_targets) const
 {
     const std::size_t p = findPosOf(tag);
     if (p == npos)
         return false;
-    if (sharers)
-        reps[p]->invalidationTargets(*sharers);
+    if (sharer_targets)
+        sharers.invalidationTargets(sharerSets[p], *sharer_targets);
     return true;
 }
 

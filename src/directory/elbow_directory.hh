@@ -39,7 +39,7 @@ class ElbowDirectory : public Directory
      * @param num_caches private caches tracked.
      * @param ways       associativity (one skewing function per way).
      * @param sets       sets per way.
-     * @param format     sharer-set representation.
+     * @param format     sharer-set format of every entry.
      * @param hash_seed  seed for the hash family.
      */
     ElbowDirectory(std::size_t num_caches, unsigned ways,
@@ -60,16 +60,11 @@ class ElbowDirectory : public Directory
     std::size_t
     memoryBytes() const override
     {
-        std::size_t total =
-            sizeof(*this) + tags.capacity() * sizeof(Tag) +
-            valids.capacity() * sizeof(std::uint8_t) +
-            lastUses.capacity() * sizeof(std::uint64_t) +
-            reps.capacity() * sizeof(std::unique_ptr<SharerRep>) +
-            pooledRepBytes();
-        for (const auto &rep : reps)
-            if (rep)
-                total += rep->memoryBytes();
-        return total;
+        return sizeof(*this) + tags.capacity() * sizeof(Tag) +
+               valids.capacity() * sizeof(std::uint8_t) +
+               lastUses.capacity() * sizeof(std::uint64_t) +
+               sharerSets.capacity() * sizeof(SharerSet) +
+               sharers.heapBytes();
     }
 
   private:
@@ -85,7 +80,7 @@ class ElbowDirectory : public Directory
     /** Position of @p tag, or npos. */
     std::size_t findPosOf(Tag tag) const;
 
-    SharerFormat format;
+    SharerStore sharers;
     std::unique_ptr<HashFamily> family;
     unsigned ways;
     std::size_t sets;
@@ -93,7 +88,7 @@ class ElbowDirectory : public Directory
     std::vector<Tag> tags;                         //!< SoA tag lane
     std::vector<std::uint8_t> valids;              //!< SoA valid lane
     std::vector<std::uint64_t> lastUses;           //!< SoA LRU lane
-    std::vector<std::unique_ptr<SharerRep>> reps;  //!< SoA payload lane
+    std::vector<SharerSet> sharerSets;             //!< SoA payload lane
     std::size_t occupied = 0;
     std::uint64_t useClock = 0;
     std::uint64_t relocated = 0;

@@ -128,8 +128,7 @@ class TaglessDirectory : public Directory
         return sizeof(*this) +
                hashKeys.capacity() * sizeof(std::uint64_t) +
                counters.capacity() * sizeof(std::uint16_t) +
-               shadow.memoryBytes() + scratchHolders.heapBytes() +
-               pooledRepBytes();
+               shadow.memoryBytes() + scratchHolders.heapBytes();
     }
 
   private:

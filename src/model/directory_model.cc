@@ -74,11 +74,11 @@ vectorBits(OrgModel org, double num_caches)
       case OrgModel::SparseHier:
       case OrgModel::CuckooHier: {
         // Root vector: one bit per cluster of isqrtCeil(C) caches.
-        // Exact integer math matching sharerStorageBits() and the
-        // HierarchicalVectorRep geometry — note ceil(C / isqrtCeil(C))
-        // can be one less than ceil(sqrt(C)) (e.g. C = 128 packs into
-        // 11 clusters of 12), and std::sqrt on a double can land on
-        // the wrong side of an exact square for large C.
+        // Exact integer math matching sharerStorageBits() — note
+        // ceil(C / isqrtCeil(C)) can be one less than ceil(sqrt(C))
+        // (e.g. C = 128 packs into 11 clusters of 12), and std::sqrt on
+        // a double can land on the wrong side of an exact square for
+        // large C.
         const auto c = std::uint64_t(num_caches);
         const std::uint64_t cluster = std::max<std::uint64_t>(
             isqrtCeil(c), 1);

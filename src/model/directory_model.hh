@@ -106,7 +106,7 @@ DirCost directoryCost(OrgModel org, const DirSystemParams &params,
 /**
  * Sharer-field width (bits per entry) the model charges @p org at
  * @p num_caches tracked caches — the analytical counterpart of the
- * simulator's sharerStorageBits() (sharers/sharer_rep.hh), exported so
+ * simulator's sharerStorageBits() (sharers/sharer_set.hh), exported so
  * the Fig. 4 harness can cross-check the two formulas at every grid
  * point. 0 for organizations without a per-entry vector field.
  */

@@ -349,42 +349,6 @@ CmpSystem::access(const MemAccess &mem)
     flush();
 }
 
-void
-CmpSystem::run(SyntheticWorkload &workload, std::uint64_t count)
-{
-    const std::size_t window = std::max<std::size_t>(cfg.batchWindow, 1);
-    std::size_t staged = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        stage(workload.next());
-        if (++staged == window) {
-            flush();
-            staged = 0;
-        }
-    }
-    flush();
-}
-
-void
-CmpSystem::run(SyntheticWorkload &workload, std::uint64_t count,
-               std::uint64_t sample_every)
-{
-    assert(sample_every > 0);
-    const std::size_t window = std::max<std::size_t>(cfg.batchWindow, 1);
-    std::size_t staged = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        stage(workload.next());
-        ++staged;
-        const bool sample_due = (i + 1) % sample_every == 0;
-        if (staged == window || sample_due) {
-            flush();
-            staged = 0;
-        }
-        if (sample_due)
-            sampleOccupancy();
-    }
-    flush();
-}
-
 std::uint64_t
 CmpSystem::run(AccessSource &source, std::uint64_t count,
                std::uint64_t sample_every)

@@ -199,19 +199,11 @@ class CmpSystem
     /** Drive one memory reference through the system. */
     void access(const MemAccess &access);
 
-    /** Run @p count accesses from @p workload. */
-    void run(SyntheticWorkload &workload, std::uint64_t count);
-
     /**
-     * Run @p count accesses, sampling directory occupancy every
-     * @p sample_every accesses into stats().directoryOccupancy.
-     */
-    void run(SyntheticWorkload &workload, std::uint64_t count,
-             std::uint64_t sample_every);
-
-    /**
-     * Drive from any AccessSource (e.g. a trace reader) until @p count
-     * accesses have run or the source is exhausted.
+     * Drive from any AccessSource (a SyntheticSource, a trace reader, a
+     * scenario) until @p count accesses have run or the source is
+     * exhausted, sampling directory occupancy every @p sample_every
+     * accesses (0 = never) into stats().directoryOccupancy.
      * @return accesses actually executed.
      */
     std::uint64_t run(AccessSource &source, std::uint64_t count,

@@ -13,7 +13,8 @@
  *    exactly;
  *  - steady-state directory churn through the context protocol must be
  *    allocation-free for every organization (the redesign's headline
- *    guarantee).
+ *    guarantee), including every sharer format once sets spill past
+ *    64 caches, and building a system must not allocate per entry.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include "dir_test_util.hh"
 #include "directory/registry.hh"
 #include "sim/cmp_system.hh"
+#include "sim/experiment.hh"
 
 namespace cdir {
 namespace {
@@ -207,7 +209,7 @@ TEST(BatchAccess, WindowedRunsKeepCoverageForEveryOrganization)
     for (const std::string &name : DirectoryRegistry::instance().names()) {
         for (const std::size_t window : {std::size_t{4}, std::size_t{64}}) {
             CmpSystem sys(tinyConfig(name, window));
-            SyntheticWorkload gen(tinyWorkload(11));
+            SyntheticSource gen(tinyWorkload(11));
             sys.run(gen, 20000);
             EXPECT_TRUE(sys.directoryCoversCaches())
                 << name << " window " << window;
@@ -225,8 +227,8 @@ TEST(BatchAccess, WindowOfOneMatchesPerReferenceDriver)
           std::string("DuplicateTag"), std::string("Tagless")}) {
         CmpSystem batched(tinyConfig(name, 1));
         CmpSystem serial(tinyConfig(name, 1));
-        SyntheticWorkload gen_a(tinyWorkload(5));
-        SyntheticWorkload gen_b(tinyWorkload(5));
+        SyntheticSource gen_a(tinyWorkload(5));
+        SyntheticSource gen_b(tinyWorkload(5));
 
         batched.run(gen_a, 30000);
         for (int i = 0; i < 30000; ++i)
@@ -292,48 +294,98 @@ TEST(BatchAccess, SameWindowEvictionAfterInsertRetiresSharer)
     EXPECT_EQ(sys.aggregateDirectoryStats().entryFrees, 1u);
 }
 
+/**
+ * Steady-state churn through the context protocol must not allocate:
+ * retire one tracked tag, insert a fresh one with sharers @p a and
+ * @p b, and sprinkle write upgrades to exercise the invalidation
+ * bitset pool. Two passes: the first grows every pool to its
+ * high-water mark, the second must not allocate at all.
+ */
+void
+expectChurnAllocationFree(Directory &dir, CacheId a, CacheId b,
+                          const std::string &label)
+{
+    DirAccessContext ctx = dir.makeContext();
+    std::vector<Tag> live;
+    Rng rng(17);
+    while (live.size() < 128) {
+        const Tag tag = rng.next() >> 8;
+        if (dir.probe(tag))
+            continue;
+        ctx.reset();
+        dir.access(DirRequest{tag, a, false}, ctx);
+        live.push_back(tag);
+    }
+
+    auto churn = [&](std::size_t rounds) {
+        std::size_t k = 0;
+        for (std::size_t i = 0; i < rounds; ++i) {
+            k = (k + 1) % live.size();
+            dir.removeSharer(live[k], a);
+            const Tag fresh = rng.next() >> 8;
+            ctx.reset();
+            dir.access(DirRequest{fresh, a, false}, ctx);
+            dir.access(DirRequest{fresh, b, false}, ctx);
+            dir.access(DirRequest{fresh, a, true}, ctx);
+            live[k] = fresh;
+        }
+    };
+
+    churn(4096); // warmup: grow pools, spill chunks, shadow maps
+    const std::size_t before = allocationCount();
+    churn(4096); // steady state
+    const std::size_t allocated = allocationCount() - before;
+    EXPECT_EQ(allocated, 0u)
+        << label << " allocated " << allocated
+        << " times in steady-state churn";
+}
+
 TEST(BatchAccess, SteadyStateChurnIsAllocationFree)
 {
     for (const std::string &name : DirectoryRegistry::instance().names()) {
         auto dir = DirectoryRegistry::instance().build(name, paramsFor(name));
-        DirAccessContext ctx = dir->makeContext();
-
-        // Steady-state churn: retire one tracked tag, insert a fresh
-        // one, sprinkle write upgrades to exercise the invalidation
-        // bitset pool. Two passes: the first grows every pool to its
-        // high-water mark, the second must not allocate at all.
-        std::vector<Tag> live;
-        Rng rng(17);
-        while (live.size() < 128) {
-            const Tag tag = rng.next() >> 8;
-            if (dir->probe(tag))
-                continue;
-            ctx.reset();
-            dir->access(DirRequest{tag, 0, false}, ctx);
-            live.push_back(tag);
+        expectChurnAllocationFree(*dir, 0, 1, name);
+    }
+    // Past 64 caches a set with sharers in two 64-cache spans (0 and
+    // 127 here) spills out of its slot; the spill blocks must recycle
+    // too, for every organization that keeps sharer sets and every
+    // format.
+    constexpr std::size_t kWideCaches = 128;
+    for (const std::string name :
+         {"Cuckoo", "Sparse", "Skewed", "Elbow", "InCache"}) {
+        for (const SharerFormat format :
+             {SharerFormat::FullVector, SharerFormat::CoarseVector,
+              SharerFormat::Hierarchical, SharerFormat::Compressed}) {
+            DirectoryParams p = paramsFor(name);
+            p.numCaches = kWideCaches;
+            p.format = format;
+            auto dir = DirectoryRegistry::instance().build(name, p);
+            expectChurnAllocationFree(
+                *dir, 0, kWideCaches - 1,
+                name + " format #" +
+                    std::to_string(static_cast<int>(format)));
         }
+    }
+}
 
-        auto churn = [&](std::size_t rounds) {
-            std::size_t k = 0;
-            for (std::size_t i = 0; i < rounds; ++i) {
-                k = (k + 1) % live.size();
-                dir->removeSharer(live[k], 0);
-                const Tag fresh = rng.next() >> 8;
-                ctx.reset();
-                dir->access(DirRequest{fresh, 0, false}, ctx);
-                dir->access(DirRequest{fresh, 1, false}, ctx);
-                dir->access(DirRequest{fresh, 0, true}, ctx);
-                live[k] = fresh;
+TEST(BatchAccess, ConstructionAllocationsDoNotScaleWithEntries)
+{
+    // Sharer sets live in the slot lanes: building the Table 1 16-core
+    // system costs the same number of heap allocations whatever the
+    // directory's size (the lanes are a fixed number of vectors).
+    for (const bool sparse : {false, true}) {
+        auto allocationsFor = [&](std::size_t sets) {
+            CmpConfig cfg = CmpConfig::paperConfig(CmpConfigKind::SharedL2);
+            cfg.directory = sparse ? sparseSliceParams(8, sets)
+                                   : cuckooSliceParams(4, sets);
+            const std::size_t before = allocationCount();
+            {
+                CmpSystem sys(cfg);
             }
+            return allocationCount() - before;
         };
-
-        churn(4096); // warmup: grow pools, rep free-lists, shadow maps
-        const std::size_t before = allocationCount();
-        churn(4096); // steady state
-        const std::size_t allocated = allocationCount() - before;
-        EXPECT_EQ(allocated, 0u)
-            << name << " allocated " << allocated
-            << " times in steady-state churn";
+        EXPECT_EQ(allocationsFor(512), allocationsFor(1024))
+            << (sparse ? "Sparse 8x" : "Cuckoo 4x");
     }
 }
 
@@ -343,7 +395,7 @@ TEST(BatchAccess, SteadyStateSystemRunIsAllocationFree)
     // CmpSystem::run() performs zero heap allocations per access.
     CmpConfig cfg = tinyConfig("Cuckoo", 16);
     CmpSystem sys(cfg);
-    SyntheticWorkload gen(tinyWorkload(29));
+    SyntheticSource gen(tinyWorkload(29));
     sys.run(gen, 50000); // warmup: caches fill, pools grow
     const std::size_t before = allocationCount();
     sys.run(gen, 50000); // steady state

@@ -428,7 +428,7 @@ replayStress(const std::string &organization, const WorkloadParams &wl,
     CmpSystem system(
         goldenReplayConfig(organization, CmpConfigKind::SharedL2));
     system.setShards(shards);
-    SyntheticWorkload gen(wl);
+    SyntheticSource gen(wl);
     system.run(gen, 20000);
 
     const CmpStats sys = system.stats();

@@ -354,7 +354,7 @@ replayStress(const std::string &organization, const WorkloadParams &wl,
     CmpSystem system(test::goldenReplayConfig(organization,
                                               CmpConfigKind::SharedL2));
     system.setShards(shards);
-    SyntheticWorkload gen(wl);
+    SyntheticSource gen(wl);
     system.run(gen, accesses);
     return StressOutcome{system.stats(),
                          system.aggregateDirectoryStats(),
@@ -468,7 +468,7 @@ TEST(SystemDeterminism, IdenticalRunsBitForBit)
         params.codeBlocks = 128;
         params.sharedBlocks = 512;
         params.privateBlocksPerCore = 256;
-        SyntheticWorkload gen(params);
+        SyntheticSource gen(params);
         sys.run(gen, 50000);
         return sys.aggregateDirectoryStats();
     };

@@ -124,14 +124,14 @@ TEST_P(ShardedOrganization, SyntheticRunBitIdenticalAtAnyShardCount)
         cfg.batchWindow = window;
 
         CmpSystem serial(cfg);
-        SyntheticWorkload serial_gen(stressWorkload());
+        SyntheticSource serial_gen(stressWorkload());
         serial.run(serial_gen, 20000, 500);
 
         for (const unsigned shards : {1u, 2u, 4u}) {
             CmpSystem sharded(cfg);
             sharded.setShards(shards);
             EXPECT_EQ(sharded.shards(), shards);
-            SyntheticWorkload gen(stressWorkload());
+            SyntheticSource gen(stressWorkload());
             sharded.run(gen, 20000, 500);
             expectSystemsIdentical(
                 serial, sharded,
@@ -329,13 +329,13 @@ TEST(ShardEngine, CoverageCheckAgreesAtEveryShardCount)
             goldenReplayConfig(org, CmpConfigKind::SharedL2);
 
         CmpSystem serial(cfg);
-        SyntheticWorkload serial_gen(stressWorkload(17));
+        SyntheticSource serial_gen(stressWorkload(17));
         serial.run(serial_gen, 12000);
         const bool expected = serial.directoryCoversCaches();
 
         CmpSystem sharded(cfg);
         sharded.setShards(3);
-        SyntheticWorkload gen(stressWorkload(17));
+        SyntheticSource gen(stressWorkload(17));
         sharded.run(gen, 12000);
         EXPECT_EQ(sharded.directoryCoversCaches(), expected) << org;
         EXPECT_TRUE(expected) << org;
@@ -407,7 +407,7 @@ TEST(ShardEngine, CustomMappingKeepsBitIdentity)
         goldenReplayConfig("Cuckoo", CmpConfigKind::SharedL2);
 
     CmpSystem serial(cfg);
-    SyntheticWorkload serial_gen(stressWorkload(23));
+    SyntheticSource serial_gen(stressWorkload(23));
     serial.run(serial_gen, 16000, 500);
 
     // Strided (anti-contiguous) placement — the worst case for the
@@ -418,7 +418,7 @@ TEST(ShardEngine, CustomMappingKeepsBitIdentity)
     mapped.setShardMapping({1, 0, 1, 0});
     EXPECT_EQ(mapped.shardOfSlice(0), 1u);
     EXPECT_EQ(mapped.shardOfSlice(3), 0u);
-    SyntheticWorkload gen(stressWorkload(23));
+    SyntheticSource gen(stressWorkload(23));
     mapped.run(gen, 16000, 500);
     expectSystemsIdentical(serial, mapped, "custom mapping");
 }
@@ -498,13 +498,13 @@ TEST(ShardEngine, TwoFiftySixSliceBitIdentityAcrossShardCounts)
         const CmpConfig cfg =
             thousandCoreConfig(cc.organization, cc.format);
         CmpSystem serial(cfg);
-        SyntheticWorkload serial_gen(thousandCoreWorkload());
+        SyntheticSource serial_gen(thousandCoreWorkload());
         serial.run(serial_gen, 80000, 2000);
 
         for (const unsigned shards : {2u, 4u}) {
             CmpSystem sharded(cfg);
             sharded.setShards(shards);
-            SyntheticWorkload gen(thousandCoreWorkload());
+            SyntheticSource gen(thousandCoreWorkload());
             sharded.run(gen, 80000, 2000);
             expectSystemsIdentical(serial, sharded,
                                    std::string(cc.organization) +
@@ -524,7 +524,7 @@ TEST(ShardEngine, LeanFormatsMatchFullVectorSystemStats)
     const CmpConfig base =
         thousandCoreConfig("Cuckoo", SharerFormat::FullVector);
     CmpSystem full(base);
-    SyntheticWorkload full_gen(thousandCoreWorkload());
+    SyntheticSource full_gen(thousandCoreWorkload());
     full.run(full_gen, 60000, 2000);
 
     for (const SharerFormat format :
@@ -532,7 +532,7 @@ TEST(ShardEngine, LeanFormatsMatchFullVectorSystemStats)
         CmpConfig cfg = base;
         cfg.directory.format = format;
         CmpSystem lean(cfg);
-        SyntheticWorkload gen(thousandCoreWorkload());
+        SyntheticSource gen(thousandCoreWorkload());
         lean.run(gen, 60000, 2000);
         expectSystemsIdentical(full, lean,
                                "lean format vs full vector");
@@ -546,14 +546,14 @@ TEST(ShardEngine, EstimatedMemoryBytesIsShardInvariant)
     const CmpConfig cfg =
         thousandCoreConfig("Cuckoo", SharerFormat::Compressed);
     CmpSystem serial(cfg);
-    SyntheticWorkload serial_gen(thousandCoreWorkload());
+    SyntheticSource serial_gen(thousandCoreWorkload());
     serial.run(serial_gen, 40000);
     const std::size_t expected = serial.estimatedMemoryBytes();
     EXPECT_GT(expected, 0u);
 
     CmpSystem sharded(cfg);
     sharded.setShards(4);
-    SyntheticWorkload gen(thousandCoreWorkload());
+    SyntheticSource gen(thousandCoreWorkload());
     sharded.run(gen, 40000);
     EXPECT_EQ(sharded.estimatedMemoryBytes(), expected);
 }
@@ -564,14 +564,14 @@ TEST(ShardEngine, ReShardingBetweenRunsKeepsDeterminism)
         goldenReplayConfig("Skewed", CmpConfigKind::SharedL2);
 
     CmpSystem serial(cfg);
-    SyntheticWorkload serial_gen(stressWorkload(31));
+    SyntheticSource serial_gen(stressWorkload(31));
     serial.run(serial_gen, 16000);
 
     // Same stream, but the shard count changes mid-way: the contract
     // holds across reconfiguration because per-window semantics never
     // depend on the lane count.
     CmpSystem resharded(cfg);
-    SyntheticWorkload gen(stressWorkload(31));
+    SyntheticSource gen(stressWorkload(31));
     resharded.setShards(2);
     resharded.run(gen, 8000);
     resharded.setShards(4);

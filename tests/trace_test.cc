@@ -523,7 +523,7 @@ TEST(TraceReplay, BothFormatsDriveSimulatorIdenticallyToGenerator)
 
     const CmpConfig cfg = tinyConfig();
     CmpSystem direct(cfg);
-    SyntheticWorkload gen(params);
+    SyntheticSource gen(params);
     direct.run(gen, 20000);
 
     for (const std::string &path : {text_path, binary_path}) {
