@@ -92,7 +92,7 @@ main(int argc, char **argv)
     const HarnessOptions cli = parseHarnessOptions(argc, argv);
     const std::uint64_t ops = flagU64(argc, argv, "ops", 300000);
     warnFlagUnused(cli,
-                   {"filter", "trace", "scenario", "shards", "cost-model",
+                   {"filter", "trace", "scenario", "cost-model",
                     "probe-every"});
     const SweepRunner runner(cli.sweep());
 

@@ -25,7 +25,7 @@
  * never feeds back into the simulation.
  *
  *   $ ./end_to_end_rate                 # JSON on stdout
- *   $ ./end_to_end_rate --accesses=500000 --shards=2
+ *   $ ./end_to_end_rate --accesses=500000
  */
 
 #include <chrono>
@@ -106,15 +106,9 @@ main(int argc, char **argv)
     }
     accesses *= cli.scale;
 
-    // Single experiment at a time (wall-clock timing would be
-    // meaningless with concurrent cells), so the full shard budget is
-    // available to it.
-    const unsigned shards = clampedShards(1, cli.shardsRequested,
-                                          ThreadPool::hardwareWorkers());
-
     std::printf("{\"benchmark\": \"end_to_end_rate\", "
-                "\"accesses\": %llu, \"shards\": %u, \"runs\": [",
-                static_cast<unsigned long long>(accesses), shards);
+                "\"accesses\": %llu, \"runs\": [",
+                static_cast<unsigned long long>(accesses));
     bool first = true;
     for (const RateRun &run : kRuns) {
         CmpConfig config = paperConfigWith(
@@ -130,7 +124,6 @@ main(int argc, char **argv)
         opts.warmupAccesses = accesses / 4;
         opts.measureAccesses = accesses;
         opts.occupancySampleEvery = 10'000;
-        opts.shards = shards;
         opts.costModel = run.costModel;
 
         const auto start = std::chrono::steady_clock::now();

@@ -20,7 +20,7 @@
  *   $ ./ext_phase_dynamics --scenario=diurnal --interval=25000
  *   $ ./ext_phase_dynamics --series-json=series.json --cost-model=mesh
  *
- * Shared flags apply (--jobs/--shards/--format/--filter/--scale/
+ * Shared flags apply (--jobs/--format/--filter/--scale/
  * --warmup/--measure/--cost-model); --interval=N sets the telemetry
  * window (in accesses); --series-json=PATH additionally exports the
  * raw per-window series as structured JSON ('-' = stdout), for
@@ -28,7 +28,7 @@
  * the time series, each scenario gets a per-phase aggregate table —
  * the windows folded along the schedule (sim/interval_export.hh) with
  * exact integer sums. Everything is bit-identical at any
- * --jobs/--shards value (pinned by tests/scenario_test.cc and the CI
+ * --jobs value (pinned by tests/scenario_test.cc and the CI
  * scenario smoke).
  */
 

@@ -37,14 +37,14 @@
  * under ~1.5 GB; run the 4096-core rows with --jobs=1 or 2 on small
  * machines. CSV columns are ordered determinism-first: every column
  * except the trailing wall_s / peak_rss_mb pair is bit-identical at
- * any --jobs x --shards setting (the CI smoke diffs the CSV with the
+ * any --jobs setting (the CI smoke diffs the CSV with the
  * environmental tail cut off).
  *
  *   $ ./ext_scalability_sim                        # full grid
  *   $ ./ext_scalability_sim --max-cores=256 --format=csv
  *   $ ./ext_scalability_sim --campaign-manifest=grid.json
  *
- * Shared flags apply (--jobs/--shards/--format/--filter/--scale/
+ * Shared flags apply (--jobs/--format/--filter/--scale/
  * --warmup/--measure/--campaign-manifest/--campaign-results);
  * --max-cores=N drops the rows above N cores before the grid is built,
  * so a bounded run (or campaign manifest) contains only the cells it
@@ -182,7 +182,7 @@ main(int argc, char **argv)
         "empirical Fig. 4 companion: measured thousand-core scaling "
         "(one slice per core; DB2 profile). All columns except the "
         "trailing wall_s / peak_rss_mb pair are bit-identical at any "
-        "--jobs x --shards setting; est_mem_mb is the deterministic "
+        "--jobs setting; est_mem_mb is the deterministic "
         "host-byte estimate of the simulated caches + directory "
         "slices, peak_rss_mb the process high-water mark (0 when the "
         "row was loaded from a campaign checkpoint).");

@@ -15,14 +15,14 @@
  * conflicts inflate the tail saturates at a lower knee.
  *
  * The ramp is deterministic end to end — probes capture at exact access
- * counts after the serial apply phase — so every number here (knee
- * level, metric values, transition digest) is bit-identical at any
- * --jobs x --shards setting, survives record→replay, and merges
+ * counts after the apply phase — so every number here (knee level,
+ * metric values, transition digest) is bit-identical at any --jobs
+ * setting, survives record→replay, and merges
  * byte-identically through campaign checkpoints.
  *
  *   $ ./ext_slo_knee                              # default grid
  *   $ ./ext_slo_knee --target=120 --step=50000
- *   $ ./ext_slo_knee --format=csv --jobs=4 --shards=2
+ *   $ ./ext_slo_knee --format=csv --jobs=4
  *
  * Harness-specific flags (shared flags also apply):
  *   --target=CYCLES   windowed p99 SLO target     (default 260: just
@@ -141,7 +141,7 @@ main(int argc, char **argv)
                 " cycles; ramp steps one level per " +
                 std::to_string(step) +
                 "-access probe window (deterministic at any "
-                "--jobs/--shards)");
+                "--jobs)");
 
     for (const std::string &model : cli.costModels) {
         ReportTable table(

@@ -24,10 +24,10 @@
  *   $ ./ext_tail_latency --scenario=all           # presets as the axis
  *   $ ./ext_tail_latency --trace=traces/          # recorded traces
  *
- * Shared flags apply (--jobs/--shards/--format/--filter/--scale/
+ * Shared flags apply (--jobs/--format/--filter/--scale/
  * --warmup/--measure/--trace/--scenario/--cost-model). Histograms are
  * integer-bucketed with exact merge, so every number printed here is
- * bit-identical at any --jobs x --shards setting (pinned by
+ * bit-identical at any --jobs setting (pinned by
  * tests/cost_model_test.cc and the CI tail-latency smoke).
  */
 
@@ -149,7 +149,7 @@ main(int argc, char **argv)
     report.note("tail latency: directory-access latency in cycles on "
                 "the 16-core Shared-L2 CMP; percentiles are "
                 "nearest-rank over exact integer histogram buckets "
-                "(bit-identical at any --jobs/--shards)");
+                "(bit-identical at any --jobs)");
 
     // One distribution table per cost model: organization x load rows
     // with the percentile spread.

@@ -84,7 +84,7 @@ main(int argc, char **argv)
     const std::uint64_t values =
         bench::flagU64(argc, argv, "values", 400000);
     warnFlagUnused(cli,
-                   {"filter", "trace", "scenario", "shards", "cost-model",
+                   {"filter", "trace", "scenario", "cost-model",
                     "probe-every"});
     const SweepRunner runner(cli.sweep());
 

@@ -99,7 +99,7 @@ main(int argc, char **argv)
 {
     const HarnessOptions cli = parseHarnessOptions(argc, argv);
     warnFlagUnused(cli,
-                   {"filter", "trace", "scenario", "shards", "cost-model",
+                   {"filter", "trace", "scenario", "cost-model",
                     "probe-every"});
     const SweepRunner runner(cli.sweep());
 

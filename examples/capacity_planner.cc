@@ -93,7 +93,7 @@ main(int argc, char **argv)
     };
 
     warnFlagUnused(cli,
-                   {"filter", "trace", "scenario", "shards", "cost-model",
+                   {"filter", "trace", "scenario", "cost-model",
                     "probe-every"});
     const SweepRunner runner(cli.sweep());
     const auto costs = runner.map<DirCost>(

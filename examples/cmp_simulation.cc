@@ -9,11 +9,7 @@
  * cache behaviour, directory traffic, occupancy, insertion attempts,
  * and invalidations.
  *
- *   $ ./cmp_simulation [workload] [--shards=N]  # DB2 Oracle ... ocean
- *
- * --shards=N partitions the 16 directory slices across N parallel
- * execution lanes (sim/sweep.hh shared CLI); the printed report is
- * bit-identical at any value.
+ *   $ ./cmp_simulation [workload]  # DB2 Oracle ... ocean
  */
 
 #include <cstdio>
@@ -26,10 +22,8 @@ using namespace cdir;
 int
 main(int argc, char **argv)
 {
-    const HarnessOptions cli = parseHarnessOptions(argc, argv);
-
-    // Pick a workload preset by name (default: DB2); the positional
-    // argument may appear before or after the shared flags.
+    // Pick a workload preset by name (default: DB2); "--" flags are
+    // ignored.
     PaperWorkload chosen = PaperWorkload::OltpDb2;
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--", 2) == 0)
@@ -53,16 +47,10 @@ main(int argc, char **argv)
     const WorkloadParams workload =
         paperWorkloadParams(chosen, /*private_l2=*/false);
 
-    // One experiment, no sweep cells: the whole thread budget belongs
-    // to the shards (jobs = 1), not the sweep-level clamp.
-    const unsigned lanes = clampedShards(
-        1, cli.shardsRequested, ThreadPool::hardwareWorkers());
-
     std::printf("CMP: %zu cores, %u caches/core, %zu-entry Cuckoo "
-                "slices x %zu (%u execution lane%s)\n",
+                "slices x %zu\n",
                 cfg.numCores, cfg.cachesPerCore(),
-                cfg.directory.totalEntries(), cfg.numSlices, lanes,
-                lanes == 1 ? "" : "s");
+                cfg.directory.totalEntries(), cfg.numSlices);
     std::printf("workload: %s (code %zu blocks, shared %zu, private "
                 "%zu/core)\n\n",
                 workload.name.c_str(), workload.codeBlocks,
@@ -71,7 +59,6 @@ main(int argc, char **argv)
     ExperimentOptions opts;
     opts.warmupAccesses = 1'000'000;
     opts.measureAccesses = 1'000'000;
-    opts.shards = lanes;
     const ExperimentResult res = runExperiment(cfg, workload, opts);
 
     const CmpStats &sys = res.system;

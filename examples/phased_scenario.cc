@@ -10,7 +10,7 @@
  * ScenarioWorkload is an ordinary AccessSource: the same scenario is
  * recorded to a trace file and replayed bit-identically.
  *
- *   $ ./phased_scenario [--format=csv] [--shards=N]
+ *   $ ./phased_scenario [--format=csv]
  */
 
 #include <cstdio>
@@ -82,8 +82,6 @@ main(int argc, char **argv)
     // An experiment cell resolves scenarioSpec by preset name or file;
     // a programmatic scenario drives the system directly instead.
     CmpSystem system(config);
-    system.setShards(clampedShards(1, cli.shardsRequested,
-                                   ThreadPool::hardwareWorkers()));
     ScenarioWorkload source(scenario);
 
     const std::uint64_t interval = 30'000;

@@ -47,7 +47,7 @@ class RunningMean
 
     /**
      * Fold @p other's samples into this mean, exactly (sums counts and
-     * totals, so merging per-shard or per-slice accumulators in any
+     * totals, so merging per-slice accumulators in any
      * fixed order reproduces the single-accumulator result whenever the
      * sample sum is exactly representable — true for the integer-valued
      * series the simulator records).

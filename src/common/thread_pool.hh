@@ -3,7 +3,9 @@
  * Fixed-size worker-thread pool with a single FIFO task queue.
  *
  * The experiment layer (src/sim/sweep.hh) fans whole grid cells out to
- * workers; each cell is a multi-second simulation, so a plain
+ * workers through parallelFor() — the simulator's only parallelism;
+ * a single CmpSystem always runs on one thread. Each cell is a
+ * multi-second simulation, so a plain
  * mutex-protected queue — no work stealing, no per-worker deques — is
  * the right amount of machinery: contention on the queue lock is
  * negligible next to the task granularity, and a strict FIFO keeps the
@@ -129,81 +131,6 @@ class ThreadPool
     std::size_t running = 0;
     bool stopping = false;
     std::vector<std::thread> threads;
-};
-
-/**
- * Completion handle for one batch of tasks on a shared ThreadPool — a
- * reusable barrier. Several groups can coexist on one pool; `wait()`
- * blocks until *this group's* tasks have finished, not until the whole
- * pool drains, so a long-lived pool can serve repeated fork/join rounds
- * (the CMP shard scheduler runs one round per batch window) without
- * re-spawning threads.
- *
- * The first exception thrown by a task in the group is captured and
- * rethrown from the next `wait()` — after the barrier completes, so the
- * group is always quiescent when `wait()` returns or throws.
- *
- * The group must outlive every task submitted through it; waiting after
- * each round of `run()` calls (the only sensible fork/join usage)
- * guarantees that.
- */
-class TaskGroup
-{
-  public:
-    explicit TaskGroup(ThreadPool &pool) : owner(pool) {}
-
-    TaskGroup(const TaskGroup &) = delete;
-    TaskGroup &operator=(const TaskGroup &) = delete;
-
-    /** Submit @p task to the pool as part of this group. */
-    void
-    run(std::function<void()> task)
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            ++pending;
-        }
-        owner.submit([this, task = std::move(task)] {
-            std::exception_ptr error;
-            try {
-                task();
-            } catch (...) {
-                error = std::current_exception();
-            }
-            std::lock_guard<std::mutex> lock(mutex);
-            if (error && !firstError)
-                firstError = error;
-            if (--pending == 0)
-                done.notify_all();
-        });
-    }
-
-    /**
-     * Barrier: block until every task run() through this group has
-     * completed, then rethrow the round's first exception, if any.
-     */
-    void
-    wait()
-    {
-        std::unique_lock<std::mutex> lock(mutex);
-        done.wait(lock, [this] { return pending == 0; });
-        if (firstError) {
-            std::exception_ptr error = firstError;
-            firstError = nullptr;
-            lock.unlock();
-            std::rethrow_exception(error);
-        }
-    }
-
-    /** The pool this group submits to. */
-    ThreadPool &pool() const { return owner; }
-
-  private:
-    ThreadPool &owner;
-    std::mutex mutex;
-    std::condition_variable done;
-    std::size_t pending = 0;
-    std::exception_ptr firstError;
 };
 
 /**

@@ -77,7 +77,7 @@ struct DirectoryStats
 
     /**
      * Fold @p other into this accumulator — the deterministic merge the
-     * CMP driver uses to aggregate per-slice (and per-shard) statistics:
+     * CMP driver uses to aggregate per-slice statistics:
      * integer counters sum, the attempt mean merges exactly, and the
      * histogram buckets accumulate. Merging in any fixed order yields
      * the same aggregate.

@@ -9,11 +9,10 @@
  * that gap without touching the measure path: it maps each completed
  * `DirAccessOutcome` (plus its request and pooled invalidation/eviction
  * targets) to a latency in cycles, and CmpSystem accumulates the
- * samples into the `LatencyHistogram` inside CmpStats during the serial
+ * samples into the `LatencyHistogram` inside CmpStats during the
  * outcome-apply phase. Because accounting rides the apply phase — which
- * runs on the calling thread in canonical first-touch order at any
- * shard count — latency histograms inherit the repository's
- * bit-identical `--jobs` x `--shards` contract for free, and the
+ * runs in canonical first-touch order — latency histograms inherit the
+ * repository's bit-identical `--jobs` contract for free, and the
  * `if (model)` guard keeps the unmodelled path exactly as fast as
  * before.
  *

@@ -9,11 +9,10 @@
  * counter discipline (CmpStats / IntervalStats):
  *
  *  - **integer bucket counts only** — merge() is a bucket-wise sum and
- *    subtract() a bucket-wise difference, so folding per-shard or
- *    per-window partials in any fixed order reproduces the
+ *    subtract() a bucket-wise difference, so folding per-window
+ *    partials in any fixed order reproduces the
  *    single-accumulator histogram bit for bit, and percentiles read
- *    from a merged histogram are identical at any `--jobs` x
- *    `--shards` setting;
+ *    from a merged histogram are identical at any `--jobs` setting;
  *  - **fixed geometry** — bucket boundaries are a pure function of the
  *    value (values below 64 are exact; above, each power-of-two octave
  *    splits into 32 sub-buckets, ~3% resolution; values >= 2^24 clamp

@@ -781,7 +781,6 @@ experimentOptionsToJson(const ExperimentOptions &o)
     w.u64("warmup", o.warmupAccesses);
     w.u64("measure", o.measureAccesses);
     w.u64("occupancy_sample_every", o.occupancySampleEvery);
-    w.u64("shards", o.shards);
     w.u64("interval_accesses", o.intervalAccesses);
     w.str("cost_model", o.costModel);
     w.u64("probe_every", o.probeEvery);
@@ -796,7 +795,6 @@ parseExperimentOptions(const JsonValue &v)
     o.warmupAccesses = v.at("warmup").asU64();
     o.measureAccesses = v.at("measure").asU64();
     o.occupancySampleEvery = v.at("occupancy_sample_every").asU64();
-    o.shards = static_cast<unsigned>(v.at("shards").asU64());
     o.intervalAccesses = v.at("interval_accesses").asU64();
     o.costModel = v.at("cost_model").asString();
     // Optional for manifests written before the feedback subsystem.

@@ -23,8 +23,8 @@
  *    so results reloaded from shards are bit-identical to the
  *    in-memory originals and the merged results document is
  *    byte-identical to a single-process run by construction — the same
- *    merge-of-partials discipline as the PR 4-6 stats types
- *    (CmpStats::merge / IntervalStats::merge / LatencyHistogram::merge).
+ *    merge-of-partials discipline as IntervalStats::merge and
+ *    LatencyHistogram::merge.
  *
  * `tools/campaign_tool.cc` is the CLI (run / status / resume / merge /
  * local); harness grids opt in through `campaignRunMany()` and the

@@ -82,9 +82,6 @@ CmpSystem::CmpSystem(const CmpConfig &config) : cfg(config)
         queues[s].removals.reserve(cfg.batchWindow);
         queues[s].requests.reserve(cfg.batchWindow);
     }
-    // Serial default: every slice on lane 0.
-    sliceShard.assign(cfg.numSlices, 0);
-    rebuildLaneLists();
 }
 
 CacheId
@@ -149,74 +146,7 @@ CmpSystem::markDirty(std::size_t slice)
     if (!queues[slice].dirty) {
         queues[slice].dirty = true;
         dirtySlices.push_back(static_cast<std::uint32_t>(slice));
-        if (shardCount > 1)
-            shardDirty[shardOf(slice)].push_back(
-                static_cast<std::uint32_t>(slice));
     }
-}
-
-void
-CmpSystem::setShards(unsigned shards)
-{
-    if (shards == 0)
-        shards = 1;
-    if (shards > cfg.numSlices)
-        shards = static_cast<unsigned>(cfg.numSlices);
-    assert(dirtySlices.empty() &&
-           "setShards must not interrupt an open batch window");
-    if (shards != shardCount) {
-        shardGroup.reset();
-        shardPool.reset();
-        shardCount = shards;
-        shardDirty.assign(shardCount, {});
-        shardOccupancy.assign(shardCount, {0, 0});
-        if (shardCount > 1) {
-            for (auto &list : shardDirty)
-                list.reserve(cfg.numSlices);
-            // The calling thread drives shard 0, so N shards need N-1
-            // workers; the pool persists across windows (TaskGroup
-            // barriers join each round without re-spawning threads).
-            shardPool = std::make_unique<ThreadPool>(shardCount - 1);
-            shardGroup = std::make_unique<TaskGroup>(*shardPool);
-        }
-    }
-    // Default topology-aware mapping: lane k owns the contiguous,
-    // balanced slice group [floor(k*n/K), floor((k+1)*n/K)) — dense in
-    // slice-allocation order, never an empty lane while K <= n. Custom
-    // topologies go through setShardMapping() afterwards.
-    for (std::size_t s = 0; s < cfg.numSlices; ++s)
-        sliceShard[s] = static_cast<std::uint32_t>(
-            (s * shardCount) / cfg.numSlices);
-    rebuildLaneLists();
-}
-
-void
-CmpSystem::setShardMapping(std::vector<std::uint32_t> mapping)
-{
-    assert(dirtySlices.empty() &&
-           "setShardMapping must not interrupt an open batch window");
-    if (mapping.size() != cfg.numSlices)
-        throw std::invalid_argument(
-            "setShardMapping: mapping names " +
-            std::to_string(mapping.size()) + " slices, system has " +
-            std::to_string(cfg.numSlices));
-    for (const std::uint32_t lane : mapping)
-        if (lane >= shardCount)
-            throw std::invalid_argument(
-                "setShardMapping: lane " + std::to_string(lane) +
-                " out of range (shards = " + std::to_string(shardCount) +
-                ")");
-    sliceShard = std::move(mapping);
-    rebuildLaneLists();
-}
-
-void
-CmpSystem::rebuildLaneLists()
-{
-    laneSlices.assign(shardCount, {});
-    for (std::size_t s = 0; s < sliceShard.size(); ++s)
-        laneSlices[sliceShard[s]].push_back(
-            static_cast<std::uint32_t>(s));
 }
 
 void
@@ -225,33 +155,13 @@ CmpSystem::flush()
     if (dirtySlices.empty())
         return;
 
-    // Phase 1 — replay: slice-local directory work. Lanes own disjoint
-    // slices (the sliceShard mapping; contiguous groups by default),
-    // queues are fixed for the whole flush, and nothing here touches
-    // the private caches, so running the lanes concurrently cannot
-    // change any observable state.
-    if (shardCount > 1 && dirtySlices.size() > 1) {
-        for (std::size_t k = 1; k < shardCount; ++k) {
-            if (shardDirty[k].empty())
-                continue;
-            shardGroup->run([this, k] {
-                for (const std::uint32_t s : shardDirty[k])
-                    replaySlice(s);
-            });
-        }
-        for (const std::uint32_t s : shardDirty[0])
-            replaySlice(s);
-        shardGroup->wait(); // barrier between replay and apply
-    } else {
-        for (const std::uint32_t s : dirtySlices)
-            replaySlice(s);
-    }
-    for (auto &list : shardDirty)
-        list.clear();
+    // Phase 1 — replay: slice-local directory work. Queues are fixed
+    // for the whole flush, and nothing here touches the private caches.
+    for (const std::uint32_t s : dirtySlices)
+        replaySlice(s);
 
-    // Phase 2 — apply: cache invalidations and system counters, on the
-    // calling thread in first-touch slice order with per-slice outcomes
-    // in staging order — the exact call sequence of the serial driver.
+    // Phase 2 — apply: cache invalidations and system counters, in
+    // first-touch slice order with per-slice outcomes in staging order.
     for (const std::uint32_t s : dirtySlices) {
         SliceQueue &queue = queues[s];
         queue.dirty = false;
@@ -308,9 +218,9 @@ CmpSystem::applyDirectoryOutcomes(std::size_t slice,
         const DirAccessOutcome &out = ctx.outcome(i);
         const DirRequest &req = requests[i];
 
-        // Timing: the apply phase runs serially in canonical order at
-        // any shard count, so accounting here keeps latency histograms
-        // bit-identical across --jobs x --shards for free.
+        // Timing: the apply phase runs in canonical order, so
+        // accounting here keeps latency histograms bit-identical across
+        // --jobs for free.
         if (costs != nullptr)
             counters.latency.add(costs->accessLatency(req, out, ctx, slice));
 
@@ -365,8 +275,7 @@ CmpSystem::run(AccessSource &source, std::uint64_t count,
         // Probe boundaries force a flush so the capture sees the state
         // after *exactly* probe->accessesSeen() accesses — the serial
         // apply has retired everything staged so far, making the
-        // snapshot independent of batch windowing position and shard
-        // count.
+        // snapshot independent of batch windowing position.
         const bool probe_due =
             feedbackProbe != nullptr && feedbackProbe->tick();
         if (staged == window || sample_due || probe_due) {
@@ -385,39 +294,7 @@ CmpSystem::run(AccessSource &source, std::uint64_t count,
 void
 CmpSystem::sampleOccupancy()
 {
-    // Occupancy is a pure read of per-slice entry counts — and for the
-    // mirroring organizations validEntries() walks the slice's frames,
-    // so at large core counts one sample is real work. Shard the
-    // reduction: partial integer sums per shard, merged in shard index
-    // order (commutative, so the serial value is reproduced exactly).
-    if (shardCount > 1) {
-        for (std::size_t k = 1; k < shardCount; ++k) {
-            shardGroup->run(
-                [this, k] { shardOccupancy[k] = occupancySpan(k); });
-        }
-        shardOccupancy[0] = occupancySpan(0);
-        shardGroup->wait();
-        std::size_t valid = 0, total = 0;
-        for (const auto &[shard_valid, shard_total] : shardOccupancy) {
-            valid += shard_valid;
-            total += shard_total;
-        }
-        counters.directoryOccupancy.add(
-            total == 0 ? 0.0 : double(valid) / double(total));
-        return;
-    }
     counters.directoryOccupancy.add(currentOccupancy());
-}
-
-std::pair<std::size_t, std::size_t>
-CmpSystem::occupancySpan(std::size_t shard) const
-{
-    std::size_t valid = 0, total = 0;
-    for (const std::uint32_t s : laneSlices[shard]) {
-        valid += slices[s]->validEntries();
-        total += slices[s]->capacity();
-    }
-    return {valid, total};
 }
 
 std::size_t
@@ -487,59 +364,15 @@ CmpSystem::directoryCoversCaches() const
     // with a sharer set that names the holding cache. An *undersized*
     // sharer vector — a slice that cannot even name cache c — is a
     // coverage failure, never a silent pass.
-    DynamicBitset probe_sharers;
-    const auto covers = [this](CacheId cache, BlockAddr addr,
-                               DynamicBitset &sharers) {
-        if (!slices[sliceOf(addr)]->probe(tagOf(addr), &sharers))
-            return false;
-        return cache < sharers.size() && sharers.test(cache);
-    };
-
-    if (shardCount <= 1) {
-        for (std::size_t c = 0; c < caches.size(); ++c)
-            for (BlockAddr addr : caches[c]->residentAddresses())
-                if (!covers(static_cast<CacheId>(c), addr,
-                            probe_sharers))
-                    return false;
-        return true;
-    }
-
-    // Shard-aware: at large core counts the probe walk dominates, so
-    // enumerate every cache's resident set once, bucket the blocks by
-    // owning lane (the sliceShard mapping), and fan the probing out
-    // over the persistent shard lanes. Lanes probe disjoint slice state, making
-    // the fan-out race-free; only the scheduler is touched, hence the
-    // const_cast.
-    struct ResidentBlock
-    {
-        CacheId cache;
-        BlockAddr addr;
-    };
-    std::vector<std::vector<ResidentBlock>> lane_work(shardCount);
-    for (std::size_t c = 0; c < caches.size(); ++c)
-        for (BlockAddr addr : caches[c]->residentAddresses())
-            lane_work[shardOf(sliceOf(addr))].push_back(
-                ResidentBlock{static_cast<CacheId>(c), addr});
-
-    std::vector<char> covered(shardCount, 1);
-    const auto laneCovers = [this, &lane_work,
-                             &covers](std::size_t lane) {
-        DynamicBitset sharers;
-        for (const ResidentBlock &block : lane_work[lane])
-            if (!covers(block.cache, block.addr, sharers))
+    DynamicBitset sharers;
+    for (std::size_t c = 0; c < caches.size(); ++c) {
+        for (BlockAddr addr : caches[c]->residentAddresses()) {
+            if (!slices[sliceOf(addr)]->probe(tagOf(addr), &sharers) ||
+                c >= sharers.size() || !sharers.test(c))
                 return false;
-        return true;
-    };
-    auto *self = const_cast<CmpSystem *>(this);
-    for (std::size_t k = 1; k < shardCount; ++k) {
-        self->shardGroup->run([&laneCovers, &covered, k] {
-            covered[k] = laneCovers(k) ? 1 : 0;
-        });
+        }
     }
-    covered[0] = laneCovers(0) ? 1 : 0;
-    self->shardGroup->wait();
-    return std::all_of(covered.begin(), covered.end(),
-                       [](char ok) { return ok != 0; });
+    return true;
 }
 
 } // namespace cdir

@@ -38,53 +38,32 @@
  * caches (invalidations land at run boundaries instead of between
  * references).
  *
- * Sharded execution (setShards): the physical directory is distributed —
- * every block address maps to exactly one slice, so slices never share
- * state — and the driver exploits that inside a single experiment.
- * Each flush of a batch window runs in two phases:
+ * Each flush of a batch window runs in two phases on the calling
+ * thread:
  *
- *  1. *Replay* (parallel): dirty slices are partitioned across shard
- *     lanes by the slice->lane mapping. The default is topology-aware:
- *     each lane owns one *contiguous* group of ~numSlices/shards slice
- *     ids, so a lane's slice state (directories, queues, contexts —
- *     allocated in slice order) stays dense in memory instead of
- *     striding shardCount-sized gaps the way the historical
- *     `slice mod shardCount` assignment did; setShardMapping() installs
- *     any custom mapping. Each lane drives its slices' staged removals
- *     and request runs through the slice-local directory and context in
- *     exact staging order. Lanes touch disjoint slice/queue/context
- *     state, so the phase is race-free by construction, and a TaskGroup
- *     barrier joins it.
- *  2. *Apply* (serial, canonical first-touch order): the recorded
- *     outcomes are applied to the private caches and system counters by
- *     the calling thread — the identical call sequence the serial
- *     driver performs, because cache invalidations never feed back into
- *     directory work within a flush (queues are fixed at flush time and
- *     directories are only read/written in phase 1).
+ *  1. *Replay*: every dirty slice drives its staged removals and request
+ *     runs through its slice-local directory and context in exact
+ *     staging order, recording the outcomes in the context.
+ *  2. *Apply*: the recorded outcomes are applied to the private caches
+ *     and system counters in first-touch slice order. Cache
+ *     invalidations never feed back into directory work within a flush
+ *     (queues are fixed at flush time and directories are only read or
+ *     written in phase 1), so the split is the same call sequence as
+ *     handling each slice's outcomes as soon as it has replayed.
  *
- * Per-slice statistics, cache state, and therefore every merged
- * experiment metric are bit-identical at any shard count *and any
- * slice->lane mapping* — phase 2 always applies outcomes serially in
- * the first-touch dirtySlices order, which no mapping affects; only
- * wall-clock changes. Parallelism within a window is bounded by the
- * window's dirty-slice count, so sharding pays off with batchWindow >>
- * 1 (cells use CmpConfig::batchWindow; the determinism contract is
- * per-window, not across window sizes). Shard dispatch allocates O(ns)
- * task handles per window; the zero-allocation guarantee continues to
- * hold for the serial (shards <= 1) driver and for all per-slice
- * simulation state.
+ * A CmpSystem is single-threaded; parallel sweeps (`--jobs`) run one
+ * independent system per experiment cell, so every metric is
+ * bit-identical at any `--jobs` setting.
  */
 
 #ifndef CDIR_SIM_CMP_SYSTEM_HH
 #define CDIR_SIM_CMP_SYSTEM_HH
 
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "cache/cache.hh"
 #include "common/stats.hh"
-#include "common/thread_pool.hh"
 #include "directory/directory.hh"
 #include "model/latency_histogram.hh"
 #include "workload/trace.hh"
@@ -162,25 +141,6 @@ struct CmpStats
      * timing is off.
      */
     LatencyHistogram latency;
-
-    /**
-     * Fold @p other into this accumulator (deterministic in any fixed
-     * merge order); the counterpart of DirectoryStats::merge for
-     * combining per-shard or per-system counter blocks.
-     */
-    void
-    merge(const CmpStats &other)
-    {
-        accesses += other.accesses;
-        cacheHits += other.cacheHits;
-        cacheMisses += other.cacheMisses;
-        writeUpgrades += other.writeUpgrades;
-        cacheEvictions += other.cacheEvictions;
-        sharingInvalidations += other.sharingInvalidations;
-        forcedInvalidations += other.forcedInvalidations;
-        directoryOccupancy.merge(other.directoryOccupancy);
-        latency.merge(other.latency);
-    }
 };
 
 /** The simulated CMP (see file comment). */
@@ -210,38 +170,6 @@ class CmpSystem
                       std::uint64_t sample_every = 0);
 
     /**
-     * Partition the slices across @p shards parallel execution lanes
-     * (see file comment). 1 (the default) keeps the serial driver and
-     * owns no threads; N > 1 spawns N-1 persistent workers — the
-     * calling thread drives shard 0 — and is clamped to numSlices().
-     * Results are bit-identical at every value; only wall-clock
-     * changes. Must not be called while a batch window is open (i.e.
-     * only between run()/access() calls).
-     */
-    void setShards(unsigned shards);
-
-    /** Parallel execution lanes in force (1 = serial). */
-    unsigned shards() const { return shardCount; }
-
-    /**
-     * Install an explicit slice->lane mapping (the topology hook).
-     * setShards() installs the default contiguous-group mapping; call
-     * this afterwards to override it — e.g. to co-locate slices by NUMA
-     * domain or mesh quadrant. Results are bit-identical under any
-     * mapping (see file comment); only locality/wall-clock changes.
-     * @param mapping one lane id per slice; every id < shards().
-     * @throws std::invalid_argument on a mis-sized mapping or an
-     *         out-of-range lane id.
-     */
-    void setShardMapping(std::vector<std::uint32_t> mapping);
-
-    /** Lane that owns @p slice under the mapping in force. */
-    std::size_t shardOfSlice(std::size_t slice) const
-    {
-        return sliceShard[slice];
-    }
-
-    /**
      * Estimated host bytes of the simulated state: every directory
      * slice (Directory::memoryBytes) plus every private cache. This is
      * the dominant, deterministic part of the process footprint — the
@@ -253,11 +181,11 @@ class CmpSystem
     /**
      * Attach @p model (non-owning; nullptr detaches): every directory
      * access outcome is charged model->accessLatency() cycles into
-     * stats().latency during the serial apply phase — canonical order
-     * at any shard count, so the histogram is bit-identical at any
-     * `--jobs` x `--shards` setting. With no model attached (the
-     * default) the measure path is exactly the unmodelled driver: one
-     * pointer test per outcome, no histogram storage.
+     * stats().latency during the apply phase, in canonical order, so
+     * the histogram is bit-identical at any `--jobs` setting. With no
+     * model attached (the default) the measure path is exactly the
+     * unmodelled driver: one pointer test per outcome, no histogram
+     * storage.
      */
     void setCostModel(const CostModel *model);
 
@@ -268,19 +196,18 @@ class CmpSystem
      * Attach @p probe (non-owning; nullptr detaches): the
      * AccessSource-driven run loop counts every access into it and, at
      * each probe boundary, flushes the open batch window and lets the
-     * probe capture the system state — after the serial apply phase,
-     * so the published snapshot (and every feedback decision taken
-     * from it) is bit-identical at any `--jobs` x `--shards` setting.
-     * resetStats() re-baselines the probe's windowed deltas. With no
-     * probe attached (the default) the run loop pays one pointer test
-     * per access.
+     * probe capture the system state — after the apply phase, so the
+     * published snapshot (and every feedback decision taken from it)
+     * is bit-identical at any `--jobs` setting. resetStats()
+     * re-baselines the probe's windowed deltas. With no probe attached
+     * (the default) the run loop pays one pointer test per access.
      */
     void setProbe(SystemProbe *probe) { feedbackProbe = probe; }
 
     /** The attached probe (nullptr = feedback off). */
     SystemProbe *probe() const { return feedbackProbe; }
 
-    /** Sample aggregate directory occupancy once. */
+    /** Record currentOccupancy() into stats().directoryOccupancy. */
     void sampleOccupancy();
 
     /** Aggregate occupancy over all slices right now. */
@@ -314,10 +241,6 @@ class CmpSystem
      * Invariant check (tests): every resident private-cache block is
      * tracked by its home slice, with a sharer set large enough to name
      * the holding cache (an undersized sharer vector fails the check).
-     * Shard-aware: with setShards(N > 1) the walk fans out across the
-     * persistent shard lanes — each lane probes only the slices it owns
-     * — so very large systems validate in parallel; the result is
-     * identical at any shard count.
      * @return true iff the directory covers all cached blocks.
      */
     bool directoryCoversCaches() const;
@@ -354,20 +277,19 @@ class CmpSystem
         return (tag << sliceShift) | slice;
     }
 
-    /** Phase 1: private-cache access; stage directory work per slice. */
+    /** Private-cache access; stage directory work per slice. */
     void stage(const MemAccess &access);
 
     /** Put @p slice on the dirty list if it is not there yet. */
     void markDirty(std::size_t slice);
 
-    /** Phases 2+3: drain every slice queue and apply the outcomes. */
+    /** Drain every slice queue: replay, then apply (file comment). */
     void flush();
 
     /**
      * Replay one dirty slice's staged removals and request runs through
      * its directory, accumulating every outcome into the slice context
-     * (application deferred to applySliceOutcomes). Slice-local: safe to
-     * run concurrently for distinct slices.
+     * (application deferred to applyDirectoryOutcomes).
      */
     void replaySlice(std::size_t slice);
 
@@ -375,19 +297,6 @@ class CmpSystem
     void applyDirectoryOutcomes(std::size_t slice,
                                 std::span<const DirRequest> requests,
                                 const DirAccessContext &ctx);
-
-    /** Shard lane owning @p slice under the mapping in force. */
-    std::size_t shardOf(std::size_t slice) const
-    {
-        return sliceShard[slice];
-    }
-
-    /** Rebuild the per-lane slice lists from sliceShard. */
-    void rebuildLaneLists();
-
-    /** (validEntries, capacity) summed over shard @p shard's slices. */
-    std::pair<std::size_t, std::size_t>
-    occupancySpan(std::size_t shard) const;
 
     CmpConfig cfg;
     std::size_t sliceMask;
@@ -403,21 +312,6 @@ class CmpSystem
     const CostModel *costs = nullptr;
     /** Attached feedback probe (non-owning; nullptr = feedback off). */
     SystemProbe *feedbackProbe = nullptr;
-
-    // --- shard scheduler (see file comment; serial when shardCount <= 1) ---
-    unsigned shardCount = 1;
-    /** Lane id per slice (default: contiguous groups; see setShards). */
-    std::vector<std::uint32_t> sliceShard;
-    /** Slice ids owned by each lane (the mapping, inverted). */
-    std::vector<std::vector<std::uint32_t>> laneSlices;
-    /** Per-shard dirty-slice lists (subsequences of dirtySlices). */
-    std::vector<std::vector<std::uint32_t>> shardDirty;
-    /** Per-shard occupancy partial sums, merged in shard order. */
-    std::vector<std::pair<std::size_t, std::size_t>> shardOccupancy;
-    /** Pool of shardCount-1 workers; group declared first so the pool
-     *  (destroyed first, joining its threads) can never outlive it. */
-    std::unique_ptr<TaskGroup> shardGroup;
-    std::unique_ptr<ThreadPool> shardPool;
 };
 
 } // namespace cdir

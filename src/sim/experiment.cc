@@ -145,7 +145,6 @@ runExperiment(const CmpConfig &config, const WorkloadParams &workload,
               const ExperimentOptions &options)
 {
     CmpSystem system(config);
-    system.setShards(options.shards);
 
     // Optional timing: construct the selected cost model and attach it
     // before warmup (warmup samples are discarded with resetStats, like
@@ -167,8 +166,8 @@ runExperiment(const CmpConfig &config, const WorkloadParams &workload,
     // SystemProbe snapshotting the live system at its requested
     // interval (or the explicit override), attached before the first
     // access so warmup windows already steer it. Probes capture after
-    // the serial apply phase, so snapshots — and every decision made
-    // from them — are bit-identical at any shard count.
+    // the apply phase, so snapshots — and every decision made from
+    // them — are bit-identical at any --jobs setting.
     std::unique_ptr<SystemProbe> probe;
     FeedbackConsumer *consumer =
         dynamic_cast<FeedbackConsumer *>(source.get());

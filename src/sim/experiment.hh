@@ -48,7 +48,7 @@ struct ExperimentResult
      * Tail-latency percentiles of the measure run's directory-access
      * latency histogram (system.latency), in cycles; 0 unless a cost
      * model was selected. Nearest-rank over integer buckets, so the
-     * values are bit-identical at any --jobs x --shards setting.
+     * values are bit-identical at any --jobs setting.
      */
     std::uint64_t latencyP50 = 0;
     std::uint64_t latencyP99 = 0;
@@ -101,14 +101,6 @@ struct ExperimentOptions
     std::uint64_t warmupAccesses = 2'000'000;
     std::uint64_t measureAccesses = 2'000'000;
     std::uint64_t occupancySampleEvery = 10'000;
-    /**
-     * Intra-experiment parallelism: directory slices are partitioned
-     * across this many execution lanes inside the cell's CmpSystem
-     * (CmpSystem::setShards). 1 = serial; any value is bit-identical.
-     * Composes with the sweep layer's cell parallelism — see
-     * clampedShards() in sim/sweep.hh for the jobs x shards budget.
-     */
-    unsigned shards = 1;
     /**
      * Interval telemetry window in accesses: non-zero cuts the measure
      * run into windows of this many accesses and records a per-window

@@ -15,8 +15,8 @@
  * Aggregation keeps the repository's exactness discipline: a phase
  * aggregate is IntervalRecord::merge over the phase's windows (integer
  * sums, latency histograms folded bucket-wise), so per-phase numbers
- * are bit-identical at any `--jobs` x `--shards` setting, like the
- * windows they fold.
+ * are bit-identical at any `--jobs` setting, like the windows they
+ * fold.
  */
 
 #ifndef CDIR_SIM_INTERVAL_EXPORT_HH

@@ -19,11 +19,11 @@
  *    driver, so stationary sweeps pay nothing;
  *  - **exactly mergeable**: every field is an integer count (occupancy
  *    is kept as a valid/capacity entry pair, not a ratio), so folding
- *    per-slice or per-shard partial series with merge() in any fixed
+ *    per-slice partial series with merge() in any fixed
  *    order reproduces the whole-system series bit for bit;
  *  - **deterministic**: windows are cut at access counts, not wall
  *    clock, so a scenario's time series is bit-identical at any
- *    `--jobs` / `--shards` setting.
+ *    `--jobs` setting.
  */
 
 #ifndef CDIR_SIM_INTERVAL_STATS_HH
@@ -125,7 +125,7 @@ struct IntervalStats
      * window cut — summing differently-cut windows would produce a
      * meaningless series, so mismatched non-zero interval lengths are
      * rejected. Because every field is an integer count, merging
-     * per-slice or per-shard partial series in any fixed order is
+     * per-slice partial series in any fixed order is
      * exact.
      * @throws std::invalid_argument on a window-cut mismatch.
      */

@@ -15,9 +15,8 @@
  * published into the probe's FeedbackChannel for consumer workloads.
  *
  * Because boundaries are exact access counts and capture runs in the
- * serial section, every snapshot — and every trigger decision a
- * workload takes from it — is bit-identical at any `--jobs` x
- * `--shards` setting.
+ * apply phase, every snapshot — and every trigger decision a workload
+ * takes from it — is bit-identical at any `--jobs` setting.
  *
  * The access counter spans run() calls, so warmup and measure share
  * one boundary grid; CmpSystem::resetStats() re-baselines the window

@@ -530,12 +530,6 @@ usage(const char *bad)
         "shared harness flags:\n"
         "  --jobs=N              worker threads (0 = all hardware "
         "threads; default 0)\n"
-        "  --shards=N            execution lanes inside each experiment "
-        "cell\n"
-        "                        (slice sharding; 0 = fill the jobs x "
-        "shards thread\n"
-        "                        budget; default 1; results are "
-        "bit-identical at any N)\n"
         "  --format=table|csv|json  output format (default table)\n"
         "  --filter=S[,S...]     run only cells whose "
         "config/workload/options label\n"
@@ -586,20 +580,6 @@ parseU64(const char *value, const char *arg)
 
 } // namespace
 
-unsigned
-clampedShards(unsigned jobs, unsigned shards, unsigned hardware)
-{
-    if (hardware == 0)
-        hardware = 1;
-    if (jobs == 0)
-        jobs = hardware; // --jobs=0 claims every hardware thread
-    const unsigned budget =
-        jobs >= hardware ? 1u : std::max(1u, hardware / jobs);
-    if (shards == 0)
-        return budget; // auto: fill the remaining budget
-    return std::min(shards, budget);
-}
-
 HarnessOptions
 parseHarnessOptions(int argc, char **argv)
 {
@@ -607,8 +587,6 @@ parseHarnessOptions(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         if (const char *v = cliFlagValue(argv[i], "jobs")) {
             opts.jobs = static_cast<unsigned>(parseU64(v, argv[i]));
-        } else if (const char *v = cliFlagValue(argv[i], "shards")) {
-            opts.shards = static_cast<unsigned>(parseU64(v, argv[i]));
         } else if (const char *v = cliFlagValue(argv[i], "format")) {
             if (std::strcmp(v, "table") == 0)
                 opts.format = ReportFormat::Table;
@@ -680,14 +658,6 @@ parseHarnessOptions(int argc, char **argv)
                      "mutually exclusive\n");
         std::exit(2);
     }
-    // Two-level budget: never let jobs x shards oversubscribe the
-    // machine. Clamping is output-invariant (sharding is bit-identical
-    // at any count), so it only changes wall-clock, never results;
-    // applyOverrides reports it when a sweep actually consumes the
-    // clamped value.
-    opts.shardsRequested = opts.shards;
-    opts.shards = clampedShards(opts.jobs, opts.shards,
-                                ThreadPool::hardwareWorkers());
     return opts;
 }
 
@@ -731,11 +701,6 @@ warnFlagUnused(const HarnessOptions &opts,
                              "scenario-driven; --scenario=%s has no "
                              "effect\n",
                              opts.scenario.c_str());
-        } else if (std::strcmp(flag, "shards") == 0) {
-            if (opts.shardsRequested > 1 || opts.shardsRequested == 0)
-                std::fprintf(stderr,
-                             "note: this harness runs no CMP "
-                             "simulation; --shards has no effect\n");
         } else if (std::strcmp(flag, "cost-model") == 0) {
             if (!opts.costModels.empty())
                 std::fprintf(stderr,

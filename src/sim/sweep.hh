@@ -311,36 +311,10 @@ class Reporter
 
 // --- shared harness CLI ------------------------------------------------------
 
-/**
- * Two-level thread budget: with @p jobs sweep cells in flight and each
- * cell running @p shards intra-experiment lanes, jobs x shards threads
- * compete for @p hardware lanes. Returns the shard count to actually
- * use: @p shards clamped so the product never oversubscribes, and >= 1.
- * `jobs == 0` (all hardware threads) leaves no shard headroom;
- * `shards == 0` asks for the full remaining budget (hardware / jobs).
- */
-unsigned clampedShards(unsigned jobs, unsigned shards, unsigned hardware);
-
 /** Options every figure harness and example accepts. */
 struct HarnessOptions
 {
     unsigned jobs = 0;          //!< --jobs=N  (0 = hardware threads)
-    /**
-     * --shards=N: execution lanes *inside* each experiment cell
-     * (CmpSystem slice sharding; 0 = fill the remaining thread budget).
-     * parseHarnessOptions clamps it through clampedShards() so
-     * jobs x shards never oversubscribes the machine. Results are
-     * bit-identical at any value.
-     */
-    unsigned shards = 1;
-    /**
-     * The raw --shards= value before the jobs x shards clamp (1 when
-     * the flag was absent, 0 = auto). Single-experiment binaries —
-     * which run one cell, so --jobs does not apply — re-budget it with
-     * `clampedShards(1, shardsRequested, hardware)` instead of using
-     * the sweep-clamped @ref shards.
-     */
-    unsigned shardsRequested = 1;
     ReportFormat format = ReportFormat::Table; //!< --format=table|csv|json
     std::string filter;         //!< --filter=substr[,substr...]
     std::uint64_t scale = 1;    //!< --scale=N  run-length multiplier
@@ -399,11 +373,8 @@ struct HarnessOptions
     }
 
     /**
-     * Apply the --warmup/--measure/--shards overrides to @p opts.
-     * Sweep-grid consumers take the budget-clamped shard count; the
-     * clamp is reported on stderr (once per process) here — at the
-     * point the clamped value is actually consumed — so binaries that
-     * re-budget from shardsRequested never emit a misleading note.
+     * Apply the --warmup/--measure/--cost-model/--probe-every overrides
+     * to @p opts.
      */
     ExperimentOptions
     applyOverrides(ExperimentOptions opts) const
@@ -416,19 +387,6 @@ struct HarnessOptions
             opts.costModel = costModels.front();
         if (probeEvery != 0)
             opts.probeEvery = probeEvery;
-        opts.shards = shards;
-        if (shardsRequested > 1 && shards != shardsRequested) {
-            static bool noted = false;
-            if (!noted) {
-                noted = true;
-                std::fprintf(stderr,
-                             "note: --shards=%u requested; grid cells "
-                             "run %u lane(s) each so jobs x shards "
-                             "fits the hardware threads (results are "
-                             "identical at any shard count)\n",
-                             shardsRequested, shards);
-            }
-        }
         return opts;
     }
 };
@@ -453,15 +411,14 @@ const char *cliFlagValue(const char *arg, const char *name);
  * harness states which flags its grid cannot honour in a single call
  * instead of duplicating per-flag boilerplate:
  *
- *     warnFlagUnused(cli, {"filter", "trace", "shards", "scenario"});
+ *     warnFlagUnused(cli, {"filter", "trace", "scenario"});
  *
  * Known names: "filter" (generic map() grids have no cell labels),
  * "trace" / "scenario" (the workload axis is not built from
- * paperSweep), "shards" (the grid never constructs a CmpSystem),
- * "cost-model" (the grid runs no timed experiment), and "probe-every"
- * (the grid drives no closed-loop workload). A flag the user
- * did not supply prints nothing, so the call is free in the common
- * case; an unknown name aborts (programming error).
+ * paperSweep), "cost-model" (the grid runs no timed experiment), and
+ * "probe-every" (the grid drives no closed-loop workload). A flag the
+ * user did not supply prints nothing, so the call is free in the
+ * common case; an unknown name aborts (programming error).
  */
 void warnFlagUnused(const HarnessOptions &opts,
                     std::initializer_list<const char *> flags);

@@ -14,9 +14,9 @@
  * reads it to steer what it emits next.
  *
  * Determinism contract: probes fire at exact access counts and capture
- * after the serial apply phase of a flush, so a snapshot's contents —
- * and therefore every trigger decision derived from it — are
- * bit-identical at any `--jobs` x `--shards` setting. The emitted
+ * after the apply phase of a flush, so a snapshot's contents — and
+ * therefore every trigger decision derived from it — are
+ * bit-identical at any `--jobs` setting. The emitted
  * access stream is then a deterministic function of (workload spec,
  * system config, probe interval), which is why a *recorded* closed-loop
  * run replays as an ordinary trace: the trace already embodies every

@@ -27,9 +27,9 @@
  *
  * `ScenarioWorkload` exposes a scenario as a plain `AccessSource`, so it
  * composes unchanged with the recorder (record a scenario to a trace),
- * the trace replay pipeline, the sweep engine's cells, and sharded
- * execution — every consumer constructs its own instance, so scenario
- * sweeps stay bit-identical at any `--jobs`/`--shards` value.
+ * the trace replay pipeline, and the sweep engine's cells — every
+ * consumer constructs its own instance, so scenario sweeps stay
+ * bit-identical at any `--jobs` value.
  *
  * Scenarios come from three places: built-in presets (`scenarioPreset`),
  * a line-oriented text format (`parseScenarioFile`, same error
@@ -203,7 +203,7 @@ class ScenarioWorkload : public AccessSource, public FeedbackConsumer
 {
   public:
     /** One trigger firing: which phase/trigger fired on which
-     *  snapshot. Deterministic at any `--jobs` x `--shards`. */
+     *  snapshot. Deterministic at any `--jobs`. */
     struct TriggerFiring
     {
         std::uint32_t phase = 0;   //!< phase index that ended early

@@ -7,7 +7,8 @@
  *    latency histograms — the property the byte-identical merge rests
  *    on;
  *  - manifests round-trip, cell ids are content hashes (any knob edit
- *    changes the id), and the cell enumeration matches
+ *    changes the id, and a manifest still carrying the removed
+ *    "shards" option is rejected), and the cell enumeration matches
  *    SweepRunner::runMany order;
  *  - merged shards render byte-identically to the single-process
  *    reference at --jobs=1 and --jobs=4, over a 2-organization grid
@@ -254,6 +255,86 @@ TEST(CampaignManifest, FileRoundTripPreservesEveryCell)
     text[at] = text[at] == '0' ? '1' : '0';
     EXPECT_THROW(parseCampaignManifest(text), std::runtime_error);
     fs::remove_all(dir);
+}
+
+/** The balanced `{...}` object of member @p key, searched from @p from. */
+std::string
+objectAfter(const std::string &text, const std::string &key,
+            std::size_t from)
+{
+    const std::size_t begin = text.find("\"" + key + "\": {", from);
+    if (begin == std::string::npos)
+        return {};
+    const std::size_t open = text.find('{', begin);
+    int depth = 0;
+    for (std::size_t i = open; i < text.size(); ++i) {
+        if (text[i] == '{')
+            ++depth;
+        else if (text[i] == '}' && --depth == 0)
+            return text.substr(open, i - open + 1);
+    }
+    return {};
+}
+
+/** campaignCellId's hash over already-serialized cell content. */
+std::string
+cellIdOf(const CampaignCell &cell, const std::string &config,
+         const std::string &workload, const std::string &options)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const std::string &part :
+         {std::to_string(cell.specIndex), cell.label(), config, workload,
+          options}) {
+        for (const char ch : part) {
+            hash ^= static_cast<unsigned char>(ch);
+            hash *= 0x100000001b3ull;
+        }
+    }
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(hash));
+    return buf;
+}
+
+TEST(CampaignManifest, ManifestWithShardsOptionIsRejected)
+{
+    // ExperimentOptions once carried an intra-cell "shards" count that
+    // entered every cell id. A manifest written then must fail the id
+    // check rather than merge with results computed without it.
+    const CampaignManifest manifest = gridManifest();
+    std::string text = campaignManifestToJson(manifest);
+    EXPECT_EQ(text.find("\"shards\""), std::string::npos);
+
+    const CampaignCell &cell = manifest.cells.front();
+    const std::string id_member = "\"id\": \"" + cell.id + "\"";
+    const std::size_t at = text.find(id_member);
+    ASSERT_NE(at, std::string::npos);
+    const std::string config = objectAfter(text, "config", at);
+    const std::string workload = objectAfter(text, "workload", at);
+    const std::string options = objectAfter(text, "options", at);
+    // The reconstruction reproduces today's id, so the old id below is
+    // what a manifest from before the removal really carries.
+    ASSERT_EQ(cellIdOf(cell, config, workload, options), cell.id);
+
+    std::string old_options = options;
+    const std::string anchor = "\"occupancy_sample_every\": 1000";
+    ASSERT_NE(old_options.find(anchor), std::string::npos);
+    old_options.insert(old_options.find(anchor) + anchor.size(),
+                       ", \"shards\": 1");
+    const std::string old_id =
+        cellIdOf(cell, config, workload, old_options);
+    ASSERT_NE(old_id, cell.id);
+
+    text.replace(text.find(options, at), options.size(), old_options);
+    text.replace(at, id_member.size(), "\"id\": \"" + old_id + "\"");
+    try {
+        parseCampaignManifest(text);
+        FAIL() << "a manifest carrying \"shards\" was accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("does not match its content"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(CampaignManifest, RespectsTheRunnersFilter)

@@ -3,14 +3,14 @@
  * Cost-model and latency-histogram coverage:
  *
  *  - LatencyHistogram bucket geometry round-trips, nearest-rank
- *    percentile pins, exact merge (sharded partials reproduce the
+ *    percentile pins, exact merge (partitioned partials reproduce the
  *    single accumulator bit for bit), prefix subtraction, and the
  *    unallocated == all-zero equality contract;
  *  - FixedLatencyCostModel / MeshCostModel latency arithmetic against
  *    hand-built outcomes, mesh geometry, and the factory;
  *  - experiment integration: the untimed path allocates no histogram
  *    and a timed run leaves every behavioural counter untouched;
- *    latency percentiles are bit-identical across --jobs x --shards;
+ *    latency percentiles are bit-identical across --jobs;
  *    interval-window histograms sum exactly to the whole-run one;
  *  - golden pins: exact p50/p99 for a committed fixture trace under
  *    both models on the fixed golden replay CMP.
@@ -125,23 +125,23 @@ nextSample(std::uint64_t &state)
     return (state >> 33) % 5000;
 }
 
-TEST(LatencyHistogram, ShardedMergeIsBitIdentical)
+TEST(LatencyHistogram, PartitionedMergeIsBitIdentical)
 {
-    // One accumulator vs the same stream dealt across {2, 4} shards
+    // One accumulator vs the same stream dealt across {2, 4} partials
     // and merged: identical buckets, counts, and percentiles.
-    for (const std::size_t shards : {2u, 4u}) {
+    for (const std::size_t n_parts : {2u, 4u}) {
         LatencyHistogram whole;
-        std::vector<LatencyHistogram> parts(shards);
+        std::vector<LatencyHistogram> parts(n_parts);
         std::uint64_t state = 42;
         for (std::size_t i = 0; i < 10'000; ++i) {
             const std::uint64_t v = nextSample(state);
             whole.add(v);
-            parts[i % shards].add(v);
+            parts[i % n_parts].add(v);
         }
         LatencyHistogram merged;
         for (const LatencyHistogram &part : parts)
             merged.merge(part);
-        EXPECT_TRUE(merged == whole) << shards << " shards";
+        EXPECT_TRUE(merged == whole) << n_parts << " parts";
         EXPECT_EQ(merged.percentile(500), whole.percentile(500));
         EXPECT_EQ(merged.percentile(990), whole.percentile(990));
         EXPECT_EQ(merged.percentile(999), whole.percentile(999));
@@ -438,10 +438,10 @@ TEST(CostModelExperiment, TimingNeverChangesBehaviouralCounters)
     }
 }
 
-TEST(CostModelExperiment, PercentilesBitIdenticalAcrossJobsAndShards)
+TEST(CostModelExperiment, PercentilesBitIdenticalAcrossJobs)
 {
     // The canonical-order apply phase does the accounting, so latency
-    // histograms inherit the --jobs x --shards determinism contract.
+    // histograms inherit the --jobs determinism contract.
     SweepSpec spec;
     spec.config("Cuckoo 4x64", smallConfig());
     spec.workload("wl", smallWorkload());
@@ -458,25 +458,15 @@ TEST(CostModelExperiment, PercentilesBitIdenticalAcrossJobsAndShards)
     const LatencyHistogram &expect = baseline[0].result.system.latency;
     ASSERT_FALSE(expect.empty());
 
-    for (const unsigned shards : {2u, 4u}) {
-        for (const unsigned jobs : {1u, 4u}) {
-            SweepSpec sharded;
-            sharded.config("Cuckoo 4x64", smallConfig());
-            sharded.workload("wl", smallWorkload());
-            ExperimentOptions sharded_opts = opts;
-            sharded_opts.shards = shards;
-            sharded.options("mesh", sharded_opts);
-            const std::vector<SweepRecord> records =
-                SweepRunner(SweepOptions{jobs, ""}).run(sharded);
-            ASSERT_EQ(records.size(), 1u);
-            const ExperimentResult &result = records[0].result;
-            EXPECT_TRUE(result.system.latency == expect)
-                << "shards " << shards << " jobs " << jobs;
-            EXPECT_EQ(result.latencyP50, baseline[0].result.latencyP50);
-            EXPECT_EQ(result.latencyP99, baseline[0].result.latencyP99);
-            EXPECT_EQ(result.latencyP999,
-                      baseline[0].result.latencyP999);
-        }
+    for (const unsigned jobs : {2u, 4u}) {
+        const std::vector<SweepRecord> records =
+            SweepRunner(SweepOptions{jobs, ""}).run(spec);
+        ASSERT_EQ(records.size(), 1u);
+        const ExperimentResult &result = records[0].result;
+        EXPECT_TRUE(result.system.latency == expect) << "jobs " << jobs;
+        EXPECT_EQ(result.latencyP50, baseline[0].result.latencyP50);
+        EXPECT_EQ(result.latencyP99, baseline[0].result.latencyP99);
+        EXPECT_EQ(result.latencyP999, baseline[0].result.latencyP999);
     }
 }
 

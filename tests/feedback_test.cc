@@ -8,7 +8,7 @@
  *  - event-triggered scenarios: triggers fire at probe boundaries,
  *    never-firing triggers change nothing, firings during warmup are
  *    honoured, and every closed-loop stat — counters, firing log,
- *    digest — is bit-identical across --jobs and --shards settings;
+ *    digest — is bit-identical across --jobs settings;
  *  - a recorded closed-loop run replays as an ordinary trace with
  *    bit-identical system state (the trace embodies every decision);
  *  - latency triggers without a cost model fail loudly up front;
@@ -81,13 +81,12 @@ triggeredScenarioFile(const char *name, double threshold,
 }
 
 ExperimentOptions
-feedbackOptions(unsigned shards = 1)
+feedbackOptions()
 {
     ExperimentOptions opts;
     opts.warmupAccesses = 2000;
     opts.measureAccesses = 12000;
     opts.occupancySampleEvery = 500;
-    opts.shards = shards;
     return opts;
 }
 
@@ -303,19 +302,15 @@ TEST(TriggeredScenario, NeverFiringTriggerChangesNothing)
 TEST(TriggeredScenario, FiringDuringWarmupIsHonoured)
 {
     // A low threshold crosses within the 2000-access warmup; the
-    // firing must be taken (phase advances) and counted, and the probe
-    // grid must span the stats reset without disturbing determinism.
+    // firing must be taken (phase advances) and counted.
     const WorkloadParams wl = scenarioWorkloadParams(
         triggeredScenarioFile("cdir_fb_warm.scn", 0.02, 250));
     const ExperimentResult one =
-        runExperiment(tinyConfig("Cuckoo"), wl, feedbackOptions(1));
+        runExperiment(tinyConfig("Cuckoo"), wl, feedbackOptions());
     EXPECT_GE(one.feedbackEvents, 1u);
-    const ExperimentResult three =
-        runExperiment(tinyConfig("Cuckoo"), wl, feedbackOptions(3));
-    expectSameCoreStats(one, three, "warmup firing, shards 1 vs 3");
 }
 
-TEST(TriggeredScenario, BitIdenticalAcrossJobsAndShards)
+TEST(TriggeredScenario, BitIdenticalAcrossJobs)
 {
     const std::string file =
         triggeredScenarioFile("cdir_fb_sweep.scn", 0.25, 500);
@@ -339,13 +334,6 @@ TEST(TriggeredScenario, BitIdenticalAcrossJobsAndShards)
     }
     EXPECT_TRUE(anyFired) << "test scenario never triggered; the "
                              "determinism pin is vacuous";
-
-    const WorkloadParams wl = scenarioWorkloadParams(file);
-    const ExperimentResult one =
-        runExperiment(tinyConfig("Skewed"), wl, feedbackOptions(1));
-    const ExperimentResult three =
-        runExperiment(tinyConfig("Skewed"), wl, feedbackOptions(3));
-    expectSameCoreStats(one, three, "shards 1 vs 3");
 }
 
 TEST(TriggeredScenario, RecordedClosedLoopRunReplaysAsPlainTrace)
@@ -761,14 +749,13 @@ TEST(SloRamp, ExperimentSurfacesKneeDeterministically)
     EXPECT_GE(one.feedbackEvents, 1u);
     EXPECT_GE(one.rampFinalLevel, 1u);
 
-    opts.shards = 3;
-    const ExperimentResult three =
+    const ExperimentResult again =
         runExperiment(tinyConfig("Cuckoo"), wl, opts);
-    expectSameCoreStats(one, three, "slo-ramp shards 1 vs 3");
-    EXPECT_EQ(one.rampFinalLevel, three.rampFinalLevel);
-    EXPECT_EQ(one.rampKneeLevel, three.rampKneeLevel);
-    EXPECT_EQ(one.rampKneeMetric, three.rampKneeMetric);
-    EXPECT_EQ(one.rampCrossMetric, three.rampCrossMetric);
+    expectSameCoreStats(one, again, "slo-ramp rerun");
+    EXPECT_EQ(one.rampFinalLevel, again.rampFinalLevel);
+    EXPECT_EQ(one.rampKneeLevel, again.rampKneeLevel);
+    EXPECT_EQ(one.rampKneeMetric, again.rampKneeMetric);
+    EXPECT_EQ(one.rampCrossMetric, again.rampCrossMetric);
 }
 
 TEST(SloRamp, ResultFieldsRoundTripThroughCampaignJson)

@@ -4,8 +4,9 @@
  * replay configurations (Shared-L2 and Private-L2), the pinned-row
  * type, the committed tables (tests/golden_trace_values.inc), and the
  * measurement routine. Used by golden_trace_test.cc (exact pins and
- * table regeneration) and shard_test.cc (the same pins must reproduce
- * under sharded execution).
+ * table regeneration), kernel_identity_test.cc (the same pins must
+ * reproduce under the scalar and kernel probe paths at any --jobs), and
+ * the property and cost-model suites (the same replay configuration).
  */
 
 #ifndef CDIR_TESTS_GOLDEN_TRACE_UTIL_HH
@@ -87,18 +88,16 @@ struct GoldenRow
 
 /**
  * Replay one committed fixture through @p organization on the fixed
- * @p kind CMP with @p shards execution lanes and return the measured
- * counters (trace/organization fields left null).
+ * @p kind CMP and return the measured counters (trace/organization
+ * fields left null).
  */
 inline GoldenRow
 measureGolden(const std::string &trace, const std::string &organization,
-              CmpConfigKind kind = CmpConfigKind::SharedL2,
-              unsigned shards = 1)
+              CmpConfigKind kind = CmpConfigKind::SharedL2)
 {
     const std::string path =
         std::string(CDIR_TEST_DATA_DIR) + "/" + trace;
     CmpSystem system(goldenReplayConfig(organization, kind));
-    system.setShards(shards);
     const auto reader = makeTraceReader(
         path, TraceReadOptions{system.config().numCores, true});
     system.run(*reader, ~std::uint64_t{0});

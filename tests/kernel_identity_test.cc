@@ -11,8 +11,8 @@
  *  1. kernel level — randomized findTag/findVacant agreement and
  *     match-mask semantics over adversarial valid/tag patterns;
  *  2. system level — the committed golden-trace tables reproduce
- *     exactly under both paths, across jobs x shards combinations
- *     (sweep-pool parallelism x intra-run slice sharding);
+ *     exactly under both paths, at every tested --jobs setting
+ *     (sweep-pool parallelism);
  *  3. stress level — randomized differential-stress replays of every
  *     registered organization yield identical counters on both paths.
  *
@@ -162,7 +162,7 @@ TEST(KernelIdentity, MatchMaskBitsAreExactlyTheMatches)
     }
 }
 
-// --- system level: golden tables x jobs x shards -----------------------------
+// --- system level: golden tables x jobs --------------------------------------
 
 void
 expectRowEqual(const GoldenRow &got, const GoldenRow &want)
@@ -199,15 +199,14 @@ pinnedRow(const char *trace, const char *organization, CmpConfigKind kind)
 
 /**
  * Replay the full trace x organization grid on a @p jobs-thread sweep
- * pool with @p shards lanes per replay, under the scalar or kernel
- * path, and pin every cell against the committed Shared-L2 table.
+ * pool, under the scalar or kernel path, and pin every cell against the
+ * committed Shared-L2 table.
  */
 void
-pinGridUnderPath(bool force_scalar, unsigned jobs, unsigned shards)
+pinGridUnderPath(bool force_scalar, unsigned jobs)
 {
     SCOPED_TRACE(std::string(force_scalar ? "scalar" : "kernel") +
-                 " path, jobs=" + std::to_string(jobs) +
-                 " shards=" + std::to_string(shards));
+                 " path, jobs=" + std::to_string(jobs));
     ScalarPathGuard guard(force_scalar);
 
     struct Cell
@@ -224,7 +223,7 @@ pinGridUnderPath(bool force_scalar, unsigned jobs, unsigned shards)
     const std::vector<GoldenRow> rows = runner.map<GoldenRow>(
         cells.size(), [&](std::size_t i) {
             return measureGolden(cells[i].trace, cells[i].org,
-                                 CmpConfigKind::SharedL2, shards);
+                                 CmpConfigKind::SharedL2);
         });
 
     for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -235,12 +234,11 @@ pinGridUnderPath(bool force_scalar, unsigned jobs, unsigned shards)
     }
 }
 
-TEST(KernelIdentity, GoldenTablesReproduceAtJobsShardsCombinations)
+TEST(KernelIdentity, GoldenTablesReproduceAtEveryJobsSetting)
 {
     for (const bool force_scalar : {false, true})
         for (const unsigned jobs : {1u, 2u})
-            for (const unsigned shards : {1u, 2u, 4u})
-                pinGridUnderPath(force_scalar, jobs, shards);
+            pinGridUnderPath(force_scalar, jobs);
 }
 
 TEST(KernelIdentity, PrivateL2TableReproducesUnderScalarPath)
@@ -252,8 +250,8 @@ TEST(KernelIdentity, PrivateL2TableReproducesUnderScalarPath)
     for (const char *trace : kGoldenTraces)
         for (const char *org : kGoldenOrganizations) {
             SCOPED_TRACE(std::string(trace) + " x " + org);
-            const GoldenRow got = measureGolden(
-                trace, org, CmpConfigKind::PrivateL2, 1);
+            const GoldenRow got =
+                measureGolden(trace, org, CmpConfigKind::PrivateL2);
             expectRowEqual(
                 got, pinnedRow(trace, org, CmpConfigKind::PrivateL2));
         }
@@ -422,12 +420,10 @@ stressProfile(std::uint64_t seed)
 }
 
 StressCounters
-replayStress(const std::string &organization, const WorkloadParams &wl,
-             unsigned shards)
+replayStress(const std::string &organization, const WorkloadParams &wl)
 {
     CmpSystem system(
         goldenReplayConfig(organization, CmpConfigKind::SharedL2));
-    system.setShards(shards);
     SyntheticSource gen(wl);
     system.run(gen, 20000);
 
@@ -457,22 +453,20 @@ TEST(KernelIdentity, DifferentialStressAgreesAcrossPaths)
     const DirectoryRegistry &registry = DirectoryRegistry::instance();
     for (const std::uint64_t seed : {std::uint64_t{3}, std::uint64_t{17}}) {
         const WorkloadParams wl = stressProfile(seed);
-        for (const std::string &org : registry.names())
-            for (const unsigned shards : {1u, 4u}) {
-                SCOPED_TRACE("seed " + std::to_string(seed) + " " + org +
-                             " shards=" + std::to_string(shards));
-                StressCounters kernel, scalar;
-                {
-                    ScalarPathGuard g(false);
-                    kernel = replayStress(org, wl, shards);
-                }
-                {
-                    ScalarPathGuard g(true);
-                    scalar = replayStress(org, wl, shards);
-                }
-                EXPECT_TRUE(kernel == scalar)
-                    << "kernel/scalar counter divergence";
+        for (const std::string &org : registry.names()) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + " " + org);
+            StressCounters kernel, scalar;
+            {
+                ScalarPathGuard g(false);
+                kernel = replayStress(org, wl);
             }
+            {
+                ScalarPathGuard g(true);
+                scalar = replayStress(org, wl);
+            }
+            EXPECT_TRUE(kernel == scalar)
+                << "kernel/scalar counter divergence";
+        }
     }
 }
 

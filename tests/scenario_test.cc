@@ -11,7 +11,7 @@
  *  - record -> replay of a ScenarioWorkload through the trace pipeline
  *    (bit-identical system state);
  *  - the acceptance pin: a scenario sweep's time series is
- *    bit-identical across --jobs and --shards settings;
+ *    bit-identical across --jobs settings;
  *  - IntervalStats: window sums equal the end-of-run aggregates, and
  *    merge() of per-slice-group partial series is exact (the PR 4
  *    counter-merge discipline extended to time series).
@@ -805,14 +805,13 @@ TEST(ScenarioTrace, RecordThenReplayIsBitIdentical)
 // --- runExperiment / sweep integration ---------------------------------------
 
 ExperimentOptions
-scenarioOptions(unsigned shards = 1)
+scenarioOptions()
 {
     ExperimentOptions opts;
     opts.warmupAccesses = 2000;
     opts.measureAccesses = 12000;
     opts.occupancySampleEvery = 500;
     opts.intervalAccesses = 3000;
-    opts.shards = shards;
     return opts;
 }
 
@@ -908,11 +907,11 @@ TEST(ScenarioExperiment, TelemetryOffCollectsNothingAndChangesNothing)
 }
 
 /** The acceptance pin: scenario sweeps are bit-identical across
- *  --jobs and --shards settings, time series included. The axis mixes
+ *  --jobs settings, time series included. The axis mixes
  *  a preset with the eventful short-phase file, so the measured region
  *  crosses migrations, off/on-lining, the burst overlay, and the loop
  *  wrap — not just a stationary first phase. */
-TEST(ScenarioSweep, TimeSeriesBitIdenticalAcrossJobsAndShards)
+TEST(ScenarioSweep, TimeSeriesBitIdenticalAcrossJobs)
 {
     SweepSpec spec;
     spec.options("", scenarioOptions());
@@ -942,18 +941,6 @@ TEST(ScenarioSweep, TimeSeriesBitIdenticalAcrossJobsAndShards)
         expectSameIntervals(serial[i].result.intervals,
                             parallel[i].result.intervals, label);
     }
-
-    // Sharded execution inside a cell must reproduce the series too,
-    // phase events included.
-    const WorkloadParams wl =
-        scenarioWorkloadParams(eventfulScenarioFile());
-    const ExperimentResult one =
-        runExperiment(tinyConfig("Skewed"), wl, scenarioOptions(1));
-    const ExperimentResult three =
-        runExperiment(tinyConfig("Skewed"), wl, scenarioOptions(3));
-    EXPECT_EQ(one.system.accesses, three.system.accesses);
-    EXPECT_EQ(one.avgOccupancy, three.avgOccupancy);
-    expectSameIntervals(one.intervals, three.intervals, "shards=3");
 }
 
 TEST(ScenarioSweep, AppendScenarioWorkloadsExpandsAllAndRejectsUnknown)

@@ -3,11 +3,16 @@
  * Integration tests for the CMP system model: configuration plumbing,
  * coherence semantics end-to-end (write invalidation, eviction
  * retirement, forced invalidations), the directory-covers-caches
- * inclusion invariant under random load for every organization, and the
+ * inclusion invariant under random load for every organization,
+ * rejection of mis-sized configurations, system-level equality of the
+ * memory-lean sharer formats with the full vector at 256 cores, and the
  * experiment driver.
  */
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <string>
 
 #include "sim/cmp_system.hh"
 #include "sim/experiment.hh"
@@ -281,6 +286,157 @@ TEST(CmpSystem, ForcedInvalidationsRemoveCachedBlocks)
     sys.run(w, 20000);
     EXPECT_GT(sys.stats().forcedInvalidations, 0u);
     ASSERT_TRUE(sys.directoryCoversCaches());
+}
+
+// --- configuration validation -----------------------------------------------
+
+TEST(CmpSystem, MisSizedMirroringConfigurationIsRejected)
+{
+    // Regression: a very large system whose slice count exceeds the
+    // private cache's sets used to slip past a release-build assert and
+    // construct cache-mirroring slices covering *zero* sets. The
+    // geometry is now rejected at construction.
+    for (const char *org : {"DuplicateTag", "Tagless"}) {
+        CmpConfig cfg;
+        cfg.kind = CmpConfigKind::SharedL2;
+        cfg.numCores = 64;
+        cfg.numSlices = 64;                  // > the 32 cache sets below
+        cfg.privateCache = CacheConfig{32, 2};
+        cfg.directory.organization = org;
+        cfg.directory.trackedCacheAssoc = cfg.privateCache.assoc;
+        EXPECT_THROW(CmpSystem{cfg}, std::invalid_argument) << org;
+    }
+    // Non-mirroring organizations are not bound by the cache geometry.
+    CmpConfig ok;
+    ok.kind = CmpConfigKind::SharedL2;
+    ok.numCores = 64;
+    ok.numSlices = 64;
+    ok.privateCache = CacheConfig{32, 2};
+    ok.directory.organization = "Cuckoo";
+    ok.directory.sets = 16;
+    EXPECT_NO_THROW(CmpSystem{ok});
+}
+
+TEST(CmpSystem, NonPowerOfTwoSliceCountIsRejected)
+{
+    auto cfg = tinyConfig(CmpConfigKind::SharedL2, DirectoryKind::Cuckoo);
+    cfg.numSlices = 3;
+    EXPECT_THROW(CmpSystem{cfg}, std::invalid_argument);
+}
+
+// --- 256-core sharer formats ------------------------------------------------
+
+/** Per-slice and system-level equality, field by field. */
+void
+expectSystemsIdentical(CmpSystem &a, CmpSystem &b,
+                       const std::string &label)
+{
+    ASSERT_EQ(a.numSlices(), b.numSlices()) << label;
+    for (std::size_t s = 0; s < a.numSlices(); ++s) {
+        const DirectoryStats &da = a.slice(s).stats();
+        const DirectoryStats &db = b.slice(s).stats();
+        const std::string at = label + " slice " + std::to_string(s);
+        EXPECT_EQ(da.lookups, db.lookups) << at;
+        EXPECT_EQ(da.hits, db.hits) << at;
+        EXPECT_EQ(da.insertions, db.insertions) << at;
+        EXPECT_EQ(da.sharerAdds, db.sharerAdds) << at;
+        EXPECT_EQ(da.writeUpgrades, db.writeUpgrades) << at;
+        EXPECT_EQ(da.sharerRemovals, db.sharerRemovals) << at;
+        EXPECT_EQ(da.entryFrees, db.entryFrees) << at;
+        EXPECT_EQ(da.forcedEvictions, db.forcedEvictions) << at;
+        EXPECT_EQ(da.forcedBlockInvalidations,
+                  db.forcedBlockInvalidations)
+            << at;
+        EXPECT_EQ(da.insertFailures, db.insertFailures) << at;
+        EXPECT_EQ(da.insertionAttempts.count(),
+                  db.insertionAttempts.count())
+            << at;
+        EXPECT_EQ(da.insertionAttempts.sum(), db.insertionAttempts.sum())
+            << at;
+        for (std::size_t v = 0; v <= da.attemptHistogram.maxValue(); ++v)
+            EXPECT_EQ(da.attemptHistogram.at(v),
+                      db.attemptHistogram.at(v))
+                << at << " bucket " << v;
+        EXPECT_EQ(a.slice(s).validEntries(), b.slice(s).validEntries())
+            << at;
+    }
+    const CmpStats &sa = a.stats();
+    const CmpStats &sb = b.stats();
+    EXPECT_EQ(sa.accesses, sb.accesses) << label;
+    EXPECT_EQ(sa.cacheHits, sb.cacheHits) << label;
+    EXPECT_EQ(sa.cacheMisses, sb.cacheMisses) << label;
+    EXPECT_EQ(sa.writeUpgrades, sb.writeUpgrades) << label;
+    EXPECT_EQ(sa.cacheEvictions, sb.cacheEvictions) << label;
+    EXPECT_EQ(sa.sharingInvalidations, sb.sharingInvalidations) << label;
+    EXPECT_EQ(sa.forcedInvalidations, sb.forcedInvalidations) << label;
+    EXPECT_EQ(sa.directoryOccupancy.count(),
+              sb.directoryOccupancy.count())
+        << label;
+    EXPECT_EQ(sa.directoryOccupancy.mean(), sb.directoryOccupancy.mean())
+        << label;
+    // Final cache contents must agree too (invalidations landed on the
+    // same blocks).
+    ASSERT_EQ(a.numCaches(), b.numCaches()) << label;
+    for (std::size_t c = 0; c < a.numCaches(); ++c) {
+        EXPECT_EQ(a.cache(c).residentAddresses(),
+                  b.cache(c).residentAddresses())
+            << label << " cache " << c;
+    }
+}
+
+/** 256-core, 256-slice CMP with one small private cache per core. */
+CmpConfig
+thousandCoreConfig(const char *organization, SharerFormat format)
+{
+    CmpConfig cfg;
+    cfg.kind = CmpConfigKind::PrivateL2;
+    cfg.numCores = 256;
+    cfg.numSlices = 256;
+    cfg.privateCache = CacheConfig{64, 2}; // 128 frames per core
+    cfg.directory.organization = organization;
+    cfg.directory.format = format;
+    cfg.directory.ways = 4;
+    cfg.directory.sets = 32; // 128 entries per slice (1x)
+    return cfg;
+}
+
+WorkloadParams
+thousandCoreWorkload()
+{
+    WorkloadParams wl;
+    wl.name = "256-core-stress";
+    wl.numCores = 256;
+    wl.seed = 90210;
+    wl.codeBlocks = 4096;
+    wl.sharedBlocks = 16384;
+    wl.privateBlocksPerCore = 96;
+    wl.writeFraction = 0.3;
+    return wl;
+}
+
+TEST(CmpSystem, LeanFormatsMatchFullVectorSystemStats)
+{
+    // Compressed and Hierarchical are precise representations whose
+    // modeled storage does not alter protocol decisions, so a whole
+    // 256-core system run must produce identical statistics to the
+    // full-vector baseline — the system-level half of the lean-vs-full
+    // equivalence audit.
+    const CmpConfig base =
+        thousandCoreConfig("Cuckoo", SharerFormat::FullVector);
+    CmpSystem full(base);
+    SyntheticSource full_gen(thousandCoreWorkload());
+    full.run(full_gen, 60000, 2000);
+
+    for (const SharerFormat format :
+         {SharerFormat::Compressed, SharerFormat::Hierarchical}) {
+        CmpConfig cfg = base;
+        cfg.directory.format = format;
+        CmpSystem lean(cfg);
+        SyntheticSource gen(thousandCoreWorkload());
+        lean.run(gen, 60000, 2000);
+        expectSystemsIdentical(full, lean,
+                               "lean format vs full vector");
+    }
 }
 
 // --- experiment driver ---------------------------------------------------------

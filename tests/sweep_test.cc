@@ -4,7 +4,7 @@
  *
  *  - ThreadPool runs every submitted task and parallelFor propagates
  *    the first exception;
- *  - a grid run with --jobs 1 and --jobs 8 yields *bit-identical*
+ *  - a grid run with --jobs 1, 2 and 8 yields *bit-identical*
  *    ExperimentResult metrics in the same cell order (the determinism
  *    contract: every cell owns its CmpSystem and workload RNG);
  *  - two concurrent runExperiment calls on the same organization name
@@ -68,51 +68,6 @@ TEST(ParallelFor, PropagatesFirstException)
                                      throw std::runtime_error("boom");
                              }),
                  std::runtime_error);
-}
-
-// --- task groups (the shard scheduler's fork/join barrier) -------------------
-
-TEST(TaskGroup, WaitIsAGroupLocalBarrier)
-{
-    ThreadPool pool(3);
-    TaskGroup group(pool);
-    std::atomic<int> sum{0};
-    // Several fork/join rounds on one persistent pool.
-    for (int round = 0; round < 20; ++round) {
-        for (int i = 0; i < 7; ++i)
-            group.run([&sum] { ++sum; });
-        group.wait();
-        ASSERT_EQ(sum.load(), (round + 1) * 7) << "round " << round;
-    }
-}
-
-TEST(TaskGroup, TwoGroupsOnOnePoolDoNotInterfere)
-{
-    ThreadPool pool(2);
-    TaskGroup a(pool);
-    TaskGroup b(pool);
-    std::atomic<int> ran_a{0}, ran_b{0};
-    for (int i = 0; i < 16; ++i) {
-        a.run([&ran_a] { ++ran_a; });
-        b.run([&ran_b] { ++ran_b; });
-    }
-    a.wait();
-    EXPECT_EQ(ran_a.load(), 16);
-    b.wait();
-    EXPECT_EQ(ran_b.load(), 16);
-}
-
-TEST(TaskGroup, WaitRethrowsFirstExceptionThenRecovers)
-{
-    ThreadPool pool(2);
-    TaskGroup group(pool);
-    group.run([] { throw std::runtime_error("shard failed"); });
-    EXPECT_THROW(group.wait(), std::runtime_error);
-    // The group stays usable for the next round.
-    std::atomic<int> ran{0};
-    group.run([&ran] { ++ran; });
-    group.wait();
-    EXPECT_EQ(ran.load(), 1);
 }
 
 // --- sweep determinism -------------------------------------------------------
@@ -181,45 +136,23 @@ expectIdentical(const SweepRecord &a, const SweepRecord &b)
             << "attempt bucket " << i;
 }
 
-TEST(SweepDeterminism, SerialAndEightJobsBitIdentical)
+TEST(SweepDeterminism, SerialAndParallelJobsBitIdentical)
 {
     const SweepSpec spec = smallGrid();
     const auto serial = SweepRunner(SweepOptions{1, ""}).run(spec);
-    const auto parallel = SweepRunner(SweepOptions{8, ""}).run(spec);
-
     ASSERT_EQ(serial.size(), spec.cellCount());
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i)
-        expectIdentical(serial[i], parallel[i]);
+    for (const unsigned jobs : {2u, 8u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        const auto parallel = SweepRunner(SweepOptions{jobs, ""}).run(spec);
+        ASSERT_EQ(parallel.size(), serial.size());
+        for (std::size_t i = 0; i < serial.size(); ++i)
+            expectIdentical(serial[i], parallel[i]);
+    }
     // The grid must actually have done directory work.
     std::uint64_t inserts = 0;
     for (const auto &rec : serial)
         inserts += rec.result.directory.insertions;
     EXPECT_GT(inserts, 0u);
-}
-
-TEST(SweepDeterminism, CellAndShardParallelismComposeBitIdentically)
-{
-    // Two-level parallelism: cells in flight (--jobs) x lanes inside
-    // each cell (--shards). Both levels are determinism-preserving, so
-    // the composed run must match the fully serial one.
-    SweepSpec serial_spec = smallGrid();
-    SweepSpec sharded_spec;
-    for (const auto &point : serial_spec.configs())
-        sharded_spec.config(point.label, point.config);
-    for (const auto &point : serial_spec.workloads())
-        sharded_spec.workload(point.label, point.workload);
-    for (const auto &point : serial_spec.optionsAxis()) {
-        ExperimentOptions opts = point.options;
-        opts.shards = 2;
-        sharded_spec.options(point.label, opts);
-    }
-    const auto serial = SweepRunner(SweepOptions{1, ""}).run(serial_spec);
-    const auto sharded =
-        SweepRunner(SweepOptions{2, ""}).run(sharded_spec);
-    ASSERT_EQ(sharded.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i)
-        expectIdentical(serial[i], sharded[i]);
 }
 
 TEST(SweepRunMany, FlattensSpecsIntoOnePoolWithPerSpecResults)
@@ -409,43 +342,10 @@ TEST(HarnessCli, ParsesSharedFlagsAndIgnoresOthers)
     EXPECT_EQ(opts.format, ReportFormat::Json);
     EXPECT_EQ(opts.filter, "a,b");
     EXPECT_EQ(opts.scale, 3u);
-    EXPECT_EQ(opts.shards, 1u); // default: serial cells
     ExperimentOptions exp;
     exp = opts.applyOverrides(exp);
     EXPECT_EQ(exp.warmupAccesses, 1000u);
     EXPECT_EQ(exp.measureAccesses, 2000u);
-    EXPECT_EQ(exp.shards, 1u);
-}
-
-TEST(HarnessCli, ShardsFlagFlowsIntoExperimentOptions)
-{
-    const char *argv[] = {"prog", "--jobs=1", "--shards=1"};
-    const HarnessOptions opts = parseHarnessOptions(
-        static_cast<int>(std::size(argv)), const_cast<char **>(argv));
-    EXPECT_EQ(opts.shards, 1u);
-    HarnessOptions two = opts;
-    two.shards = 2; // as parsed on a machine with >= 2 spare threads
-    EXPECT_EQ(two.applyOverrides(ExperimentOptions{}).shards, 2u);
-}
-
-TEST(ShardBudget, JobsTimesShardsNeverOversubscribes)
-{
-    // Plenty of hardware: the request is honoured.
-    EXPECT_EQ(clampedShards(2, 4, 16), 4u);
-    // Tight: 8 jobs on 16 threads leave room for 2 lanes per cell.
-    EXPECT_EQ(clampedShards(8, 4, 16), 2u);
-    // jobs=0 claims every hardware thread — no shard headroom.
-    EXPECT_EQ(clampedShards(0, 8, 16), 1u);
-    // Oversubscribed jobs alone: shards collapse to 1.
-    EXPECT_EQ(clampedShards(32, 4, 16), 1u);
-    // shards=0 asks for the full remaining budget.
-    EXPECT_EQ(clampedShards(2, 0, 16), 8u);
-    EXPECT_EQ(clampedShards(16, 0, 16), 1u);
-    // Degenerate hardware report.
-    EXPECT_EQ(clampedShards(1, 4, 0), 1u);
-    EXPECT_EQ(clampedShards(1, 4, 1), 1u);
-    // Never returns 0.
-    EXPECT_EQ(clampedShards(1, 1, 16), 1u);
 }
 
 } // namespace

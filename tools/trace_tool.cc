@@ -62,14 +62,12 @@ usage(const char *error = nullptr)
         "      traces. Default format is binary; --text writes lines.\n"
         "  trace_tool replay <trace> [--cores=N] [--private-l2]\n"
         "             [--org=NAME] [--ways=N] [--sets=N] [--warmup=N]\n"
-        "             [--measure=N] [--shards=N] [--cost-model=NAME]\n"
+        "             [--measure=N] [--cost-model=NAME]\n"
         "             [--format=table|csv|json]\n"
         "      runExperiment over the trace: warmup (stats discarded),\n"
         "      then measure; reports the directory metrics. Defaults\n"
         "      warmup=2000000 measure=2000000 (--warmup=0 = none); a\n"
         "      trace shorter than warmup+measure simply ends early.\n"
-        "      --shards partitions the directory slices across parallel\n"
-        "      lanes (bit-identical results at any count).\n"
         "      --cost-model=fixed|mesh times every directory access and\n"
         "      adds latency percentile rows (p50/p99/p99.9, in cycles).\n"
         "  trace_tool info <trace>\n"
@@ -103,7 +101,6 @@ struct CommonFlags
     std::uint64_t seed = 0;           // 0 = preset default
     std::uint64_t warmup = kUnset;    // unset = ExperimentOptions default
     std::uint64_t measure = kUnset;
-    std::uint64_t shards = 1;         // intra-experiment lanes
     std::uint64_t ways = 0;           // 0 = organization default
     std::uint64_t sets = 0;
     std::uint64_t codeBlocks = 0;     // 0 = preset footprint
@@ -144,8 +141,6 @@ parseFlags(int argc, char **argv, int first,
             ok = parseU64(v, flags.warmup);
         } else if ((v = cliFlagValue(arg, name = "measure"))) {
             ok = parseU64(v, flags.measure);
-        } else if ((v = cliFlagValue(arg, name = "shards"))) {
-            ok = parseU64(v, flags.shards) && flags.shards != 0;
         } else if ((v = cliFlagValue(arg, name = "ways"))) {
             ok = parseU64(v, flags.ways) && flags.ways != 0;
         } else if ((v = cliFlagValue(arg, name = "sets"))) {
@@ -303,7 +298,7 @@ cmdReplay(int argc, char **argv)
     CommonFlags flags;
     if (!parseFlags(argc, argv, 3,
                     {"cores", "private-l2", "org", "ways", "sets",
-                     "warmup", "measure", "shards", "cost-model",
+                     "warmup", "measure", "cost-model",
                      "format"},
                     flags))
         return usage();
@@ -323,7 +318,6 @@ cmdReplay(int argc, char **argv)
         options.warmupAccesses = flags.warmup; // --warmup=0 is honoured
     if (flags.measure != kUnset)
         options.measureAccesses = flags.measure;
-    options.shards = static_cast<unsigned>(flags.shards);
     options.costModel = flags.costModel;
 
     const ExperimentResult result = runExperiment(
