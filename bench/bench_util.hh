@@ -13,20 +13,29 @@
 #define CDIR_BENCH_BENCH_UTIL_HH
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <string>
+#include <optional>
+
+#include "sim/sweep.hh"
 
 namespace cdir::bench {
 
-/** Value of --name=value (or fallback) from argv. */
+/**
+ * Value of --name=value (or @p fallback) from argv; exits with status 2
+ * when the value is not a whole unsigned decimal number.
+ */
 inline std::uint64_t
 flagU64(int argc, char **argv, const char *name, std::uint64_t fallback)
 {
-    const std::string prefix = std::string("--") + name + "=";
     for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0)
-            return std::strtoull(argv[i] + prefix.size(), nullptr, 10);
+        if (const char *v = cliFlagValue(argv[i], name)) {
+            if (const std::optional<std::uint64_t> parsed =
+                    parseCliUnsigned(v))
+                return *parsed;
+            std::fprintf(stderr, "bad --%s value '%s'\n", name, v);
+            std::exit(2);
+        }
     }
     return fallback;
 }

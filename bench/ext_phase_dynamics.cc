@@ -116,9 +116,8 @@ main(int argc, char **argv)
     std::string series_json;
     for (int i = 1; i < argc; ++i) {
         if (const char *v = cliFlagValue(argv[i], "interval")) {
-            char *end = nullptr;
-            interval = std::strtoull(v, &end, 10);
-            if (end == v || *end != '\0' || interval == 0) {
+            interval = parseCliUnsigned(v).value_or(0);
+            if (interval == 0) {
                 std::fprintf(stderr,
                              "ext_phase_dynamics: bad --interval value "
                              "'%s'\n",

@@ -85,21 +85,26 @@ main(int argc, char **argv)
     std::uint64_t step = 25'000;
     std::uint64_t maxLevel = 16;
     std::uint64_t blocks = 8'192;
-    for (int i = 1; i < argc; ++i) {
-        if (const char *v = cliFlagValue(argv[i], "target"))
-            target = std::strtoull(v, nullptr, 10);
-        else if (const char *v = cliFlagValue(argv[i], "step"))
-            step = std::strtoull(v, nullptr, 10);
-        else if (const char *v = cliFlagValue(argv[i], "max"))
-            maxLevel = std::strtoull(v, nullptr, 10);
-        else if (const char *v = cliFlagValue(argv[i], "blocks"))
-            blocks = std::strtoull(v, nullptr, 10);
-    }
-    if (target == 0 || step == 0 || maxLevel == 0 || blocks == 0) {
-        std::fprintf(stderr, "ext_slo_knee: --target/--step/--max/"
-                             "--blocks must be >= 1\n");
-        return 2;
-    }
+    struct
+    {
+        const char *name;
+        std::uint64_t &value;
+    } knobs[] = {{"target", target},
+                 {"step", step},
+                 {"max", maxLevel},
+                 {"blocks", blocks}};
+    for (int i = 1; i < argc; ++i)
+        for (const auto &knob : knobs)
+            if (const char *v = cliFlagValue(argv[i], knob.name)) {
+                knob.value = parseCliUnsigned(v).value_or(0);
+                if (knob.value == 0) {
+                    std::fprintf(stderr,
+                                 "ext_slo_knee: bad --%s value '%s' "
+                                 "(want an integer >= 1)\n",
+                                 knob.name, v);
+                    return 2;
+                }
+            }
 
     // One spec string is the whole workload axis: the ramp escalates
     // one level per step-sized window, so the measure run needs room

@@ -6,27 +6,17 @@
  *
  * Not a paper figure — a software-performance sanity check that the
  * constant-time claims of the Cuckoo organization hold in this
- * implementation, and the proof of the allocation-free redesign:
+ * implementation, and that the access protocol does not allocate:
  *
- *  - BM_SnapshotAccessChurn reproduces the removed value-returning
- *    access() shim's cost — an owning DirAccessResult snapshot taken
- *    after every request ("before");
- *  - BM_ContextAccessChurn drives the same stream through a reusable
- *    DirAccessContext ("after");
+ *  - BM_Probe times side-effect-free lookups of tracked tags;
+ *  - BM_ContextAccessChurn retires and inserts entries (with a sharer
+ *    add and a write upgrade) through a reusable DirAccessContext;
  *  - BM_AccessBatch drives whole DirRequest spans through accessBatch.
  *
- * Each reports an `allocs/op` counter from a global operator-new hook;
- * after warmup the context/batch paths must report 0.00 while the
- * snapshot path pays for its owning copy on every call.
+ * The churn and batch families report an `allocs/op` counter from a
+ * global operator-new hook; after warmup it must read 0.00.
  *
- * The A/B families quantify the SoA/kernel work directly:
- *
- *  - BM_ProbeAB/<org>/{kernel,scalar} runs one probe-churn stream with
- *    the way-compare kernels on vs forced to their scalar reference
- *    twins (setForceScalarKernels) — the pair is the per-organization
- *    lookup-path speedup;
- *  - BM_Sharer{Union,FanOut,PopcountRange}/{word,loop} compare the
- *    word-parallel DynamicBitset kernels against per-bit loops.
+ * End-to-end simulator throughput is measured by perfbench/, not here.
  */
 
 #include <benchmark/benchmark.h>
@@ -36,8 +26,6 @@
 #include <vector>
 
 #include "common/alloc_counter.hh"
-#include "common/bit_util.hh"
-#include "common/bitset.hh"
 #include "common/rng.hh"
 #include "directory/registry.hh"
 
@@ -104,159 +92,8 @@ BM_Probe(benchmark::State &state, const std::string &org)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-// --- A/B: probe kernel vs scalar reference -----------------------------------
-
-/**
- * The probe-churn stream of BM_ContextAccessChurn with the way-compare
- * path pinned to either the word-parallel kernels ("kernel") or their
- * branchy scalar reference twins ("scalar"). Both variants run the
- * identical operation stream — the delta between them is exactly the
- * SoA kernel win on that organization's lookup path.
- */
-void
-BM_ProbeKernelAB(benchmark::State &state, const std::string &org,
-                 bool force_scalar)
-{
-    const bool saved = forceScalarKernels();
-    setForceScalarKernels(force_scalar);
-    auto dir = build(org);
-    DirAccessContext ctx = dir->makeContext();
-    std::vector<Tag> live;
-    warm(*dir, ctx, live, 2048);
-    Rng rng(7);
-    std::size_t i = 0;
-    for (auto _ : state) {
-        const std::size_t k = i++ % live.size();
-        const auto cache = static_cast<CacheId>(k % kCaches);
-        dir->removeSharer(live[k], cache);
-        const Tag fresh = rng.next() >> 8;
-        ctx.reset();
-        dir->access(DirRequest{fresh, cache, false}, ctx);
-        benchmark::DoNotOptimize(dir->probe(fresh));
-        live[k] = fresh;
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations() * 2));
-    setForceScalarKernels(saved);
-}
-
-// --- A/B: word-parallel sharer-set ops vs per-bit loops ----------------------
-
-constexpr std::size_t kSharerBits = 1024;
-
-/** A ~12%-dense sharer set plus a disjoint-ish second operand. */
-struct SharerFixture
-{
-    DynamicBitset a{kSharerBits};
-    DynamicBitset b{kSharerBits};
-    SharerFixture()
-    {
-        Rng rng(11);
-        for (std::size_t i = 0; i < kSharerBits / 8; ++i) {
-            a.set(rng.below(kSharerBits));
-            b.set(rng.below(kSharerBits));
-        }
-    }
-};
-
-void
-BM_SharerUnion(benchmark::State &state, bool word_parallel)
-{
-    const SharerFixture fx;
-    DynamicBitset out(kSharerBits);
-    for (auto _ : state) {
-        out.reinit(kSharerBits);
-        out.orWith(fx.a);
-        if (word_parallel) {
-            out.orWith(fx.b);
-        } else {
-            for (std::size_t i = 0; i < kSharerBits; ++i)
-                if (fx.b.test(i))
-                    out.set(i);
-        }
-        benchmark::DoNotOptimize(out.count());
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations() * kSharerBits));
-}
-
-void
-BM_SharerFanOut(benchmark::State &state, bool word_parallel)
-{
-    const SharerFixture fx;
-    std::uint64_t sum = 0;
-    for (auto _ : state) {
-        if (word_parallel) {
-            fx.a.forEachSetBit([&](std::size_t i) { sum += i; });
-        } else {
-            for (std::size_t i = 0; i < kSharerBits; ++i)
-                if (fx.a.test(i))
-                    sum += i;
-        }
-        benchmark::DoNotOptimize(sum);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations() * kSharerBits));
-}
-
-void
-BM_SharerPopcountRange(benchmark::State &state, bool word_parallel)
-{
-    const SharerFixture fx;
-    const std::size_t lo = 13, hi = kSharerBits - 9;
-    for (auto _ : state) {
-        std::size_t n = 0;
-        if (word_parallel) {
-            n = fx.a.popcountRange(lo, hi);
-        } else {
-            for (std::size_t i = lo; i < hi; ++i)
-                n += fx.a.test(i) ? 1 : 0;
-        }
-        benchmark::DoNotOptimize(n);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations() * (hi - lo)));
-}
-
-/** Before: every access pays for an owning DirAccessResult snapshot —
- *  the exact cost profile of the removed value-returning shim (reused
- *  scratch context, owning copy of each outcome). */
-void
-BM_SnapshotAccessChurn(benchmark::State &state, const std::string &org)
-{
-    auto dir = build(org);
-    DirAccessContext ctx = dir->makeContext();
-    std::vector<Tag> live;
-    warm(*dir, ctx, live, 2048);
-    Rng rng(7);
-    std::size_t i = 0;
-    auto access_snapshot = [&](Tag tag, CacheId cache, bool is_write) {
-        ctx.reset();
-        dir->access(DirRequest{tag, cache, is_write}, ctx);
-        return ctx.snapshot(0);
-    };
-    const std::size_t allocs_before = allocationCount();
-    for (auto _ : state) {
-        // retire one, insert one with a sharer and a write upgrade:
-        // steady-state occupancy with invalidation traffic.
-        const std::size_t k = i++ % live.size();
-        const auto cache = static_cast<CacheId>(k % kCaches);
-        const auto peer = static_cast<CacheId>((k + 1) % kCaches);
-        dir->removeSharer(live[k], cache);
-        const Tag fresh = rng.next() >> 8;
-        benchmark::DoNotOptimize(access_snapshot(fresh, cache, false));
-        benchmark::DoNotOptimize(access_snapshot(fresh, peer, false));
-        benchmark::DoNotOptimize(access_snapshot(fresh, cache, true));
-        live[k] = fresh;
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations() * 3));
-    state.counters["allocs/op"] = benchmark::Counter(
-        static_cast<double>(allocationCount() - allocs_before),
-        benchmark::Counter::kAvgIterations);
-}
-
-/** After: the same churn through a reusable DirAccessContext. */
+/** Steady-state churn through a reusable DirAccessContext: retire one
+ *  entry, insert one with a sharer and a write upgrade. */
 void
 BM_ContextAccessChurn(benchmark::State &state, const std::string &org)
 {
@@ -268,7 +105,6 @@ BM_ContextAccessChurn(benchmark::State &state, const std::string &org)
     std::size_t i = 0;
     const std::size_t allocs_before = allocationCount();
     for (auto _ : state) {
-        // Identical operation stream to BM_SnapshotAccessChurn.
         const std::size_t k = i++ % live.size();
         const auto cache = static_cast<CacheId>(k % kCaches);
         const auto peer = static_cast<CacheId>((k + 1) % kCaches);
@@ -343,7 +179,6 @@ registerBenchmarks()
     };
     const Family families[] = {
         {"BM_Probe", BM_Probe},
-        {"BM_SnapshotAccessChurn", BM_SnapshotAccessChurn},
         {"BM_ContextAccessChurn", BM_ContextAccessChurn},
         {"BM_AccessBatch", BM_AccessBatch},
     };
@@ -356,39 +191,6 @@ registerBenchmarks()
             benchmark::RegisterBenchmark(
                 name.c_str(),
                 [fn, org](benchmark::State &state) { fn(state, org); });
-        }
-    }
-
-    // A/B pairs: same stream, kernel path vs scalar reference path.
-    for (const std::string &org : DirectoryRegistry::instance().names()) {
-        for (const bool scalar : {false, true}) {
-            const std::string name = std::string("BM_ProbeAB/") + org +
-                                     (scalar ? "/scalar" : "/kernel");
-            benchmark::RegisterBenchmark(
-                name.c_str(), [org, scalar](benchmark::State &state) {
-                    BM_ProbeKernelAB(state, org, scalar);
-                });
-        }
-    }
-    struct SharerFamily
-    {
-        const char *name;
-        void (*fn)(benchmark::State &, bool);
-    };
-    const SharerFamily sharer_families[] = {
-        {"BM_SharerUnion", BM_SharerUnion},
-        {"BM_SharerFanOut", BM_SharerFanOut},
-        {"BM_SharerPopcountRange", BM_SharerPopcountRange},
-    };
-    for (const SharerFamily &family : sharer_families) {
-        for (const bool word : {true, false}) {
-            const std::string name = std::string(family.name) +
-                                     (word ? "/word" : "/loop");
-            auto *fn = family.fn;
-            benchmark::RegisterBenchmark(
-                name.c_str(), [fn, word](benchmark::State &state) {
-                    fn(state, word);
-                });
         }
     }
 }

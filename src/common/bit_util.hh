@@ -12,11 +12,9 @@
  * intrinsics, portable everywhere (build with -DCDIR_NATIVE=ON for
  * -march=native codegen).
  *
- * Every kernel has a branchy scalar reference implementation that is
- * bit-identical in observable behaviour; setting CDIR_FORCE_SCALAR=1 in
- * the environment (or calling setForceScalarKernels) routes every call
- * through the reference path. The bit-identity test suite pins that the
- * two paths reproduce the same golden-trace tables.
+ * The kernels are the only runtime path. The bit-identity test suite
+ * keeps branchy early-exit reference implementations as oracles and
+ * checks the kernels against them on random runs.
  */
 
 #ifndef CDIR_COMMON_BIT_UTIL_HH
@@ -25,7 +23,6 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
-#include <cstdlib>
 
 #include "common/types.hh"
 
@@ -126,54 +123,6 @@ rotateLeft(std::uint64_t v, unsigned amount, unsigned width)
  */
 inline constexpr std::size_t kKernelWidth = 64;
 
-namespace detail {
-
-/** Mutable force-scalar switch, seeded once from CDIR_FORCE_SCALAR. */
-inline int &
-forceScalarState()
-{
-    static int state = [] {
-        const char *env = std::getenv("CDIR_FORCE_SCALAR");
-        return (env != nullptr && env[0] != '\0' && env[0] != '0') ? 1 : 0;
-    }();
-    return state;
-}
-
-} // namespace detail
-
-/**
- * True when every probe kernel must take its branchy scalar reference
- * path (runtime escape hatch for the bit-identity suite and for
- * debugging suspected kernel miscompiles). Seeded from the
- * CDIR_FORCE_SCALAR environment variable at first use.
- */
-inline bool
-forceScalarKernels()
-{
-    return detail::forceScalarState() != 0;
-}
-
-/** Override the force-scalar switch (tests compare both paths in-process). */
-inline void
-setForceScalarKernels(bool force)
-{
-    detail::forceScalarState() = force ? 1 : 0;
-}
-
-/**
- * Scalar reference: index of the first valid slot in [0, n) whose tag
- * equals @p needle, or @p n if absent. Early-exit branchy loop.
- */
-inline std::size_t
-findTagScalar(const Tag *tags, const std::uint8_t *valid, std::size_t n,
-              Tag needle)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        if (valid[i] != 0 && tags[i] == needle)
-            return i;
-    return n;
-}
-
 /**
  * Branchless match mask over a contiguous candidate run: bit i is set
  * iff valid[i] && tags[i] == needle. No early exit — the loop body is
@@ -197,30 +146,15 @@ tagMatchMask(const Tag *tags, const std::uint8_t *valid, std::size_t n,
 }
 
 /**
- * First valid slot in a contiguous run holding @p needle, or @p n.
- * Kernel path reduces a branchless match mask; scalar path is the
- * early-exit reference. Both return the same index for any input.
+ * First valid slot in a contiguous run holding @p needle, or @p n:
+ * the lowest set bit of the branchless match mask.
  */
 inline std::size_t
 findTag(const Tag *tags, const std::uint8_t *valid, std::size_t n,
         Tag needle)
 {
-    if (forceScalarKernels())
-        return findTagScalar(tags, valid, n, needle);
     const std::uint64_t mask = tagMatchMask(tags, valid, n, needle);
     return mask != 0 ? static_cast<std::size_t>(std::countr_zero(mask)) : n;
-}
-
-/**
- * Scalar reference for findVacant: first *invalid* slot in [0, n), or n.
- */
-inline std::size_t
-findVacantScalar(const std::uint8_t *valid, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        if (valid[i] == 0)
-            return i;
-    return n;
 }
 
 /** Branchless vacancy mask: bit i set iff valid[i] == 0 (n <= 64). */
@@ -238,16 +172,13 @@ vacancyMask(const std::uint8_t *valid, std::size_t n)
 inline std::size_t
 findVacant(const std::uint8_t *valid, std::size_t n)
 {
-    if (forceScalarKernels())
-        return findVacantScalar(valid, n);
     const std::uint64_t mask = vacancyMask(valid, n);
     return mask != 0 ? static_cast<std::size_t>(std::countr_zero(mask)) : n;
 }
 
 /**
  * Hint the cache hierarchy to pull @p addr for a read. Purely a
- * performance hint — never changes observable behaviour, so it needs no
- * scalar twin.
+ * performance hint — never changes observable behaviour.
  */
 inline void
 prefetchRead(const void *addr)

@@ -125,9 +125,9 @@ class Directory
     /**
      * Handle a span of requests in order, accumulating one outcome per
      * request into @p ctx. The default implementation walks the span in
-     * order and software-prefetches the tag lanes of the request
-     * prefetchDistance() slots ahead (see prefetchTag()); organizations
-     * may override it to exploit batch locality further.
+     * order and software-prefetches the tag lanes of the request eight
+     * slots ahead (see prefetchTag()); organizations may override it to
+     * exploit batch locality further.
      */
     virtual void accessBatch(std::span<const DirRequest> requests,
                              DirAccessContext &ctx);
@@ -140,13 +140,6 @@ class Directory
      * window.
      */
     virtual void prefetchTag(Tag tag) const { (void)tag; }
-
-    /**
-     * Lookahead (in requests) accessBatch() prefetches by. Seeded once
-     * from the CDIR_PREFETCH_DIST environment variable (default 8; 0
-     * disables prefetching).
-     */
-    static unsigned prefetchDistance();
 
     /** Private cache @p cache evicted block @p tag. */
     virtual void removeSharer(Tag tag, CacheId cache) = 0;
@@ -216,35 +209,12 @@ class Directory
     DirectoryStats statistics;
 };
 
-/**
- * Organization selector for the deprecated enum factory.
- * @deprecated New organizations register with DirectoryRegistry by name
- * and never appear here; the enum survives only as a source-compatible
- * shim for existing call sites.
- */
-enum class DirectoryKind
-{
-    Cuckoo,
-    Sparse,
-    Skewed,
-    DuplicateTag,
-    InCache,
-    Tagless,
-    /** Elbow cache organization [37,38]: skewed lookup with at most one
-     *  displacement per insertion (§6 related work). */
-    Elbow,
-};
-
 /** Configuration for building any directory organization. */
 struct DirectoryParams
 {
-    /**
-     * Registry name of the organization to build ("Cuckoo", "Sparse",
-     * ...). When empty, falls back to the deprecated @ref kind enum.
-     */
-    std::string organization;
-    /** @deprecated Enum shim; prefer @ref organization. */
-    DirectoryKind kind = DirectoryKind::Cuckoo;
+    /** Registry name of the organization to build ("Cuckoo", "Sparse",
+     *  ...; see DirectoryRegistry::names()). */
+    std::string organization = "Cuckoo";
     std::size_t numCaches = 16;
     unsigned ways = 4;            //!< associativity / cuckoo arity
     std::size_t sets = 512;       //!< sets (per way for Cuckoo/Skewed)
@@ -262,9 +232,6 @@ struct DirectoryParams
     /** Tagless: bits per Bloom-filter bucket row. */
     std::size_t taglessBucketBits = 64;
 
-    /** Organization name these params resolve to (see @ref organization). */
-    std::string resolvedOrganization() const;
-
     /** Total entry capacity implied by the parameters. */
     std::size_t totalEntries() const;
 };
@@ -274,9 +241,6 @@ struct DirectoryParams
  * @throws std::invalid_argument for an unknown organization name.
  */
 std::unique_ptr<Directory> makeDirectory(const DirectoryParams &params);
-
-/** Printable name of a DirectoryKind (also its registry key). */
-std::string directoryKindName(DirectoryKind kind);
 
 } // namespace cdir
 

@@ -41,21 +41,7 @@ DuplicateTagDirectory::collectHolders(std::size_t set, Tag tag,
 {
     const std::size_t base = regionBase(set, 0);
     const std::size_t width = std::size_t{caches} * cacheAssoc;
-    if (forceScalarKernels()) {
-        // Scalar reference: per-cache early-exit walk, as the AoS code
-        // did.
-        for (CacheId c = 0; c < caches; ++c) {
-            const std::size_t rb = regionBase(set, c);
-            for (unsigned w = 0; w < cacheAssoc; ++w) {
-                if (valids[rb + w] != 0 && tags[rb + w] == tag) {
-                    holders.set(c);
-                    break;
-                }
-            }
-        }
-        return;
-    }
-    // Kernel path: the whole set is one contiguous run; reduce it in
+    // The whole set is one contiguous run; reduce it in
     // 64-frame chunks and map each match bit back to its cache id. A
     // chunk with no valid frames cannot match — the occupancy summary
     // lets sparse sets skip it without reading 64 tag lanes.

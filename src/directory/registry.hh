@@ -2,13 +2,10 @@
  * @file
  * String-keyed directory-organization registry.
  *
- * The original factory was a closed `switch` over `DirectoryKind`:
- * adding an organization meant editing the enum, the factory, and every
- * consumer that enumerated kinds. The registry inverts that: each
- * organization's translation unit self-registers a builder lambda over
- * `DirectoryParams` (plus traits the CMP driver needs), and consumers
- * enumerate `names()` generically. `makeDirectory()` remains as a thin
- * shim that resolves the deprecated enum to a registry name.
+ * Each organization's translation unit self-registers a builder lambda
+ * over `DirectoryParams` (plus traits the CMP driver needs), and
+ * consumers enumerate `names()` generically. `makeDirectory()` builds
+ * `DirectoryParams::organization` through the registry.
  *
  * Registering a new organization takes one macro invocation in its .cc:
  *

@@ -76,6 +76,9 @@ enum class HashKind
     Modulo,
 };
 
+/** The last HashKind enumerator (bounds checks of serialized values). */
+inline constexpr HashKind kLastHashKind = HashKind::Modulo;
+
 /**
  * Create a hash family.
  *

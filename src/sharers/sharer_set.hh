@@ -71,6 +71,9 @@ enum class SharerFormat
     Compressed,    //!< word-packed full vector (precise, same storage)
 };
 
+/** The last SharerFormat enumerator (bounds checks of serialized values). */
+inline constexpr SharerFormat kLastSharerFormat = SharerFormat::Compressed;
+
 /** Storage bits per entry for @p format over @p num_caches caches. */
 unsigned sharerStorageBits(SharerFormat format, std::size_t num_caches);
 

@@ -27,35 +27,6 @@ namespace {
 // the reloaded struct reproduces the original bytes.
 
 std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char ch : s) {
-        switch (ch) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          default:
-            if (static_cast<unsigned char>(ch) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-                out += buf;
-            } else {
-                out += ch;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
 fmtU64(std::uint64_t v)
 {
     char buf[24];
@@ -652,7 +623,7 @@ cmpConfigToJson(const CmpConfig &c)
     std::string dir;
     {
         ObjectWriter w(dir);
-        w.str("organization", c.directory.resolvedOrganization());
+        w.str("organization", c.directory.organization);
         w.u64("num_caches", c.directory.numCaches);
         w.u64("ways", c.directory.ways);
         w.u64("sets", c.directory.sets);
@@ -679,22 +650,23 @@ cmpConfigToJson(const CmpConfig &c)
     return out;
 }
 
-unsigned
-checkedEnum(const JsonValue &v, const char *what, unsigned max)
+/** @p v as an enum value in [0, @p last]; throws when out of range. */
+template <typename Enum>
+Enum
+checkedEnum(const JsonValue &v, const char *what, Enum last)
 {
     const std::uint64_t raw = v.asU64();
-    if (raw > max)
+    if (raw > static_cast<std::uint64_t>(last))
         throw std::runtime_error(std::string("campaign JSON: ") + what +
                                  " out of range: " + fmtU64(raw));
-    return static_cast<unsigned>(raw);
+    return static_cast<Enum>(raw);
 }
 
 CmpConfig
 parseCmpConfig(const JsonValue &v)
 {
     CmpConfig c;
-    c.kind = static_cast<CmpConfigKind>(checkedEnum(v.at("kind"),
-                                                    "config kind", 1));
+    c.kind = checkedEnum(v.at("kind"), "config kind", kLastCmpConfigKind);
     c.numCores = static_cast<std::size_t>(v.at("num_cores").asU64());
     c.numSlices = static_cast<std::size_t>(v.at("num_slices").asU64());
     c.privateCache.numSets =
@@ -709,10 +681,9 @@ parseCmpConfig(const JsonValue &v)
         static_cast<std::size_t>(d.at("num_caches").asU64());
     c.directory.ways = static_cast<unsigned>(d.at("ways").asU64());
     c.directory.sets = static_cast<std::size_t>(d.at("sets").asU64());
-    c.directory.format = static_cast<SharerFormat>(
-        checkedEnum(d.at("format"), "sharer format", 2));
-    c.directory.hash =
-        static_cast<HashKind>(checkedEnum(d.at("hash"), "hash kind", 2));
+    c.directory.format =
+        checkedEnum(d.at("format"), "sharer format", kLastSharerFormat);
+    c.directory.hash = checkedEnum(d.at("hash"), "hash kind", kLastHashKind);
     c.directory.maxAttempts =
         static_cast<unsigned>(d.at("max_attempts").asU64());
     c.directory.bucketSlots =

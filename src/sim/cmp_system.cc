@@ -47,9 +47,8 @@ CmpSystem::CmpSystem(const CmpConfig &config) : cfg(config)
     DirectoryParams dir = cfg.directory;
     dir.numCaches = n_caches;
     dir.trackedCacheAssoc = cfg.privateCache.assoc;
-    const std::string organization = dir.resolvedOrganization();
     if (DirectoryRegistry::instance()
-            .traits(organization)
+            .traits(dir.organization)
             .mirrorsTrackedCaches) {
         // These organizations mirror the tracked caches' sets; a slice
         // covers cacheSets / numSlices of them (Fig. 3). A very large
@@ -59,7 +58,7 @@ CmpSystem::CmpSystem(const CmpConfig &config) : cfg(config)
         // builds (the former assert); reject it explicitly.
         if (cfg.privateCache.numSets < cfg.numSlices)
             throw std::invalid_argument(
-                "CmpConfig: organization '" + organization +
+                "CmpConfig: organization '" + dir.organization +
                 "' mirrors the tracked caches, but numSlices (" +
                 std::to_string(cfg.numSlices) +
                 ") exceeds the private cache's sets (" +

@@ -81,6 +81,9 @@ enum class CmpConfigKind
     PrivateL2, //!< directory tracks private unified L2s
 };
 
+/** The last CmpConfigKind enumerator (bounds checks of serialized values). */
+inline constexpr CmpConfigKind kLastCmpConfigKind = CmpConfigKind::PrivateL2;
+
 /** Full system configuration (defaults follow Table 1, 16 cores). */
 struct CmpConfig
 {

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "sim/sweep.hh"
+
 namespace cdir {
 
 std::vector<PhaseAggregate>
@@ -30,36 +32,6 @@ aggregateByPhase(const Scenario &scenario, std::uint64_t first_access,
 }
 
 namespace {
-
-/** Same minimal escaping as the Reporter's JSON emitter. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char ch : s) {
-        switch (ch) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          default:
-            if (static_cast<unsigned char>(ch) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-                out += buf;
-            } else {
-                out += ch;
-            }
-        }
-    }
-    return out;
-}
 
 void
 emitWindow(std::FILE *out, std::uint64_t start, const IntervalRecord &rec)

@@ -1,6 +1,7 @@
 #include "sim/sweep.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -321,9 +322,6 @@ ReportTable::addRow(std::vector<ReportCell> cells)
 
 // --- Reporter ----------------------------------------------------------------
 
-namespace {
-
-/** Minimal JSON string escaping (quotes, backslashes, control chars). */
 std::string
 jsonEscape(const std::string &s)
 {
@@ -352,6 +350,8 @@ jsonEscape(const std::string &s)
     }
     return out;
 }
+
+namespace {
 
 /** Quote a CSV field only when it needs it. */
 std::string
@@ -519,6 +519,17 @@ cliFlagValue(const char *arg, const char *name)
     return arg + 2 + len + 1;
 }
 
+std::optional<std::uint64_t>
+parseCliUnsigned(const char *text)
+{
+    const char *end = text + std::strlen(text);
+    std::uint64_t value = 0;
+    const auto [ptr, ec] = std::from_chars(text, end, value);
+    if (ec != std::errc{} || ptr != end)
+        return std::nullopt;
+    return value;
+}
+
 namespace {
 
 [[noreturn]] void
@@ -563,19 +574,14 @@ usage(const char *bad)
     std::exit(2);
 }
 
-} // namespace
-
-namespace {
-
-/** Whole-string unsigned parse; exits with usage on any trailing junk. */
+/** parseCliUnsigned of flag @p arg's @p value; exits with usage if bad. */
 std::uint64_t
 parseU64(const char *value, const char *arg)
 {
-    char *end = nullptr;
-    const std::uint64_t parsed = std::strtoull(value, &end, 10);
-    if (end == value || *end != '\0')
+    const std::optional<std::uint64_t> parsed = parseCliUnsigned(value);
+    if (!parsed)
         usage(arg);
-    return parsed;
+    return *parsed;
 }
 
 } // namespace

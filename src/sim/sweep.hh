@@ -36,8 +36,10 @@
 #ifndef CDIR_SIM_SWEEP_HH
 #define CDIR_SIM_SWEEP_HH
 
+#include <cstdint>
 #include <cstdio>
 #include <initializer_list>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -309,6 +311,13 @@ class Reporter
     bool jsonStarted = false;
 };
 
+/**
+ * Minimal JSON string escaping (quotes, backslashes, control chars) for
+ * every JSON emitter: Reporter, series export and campaign documents.
+ * Returns the string body without the surrounding quotes.
+ */
+std::string jsonEscape(const std::string &s);
+
 // --- shared harness CLI ------------------------------------------------------
 
 /** Options every figure harness and example accepts. */
@@ -404,6 +413,13 @@ HarnessOptions parseHarnessOptions(int argc, char **argv);
  * tools that parse additional flags in the same style.
  */
 const char *cliFlagValue(const char *arg, const char *name);
+
+/**
+ * Whole-string parse of an unsigned decimal flag value: the value iff
+ * @p text is one or more digits that fit in 64 bits, with no sign,
+ * whitespace or trailing characters ("10k", "" and "-1" are rejected).
+ */
+std::optional<std::uint64_t> parseCliUnsigned(const char *text);
 
 /**
  * Stderr note that a shared flag was supplied but has no effect on this

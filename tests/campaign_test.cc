@@ -6,7 +6,8 @@
  *    a fixed point), including interval telemetry and cost-model
  *    latency histograms — the property the byte-identical merge rests
  *    on;
- *  - manifests round-trip, cell ids are content hashes (any knob edit
+ *  - manifests round-trip (every sharer-format, hash and config-kind
+ *    enumerator included), cell ids are content hashes (any knob edit
  *    changes the id, and a manifest still carrying the removed
  *    "shards" option is rejected), and the cell enumeration matches
  *    SweepRunner::runMany order;
@@ -255,6 +256,50 @@ TEST(CampaignManifest, FileRoundTripPreservesEveryCell)
     text[at] = text[at] == '0' ? '1' : '0';
     EXPECT_THROW(parseCampaignManifest(text), std::runtime_error);
     fs::remove_all(dir);
+}
+
+TEST(CampaignManifest, EveryEnumValueRoundTrips)
+{
+    // One cell per SharerFormat x HashKind x CmpConfigKind: the manifest
+    // parser must accept every enumerator the writer can emit.
+    SweepSpec spec;
+    const auto last_kind = static_cast<unsigned>(kLastCmpConfigKind);
+    const auto last_format = static_cast<unsigned>(kLastSharerFormat);
+    const auto last_hash = static_cast<unsigned>(kLastHashKind);
+    for (unsigned k = 0; k <= last_kind; ++k)
+        for (unsigned f = 0; f <= last_format; ++f)
+            for (unsigned h = 0; h <= last_hash; ++h) {
+                CmpConfig cfg = CmpConfig::paperConfig(
+                    static_cast<CmpConfigKind>(k), 4);
+                cfg.directory.format = static_cast<SharerFormat>(f);
+                cfg.directory.hash = static_cast<HashKind>(h);
+                spec.config(std::to_string(k) + "-" + std::to_string(f) +
+                                "-" + std::to_string(h),
+                            cfg);
+            }
+    WorkloadParams wl;
+    wl.name = "wl";
+    wl.numCores = 4;
+    spec.workload(wl.name, wl);
+    const SweepSpec specs[] = {spec};
+    const CampaignManifest manifest = buildCampaignManifest(
+        specs, SweepRunner(SweepOptions{1, ""}), "campaign_test");
+    ASSERT_EQ(manifest.cells.size(),
+              std::size_t{last_kind + 1} * (last_format + 1) *
+                  (last_hash + 1));
+
+    const CampaignManifest loaded =
+        parseCampaignManifest(campaignManifestToJson(manifest));
+    ASSERT_EQ(loaded.cells.size(), manifest.cells.size());
+    for (std::size_t i = 0; i < manifest.cells.size(); ++i) {
+        const CmpConfig &want = manifest.cells[i].config;
+        const CmpConfig &got = loaded.cells[i].config;
+        SCOPED_TRACE(manifest.cells[i].label());
+        EXPECT_EQ(got.kind, want.kind);
+        EXPECT_EQ(got.directory.format, want.directory.format);
+        EXPECT_EQ(got.directory.hash, want.directory.hash);
+        EXPECT_EQ(loaded.cells[i].id, manifest.cells[i].id);
+    }
 }
 
 /** The balanced `{...}` object of member @p key, searched from @p from. */

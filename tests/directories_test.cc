@@ -30,54 +30,43 @@ constexpr std::size_t kCaches = 16;
 
 /** Factory wrapper covering every organization for the shared suite. */
 std::unique_ptr<Directory>
-makeOrg(DirectoryKind kind)
+makeOrg(const std::string &organization)
 {
     DirectoryParams p;
-    p.kind = kind;
+    p.organization = organization;
     p.numCaches = kCaches;
-    switch (kind) {
-      case DirectoryKind::Cuckoo:
-        p.ways = 4;
-        p.sets = 256;
-        break;
-      case DirectoryKind::Sparse:
+    if (organization == "Sparse") {
         p.ways = 8;
         p.sets = 128;
-        break;
-      case DirectoryKind::Skewed:
-      case DirectoryKind::Elbow:
-        p.ways = 4;
-        p.sets = 256;
-        break;
-      case DirectoryKind::DuplicateTag:
+    } else if (organization == "DuplicateTag") {
         p.sets = 64;
         p.trackedCacheAssoc = 4;
-        break;
-      case DirectoryKind::InCache:
+    } else if (organization == "InCache") {
         p.ways = 16;
         p.sets = 64;
-        break;
-      case DirectoryKind::Tagless:
+    } else if (organization == "Tagless") {
         p.sets = 64;
         p.taglessBucketBits = 128;
-        break;
+    } else {
+        // Cuckoo, Skewed, Elbow.
+        p.ways = 4;
+        p.sets = 256;
     }
     return makeDirectory(p);
 }
 
 std::string
-kindName(const testing::TestParamInfo<DirectoryKind> &info)
+orgName(const testing::TestParamInfo<std::string> &info)
 {
-    return directoryKindName(info.param);
+    return info.param;
 }
 
-const DirectoryKind kAllKinds[] = {
-    DirectoryKind::Cuckoo,       DirectoryKind::Sparse,
-    DirectoryKind::Skewed,       DirectoryKind::DuplicateTag,
-    DirectoryKind::InCache,      DirectoryKind::Tagless,
+const std::string kAllOrgs[] = {
+    "Cuckoo",  "Sparse",  "Skewed", "DuplicateTag",
+    "InCache", "Tagless",
 };
 
-class DirectoryProtocol : public testing::TestWithParam<DirectoryKind>
+class DirectoryProtocol : public testing::TestWithParam<std::string>
 {
   protected:
     void SetUp() override
@@ -250,7 +239,7 @@ TEST_P(DirectoryProtocol, NameIsNonEmpty)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllOrganizations, DirectoryProtocol,
-                         testing::ValuesIn(kAllKinds), kindName);
+                         testing::ValuesIn(kAllOrgs), orgName);
 
 // --- conflict behaviour differentiating the organizations -------------------
 
@@ -512,20 +501,20 @@ TEST(InCache, NameAndGeometry)
 
 TEST(DirectoryFactory, BuildsEveryKind)
 {
-    for (DirectoryKind kind : kAllKinds) {
-        auto dir = makeOrg(kind);
-        ASSERT_NE(dir, nullptr) << directoryKindName(kind);
+    for (const std::string &org : kAllOrgs) {
+        auto dir = makeOrg(org);
+        ASSERT_NE(dir, nullptr) << org;
         test::accessDir(*dir, 1, 0, false);
-        EXPECT_TRUE(dir->probe(1)) << directoryKindName(kind);
+        EXPECT_TRUE(dir->probe(1)) << org;
     }
 }
 
 TEST(DirectoryFactory, KindNamesAreDistinct)
 {
     std::set<std::string> names;
-    for (DirectoryKind kind : kAllKinds)
-        names.insert(directoryKindName(kind));
-    EXPECT_EQ(names.size(), std::size(kAllKinds));
+    for (const std::string &org : kAllOrgs)
+        names.insert(makeOrg(org)->name());
+    EXPECT_EQ(names.size(), std::size(kAllOrgs));
 }
 
 } // namespace

@@ -257,14 +257,13 @@ TEST(Elbow, MoreForcedInvalidationsThanCuckooAtEqualSize)
 TEST(Elbow, FactoryBuildsIt)
 {
     DirectoryParams p;
-    p.kind = DirectoryKind::Elbow;
+    p.organization = "Elbow";
     p.numCaches = 16;
     p.ways = 4;
     p.sets = 64;
     auto dir = makeDirectory(p);
     ASSERT_NE(dir, nullptr);
     EXPECT_EQ(dir->name().substr(0, 5), "Elbow");
-    EXPECT_EQ(directoryKindName(DirectoryKind::Elbow), "Elbow");
 }
 
 TEST(BucketizedCuckoo, DirectoryNameReflectsExtensions)

@@ -2,39 +2,31 @@
  * @file
  * Bit-identity suite for the word-parallel probe kernels.
  *
- * Every hot-path kernel in common/bit_util.hh has a branchy scalar
- * reference twin, selected at runtime by CDIR_FORCE_SCALAR (or
- * setForceScalarKernels). The SoA layout work is purely a performance
- * change, so the two paths must be *bit-identical* in observable
- * behaviour. This suite pins that at three levels:
+ * The directory hot path runs only the branchless kernels of
+ * common/bit_util.hh. This suite keeps branchy early-exit reference
+ * implementations as test oracles and pins the kernels at three levels:
  *
- *  1. kernel level — randomized findTag/findVacant agreement and
- *     match-mask semantics over adversarial valid/tag patterns;
+ *  1. kernel level — randomized findTag/findVacant agreement with the
+ *     oracles and match-mask semantics over adversarial valid/tag
+ *     patterns;
  *  2. system level — the committed golden-trace tables reproduce
- *     exactly under both paths, at every tested --jobs setting
- *     (sweep-pool parallelism);
- *  3. stress level — randomized differential-stress replays of every
- *     registered organization yield identical counters on both paths.
- *
- * CI runs this binary twice: once normally and once with
- * CDIR_FORCE_SCALAR=1, so the environment seeding of the switch is
- * exercised as well as the in-process override.
+ *     exactly at every tested --jobs setting (sweep-pool parallelism);
+ *  3. slice level — DuplicateTag's chunk-occupancy skip agrees with a
+ *     shadow holder map driven by the public protocol alone.
  */
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
-#include <iterator>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/bit_util.hh"
 #include "common/rng.hh"
 #include "directory/registry.hh"
-#include "sim/cmp_system.hh"
 #include "sim/sweep.hh"
-#include "workload/workload.hh"
 
 #include "dir_test_util.hh"
 #include "golden_trace_util.hh"
@@ -43,26 +35,34 @@ namespace cdir {
 namespace {
 
 using test::GoldenRow;
-using test::goldenReplayConfig;
 using test::kGolden;
 using test::kGoldenOrganizations;
-using test::kGoldenPrivateL2;
 using test::kGoldenTraces;
 using test::measureGolden;
 
-/** RAII: route kernels through the chosen path, restore on scope exit. */
-class ScalarPathGuard
+/**
+ * Oracle: index of the first valid slot in [0, n) whose tag equals
+ * @p needle, or @p n if absent. Early-exit branchy loop.
+ */
+std::size_t
+findTagScalar(const Tag *tags, const std::uint8_t *valid, std::size_t n,
+              Tag needle)
 {
-  public:
-    explicit ScalarPathGuard(bool force) : saved(forceScalarKernels())
-    {
-        setForceScalarKernels(force);
-    }
-    ~ScalarPathGuard() { setForceScalarKernels(saved); }
+    for (std::size_t i = 0; i < n; ++i)
+        if (valid[i] != 0 && tags[i] == needle)
+            return i;
+    return n;
+}
 
-  private:
-    bool saved;
-};
+/** Oracle for findVacant: first *invalid* slot in [0, n), or n. */
+std::size_t
+findVacantScalar(const std::uint8_t *valid, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        if (valid[i] == 0)
+            return i;
+    return n;
+}
 
 // --- kernel level ------------------------------------------------------------
 
@@ -98,19 +98,10 @@ TEST(KernelIdentity, FindTagAgreesWithScalarReference)
         const CandidateRun run = randomRun(rng, n);
         const Tag needle = rng.below(8);
 
-        std::size_t kernel, scalar;
-        {
-            ScalarPathGuard g(false);
-            kernel = findTag(run.tags.data(), run.valids.data(), n, needle);
-        }
-        {
-            ScalarPathGuard g(true);
-            scalar = findTag(run.tags.data(), run.valids.data(), n, needle);
-        }
-        ASSERT_EQ(kernel, scalar) << "width " << n << " iter " << iter;
-        ASSERT_EQ(scalar,
+        ASSERT_EQ(findTag(run.tags.data(), run.valids.data(), n, needle),
                   findTagScalar(run.tags.data(), run.valids.data(), n,
-                                needle));
+                                needle))
+            << "width " << n << " iter " << iter;
     }
 }
 
@@ -121,17 +112,9 @@ TEST(KernelIdentity, FindVacantAgreesWithScalarReference)
         const std::size_t n = 1 + rng.below(kKernelWidth);
         const CandidateRun run = randomRun(rng, n);
 
-        std::size_t kernel, scalar;
-        {
-            ScalarPathGuard g(false);
-            kernel = findVacant(run.valids.data(), n);
-        }
-        {
-            ScalarPathGuard g(true);
-            scalar = findVacant(run.valids.data(), n);
-        }
-        ASSERT_EQ(kernel, scalar) << "width " << n << " iter " << iter;
-        ASSERT_EQ(scalar, findVacantScalar(run.valids.data(), n));
+        ASSERT_EQ(findVacant(run.valids.data(), n),
+                  findVacantScalar(run.valids.data(), n))
+            << "width " << n << " iter " << iter;
     }
 }
 
@@ -177,20 +160,14 @@ expectRowEqual(const GoldenRow &got, const GoldenRow &want)
     EXPECT_EQ(got.forcedInvalidations, want.forcedInvalidations);
 }
 
-/** The committed pin for @p trace x @p organization. */
+/** The committed Shared-L2 pin for @p trace x @p organization. */
 const GoldenRow &
-pinnedRow(const char *trace, const char *organization, CmpConfigKind kind)
+pinnedRow(const char *trace, const char *organization)
 {
-    const GoldenRow *first = std::begin(kGolden);
-    const GoldenRow *last = std::end(kGolden);
-    if (kind == CmpConfigKind::PrivateL2) {
-        first = std::begin(kGoldenPrivateL2);
-        last = std::end(kGoldenPrivateL2);
-    }
-    for (const GoldenRow *row = first; row != last; ++row)
-        if (std::string(row->trace) == trace &&
-            std::string(row->organization) == organization)
-            return *row;
+    for (const GoldenRow &row : kGolden)
+        if (std::string(row.trace) == trace &&
+            std::string(row.organization) == organization)
+            return row;
     ADD_FAILURE() << "no pinned row for " << trace << " x "
                   << organization;
     static GoldenRow missing{};
@@ -199,15 +176,12 @@ pinnedRow(const char *trace, const char *organization, CmpConfigKind kind)
 
 /**
  * Replay the full trace x organization grid on a @p jobs-thread sweep
- * pool, under the scalar or kernel path, and pin every cell against the
- * committed Shared-L2 table.
+ * pool and pin every cell against the committed Shared-L2 table.
  */
 void
-pinGridUnderPath(bool force_scalar, unsigned jobs)
+pinGrid(unsigned jobs)
 {
-    SCOPED_TRACE(std::string(force_scalar ? "scalar" : "kernel") +
-                 " path, jobs=" + std::to_string(jobs));
-    ScalarPathGuard guard(force_scalar);
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
 
     struct Cell
     {
@@ -229,44 +203,43 @@ pinGridUnderPath(bool force_scalar, unsigned jobs)
     for (std::size_t i = 0; i < cells.size(); ++i) {
         SCOPED_TRACE(std::string(cells[i].trace) + " x " + cells[i].org);
         expectRowEqual(rows[i],
-                       pinnedRow(cells[i].trace, cells[i].org,
-                                 CmpConfigKind::SharedL2));
+                       pinnedRow(cells[i].trace, cells[i].org));
     }
 }
 
 TEST(KernelIdentity, GoldenTablesReproduceAtEveryJobsSetting)
 {
-    for (const bool force_scalar : {false, true})
-        for (const unsigned jobs : {1u, 2u})
-            pinGridUnderPath(force_scalar, jobs);
-}
-
-TEST(KernelIdentity, PrivateL2TableReproducesUnderScalarPath)
-{
-    // The Private-L2 pins exercise the wider 4-way tracked-assoc
-    // DuplicateTag regions and the 8-way sparse probes; one serial
-    // scalar sweep over them guards those kernel widths.
-    ScalarPathGuard guard(true);
-    for (const char *trace : kGoldenTraces)
-        for (const char *org : kGoldenOrganizations) {
-            SCOPED_TRACE(std::string(trace) + " x " + org);
-            const GoldenRow got =
-                measureGolden(trace, org, CmpConfigKind::PrivateL2);
-            expectRowEqual(
-                got, pinnedRow(trace, org, CmpConfigKind::PrivateL2));
-        }
+    for (const unsigned jobs : {1u, 2u})
+        pinGrid(jobs);
 }
 
 // --- DuplicateTag chunk-occupancy skip ---------------------------------------
 
+/** Shadow of which caches hold each tag, kept from the public protocol. */
+using HolderMap = std::map<Tag, std::set<CacheId>>;
+
+/** The shadow holders of @p tag as a sharer bitset of @p caches bits. */
+DynamicBitset
+shadowBits(const HolderMap &shadow, Tag tag, std::size_t caches)
+{
+    DynamicBitset bits(caches);
+    if (const auto it = shadow.find(tag); it != shadow.end())
+        for (const CacheId c : it->second)
+            bits.set(c);
+    return bits;
+}
+
 /**
- * Direct-slice differential stress aimed at DuplicateTag's per-set
- * chunk-occupancy summary: the kernel wide-compare and the existence
- * probe skip 64-frame chunks with no valid frames, which must be
- * outcome-invariant. The stream concentrates on a few dense sets and
- * leaves the rest sparse or empty, and keeps removing sharers so
- * regions empty out and refill — the shapes where a stale summary
- * counter would surface as a missed (or phantom) holder.
+ * Direct-slice stress aimed at DuplicateTag's per-set chunk-occupancy
+ * summary: the wide compare and the existence probe skip 64-frame
+ * chunks with no valid frames, which must be outcome-invariant. A
+ * shadow holder map follows the protocol — a read adds the requester,
+ * a write leaves {writer}, removeSharer clears the cache, a forced
+ * eviction clears its target — and every probe must equal it. The
+ * stream concentrates on a few dense sets and leaves the rest sparse
+ * or empty, and keeps removing sharers so regions empty out and
+ * refill — the shapes where a stale summary counter would surface as a
+ * missed (or phantom) holder.
  */
 TEST(KernelIdentity, DuplicateTagOccupancySkipIsOutcomeInvariant)
 {
@@ -279,9 +252,9 @@ TEST(KernelIdentity, DuplicateTagOccupancySkipIsOutcomeInvariant)
         params.numCaches = num_caches;
         params.sets = 64;
         params.trackedCacheAssoc = 4;
-        const auto kernel_dir = makeDirectory(params);
-        const auto scalar_dir = makeDirectory(params);
+        const auto dir = makeDirectory(params);
 
+        HolderMap shadow;
         Rng rng(0x5eedULL + num_caches);
         std::vector<Tag> live;
         for (int iter = 0; iter < 20000; ++iter) {
@@ -295,22 +268,31 @@ TEST(KernelIdentity, DuplicateTagOccupancySkipIsOutcomeInvariant)
                 const auto cache =
                     static_cast<CacheId>(rng.below(num_caches));
                 const bool is_write = rng.below(4) == 0;
-                DirAccessResult k, s;
-                {
-                    ScalarPathGuard g(false);
-                    k = test::accessDir(*kernel_dir, tag, cache, is_write);
-                }
-                {
-                    ScalarPathGuard g(true);
-                    s = test::accessDir(*scalar_dir, tag, cache, is_write);
-                }
-                ASSERT_EQ(k.hit, s.hit) << "iter " << iter;
-                ASSERT_EQ(k.inserted, s.inserted) << "iter " << iter;
-                ASSERT_EQ(k.hadSharerInvalidations,
-                          s.hadSharerInvalidations)
+                std::set<CacheId> &holders = shadow[tag];
+                const bool was_tracked = !holders.empty();
+                DynamicBitset others = shadowBits(shadow, tag, num_caches);
+                others.reset(cache);
+
+                const DirAccessResult r =
+                    test::accessDir(*dir, tag, cache, is_write);
+                ASSERT_EQ(r.hit, was_tracked) << "iter " << iter;
+                ASSERT_EQ(r.inserted, !was_tracked) << "iter " << iter;
+                const bool invalidates = is_write && others.any();
+                ASSERT_EQ(r.hadSharerInvalidations, invalidates)
                     << "iter " << iter;
-                ASSERT_EQ(k.sharerInvalidations, s.sharerInvalidations)
-                    << "iter " << iter;
+                if (invalidates) {
+                    ASSERT_TRUE(r.sharerInvalidations == others)
+                        << "iter " << iter;
+                }
+                for (const EvictedEntry &e : r.forcedEvictions) {
+                    ASSERT_EQ(e.targets.count(), 1u) << "iter " << iter;
+                    ASSERT_TRUE(e.targets.test(cache)) << "iter " << iter;
+                    ASSERT_EQ(shadow[e.tag].erase(cache), 1u)
+                        << "iter " << iter;
+                }
+                if (is_write)
+                    holders.clear();
+                holders.insert(cache);
                 live.push_back(tag);
             } else if (op < 85) {
                 // Remove a sharer of a recently-touched tag; drains the
@@ -319,14 +301,8 @@ TEST(KernelIdentity, DuplicateTagOccupancySkipIsOutcomeInvariant)
                 const Tag tag = live[at];
                 const auto cache =
                     static_cast<CacheId>(rng.below(num_caches));
-                {
-                    ScalarPathGuard g(false);
-                    kernel_dir->removeSharer(tag, cache);
-                }
-                {
-                    ScalarPathGuard g(true);
-                    scalar_dir->removeSharer(tag, cache);
-                }
+                dir->removeSharer(tag, cache);
+                shadow[tag].erase(cache);
                 live[at] = live.back();
                 live.pop_back();
             } else {
@@ -334,139 +310,35 @@ TEST(KernelIdentity, DuplicateTagOccupancySkipIsOutcomeInvariant)
                 // findTag walk) and with sharer collection.
                 const Tag set = rng.below(64);
                 const Tag tag = set | (rng.below(16) << 6);
-                bool ke, se;
-                DynamicBitset kb(num_caches), sb(num_caches);
-                bool ks, ss;
-                {
-                    ScalarPathGuard g(false);
-                    ke = kernel_dir->probe(tag);
-                    ks = kernel_dir->probe(tag, &kb);
-                }
-                {
-                    ScalarPathGuard g(true);
-                    se = scalar_dir->probe(tag);
-                    ss = scalar_dir->probe(tag, &sb);
-                }
-                ASSERT_EQ(ke, se) << "iter " << iter;
-                ASSERT_EQ(ks, ss) << "iter " << iter;
-                ASSERT_TRUE(kb == sb) << "iter " << iter;
+                const DynamicBitset want =
+                    shadowBits(shadow, tag, num_caches);
+                DynamicBitset got(num_caches);
+                ASSERT_EQ(dir->probe(tag), want.any()) << "iter " << iter;
+                ASSERT_EQ(dir->probe(tag, &got), want.any())
+                    << "iter " << iter;
+                ASSERT_TRUE(got == want) << "iter " << iter;
             }
         }
 
-        // Full-state agreement after the stream: every counter and
-        // every set's holder sets, including the all-empty ones.
-        const DirectoryStats &k = kernel_dir->stats();
-        const DirectoryStats &s = scalar_dir->stats();
-        EXPECT_EQ(k.lookups, s.lookups);
-        EXPECT_EQ(k.hits, s.hits);
-        EXPECT_EQ(k.insertions, s.insertions);
-        EXPECT_EQ(k.sharerAdds, s.sharerAdds);
-        EXPECT_EQ(k.writeUpgrades, s.writeUpgrades);
-        EXPECT_EQ(k.sharerRemovals, s.sharerRemovals);
-        EXPECT_EQ(k.forcedEvictions, s.forcedEvictions);
-        EXPECT_EQ(k.forcedBlockInvalidations, s.forcedBlockInvalidations);
-        EXPECT_EQ(kernel_dir->validEntries(), scalar_dir->validEntries());
+        // Full-state agreement after the stream: every set's holder
+        // sets, including the all-empty ones.
+        std::size_t frames = 0;
+        for (const auto &[tag, holders] : shadow)
+            frames += holders.size();
+        EXPECT_EQ(dir->validEntries(), frames);
         for (Tag set = 0; set < 64; ++set)
             for (Tag high = 0; high < 16; ++high) {
                 const Tag tag = set | (high << 6);
-                DynamicBitset kb(num_caches), sb(num_caches);
-                ScalarPathGuard g(false);
-                const bool kf = kernel_dir->probe(tag, &kb);
-                setForceScalarKernels(true);
-                const bool sf = scalar_dir->probe(tag, &sb);
-                ASSERT_EQ(kf, sf) << "set " << set << " high " << high;
-                ASSERT_TRUE(kb == sb)
+                const DynamicBitset want =
+                    shadowBits(shadow, tag, num_caches);
+                DynamicBitset got(num_caches);
+                ASSERT_EQ(dir->probe(tag), want.any())
+                    << "set " << set << " high " << high;
+                ASSERT_EQ(dir->probe(tag, &got), want.any())
+                    << "set " << set << " high " << high;
+                ASSERT_TRUE(got == want)
                     << "set " << set << " high " << high;
             }
-    }
-}
-
-// --- stress level: differential replays across all organizations -------------
-
-/** Flat scalar-counter snapshot of one stress replay. */
-struct StressCounters
-{
-    std::uint64_t accesses, cacheHits, cacheMisses, writeUpgrades;
-    std::uint64_t cacheEvictions, sharingInvalidations,
-        forcedInvalidations;
-    std::uint64_t lookups, dirHits, insertions, sharerAdds,
-        sharerRemovals;
-    std::uint64_t entryFrees, forcedEvictions, forcedBlockInvalidations,
-        insertFailures;
-
-    bool
-    operator==(const StressCounters &o) const = default;
-};
-
-/** Randomized sharing profile (mirrors property_test's stress drawing). */
-WorkloadParams
-stressProfile(std::uint64_t seed)
-{
-    Rng rng(seed * 0x9e3779b97f4a7c15ULL + 1);
-    WorkloadParams wl;
-    wl.name = "identity-stress-" + std::to_string(seed);
-    wl.numCores = 4;
-    wl.seed = seed;
-    wl.codeBlocks = 32 + rng.below(256);
-    wl.sharedBlocks = 64 + rng.below(1024);
-    wl.privateBlocksPerCore = 32 + rng.below(512);
-    wl.instructionFraction = 0.1 + 0.4 * rng.uniform();
-    wl.sharedDataFraction = 0.2 + 0.5 * rng.uniform();
-    wl.writeFraction = 0.05 + 0.4 * rng.uniform();
-    wl.codeTheta = rng.uniform();
-    wl.sharedTheta = rng.uniform();
-    wl.privateTheta = rng.uniform();
-    return wl;
-}
-
-StressCounters
-replayStress(const std::string &organization, const WorkloadParams &wl)
-{
-    CmpSystem system(
-        goldenReplayConfig(organization, CmpConfigKind::SharedL2));
-    SyntheticSource gen(wl);
-    system.run(gen, 20000);
-
-    const CmpStats sys = system.stats();
-    const DirectoryStats dir = system.aggregateDirectoryStats();
-    return StressCounters{sys.accesses,
-                          sys.cacheHits,
-                          sys.cacheMisses,
-                          sys.writeUpgrades,
-                          sys.cacheEvictions,
-                          sys.sharingInvalidations,
-                          sys.forcedInvalidations,
-                          dir.lookups,
-                          dir.hits,
-                          dir.insertions,
-                          dir.sharerAdds,
-                          dir.sharerRemovals,
-                          dir.entryFrees,
-                          dir.forcedEvictions,
-                          dir.forcedBlockInvalidations,
-                          dir.insertFailures};
-}
-
-
-TEST(KernelIdentity, DifferentialStressAgreesAcrossPaths)
-{
-    const DirectoryRegistry &registry = DirectoryRegistry::instance();
-    for (const std::uint64_t seed : {std::uint64_t{3}, std::uint64_t{17}}) {
-        const WorkloadParams wl = stressProfile(seed);
-        for (const std::string &org : registry.names()) {
-            SCOPED_TRACE("seed " + std::to_string(seed) + " " + org);
-            StressCounters kernel, scalar;
-            {
-                ScalarPathGuard g(false);
-                kernel = replayStress(org, wl);
-            }
-            {
-                ScalarPathGuard g(true);
-                scalar = replayStress(org, wl);
-            }
-            EXPECT_TRUE(kernel == scalar)
-                << "kernel/scalar counter divergence";
-        }
     }
 }
 

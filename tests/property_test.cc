@@ -134,8 +134,10 @@ lockstepCheck(Directory &dir, std::uint64_t seed, int steps,
 
 struct EquivCase
 {
-    DirectoryKind kind;
+    const char *organization;
     SharerFormat format;
+    /** Offset of this organization's lockstep stream seed. */
+    int seedOffset;
 };
 
 std::string
@@ -145,7 +147,7 @@ equivName(const testing::TestParamInfo<EquivCase> &info)
         info.param.format == SharerFormat::FullVector     ? "Full"
         : info.param.format == SharerFormat::CoarseVector ? "Coarse"
                                                           : "Hier";
-    return directoryKindName(info.param.kind) + "_" + fmt;
+    return std::string(info.param.organization) + "_" + fmt;
 }
 
 class DirectoryEquivalence : public testing::TestWithParam<EquivCase>
@@ -153,56 +155,49 @@ class DirectoryEquivalence : public testing::TestWithParam<EquivCase>
 
 TEST_P(DirectoryEquivalence, MatchesReferenceModel)
 {
+    const std::string org = GetParam().organization;
     DirectoryParams p;
-    p.kind = GetParam().kind;
+    p.organization = org;
     p.numCaches = kCaches;
     p.format = GetParam().format;
     // Generous sizing: 96 live tags at most, >=1024 entries.
-    switch (p.kind) {
-      case DirectoryKind::Cuckoo:
-      case DirectoryKind::Skewed:
-      case DirectoryKind::Elbow:
-        p.ways = 4;
-        p.sets = 256;
-        break;
-      case DirectoryKind::Sparse:
-      case DirectoryKind::InCache:
+    if (org == "Sparse" || org == "InCache") {
         p.ways = 8;
         p.sets = 128;
-        break;
-      case DirectoryKind::DuplicateTag:
-      case DirectoryKind::Tagless:
+    } else if (org == "DuplicateTag" || org == "Tagless") {
         p.sets = 64;
         p.trackedCacheAssoc = 4;
         p.taglessBucketBits = 256;
-        break;
+    } else {
+        // Cuckoo, Skewed, Elbow.
+        p.ways = 4;
+        p.sets = 256;
     }
     auto dir = makeDirectory(p);
     ASSERT_NE(dir, nullptr);
     // DuplicateTag mirrors per-cache frames: exact entry counting
     // differs (an entry per (tag, cache)); skip the count check there.
-    const bool exact = p.kind != DirectoryKind::DuplicateTag;
-    lockstepCheck(*dir, 1000 + static_cast<int>(p.kind), 6000, 96,
-                  exact);
+    const bool exact = org != "DuplicateTag";
+    lockstepCheck(*dir, 1000 + GetParam().seedOffset, 6000, 96, exact);
     EXPECT_EQ(dir->stats().forcedEvictions, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllPairs, DirectoryEquivalence,
     testing::Values(
-        EquivCase{DirectoryKind::Cuckoo, SharerFormat::FullVector},
-        EquivCase{DirectoryKind::Cuckoo, SharerFormat::CoarseVector},
-        EquivCase{DirectoryKind::Cuckoo, SharerFormat::Hierarchical},
-        EquivCase{DirectoryKind::Sparse, SharerFormat::FullVector},
-        EquivCase{DirectoryKind::Sparse, SharerFormat::CoarseVector},
-        EquivCase{DirectoryKind::Sparse, SharerFormat::Hierarchical},
-        EquivCase{DirectoryKind::Skewed, SharerFormat::FullVector},
-        EquivCase{DirectoryKind::Skewed, SharerFormat::CoarseVector},
-        EquivCase{DirectoryKind::Elbow, SharerFormat::FullVector},
-        EquivCase{DirectoryKind::Elbow, SharerFormat::Hierarchical},
-        EquivCase{DirectoryKind::DuplicateTag, SharerFormat::FullVector},
-        EquivCase{DirectoryKind::InCache, SharerFormat::FullVector},
-        EquivCase{DirectoryKind::Tagless, SharerFormat::FullVector}),
+        EquivCase{"Cuckoo", SharerFormat::FullVector, 0},
+        EquivCase{"Cuckoo", SharerFormat::CoarseVector, 0},
+        EquivCase{"Cuckoo", SharerFormat::Hierarchical, 0},
+        EquivCase{"Sparse", SharerFormat::FullVector, 1},
+        EquivCase{"Sparse", SharerFormat::CoarseVector, 1},
+        EquivCase{"Sparse", SharerFormat::Hierarchical, 1},
+        EquivCase{"Skewed", SharerFormat::FullVector, 2},
+        EquivCase{"Skewed", SharerFormat::CoarseVector, 2},
+        EquivCase{"Elbow", SharerFormat::FullVector, 6},
+        EquivCase{"Elbow", SharerFormat::Hierarchical, 6},
+        EquivCase{"DuplicateTag", SharerFormat::FullVector, 3},
+        EquivCase{"InCache", SharerFormat::FullVector, 4},
+        EquivCase{"Tagless", SharerFormat::FullVector, 5}),
     equivName);
 
 // --- format composition specifics ------------------------------------------------

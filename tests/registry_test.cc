@@ -2,8 +2,8 @@
  * @file
  * DirectoryRegistry coverage: every organization self-registers and
  * round-trips (list -> build -> name()), traits drive the CMP geometry
- * decisions, unknown names fail with a message naming the alternatives,
- * and the deprecated enum factory is a faithful shim over the registry.
+ * decisions, and unknown names fail with a message naming the
+ * alternatives.
  */
 
 #include <gtest/gtest.h>
@@ -106,37 +106,6 @@ TEST(DirectoryRegistry, DuplicateRegistrationIsRejected)
                          return std::unique_ptr<Directory>();
                      }),
                  std::logic_error);
-}
-
-TEST(DirectoryRegistry, EnumShimResolvesThroughRegistry)
-{
-    // The deprecated enum factory and the registry must build the same
-    // organization for every enum value.
-    for (DirectoryKind kind :
-         {DirectoryKind::Cuckoo, DirectoryKind::Sparse,
-          DirectoryKind::Skewed, DirectoryKind::DuplicateTag,
-          DirectoryKind::InCache, DirectoryKind::Tagless,
-          DirectoryKind::Elbow}) {
-        DirectoryParams p = paramsFor("");
-        p.organization.clear();
-        p.kind = kind;
-        EXPECT_EQ(p.resolvedOrganization(), directoryKindName(kind));
-        auto via_enum = makeDirectory(p);
-        auto via_registry = DirectoryRegistry::instance().build(
-            directoryKindName(kind), p);
-        ASSERT_NE(via_enum, nullptr);
-        ASSERT_NE(via_registry, nullptr);
-        EXPECT_EQ(via_enum->name(), via_registry->name());
-    }
-}
-
-TEST(DirectoryRegistry, OrganizationStringOverridesEnum)
-{
-    DirectoryParams p = paramsFor("Sparse");
-    p.kind = DirectoryKind::Cuckoo; // the string must win
-    auto dir = makeDirectory(p);
-    ASSERT_NE(dir, nullptr);
-    EXPECT_EQ(dir->name().rfind("Sparse", 0), 0u) << dir->name();
 }
 
 } // namespace

@@ -22,33 +22,25 @@ namespace {
 
 /** Small but structurally faithful config for fast tests. */
 CmpConfig
-tinyConfig(CmpConfigKind kind, DirectoryKind dir_kind)
+tinyConfig(CmpConfigKind kind, const std::string &organization)
 {
     CmpConfig cfg;
     cfg.kind = kind;
     cfg.numCores = 4;
     cfg.numSlices = 4;
     cfg.privateCache = CacheConfig{32, 2};
-    cfg.directory.kind = dir_kind;
-    switch (dir_kind) {
-      case DirectoryKind::Cuckoo:
+    cfg.directory.organization = organization;
+    if (organization == "Cuckoo") {
         cfg.directory.ways = 4;
         cfg.directory.sets = 32; // 2x provisioning at 4 cores SharedL2
-        break;
-      case DirectoryKind::Sparse:
-      case DirectoryKind::InCache:
+    } else if (organization == "Sparse" || organization == "InCache") {
         cfg.directory.ways = 8;
         cfg.directory.sets = 16;
-        break;
-      case DirectoryKind::Skewed:
-      case DirectoryKind::Elbow:
+    } else if (organization == "Skewed" || organization == "Elbow") {
         cfg.directory.ways = 4;
         cfg.directory.sets = 32;
-        break;
-      case DirectoryKind::DuplicateTag:
-      case DirectoryKind::Tagless:
-        break; // geometry derived from the tracked caches
     }
+    // DuplicateTag / Tagless: geometry derived from the tracked caches.
     return cfg;
 }
 
@@ -102,7 +94,7 @@ TEST(CmpConfig, PaperDirectorySizesGiveExpectedProvisioning)
 
 TEST(CmpSystem, SharedL2RoutesInstructionAndDataSeparately)
 {
-    auto cfg = tinyConfig(CmpConfigKind::SharedL2, DirectoryKind::Cuckoo);
+    auto cfg = tinyConfig(CmpConfigKind::SharedL2, "Cuckoo");
     CmpSystem sys(cfg);
     EXPECT_EQ(sys.numCaches(), 8u); // 4 cores x (I + D)
 
@@ -118,7 +110,7 @@ TEST(CmpSystem, SharedL2RoutesInstructionAndDataSeparately)
 TEST(CmpSystem, PrivateL2UnifiesInstructionAndData)
 {
     auto cfg =
-        tinyConfig(CmpConfigKind::PrivateL2, DirectoryKind::Cuckoo);
+        tinyConfig(CmpConfigKind::PrivateL2, "Cuckoo");
     CmpSystem sys(cfg);
     EXPECT_EQ(sys.numCaches(), 4u);
     sys.access({2, 0x100, false, true});
@@ -130,7 +122,7 @@ TEST(CmpSystem, PrivateL2UnifiesInstructionAndData)
 TEST(CmpSystem, WriteInvalidatesRemoteCopies)
 {
     auto cfg =
-        tinyConfig(CmpConfigKind::PrivateL2, DirectoryKind::Cuckoo);
+        tinyConfig(CmpConfigKind::PrivateL2, "Cuckoo");
     CmpSystem sys(cfg);
     // Cores 0..2 read block 0x40; core 3 writes it.
     for (CoreId c = 0; c < 3; ++c)
@@ -151,7 +143,7 @@ TEST(CmpSystem, WriteInvalidatesRemoteCopies)
 TEST(CmpSystem, UpgradeOnCleanWriteHitInvalidatesPeers)
 {
     auto cfg =
-        tinyConfig(CmpConfigKind::PrivateL2, DirectoryKind::Cuckoo);
+        tinyConfig(CmpConfigKind::PrivateL2, "Cuckoo");
     CmpSystem sys(cfg);
     sys.access({0, 0x40, false, false});
     sys.access({1, 0x40, false, false});
@@ -165,7 +157,7 @@ TEST(CmpSystem, UpgradeOnCleanWriteHitInvalidatesPeers)
 TEST(CmpSystem, EvictionRetiresSharerAndFreesEntry)
 {
     auto cfg =
-        tinyConfig(CmpConfigKind::PrivateL2, DirectoryKind::Cuckoo);
+        tinyConfig(CmpConfigKind::PrivateL2, "Cuckoo");
     cfg.privateCache = CacheConfig{1, 1}; // single-frame cache
     CmpSystem sys(cfg);
     sys.access({0, 0x10, false, false});
@@ -180,7 +172,7 @@ TEST(CmpSystem, EvictionRetiresSharerAndFreesEntry)
 TEST(CmpSystem, SliceInterleavingByLowBits)
 {
     auto cfg =
-        tinyConfig(CmpConfigKind::PrivateL2, DirectoryKind::Cuckoo);
+        tinyConfig(CmpConfigKind::PrivateL2, "Cuckoo");
     CmpSystem sys(cfg);
     sys.access({0, 5, false, false}); // slice 1 (5 mod 4)
     EXPECT_TRUE(sys.slice(1).probe(1)); // tag 5>>2 = 1
@@ -190,7 +182,7 @@ TEST(CmpSystem, SliceInterleavingByLowBits)
 struct SimCase
 {
     CmpConfigKind config;
-    DirectoryKind dir;
+    const char *dir;
 };
 
 std::string
@@ -199,7 +191,7 @@ simCaseName(const testing::TestParamInfo<SimCase> &info)
     return std::string(info.param.config == CmpConfigKind::SharedL2
                            ? "SharedL2_"
                            : "PrivateL2_") +
-           directoryKindName(info.param.dir);
+           info.param.dir;
 }
 
 class SimInvariant : public testing::TestWithParam<SimCase>
@@ -222,22 +214,22 @@ TEST_P(SimInvariant, DirectoryCoversCachesUnderRandomLoad)
 INSTANTIATE_TEST_SUITE_P(
     AllConfigs, SimInvariant,
     testing::Values(
-        SimCase{CmpConfigKind::SharedL2, DirectoryKind::Cuckoo},
-        SimCase{CmpConfigKind::SharedL2, DirectoryKind::Sparse},
-        SimCase{CmpConfigKind::SharedL2, DirectoryKind::Skewed},
-        SimCase{CmpConfigKind::SharedL2, DirectoryKind::DuplicateTag},
-        SimCase{CmpConfigKind::SharedL2, DirectoryKind::Tagless},
-        SimCase{CmpConfigKind::SharedL2, DirectoryKind::InCache},
-        SimCase{CmpConfigKind::PrivateL2, DirectoryKind::Cuckoo},
-        SimCase{CmpConfigKind::PrivateL2, DirectoryKind::Sparse},
-        SimCase{CmpConfigKind::PrivateL2, DirectoryKind::Skewed},
-        SimCase{CmpConfigKind::PrivateL2, DirectoryKind::DuplicateTag},
-        SimCase{CmpConfigKind::PrivateL2, DirectoryKind::Tagless}),
+        SimCase{CmpConfigKind::SharedL2, "Cuckoo"},
+        SimCase{CmpConfigKind::SharedL2, "Sparse"},
+        SimCase{CmpConfigKind::SharedL2, "Skewed"},
+        SimCase{CmpConfigKind::SharedL2, "DuplicateTag"},
+        SimCase{CmpConfigKind::SharedL2, "Tagless"},
+        SimCase{CmpConfigKind::SharedL2, "InCache"},
+        SimCase{CmpConfigKind::PrivateL2, "Cuckoo"},
+        SimCase{CmpConfigKind::PrivateL2, "Sparse"},
+        SimCase{CmpConfigKind::PrivateL2, "Skewed"},
+        SimCase{CmpConfigKind::PrivateL2, "DuplicateTag"},
+        SimCase{CmpConfigKind::PrivateL2, "Tagless"}),
     simCaseName);
 
 TEST(CmpSystem, OccupancySamplingIsBounded)
 {
-    auto cfg = tinyConfig(CmpConfigKind::SharedL2, DirectoryKind::Cuckoo);
+    auto cfg = tinyConfig(CmpConfigKind::SharedL2, "Cuckoo");
     CmpSystem sys(cfg);
     SyntheticSource w(tinyWorkload());
     sys.run(w, 20000, 500);
@@ -249,7 +241,7 @@ TEST(CmpSystem, OccupancySamplingIsBounded)
 
 TEST(CmpSystem, AggregateStatsSumSlices)
 {
-    auto cfg = tinyConfig(CmpConfigKind::SharedL2, DirectoryKind::Cuckoo);
+    auto cfg = tinyConfig(CmpConfigKind::SharedL2, "Cuckoo");
     CmpSystem sys(cfg);
     SyntheticSource w(tinyWorkload());
     sys.run(w, 10000);
@@ -265,7 +257,7 @@ TEST(CmpSystem, AggregateStatsSumSlices)
 TEST(CmpSystem, ResetStatsPreservesState)
 {
     auto cfg =
-        tinyConfig(CmpConfigKind::PrivateL2, DirectoryKind::Cuckoo);
+        tinyConfig(CmpConfigKind::PrivateL2, "Cuckoo");
     CmpSystem sys(cfg);
     sys.access({0, 0x8, false, false});
     sys.resetStats();
@@ -278,7 +270,7 @@ TEST(CmpSystem, ForcedInvalidationsRemoveCachedBlocks)
 {
     // Under-provisioned Sparse directory: conflicts must invalidate
     // live cached blocks and be counted.
-    auto cfg = tinyConfig(CmpConfigKind::SharedL2, DirectoryKind::Sparse);
+    auto cfg = tinyConfig(CmpConfigKind::SharedL2, "Sparse");
     cfg.directory.ways = 1;
     cfg.directory.sets = 8; // 8 entries per slice, far below demand
     CmpSystem sys(cfg);
@@ -319,7 +311,7 @@ TEST(CmpSystem, MisSizedMirroringConfigurationIsRejected)
 
 TEST(CmpSystem, NonPowerOfTwoSliceCountIsRejected)
 {
-    auto cfg = tinyConfig(CmpConfigKind::SharedL2, DirectoryKind::Cuckoo);
+    auto cfg = tinyConfig(CmpConfigKind::SharedL2, "Cuckoo");
     cfg.numSlices = 3;
     EXPECT_THROW(CmpSystem{cfg}, std::invalid_argument);
 }
@@ -443,7 +435,7 @@ TEST(CmpSystem, LeanFormatsMatchFullVectorSystemStats)
 
 TEST(Experiment, RunsAndReportsMetrics)
 {
-    auto cfg = tinyConfig(CmpConfigKind::SharedL2, DirectoryKind::Cuckoo);
+    auto cfg = tinyConfig(CmpConfigKind::SharedL2, "Cuckoo");
     ExperimentOptions opts;
     opts.warmupAccesses = 5000;
     opts.measureAccesses = 20000;
@@ -461,7 +453,7 @@ TEST(Experiment, RunsAndReportsMetrics)
 TEST(Experiment, DeterministicAcrossRuns)
 {
     auto cfg =
-        tinyConfig(CmpConfigKind::PrivateL2, DirectoryKind::Cuckoo);
+        tinyConfig(CmpConfigKind::PrivateL2, "Cuckoo");
     ExperimentOptions opts;
     opts.warmupAccesses = 2000;
     opts.measureAccesses = 10000;

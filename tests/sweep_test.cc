@@ -348,5 +348,16 @@ TEST(HarnessCli, ParsesSharedFlagsAndIgnoresOthers)
     EXPECT_EQ(exp.measureAccesses, 2000u);
 }
 
+TEST(HarnessCli, UnsignedFlagValuesParseWholeStringOnly)
+{
+    EXPECT_EQ(parseCliUnsigned("10"), std::optional<std::uint64_t>(10));
+    EXPECT_EQ(parseCliUnsigned("18446744073709551615"),
+              std::optional<std::uint64_t>(~std::uint64_t{0}));
+    for (const char *bad : {"10k", "", "-1", "+1", " 1", "1 ", "0x10",
+                            "18446744073709551616"})
+        EXPECT_FALSE(parseCliUnsigned(bad).has_value())
+            << "'" << bad << "'";
+}
+
 } // namespace
 } // namespace cdir

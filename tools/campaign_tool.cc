@@ -69,11 +69,10 @@ usage(const char *why)
 std::uint64_t
 parseU64(const char *value, const char *arg)
 {
-    char *end = nullptr;
-    const std::uint64_t parsed = std::strtoull(value, &end, 10);
-    if (end == value || *end != '\0')
+    const std::optional<std::uint64_t> parsed = parseCliUnsigned(value);
+    if (!parsed)
         usage(arg);
-    return parsed;
+    return *parsed;
 }
 
 struct Cli

@@ -86,9 +86,10 @@ usage(const char *error = nullptr)
 bool
 parseU64(const char *value, std::uint64_t &out)
 {
-    char *end = nullptr;
-    out = std::strtoull(value, &end, 10);
-    return end != value && *end == '\0';
+    const std::optional<std::uint64_t> parsed = parseCliUnsigned(value);
+    if (parsed)
+        out = *parsed;
+    return parsed.has_value();
 }
 
 /** Sentinel for "flag not given" where 0 is a meaningful value. */
