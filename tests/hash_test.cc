@@ -109,6 +109,32 @@ INSTANTIATE_TEST_SUITE_P(
                     FamilyCase{HashKind::Modulo, 4, 256}),
     caseName);
 
+// indexAll is the probe hot path and index() the reference: the two
+// must agree for every kind, arity and index width the families accept.
+TEST(HashFamilyProperty, IndexAllMatchesIndex)
+{
+    Rng rng(0x1dea);
+    for (HashKind kind :
+         {HashKind::Skewing, HashKind::Strong, HashKind::Modulo}) {
+        for (unsigned ways : {2u, 3u, 4u, 8u}) {
+            for (unsigned width = 2; width <= 24; ++width) {
+                const auto family = makeHashFamily(
+                    kind, ways, std::size_t{1} << width, 99);
+                std::size_t all[kMaxProbeWays];
+                for (int i = 0; i < 200; ++i) {
+                    const Tag tag = rng.next();
+                    family->indexAll(tag, all);
+                    for (unsigned w = 0; w < ways; ++w)
+                        ASSERT_EQ(all[w], family->index(w, tag))
+                            << "kind " << int(kind) << " ways " << ways
+                            << " width " << width << " way " << w
+                            << " tag " << tag;
+                }
+            }
+        }
+    }
+}
+
 // --- Skewing specifics ----------------------------------------------------
 
 TEST(SkewingHash, WaysDisagreeOnConflictingTags)
@@ -181,6 +207,54 @@ TEST(SkewingHash, ChunkPermutationIsBijective)
         for (Tag a1 = 0; a1 < 64; ++a1)
             images.insert(family.index(way, a1));
         EXPECT_EQ(images.size(), 64u) << "way " << way;
+    }
+}
+
+TEST(SkewingHash, IndicesPinnedToParent)
+{
+    // Golden (width, way, tag) -> index samples of the reference LFSR
+    // construction; any rewrite of sigma/sigmaInv must reproduce them.
+    struct Pin
+    {
+        unsigned width;
+        unsigned way;
+        Tag tag;
+        std::size_t index;
+    };
+    static constexpr Pin pins[] = {
+        {2, 7, 0x0000ffffffffffffull, 0x0},
+        {2, 6, 0xe1f591112fb5051bull, 0x0},
+        {2, 5, 0xf985e1f2fb897b03ull, 0x1},
+        {3, 7, 0x0000ffffffffffffull, 0x7},
+        {3, 3, 0x4e1acb1dbe288cacull, 0x2},
+        {3, 5, 0xc68396bba4130cfcull, 0x0},
+        {5, 7, 0x0000ffffffffffffull, 0x1c},
+        {5, 4, 0xacaedbe9142e2838ull, 0xf},
+        {5, 4, 0x4f5dd53950ae0901ull, 0x19},
+        {9, 7, 0x0000ffffffffffffull, 0x17f},
+        {9, 4, 0x8f6d7ae8fa36bd65ull, 0x9b},
+        {9, 6, 0x4cb6620fc1a9525cull, 0x51},
+        {12, 7, 0x0000ffffffffffffull, 0x9d0},
+        {12, 0, 0x73c2ea788c42310bull, 0xda4},
+        {12, 0, 0xd1bc2ceb7e30b51bull, 0xd6e},
+        {16, 7, 0x0000ffffffffffffull, 0x1699},
+        {16, 0, 0xe5aae0e02e036101ull, 0xafe2},
+        {16, 2, 0x4aa79640dfae6ceeull, 0x63e9},
+        {20, 7, 0x0000ffffffffffffull, 0x3fcf1},
+        {20, 6, 0x9c5ed8bd8b8bed74ull, 0x2ff47},
+        {20, 3, 0x3c2ac4c244757c29ull, 0x3e77f},
+        {24, 7, 0x0000ffffffffffffull, 0x137c36},
+        {24, 6, 0xf37375b6b47f4d37ull, 0xa1b56},
+        {24, 1, 0x6036f8f3be1f715dull, 0xdd3fe5},
+    };
+    for (const Pin &pin : pins) {
+        SkewingHashFamily family(8, std::size_t{1} << pin.width);
+        std::size_t all[8];
+        family.indexAll(pin.tag, all);
+        EXPECT_EQ(family.index(pin.way, pin.tag), pin.index)
+            << "width " << pin.width << " way " << pin.way;
+        EXPECT_EQ(all[pin.way], pin.index)
+            << "width " << pin.width << " way " << pin.way;
     }
 }
 
