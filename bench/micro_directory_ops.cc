@@ -11,7 +11,10 @@
  *  - BM_Probe times side-effect-free lookups of tracked tags;
  *  - BM_ContextAccessChurn retires and inserts entries (with a sharer
  *    add and a write upgrade) through a reusable DirAccessContext;
- *  - BM_AccessBatch drives whole DirRequest spans through accessBatch.
+ *  - BM_AccessBatch drives whole DirRequest spans through accessBatch;
+ *  - BM_HashIndexAll times one HashFamily::indexAll call (4 ways, 512
+ *    sets per way — the paper's Cuckoo slice) over random tags, the
+ *    index computation every probe starts with.
  *
  * The churn and batch families report an `allocs/op` counter from a
  * global operator-new hook; after warmup it must read 0.00.
@@ -28,6 +31,7 @@
 #include "common/alloc_counter.hh"
 #include "common/rng.hh"
 #include "directory/registry.hh"
+#include "hash/hash_family.hh"
 
 namespace {
 
@@ -162,6 +166,30 @@ BM_AccessBatch(benchmark::State &state, const std::string &org)
         static_cast<double>(allocationCount() - allocs_before),
         benchmark::Counter::kAvgIterations);
 }
+
+/** One indexAll call per iteration over a ring of random tags. */
+void
+BM_HashIndexAll(benchmark::State &state, HashKind kind)
+{
+    constexpr std::size_t kRing = 4096; // power of two: cheap wrap
+    const auto family = makeHashFamily(kind, 4, 512);
+    std::vector<Tag> tags(kRing);
+    Rng rng(11);
+    for (Tag &tag : tags)
+        tag = rng.next() >> 8;
+    std::size_t idx[kMaxProbeWays];
+    std::size_t i = 0;
+    for (auto _ : state) {
+        family->indexAll(tags[i++ % kRing], idx);
+        benchmark::DoNotOptimize(idx);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+BENCHMARK_CAPTURE(BM_HashIndexAll, Skewing, HashKind::Skewing);
+BENCHMARK_CAPTURE(BM_HashIndexAll, Strong, HashKind::Strong);
+BENCHMARK_CAPTURE(BM_HashIndexAll, Modulo, HashKind::Modulo);
 
 /**
  * Register one instance of each benchmark per organization.

@@ -11,11 +11,7 @@ SetAssocCache::SetAssocCache(const CacheConfig &config) : cfg(config)
     assert(isPowerOfTwo(cfg.numSets));
     assert(cfg.assoc >= 1 && cfg.assoc <= kKernelWidth);
     indexMask = cfg.numSets - 1;
-    const std::size_t total = cfg.numSets * cfg.assoc;
-    addrs.assign(total, 0);
-    valids.assign(total, 0);
-    dirtys.assign(total, 0);
-    lastUses.assign(total, 0);
+    frames.assign(cfg.numSets * cfg.assoc, Frame{kVacantTag, 0});
 }
 
 std::size_t
@@ -28,52 +24,57 @@ std::size_t
 SetAssocCache::findFrame(BlockAddr addr) const
 {
     const std::size_t base = setIndex(addr) * cfg.assoc;
-    const std::size_t w =
-        findTag(&addrs[base], &valids[base], cfg.assoc, addr);
+    const std::size_t w = findTag(&frames[base], cfg.assoc, addr);
     return w == cfg.assoc ? nframe : base + w;
 }
 
 CacheAccessResult
 SetAssocCache::access(BlockAddr addr, bool is_write)
 {
+    assert(addr != kVacantTag);
     CacheAccessResult result;
     ++useClock;
 
     const std::size_t f = findFrame(addr);
     if (f != nframe) {
         result.hit = true;
-        if (is_write && dirtys[f] == 0) {
+        std::uint64_t dirty = frames[f].stamp & dirtyBit;
+        if (is_write && dirty == 0) {
             result.writeHitClean = true;
-            dirtys[f] = 1;
+            dirty = dirtyBit;
         }
-        lastUses[f] = useClock;
+        frames[f].stamp = useClock | dirty;
         return result;
     }
 
-    // Miss: pick an invalid frame or the LRU victim (first vacant way
-    // wins, else the strictly-smallest lastUse in way order).
+    // Miss: pick a vacant frame or the LRU victim (first vacant way
+    // wins, else the strictly-smallest last use in way order).
     const std::size_t base = setIndex(addr) * cfg.assoc;
     std::size_t victim = base;
-    const std::size_t vacant = cdir::findVacant(&valids[base], cfg.assoc);
+    const std::size_t vacant = cdir::findVacant(&frames[base], cfg.assoc);
     if (vacant != cfg.assoc) {
         victim = base + vacant;
     } else {
-        for (unsigned w = 1; w < cfg.assoc; ++w)
-            if (lastUses[base + w] < lastUses[victim])
+        std::uint64_t oldest = frames[base].stamp & ~dirtyBit;
+        for (unsigned w = 1; w < cfg.assoc; ++w) {
+            const std::uint64_t used = frames[base + w].stamp & ~dirtyBit;
+            if (used < oldest) {
+                oldest = used;
                 victim = base + w;
+            }
+        }
     }
 
-    if (valids[victim] != 0) {
-        result.victim = addrs[victim];
-        result.victimDirty = dirtys[victim] != 0;
+    Frame &frame = frames[victim];
+    if (frame.tag != kVacantTag) {
+        result.victim = frame.tag;
+        result.victimDirty = (frame.stamp & dirtyBit) != 0;
     } else {
         ++resident;
     }
 
-    addrs[victim] = addr;
-    valids[victim] = 1;
-    dirtys[victim] = is_write ? 1 : 0;
-    lastUses[victim] = useClock;
+    frame.tag = addr;
+    frame.stamp = useClock | (is_write ? dirtyBit : 0);
     return result;
 }
 
@@ -87,7 +88,7 @@ bool
 SetAssocCache::isDirty(BlockAddr addr) const
 {
     const std::size_t f = findFrame(addr);
-    return f != nframe && dirtys[f] != 0;
+    return f != nframe && (frames[f].stamp & dirtyBit) != 0;
 }
 
 bool
@@ -95,8 +96,7 @@ SetAssocCache::invalidate(BlockAddr addr)
 {
     const std::size_t f = findFrame(addr);
     if (f != nframe) {
-        valids[f] = 0;
-        dirtys[f] = 0;
+        frames[f] = Frame{kVacantTag, 0};
         assert(resident > 0);
         --resident;
         return true;
@@ -109,7 +109,7 @@ SetAssocCache::cleanse(BlockAddr addr)
 {
     const std::size_t f = findFrame(addr);
     if (f != nframe)
-        dirtys[f] = 0;
+        frames[f].stamp &= ~dirtyBit;
 }
 
 std::vector<BlockAddr>
@@ -117,9 +117,9 @@ SetAssocCache::residentAddresses() const
 {
     std::vector<BlockAddr> out;
     out.reserve(resident);
-    for (std::size_t i = 0; i < addrs.size(); ++i)
-        if (valids[i] != 0)
-            out.push_back(addrs[i]);
+    for (const Frame &frame : frames)
+        if (frame.tag != kVacantTag)
+            out.push_back(frame.tag);
     return out;
 }
 

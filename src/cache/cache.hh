@@ -9,6 +9,13 @@
  * and reports evictions so the directory can retire sharers (§5.2:
  * "dirty and clean evictions from the private caches are tracked by the
  * directory").
+ *
+ * Frame layout: each frame is one 16-byte {tag, stamp} pair in a
+ * set-major, 64-byte-aligned array, so an access — compare, LRU update
+ * and dirty bit — touches one host line per set (a 2-way set is 32 B,
+ * a 4-way set exactly one line). An empty frame holds kVacantTag. The
+ * stamp is the frame's last-use time with the dirty bit folded into its
+ * top bit; LRU compares stamps with that bit masked off.
  */
 
 #ifndef CDIR_CACHE_CACHE_HH
@@ -18,6 +25,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/bitset.hh"
 #include "common/types.hh"
 
 namespace cdir {
@@ -87,18 +95,23 @@ class SetAssocCache
     /** Enumerate resident block addresses (testing/diagnostics). */
     std::vector<BlockAddr> residentAddresses() const;
 
-    /** Estimated host bytes of the frame arrays (RAM budgeting). */
+    /** Estimated host bytes of the frame array (RAM budgeting). */
     std::size_t
     memoryBytes() const
     {
-        return sizeof(*this) + addrs.capacity() * sizeof(BlockAddr) +
-               valids.capacity() * sizeof(std::uint8_t) +
-               dirtys.capacity() * sizeof(std::uint8_t) +
-               lastUses.capacity() * sizeof(std::uint64_t);
+        return sizeof(*this) + frames.capacity() * sizeof(Frame);
     }
+
+    /** One cache frame: block address and LRU stamp (see file comment). */
+    struct Frame
+    {
+        BlockAddr tag;      //!< resident block, or kVacantTag
+        std::uint64_t stamp; //!< last use, dirty flag in the top bit
+    };
 
   private:
     static constexpr std::size_t nframe = ~std::size_t{0};
+    static constexpr std::uint64_t dirtyBit = std::uint64_t{1} << 63;
 
     std::size_t setIndex(BlockAddr addr) const;
 
@@ -107,14 +120,10 @@ class SetAssocCache
 
     CacheConfig cfg;
     std::size_t indexMask;
-    // Structure-of-arrays frame storage, set-major: a set's assoc
-    // candidate addresses are one contiguous run the probe kernel
-    // reduces in a single pass (see common/bit_util.hh).
-    std::vector<BlockAddr> addrs;        //!< SoA address lane
-    std::vector<std::uint8_t> valids;    //!< SoA valid lane
-    std::vector<std::uint8_t> dirtys;    //!< SoA dirty lane
-    std::vector<std::uint64_t> lastUses; //!< SoA LRU lane
-    std::uint64_t useClock = 0;
+    // Set-major frames: a set's assoc frames are one contiguous run the
+    // probe kernel reduces in a single pass (see common/bit_util.hh).
+    LineAlignedVector<Frame> frames;
+    std::uint64_t useClock = 0; //!< stays below dirtyBit
     std::size_t resident = 0;
 };
 

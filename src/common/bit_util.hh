@@ -7,10 +7,13 @@
  * The probe kernels mirror the hardware the paper describes: a
  * directory lookup fires all way comparators simultaneously (§4), so
  * the software model compares a whole candidate run branchlessly and
- * reduces the matches to a uint64_t mask. Written as plain loops over
- * contiguous SoA arrays so the compiler auto-vectorizes them — no
- * intrinsics, portable everywhere (build with -DCDIR_NATIVE=ON for
- * -march=native codegen).
+ * reduces the matches to a uint64_t mask. An empty slot holds the
+ * reserved kVacantTag (common/types.hh), so a probe reads tag words
+ * only — there is no valid lane beside them. A run is either bare tags
+ * or slots that carry their tag in a `tag` member next to what a hit
+ * touches (a cache frame's LRU stamp, a Cuckoo slot's sharers). Written
+ * as plain loops with no intrinsics, portable everywhere (build with
+ * -DCDIR_NATIVE=ON for -march=native codegen).
  *
  * The kernels are the only runtime path. The bit-identity test suite
  * keeps branchy early-exit reference implementations as oracles and
@@ -123,57 +126,65 @@ rotateLeft(std::uint64_t v, unsigned amount, unsigned width)
  */
 inline constexpr std::size_t kKernelWidth = 64;
 
+/** Tag of one lane element: a bare tag. */
+constexpr Tag
+laneTag(Tag tag)
+{
+    return tag;
+}
+
+/** Tag of one lane element: a slot's `tag` member. */
+template <typename Slot>
+constexpr Tag
+laneTag(const Slot &slot)
+{
+    return slot.tag;
+}
+
 /**
  * Branchless match mask over a contiguous candidate run: bit i is set
- * iff valid[i] && tags[i] == needle. No early exit — the loop body is
- * a pure compare/accumulate the compiler turns into SIMD compares, the
- * software analogue of the hardware's parallel way comparators.
- * @p n must be <= kKernelWidth.
+ * iff run[i]'s tag equals @p needle. No early exit — the loop body is a
+ * pure compare/accumulate, the software analogue of the hardware's
+ * parallel way comparators. A vacant slot holds kVacantTag, so it never
+ * matches a real tag. @p n must be <= kKernelWidth.
  */
+template <typename Elem>
 inline std::uint64_t
-tagMatchMask(const Tag *tags, const std::uint8_t *valid, std::size_t n,
-             Tag needle)
-{
-    assert(n <= kKernelWidth);
-    std::uint64_t mask = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t hit =
-            static_cast<std::uint64_t>(tags[i] == needle) &
-            static_cast<std::uint64_t>(valid[i] != 0);
-        mask |= hit << i;
-    }
-    return mask;
-}
-
-/**
- * First valid slot in a contiguous run holding @p needle, or @p n:
- * the lowest set bit of the branchless match mask.
- */
-inline std::size_t
-findTag(const Tag *tags, const std::uint8_t *valid, std::size_t n,
-        Tag needle)
-{
-    const std::uint64_t mask = tagMatchMask(tags, valid, n, needle);
-    return mask != 0 ? static_cast<std::size_t>(std::countr_zero(mask)) : n;
-}
-
-/** Branchless vacancy mask: bit i set iff valid[i] == 0 (n <= 64). */
-inline std::uint64_t
-vacancyMask(const std::uint8_t *valid, std::size_t n)
+tagMatchMask(const Elem *run, std::size_t n, Tag needle)
 {
     assert(n <= kKernelWidth);
     std::uint64_t mask = 0;
     for (std::size_t i = 0; i < n; ++i)
-        mask |= static_cast<std::uint64_t>(valid[i] == 0) << i;
+        mask |= static_cast<std::uint64_t>(laneTag(run[i]) == needle) << i;
     return mask;
 }
 
-/** First invalid slot in a contiguous run, or @p n. */
+/**
+ * First slot in a contiguous run holding @p needle, or @p n: the
+ * lowest set bit of the branchless match mask.
+ */
+template <typename Elem>
 inline std::size_t
-findVacant(const std::uint8_t *valid, std::size_t n)
+findTag(const Elem *run, std::size_t n, Tag needle)
 {
-    const std::uint64_t mask = vacancyMask(valid, n);
+    const std::uint64_t mask = tagMatchMask(run, n, needle);
     return mask != 0 ? static_cast<std::size_t>(std::countr_zero(mask)) : n;
+}
+
+/** Branchless vacancy mask: bit i set iff run[i] is vacant (n <= 64). */
+template <typename Elem>
+inline std::uint64_t
+vacancyMask(const Elem *run, std::size_t n)
+{
+    return tagMatchMask(run, n, kVacantTag);
+}
+
+/** First vacant slot in a contiguous run, or @p n. */
+template <typename Elem>
+inline std::size_t
+findVacant(const Elem *run, std::size_t n)
+{
+    return findTag(run, n, kVacantTag);
 }
 
 /**

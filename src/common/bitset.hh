@@ -64,13 +64,16 @@ struct AlignedAllocator
     bool operator!=(const AlignedAllocator &) const { return false; }
 };
 
+/** Vector whose buffer starts on a 64-byte host cache line. */
+template <typename T>
+using LineAlignedVector = std::vector<T, AlignedAllocator<T, 64>>;
+
 /** Dynamically sized bitset with word-parallel operations. */
 class DynamicBitset
 {
   public:
     /** Cache-line-aligned word buffer (see file comment). */
-    using WordVector =
-        std::vector<std::uint64_t, AlignedAllocator<std::uint64_t, 64>>;
+    using WordVector = LineAlignedVector<std::uint64_t>;
 
     DynamicBitset() = default;
 

@@ -25,6 +25,15 @@ using BlockAddr = std::uint64_t;
 /** Directory tag: block address (possibly further truncated by an index). */
 using Tag = std::uint64_t;
 
+/**
+ * Reserved tag marking an empty slot in every tag lane (private-cache
+ * frames and every directory organization that stores tags). A probe
+ * then compares tag words only, with no separate valid lane. The value
+ * is also reserved as a block address: trace readers reject it, and the
+ * workload generators never come near it.
+ */
+inline constexpr Tag kVacantTag = ~Tag{0};
+
 /** Identifier of a private cache (one per core, or two for I+D splits). */
 using CacheId = std::uint32_t;
 

@@ -35,8 +35,7 @@ AssocDirectory::AssocDirectory(std::size_t num_caches, unsigned num_ways,
       ways(num_ways),
       sets(num_sets),
       setMajor(hash == HashKind::Modulo),
-      tags(std::size_t{num_ways} * num_sets, 0),
-      valids(std::size_t{num_ways} * num_sets, 0),
+      tags(std::size_t{num_ways} * num_sets, kVacantTag),
       lastUses(std::size_t{num_ways} * num_sets, 0),
       sharerSets(std::size_t{num_ways} * num_sets)
 {
@@ -58,19 +57,14 @@ AssocDirectory::findPosWithIdx(Tag tag, const std::size_t *idx) const
         // All ways share the set: the candidates are one contiguous run,
         // reduced by a single kernel call with no gather.
         const std::size_t base = idx[0] * ways;
-        const std::size_t hit =
-            findTag(&tags[base], &valids[base], ways, tag);
+        const std::size_t hit = findTag(&tags[base], ways, tag);
         return hit == ways ? npos : base + hit;
     }
     // Skewed ways: gather the scattered candidates, then reduce.
     Tag cand[kMaxProbeWays];
-    std::uint8_t cvalid[kMaxProbeWays];
-    for (unsigned w = 0; w < ways; ++w) {
-        const std::size_t p = pos(w, idx[w]);
-        cand[w] = tags[p];
-        cvalid[w] = valids[p];
-    }
-    const std::size_t hit = findTag(cand, cvalid, ways, tag);
+    for (unsigned w = 0; w < ways; ++w)
+        cand[w] = tags[pos(w, idx[w])];
+    const std::size_t hit = findTag(cand, ways, tag);
     return hit == ways ? npos : pos(static_cast<unsigned>(hit), idx[hit]);
 }
 
@@ -80,9 +74,7 @@ AssocDirectory::prefetchTag(Tag tag) const
     std::size_t idx[kMaxProbeWays];
     family->indexAll(tag, idx);
     if (setMajor) {
-        const std::size_t base = idx[0] * ways;
-        prefetchRead(&tags[base]);
-        prefetchRead(&valids[base]);
+        prefetchRead(&tags[idx[0] * ways]);
         return;
     }
     for (unsigned w = 0; w < ways; ++w)
@@ -116,7 +108,7 @@ AssocDirectory::access(const DirRequest &request, DirAccessContext &ctx)
     std::size_t victim = npos;
     if (setMajor) {
         const std::size_t base = idx[0] * ways;
-        const std::size_t vacant = cdir::findVacant(&valids[base], ways);
+        const std::size_t vacant = cdir::findVacant(&tags[base], ways);
         if (vacant != ways) {
             victim = base + vacant;
         } else {
@@ -128,7 +120,7 @@ AssocDirectory::access(const DirRequest &request, DirAccessContext &ctx)
     } else {
         for (unsigned w = 0; w < ways; ++w) {
             const std::size_t p = pos(w, idx[w]);
-            if (valids[p] == 0) {
+            if (tags[p] == kVacantTag) {
                 victim = p;
                 break;
             }
@@ -138,7 +130,7 @@ AssocDirectory::access(const DirRequest &request, DirAccessContext &ctx)
     }
     assert(victim != npos);
 
-    if (valids[victim] != 0) {
+    if (tags[victim] != kVacantTag) {
         EvictedEntry &evicted = ctx.appendEviction(out);
         evicted.tag = tags[victim];
         sharers.invalidationTargets(sharerSets[victim], evicted.targets);
@@ -151,7 +143,6 @@ AssocDirectory::access(const DirRequest &request, DirAccessContext &ctx)
 
     tags[victim] = request.tag;
     sharers.add(sharerSets[victim], request.cache);
-    valids[victim] = 1;
     lastUses[victim] = useClock;
 
     out.inserted = true;
@@ -169,7 +160,7 @@ AssocDirectory::removeSharer(Tag tag, CacheId cache)
         return;
     ++statistics.sharerRemovals;
     if (sharers.remove(sharerSets[p], cache)) {
-        valids[p] = 0;
+        tags[p] = kVacantTag;
         --occupied;
         ++statistics.entryFrees;
     }

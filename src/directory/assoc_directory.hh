@@ -11,14 +11,15 @@
  * (a conventional set), Skewed uses a different skewing function per
  * way, which breaks *direct* conflicts but not transitive ones (§4).
  *
- * Tags, valid bytes, LRU stamps, and sharer sets live in parallel SoA
- * arrays, with the stride chosen per hash kind: Modulo indexing means
- * every way probes the same set, so storage is set-major
- * (pos = idx*ways + w) and one probe's candidates are a single
- * contiguous run — eight 8B tags in one cache line instead of eight
- * lines 8*sets bytes apart. Skewing/Strong indexing disperses the ways,
- * so storage is way-major (pos = w*sets + idx) and probes gather the
- * candidates before reducing them with the match-mask kernel.
+ * Tags, LRU stamps, and sharer sets live in parallel 64-byte-aligned
+ * SoA arrays; an empty entry holds kVacantTag in the tag lane, so a
+ * probe reads tag words only. The stride is chosen per hash kind:
+ * Modulo indexing means every way probes the same set, so storage is
+ * set-major (pos = idx*ways + w) and one probe's candidates are a single
+ * contiguous run — an 8-way set's tags are exactly one host cache line.
+ * Skewing/Strong indexing disperses the ways, so storage is way-major
+ * (pos = w*sets + idx) and probes gather the candidates before reducing
+ * them with the match-mask kernel.
  */
 
 #ifndef CDIR_DIRECTORY_ASSOC_DIRECTORY_HH
@@ -59,7 +60,6 @@ class AssocDirectory : public Directory
     memoryBytes() const override
     {
         return sizeof(*this) + tags.capacity() * sizeof(Tag) +
-               valids.capacity() * sizeof(std::uint8_t) +
                lastUses.capacity() * sizeof(std::uint64_t) +
                sharerSets.capacity() * sizeof(SharerSet) +
                sharers.heapBytes();
@@ -88,10 +88,9 @@ class AssocDirectory : public Directory
     std::size_t sets;
     bool setMajor; //!< Modulo: candidates contiguous per set
 
-    std::vector<Tag> tags;                         //!< SoA tag lane
-    std::vector<std::uint8_t> valids;              //!< SoA valid lane
-    std::vector<std::uint64_t> lastUses;           //!< SoA LRU lane
-    std::vector<SharerSet> sharerSets;             //!< SoA payload lane
+    LineAlignedVector<Tag> tags;            //!< SoA tag lane
+    LineAlignedVector<std::uint64_t> lastUses; //!< SoA LRU lane
+    LineAlignedVector<SharerSet> sharerSets;   //!< SoA payload lane
     std::size_t occupied = 0;
     std::uint64_t useClock = 0;
 };

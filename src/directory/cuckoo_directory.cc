@@ -71,10 +71,15 @@ CuckooDirectory::access(const DirRequest &request, DirAccessContext &ctx)
     DirAccessOutcome &out = ctx.beginOutcome();
     ++statistics.lookups;
 
-    if (SharerSet *set = table.find(request.tag)) {
+    // Hash once: the probe and, on a miss, the first insertion attempt
+    // use the same way indices.
+    std::size_t idx[kMaxProbeWays];
+    table.indexAll(request.tag, idx);
+    const std::size_t pos = table.findPos(request.tag, idx);
+    if (pos != CuckooTable<SharerSet>::npos) {
         out.hit = true;
         ++statistics.hits;
-        updateEntryOnHit(sharers, *set, request, ctx, out);
+        updateEntryOnHit(sharers, table.payloadAt(pos), request, ctx, out);
         return;
     }
     if (StashEntry *entry = findStash(request.tag)) {
@@ -87,7 +92,7 @@ CuckooDirectory::access(const DirRequest &request, DirAccessContext &ctx)
     // Miss: allocate an entry tracking the requester.
     SharerSet set;
     sharers.add(set, request.cache);
-    auto ins = table.insert(request.tag, std::move(set));
+    auto ins = table.insert(request.tag, std::move(set), idx);
 
     out.inserted = true;
     out.attempts = ins.attempts;

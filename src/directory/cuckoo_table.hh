@@ -22,15 +22,18 @@
  *  - To keep the ways uniformly utilized, each insertion starts at the
  *    way at which the previous insertion stopped.
  *
- * Storage is structure-of-arrays: tags, valid bytes, and payloads live
- * in three parallel vectors so a probe touches only the dense 8B/entry
- * tag lane (plus 1B valid lane) instead of dragging payload bytes
- * through the cache. A probe computes all way indices with one
+ * Storage is one 64-byte-aligned array of {tag, payload} slots: like
+ * the hardware's one SRAM read per way, a probe reads one host line per
+ * candidate, and a hit's payload update (the sharer set) lands in the
+ * line the compare just read. An empty slot holds kVacantTag, so there
+ * is no valid lane. A probe computes all way indices with one
  * HashFamily::indexAll call, gathers the candidate tags, and reduces
  * them with the branchless match-mask kernel — the software analogue of
- * the parallel way comparators the paper's hardware fires.
+ * the parallel way comparators the paper's hardware fires. Callers that
+ * probe and then insert (a directory miss) compute the indices once and
+ * pass them to both findPos() and insert().
  *
- * The payload type only needs to be movable.
+ * The payload type only needs to be movable and default-constructible.
  */
 
 #ifndef CDIR_DIRECTORY_CUCKOO_TABLE_HH
@@ -43,6 +46,7 @@
 #include <vector>
 
 #include "common/bit_util.hh"
+#include "common/bitset.hh"
 #include "common/types.hh"
 #include "hash/hash_family.hh"
 
@@ -55,6 +59,13 @@ class CuckooTable
   public:
     /** Sentinel position for "not found". */
     static constexpr std::size_t npos = ~std::size_t{0};
+
+    /** One table entry: the tag (kVacantTag when empty) and its payload. */
+    struct Slot
+    {
+        Tag tag = kVacantTag;
+        Payload payload{};
+    };
 
     /** Result of an insert() call. */
     struct InsertResult
@@ -82,9 +93,7 @@ class CuckooTable
           sets(family.setsPerWay()),
           maxAttempts(max_attempts),
           bucketSlots(bucket_slots),
-          tags(std::size_t{ways} * sets * bucket_slots, 0),
-          valids(std::size_t{ways} * sets * bucket_slots, 0),
-          payloads(std::size_t{ways} * sets * bucket_slots)
+          slots(std::size_t{ways} * sets * bucket_slots)
     {
         assert(ways >= 2 && "cuckoo displacement needs >= 2 ways");
         assert(ways <= kMaxProbeWays);
@@ -93,26 +102,41 @@ class CuckooTable
     }
 
     /**
-     * Position of @p tag, or npos. One indexAll call, then the
-     * match-mask kernel over the gathered candidate tags (probe order
-     * way-major, bucket slots in order — identical to the scalar walk).
+     * Way indices of @p tag, one per way, into @p idx (room for
+     * numWays()); what findPos() and insert() take to skip rehashing.
      */
+    void
+    indexAll(Tag tag, std::size_t *idx) const
+    {
+        hashes.indexAll(tag, idx);
+    }
+
+    /** Position of @p tag, or npos. */
     std::size_t
     findPos(Tag tag) const
     {
         std::size_t idx[kMaxProbeWays];
         hashes.indexAll(tag, idx);
+        return findPos(tag, idx);
+    }
+
+    /**
+     * Position of @p tag given its way indices @p idx (from indexAll),
+     * or npos. The match-mask kernel reduces the gathered candidate
+     * tags (probe order way-major, bucket slots in order — identical to
+     * the scalar walk).
+     */
+    std::size_t
+    findPos(Tag tag, const std::size_t *idx) const
+    {
         if (bucketSlots == 1) {
-            // Common case (the paper's design): gather one candidate per
-            // way into a dense run and reduce with a single kernel call.
+            // Common case (the paper's design): gather one candidate tag
+            // per way into a dense run and reduce with a single kernel
+            // call.
             Tag cand[kMaxProbeWays];
-            std::uint8_t cvalid[kMaxProbeWays];
-            for (unsigned w = 0; w < ways; ++w) {
-                const std::size_t p = std::size_t{w} * sets + idx[w];
-                cand[w] = tags[p];
-                cvalid[w] = valids[p];
-            }
-            const std::size_t hit = findTag(cand, cvalid, ways, tag);
+            for (unsigned w = 0; w < ways; ++w)
+                cand[w] = slots[std::size_t{w} * sets + idx[w]].tag;
+            const std::size_t hit = findTag(cand, ways, tag);
             if (hit == ways)
                 return npos;
             return std::size_t{hit} * sets + idx[hit];
@@ -122,8 +146,7 @@ class CuckooTable
         for (unsigned w = 0; w < ways; ++w) {
             const std::size_t base =
                 (std::size_t{w} * sets + idx[w]) * bucketSlots;
-            const std::size_t b =
-                findTag(&tags[base], &valids[base], bucketSlots, tag);
+            const std::size_t b = findTag(&slots[base], bucketSlots, tag);
             if (b != bucketSlots)
                 return base + b;
         }
@@ -135,7 +158,7 @@ class CuckooTable
     find(Tag tag)
     {
         const std::size_t pos = findPos(tag);
-        return pos == npos ? nullptr : &payloads[pos];
+        return pos == npos ? nullptr : &slots[pos].payload;
     }
 
     /** @copydoc find */
@@ -143,23 +166,23 @@ class CuckooTable
     find(Tag tag) const
     {
         const std::size_t pos = findPos(tag);
-        return pos == npos ? nullptr : &payloads[pos];
+        return pos == npos ? nullptr : &slots[pos].payload;
     }
 
     /** Payload stored at a position returned by findPos(). */
     Payload &
     payloadAt(std::size_t pos)
     {
-        assert(pos < tags.size() && valids[pos] != 0);
-        return payloads[pos];
+        assert(pos < slots.size() && slots[pos].tag != kVacantTag);
+        return slots[pos].payload;
     }
 
     /** Tag stored at a position returned by findPos(). */
     Tag
     tagAt(std::size_t pos) const
     {
-        assert(pos < tags.size() && valids[pos] != 0);
-        return tags[pos];
+        assert(pos < slots.size() && slots[pos].tag != kVacantTag);
+        return slots[pos].tag;
     }
 
     /**
@@ -169,17 +192,35 @@ class CuckooTable
     InsertResult
     insert(Tag tag, Payload &&payload)
     {
-        assert(find(tag) == nullptr && "duplicate insert");
+        std::size_t idx[kMaxProbeWays];
+        hashes.indexAll(tag, idx);
+        return insert(tag, std::move(payload), idx);
+    }
+
+    /**
+     * insert() given the way indices @p tag_idx of @p tag (from
+     * indexAll), so a miss that already probed does not hash the tag
+     * again.
+     */
+    InsertResult
+    insert(Tag tag, Payload &&payload, const std::size_t *tag_idx)
+    {
+        assert(tag != kVacantTag && "kVacantTag marks an empty slot");
+        assert(findPos(tag, tag_idx) == npos && "duplicate insert");
         InsertResult result;
 
         Tag cur_tag = tag;
         Payload cur_payload = std::move(payload);
         unsigned way = nextWay;
-        std::size_t idx[kMaxProbeWays];
+        std::size_t displaced_idx[kMaxProbeWays];
+        const std::size_t *idx = tag_idx;
 
         while (true) {
             ++result.attempts;
-            hashes.indexAll(cur_tag, idx);
+            if (result.attempts > 1) {
+                hashes.indexAll(cur_tag, displaced_idx);
+                idx = displaced_idx;
+            }
 
             // The lookup preceding each (re-)insertion reveals vacant
             // candidate slots; placing into one ends the procedure. The
@@ -189,9 +230,8 @@ class CuckooTable
             unsigned placed_way = 0;
             const std::size_t vacant = findVacantPos(idx, way, placed_way);
             if (vacant != npos) {
-                tags[vacant] = cur_tag;
-                payloads[vacant] = std::move(cur_payload);
-                valids[vacant] = 1;
+                slots[vacant].tag = cur_tag;
+                slots[vacant].payload = std::move(cur_payload);
                 ++occupied;
                 nextWay = (placed_way + 1) % ways;
                 return result;
@@ -215,9 +255,9 @@ class CuckooTable
                 (std::size_t{way} * sets + idx[way]) * bucketSlots +
                 victimRotor % bucketSlots;
             ++victimRotor;
-            assert(valids[victim] != 0);
-            std::swap(cur_tag, tags[victim]);
-            std::swap(cur_payload, payloads[victim]);
+            assert(slots[victim].tag != kVacantTag);
+            std::swap(cur_tag, slots[victim].tag);
+            std::swap(cur_payload, slots[victim].payload);
             way = (way + 1) % ways;
         }
     }
@@ -229,10 +269,10 @@ class CuckooTable
     Payload
     eraseAt(std::size_t pos)
     {
-        assert(pos < tags.size() && valids[pos] != 0);
-        valids[pos] = 0;
+        assert(pos < slots.size() && slots[pos].tag != kVacantTag);
+        slots[pos].tag = kVacantTag;
         --occupied;
-        return std::move(payloads[pos]);
+        return std::move(slots[pos].payload);
     }
 
     /**
@@ -249,8 +289,8 @@ class CuckooTable
     }
 
     /**
-     * Hint the candidate tag/valid lanes of @p tag into the cache ahead
-     * of an upcoming probe (batch-window lookahead).
+     * Hint the candidate slots of @p tag into the cache ahead of an
+     * upcoming probe (batch-window lookahead).
      */
     void
     prefetch(Tag tag) const
@@ -260,8 +300,7 @@ class CuckooTable
         for (unsigned w = 0; w < ways; ++w) {
             const std::size_t base =
                 (std::size_t{w} * sets + idx[w]) * bucketSlots;
-            prefetchRead(&tags[base]);
-            prefetchRead(&valids[base]);
+            prefetchRead(&slots[base]);
         }
     }
 
@@ -269,7 +308,7 @@ class CuckooTable
     std::size_t size() const { return occupied; }
 
     /** Total slots. */
-    std::size_t capacity() const { return tags.size(); }
+    std::size_t capacity() const { return slots.size(); }
 
     /** Fraction of slots in use. */
     double
@@ -295,22 +334,19 @@ class CuckooTable
     void
     forEach(Visitor &&visitor) const
     {
-        const std::size_t n = tags.size();
-        for (std::size_t i = 0; i < n; ++i)
-            if (valids[i] != 0)
-                visitor(tags[i], payloads[i]);
+        for (const Slot &slot : slots)
+            if (slot.tag != kVacantTag)
+                visitor(slot.tag, slot.payload);
     }
 
     /**
-     * Host bytes of the SoA lanes (payloads included, stored inline).
+     * Host bytes of the slot array (payloads included, stored inline).
      * Feeds Directory::memoryBytes().
      */
     std::size_t
     memoryBytes() const
     {
-        return tags.capacity() * sizeof(Tag) +
-               valids.capacity() * sizeof(std::uint8_t) +
-               payloads.capacity() * sizeof(Payload);
+        return slots.capacity() * sizeof(Slot);
     }
 
     /** Occupancy of one way (test support for uniform-way utilization). */
@@ -321,7 +357,7 @@ class CuckooTable
         std::size_t used = 0;
         const std::size_t per_way = sets * bucketSlots;
         for (std::size_t i = 0; i < per_way; ++i)
-            if (valids[std::size_t{way} * per_way + i] != 0)
+            if (slots[std::size_t{way} * per_way + i].tag != kVacantTag)
                 ++used;
         return double(used) / double(per_way);
     }
@@ -341,8 +377,7 @@ class CuckooTable
             const unsigned w = (start + i) % ways;
             const std::size_t base =
                 (std::size_t{w} * sets + idx[w]) * bucketSlots;
-            const std::size_t b =
-                cdir::findVacant(&valids[base], bucketSlots);
+            const std::size_t b = cdir::findVacant(&slots[base], bucketSlots);
             if (b != bucketSlots) {
                 found_way = w;
                 return base + b;
@@ -356,9 +391,7 @@ class CuckooTable
     std::size_t sets;
     unsigned maxAttempts;
     unsigned bucketSlots;
-    std::vector<Tag> tags;           //!< SoA tag lane (8B/entry)
-    std::vector<std::uint8_t> valids; //!< SoA valid lane (1B/entry)
-    std::vector<Payload> payloads;   //!< SoA payload lane
+    LineAlignedVector<Slot> slots; //!< way-major {tag, payload} slots
     std::size_t occupied = 0;
     unsigned nextWay = 0;     //!< round-robin start way (§4.2)
     unsigned victimRotor = 0; //!< bucket-slot victim rotation

@@ -29,8 +29,7 @@ DuplicateTagDirectory::DuplicateTagDirectory(std::size_t num_caches,
     const std::size_t width = num_caches * cache_assoc;
     chunksPerSet = (width + kKernelWidth - 1) / kKernelWidth;
     const std::size_t total = num_sets * width;
-    tags.assign(total, 0);
-    valids.assign(total, 0);
+    tags.assign(total, kVacantTag);
     lastUses.assign(total, 0);
     chunkValid.assign(num_sets * chunksPerSet, 0);
 }
@@ -43,14 +42,14 @@ DuplicateTagDirectory::collectHolders(std::size_t set, Tag tag,
     const std::size_t width = std::size_t{caches} * cacheAssoc;
     // The whole set is one contiguous run; reduce it in
     // 64-frame chunks and map each match bit back to its cache id. A
-    // chunk with no valid frames cannot match — the occupancy summary
+    // chunk with no occupied frames cannot match — the occupancy summary
     // lets sparse sets skip it without reading 64 tag lanes.
     for (std::size_t chunk = 0; chunk < width; chunk += kKernelWidth) {
         if (chunkValid[chunkIndex(set, chunk)] == 0)
             continue;
         const std::size_t n = std::min(kKernelWidth, width - chunk);
         std::uint64_t mask =
-            tagMatchMask(&tags[base + chunk], &valids[base + chunk], n, tag);
+            tagMatchMask(&tags[base + chunk], n, tag);
         while (mask != 0) {
             const auto bit =
                 static_cast<std::size_t>(std::countr_zero(mask));
@@ -69,7 +68,6 @@ DuplicateTagDirectory::prefetchTag(Tag tag) const
     const std::size_t width = std::size_t{caches} * cacheAssoc;
     for (std::size_t i = 0; i < width; i += 8)
         prefetchRead(&tags[base + i]);
-    prefetchRead(&valids[base]);
 }
 
 void
@@ -106,8 +104,8 @@ DuplicateTagDirectory::access(const DirRequest &request,
                 const std::size_t rb =
                     regionBase(set, static_cast<CacheId>(c));
                 for (unsigned w = 0; w < cacheAssoc; ++w) {
-                    if (valids[rb + w] != 0 && tags[rb + w] == tag) {
-                        valids[rb + w] = 0;
+                    if (tags[rb + w] == tag) {
+                        tags[rb + w] = kVacantTag;
                         noteValidChange(rb + w, false);
                         --occupied;
                     }
@@ -121,9 +119,9 @@ DuplicateTagDirectory::access(const DirRequest &request,
     if (!holders.test(request.cache)) {
         const std::size_t rb = regionBase(set, request.cache);
         std::size_t dest = rb;
-        bool destValid = valids[rb] != 0;
+        bool destValid = tags[rb] != kVacantTag;
         for (unsigned w = 0; w < cacheAssoc; ++w) {
-            if (valids[rb + w] == 0) {
+            if (tags[rb + w] == kVacantTag) {
                 dest = rb + w;
                 destValid = false;
                 break;
@@ -144,7 +142,6 @@ DuplicateTagDirectory::access(const DirRequest &request,
             --occupied;
         }
         tags[dest] = tag;
-        valids[dest] = 1;
         // An eviction reuses a valid frame, so the chunk count only
         // moves when a vacant frame fills.
         if (!destValid)
@@ -171,9 +168,9 @@ DuplicateTagDirectory::removeSharer(Tag tag, CacheId cache)
 {
     assert(cache < caches);
     const std::size_t rb = regionBase(setIndex(tag), cache);
-    const std::size_t w = findTag(&tags[rb], &valids[rb], cacheAssoc, tag);
+    const std::size_t w = findTag(&tags[rb], cacheAssoc, tag);
     if (w != cacheAssoc) {
-        valids[rb + w] = 0;
+        tags[rb + w] = kVacantTag;
         noteValidChange(rb + w, false);
         --occupied;
         ++statistics.sharerRemovals;
@@ -190,16 +187,16 @@ DuplicateTagDirectory::probe(Tag tag, DynamicBitset *sharers) const
         return sharers->any();
     }
     // Existence-only probe: scan the contiguous set run, stopping at the
-    // first matching chunk. Chunks with no valid frames cannot match and
-    // are skipped outright (outcome-invariant on both kernel and scalar
-    // findTag paths — an all-invalid run returns "absent" either way).
+    // first matching chunk. Chunks with no occupied frames cannot match
+    // and are skipped outright (outcome-invariant: an all-vacant run
+    // returns "absent" either way).
     const std::size_t base = regionBase(set, 0);
     const std::size_t width = std::size_t{caches} * cacheAssoc;
     for (std::size_t chunk = 0; chunk < width; chunk += kKernelWidth) {
         if (chunkValid[chunkIndex(set, chunk)] == 0)
             continue;
         const std::size_t n = std::min(kKernelWidth, width - chunk);
-        if (findTag(&tags[base + chunk], &valids[base + chunk], n, tag) != n)
+        if (findTag(&tags[base + chunk], n, tag) != n)
             return true;
     }
     return false;

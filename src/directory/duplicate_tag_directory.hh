@@ -15,10 +15,11 @@
  * bits reproduce the cache set index exactly.
  *
  * Frames are stored structure-of-arrays: a set's caches x assoc tags
- * are one contiguous 8B-per-entry run, so the wide associative compare
- * reduces the whole set with the branchless match-mask kernel in
- * 64-frame chunks — the software analogue of the massively parallel
- * comparator bank the organization implies in hardware.
+ * are one contiguous, 64-byte-aligned 8B-per-entry run (an empty frame
+ * holds kVacantTag), so the wide associative compare reduces the whole
+ * set with the branchless match-mask kernel in 64-frame chunks — the
+ * software analogue of the massively parallel comparator bank the
+ * organization implies in hardware.
  */
 
 #ifndef CDIR_DIRECTORY_DUPLICATE_TAG_DIRECTORY_HH
@@ -61,7 +62,6 @@ class DuplicateTagDirectory : public Directory
     memoryBytes() const override
     {
         return sizeof(*this) + tags.capacity() * sizeof(Tag) +
-               valids.capacity() * sizeof(std::uint8_t) +
                lastUses.capacity() * sizeof(std::uint64_t) +
                chunkValid.capacity() * sizeof(std::uint32_t) +
                scratchHolders.heapBytes();
@@ -78,7 +78,7 @@ class DuplicateTagDirectory : public Directory
 
     /**
      * Wide associative compare over one set: sets bit c of @p holders
-     * for every cache with a valid frame matching @p tag.
+     * for every cache with a frame holding @p tag.
      */
     void collectHolders(std::size_t set, Tag tag,
                         DynamicBitset &holders) const;
@@ -90,7 +90,7 @@ class DuplicateTagDirectory : public Directory
         return set * chunksPerSet + off / kKernelWidth;
     }
 
-    /** Bookkeep a valid-bit transition of global frame @p index. */
+    /** Bookkeep a frame of global @p index filling or emptying. */
     void
     noteValidChange(std::size_t index, bool now_valid)
     {
@@ -107,12 +107,11 @@ class DuplicateTagDirectory : public Directory
     unsigned cacheAssoc;
     std::size_t indexMask;
     std::size_t chunksPerSet;
-    std::vector<Tag> tags;               //!< SoA tag lane
-    std::vector<std::uint8_t> valids;    //!< SoA valid lane
+    LineAlignedVector<Tag> tags;         //!< SoA tag lane
     std::vector<std::uint64_t> lastUses; //!< SoA LRU lane
     /**
-     * Per-set occupancy summary: valid-frame count of each 64-frame
-     * kernel chunk, maintained at every valid-bit transition. The wide
+     * Per-set occupancy summary: occupied-frame count of each 64-frame
+     * kernel chunk, maintained whenever a frame fills or empties. The wide
      * compare and the existence probe skip zero-count chunks — an empty
      * region cannot match, so skipping is outcome-invariant (the
      * behavioural counters stay bit-identical; kernel_identity_test

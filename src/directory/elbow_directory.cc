@@ -24,8 +24,7 @@ ElbowDirectory::ElbowDirectory(std::size_t num_caches, unsigned num_ways,
                             hash_seed)),
       ways(num_ways),
       sets(num_sets),
-      tags(std::size_t{num_ways} * num_sets, 0),
-      valids(std::size_t{num_ways} * num_sets, 0),
+      tags(std::size_t{num_ways} * num_sets, kVacantTag),
       lastUses(std::size_t{num_ways} * num_sets, 0),
       sharerSets(std::size_t{num_ways} * num_sets)
 {
@@ -37,14 +36,16 @@ ElbowDirectory::findPosOf(Tag tag) const
 {
     std::size_t idx[kMaxProbeWays];
     family->indexAll(tag, idx);
+    return findPosWithIdx(tag, idx);
+}
+
+std::size_t
+ElbowDirectory::findPosWithIdx(Tag tag, const std::size_t *idx) const
+{
     Tag cand[kMaxProbeWays];
-    std::uint8_t cvalid[kMaxProbeWays];
-    for (unsigned w = 0; w < ways; ++w) {
-        const std::size_t p = pos(w, idx[w]);
-        cand[w] = tags[p];
-        cvalid[w] = valids[p];
-    }
-    const std::size_t hit = findTag(cand, cvalid, ways, tag);
+    for (unsigned w = 0; w < ways; ++w)
+        cand[w] = tags[pos(w, idx[w])];
+    const std::size_t hit = findTag(cand, ways, tag);
     return hit == ways ? npos : pos(static_cast<unsigned>(hit), idx[hit]);
 }
 
@@ -67,24 +68,13 @@ ElbowDirectory::access(const DirRequest &request, DirAccessContext &ctx)
     std::size_t idx[kMaxProbeWays];
     family->indexAll(request.tag, idx);
 
-    {
-        Tag cand[kMaxProbeWays];
-        std::uint8_t cvalid[kMaxProbeWays];
-        for (unsigned w = 0; w < ways; ++w) {
-            const std::size_t p = pos(w, idx[w]);
-            cand[w] = tags[p];
-            cvalid[w] = valids[p];
-        }
-        const std::size_t hit = findTag(cand, cvalid, ways, request.tag);
-        if (hit != ways) {
-            const std::size_t p =
-                pos(static_cast<unsigned>(hit), idx[hit]);
-            out.hit = true;
-            ++statistics.hits;
-            lastUses[p] = useClock;
-            updateEntryOnHit(sharers, sharerSets[p], request, ctx, out);
-            return;
-        }
+    const std::size_t found = findPosWithIdx(request.tag, idx);
+    if (found != npos) {
+        out.hit = true;
+        ++statistics.hits;
+        lastUses[found] = useClock;
+        updateEntryOnHit(sharers, sharerSets[found], request, ctx, out);
+        return;
     }
 
     // Miss: take a vacant candidate if one exists.
@@ -92,7 +82,7 @@ ElbowDirectory::access(const DirRequest &request, DirAccessContext &ctx)
     unsigned attempts = 1;
     for (unsigned w = 0; w < ways; ++w) {
         const std::size_t p = pos(w, idx[w]);
-        if (valids[p] == 0) {
+        if (tags[p] == kVacantTag) {
             dest = p;
             break;
         }
@@ -110,13 +100,12 @@ ElbowDirectory::access(const DirRequest &request, DirAccessContext &ctx)
                 if (alt == w)
                     continue;
                 const std::size_t target = pos(alt, altIdx[alt]);
-                if (valids[target] == 0) {
+                if (tags[target] == kVacantTag) {
                     tags[target] = tags[occ];
                     sharerSets[target] = sharerSets[occ];
                     sharerSets[occ] = SharerSet{};
                     lastUses[target] = lastUses[occ];
-                    valids[target] = 1;
-                    valids[occ] = 0;
+                    tags[occ] = kVacantTag;
                     dest = occ;
                     ++relocated;
                     attempts = 2; // the relocation write
@@ -134,13 +123,13 @@ ElbowDirectory::access(const DirRequest &request, DirAccessContext &ctx)
             if (victim == npos || lastUses[p] < lastUses[victim])
                 victim = p;
         }
-        assert(victim != npos && valids[victim] != 0);
+        assert(victim != npos && tags[victim] != kVacantTag);
         EvictedEntry &evicted = ctx.appendEviction(out);
         evicted.tag = tags[victim];
         sharers.invalidationTargets(sharerSets[victim], evicted.targets);
         ++statistics.forcedEvictions;
         statistics.forcedBlockInvalidations += evicted.targets.count();
-        valids[victim] = 0;
+        tags[victim] = kVacantTag;
         sharers.clear(sharerSets[victim]);
         --occupied;
         dest = victim;
@@ -148,7 +137,6 @@ ElbowDirectory::access(const DirRequest &request, DirAccessContext &ctx)
 
     tags[dest] = request.tag;
     sharers.add(sharerSets[dest], request.cache);
-    valids[dest] = 1;
     lastUses[dest] = useClock;
     ++occupied;
 
@@ -167,7 +155,7 @@ ElbowDirectory::removeSharer(Tag tag, CacheId cache)
         return;
     ++statistics.sharerRemovals;
     if (sharers.remove(sharerSets[p], cache)) {
-        valids[p] = 0;
+        tags[p] = kVacantTag;
         --occupied;
         ++statistics.entryFrees;
     }

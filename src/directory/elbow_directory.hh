@@ -16,9 +16,10 @@
  * ablation bench quantifies exactly that gap.
  *
  * Storage is structure-of-arrays, way-major (skewed indexing disperses
- * the ways, so there is no contiguous set run): probes compute every
- * way index with one indexAll call, gather the candidate tags, and
- * reduce them with the branchless match-mask kernel.
+ * the ways, so there is no contiguous set run), with an empty entry
+ * holding kVacantTag in the tag lane: probes compute every way index
+ * with one indexAll call, gather the candidate tags, and reduce them
+ * with the branchless match-mask kernel.
  */
 
 #ifndef CDIR_DIRECTORY_ELBOW_DIRECTORY_HH
@@ -61,7 +62,6 @@ class ElbowDirectory : public Directory
     memoryBytes() const override
     {
         return sizeof(*this) + tags.capacity() * sizeof(Tag) +
-               valids.capacity() * sizeof(std::uint8_t) +
                lastUses.capacity() * sizeof(std::uint64_t) +
                sharerSets.capacity() * sizeof(SharerSet) +
                sharers.heapBytes();
@@ -80,15 +80,17 @@ class ElbowDirectory : public Directory
     /** Position of @p tag, or npos. */
     std::size_t findPosOf(Tag tag) const;
 
+    /** findPosOf with the way indices already computed. */
+    std::size_t findPosWithIdx(Tag tag, const std::size_t *idx) const;
+
     SharerStore sharers;
     std::unique_ptr<HashFamily> family;
     unsigned ways;
     std::size_t sets;
 
-    std::vector<Tag> tags;                         //!< SoA tag lane
-    std::vector<std::uint8_t> valids;              //!< SoA valid lane
-    std::vector<std::uint64_t> lastUses;           //!< SoA LRU lane
-    std::vector<SharerSet> sharerSets;             //!< SoA payload lane
+    LineAlignedVector<Tag> tags;            //!< SoA tag lane
+    LineAlignedVector<std::uint64_t> lastUses; //!< SoA LRU lane
+    LineAlignedVector<SharerSet> sharerSets;   //!< SoA payload lane
     std::size_t occupied = 0;
     std::uint64_t useClock = 0;
     std::uint64_t relocated = 0;

@@ -34,43 +34,45 @@ SkewingHashFamily::SkewingHashFamily(unsigned num_ways,
     assert(indexBits >= 2 && indexBits <= 24 &&
            "skewing family supports 4..16M sets per way");
     feedback = feedbackTable[indexBits];
+    feedbackInv = (feedback << 1) | 1;
 }
 
-std::uint64_t
-SkewingHashFamily::sigma(std::uint64_t v) const
+namespace {
+
+/**
+ * One way's step, branch-free: a1 <- sigma(a1), a2 <- sigmaInv(a2) on
+ * @p bits-wide values.
+ *
+ * sigma is one Galois step, a1' = (a1 >> 1) ^ (a1&1 ? F : 0), with the
+ * conditional XOR as a mask: -(a1 & 1) is all ones iff the lsb is set.
+ * F has its top bit set, so the top bit t of a sigma output says whether
+ * F was applied; sigmaInv undoes it, ((a2 ^ (F & -t)) << 1 | t) & mask.
+ * Distributing the shift gives (a2 << 1) ^ (G & -t) with
+ * G = (F << 1) | 1 (@p feedback_inv): bit @p bits of a2 << 1 is t, and
+ * G's copy of F's top bit clears it, so no mask is needed.
+ */
+inline void
+skewStep(std::uint64_t &a1, std::uint64_t &a2, std::uint64_t feedback,
+         std::uint64_t feedback_inv, unsigned bits)
 {
-    const bool lsb = v & 1;
-    v >>= 1;
-    if (lsb)
-        v ^= feedback;
-    return v;
+    a1 = (a1 >> 1) ^ (feedback & (0 - (a1 & 1)));
+    a2 = (a2 << 1) ^ (feedback_inv & (0 - (a2 >> (bits - 1))));
 }
 
-std::uint64_t
-SkewingHashFamily::sigmaInv(std::uint64_t v) const
-{
-    // Forward step: v' = (v >> 1) ^ (v&1 ? F : 0). The feedback mask has
-    // its top bit set, so the shifted-out bit is recoverable from the top
-    // bit of v': set means the feedback was applied (lsb was 1).
-    const std::uint64_t top = std::uint64_t{1} << (indexBits - 1);
-    if (v & top)
-        return (((v ^ feedback) << 1) | 1) & lowMask(indexBits);
-    return (v << 1) & lowMask(indexBits);
-}
+} // namespace
 
 std::size_t
 SkewingHashFamily::index(unsigned way, Tag tag) const
 {
     assert(way < ways);
-    std::uint64_t a1 = extractBits(tag, 0, indexBits);
-    std::uint64_t a2 = extractBits(tag, indexBits, indexBits);
-    std::uint64_t a3 = extractBits(tag, 2 * indexBits, indexBits);
+    const unsigned bits = indexBits;
+    std::uint64_t a1 = extractBits(tag, 0, bits);
+    std::uint64_t a2 = extractBits(tag, bits, bits);
+    const std::uint64_t a3 = extractBits(tag, 2 * bits, bits);
     // Apply way-distinct powers of the bijection to each chunk and fold.
     for (unsigned i = 0; i < way; ++i)
-        a1 = sigma(a1);
-    for (unsigned i = 0; i < way; ++i)
-        a2 = sigmaInv(a2);
-    return static_cast<std::size_t>((a1 ^ a2 ^ a3) & lowMask(indexBits));
+        skewStep(a1, a2, feedback, feedbackInv, bits);
+    return static_cast<std::size_t>(a1 ^ a2 ^ a3);
 }
 
 void
@@ -78,16 +80,20 @@ SkewingHashFamily::indexAll(Tag tag, std::size_t *out) const
 {
     // f_w = sigma^w(a1) ^ sigmaInv^w(a2) ^ a3: step the bijections once
     // per way instead of recomputing each power from scratch, so the
-    // whole probe pays O(ways) LFSR steps and one virtual call.
-    std::uint64_t a1 = extractBits(tag, 0, indexBits);
-    std::uint64_t a2 = extractBits(tag, indexBits, indexBits);
-    const std::uint64_t a3 = extractBits(tag, 2 * indexBits, indexBits);
-    const std::uint64_t mask = lowMask(indexBits);
-    out[0] = static_cast<std::size_t>((a1 ^ a2 ^ a3) & mask);
-    for (unsigned w = 1; w < ways; ++w) {
-        a1 = sigma(a1);
-        a2 = sigmaInv(a2);
-        out[w] = static_cast<std::size_t>((a1 ^ a2 ^ a3) & mask);
+    // whole probe pays O(ways) branch-free LFSR steps and one virtual
+    // call. The constants are copied to locals first: stores through
+    // @p out could alias the members and force a reload every way.
+    const unsigned n = ways;
+    const unsigned bits = indexBits;
+    const std::uint64_t fb = feedback;
+    const std::uint64_t fb_inv = feedbackInv;
+    std::uint64_t a1 = extractBits(tag, 0, bits);
+    std::uint64_t a2 = extractBits(tag, bits, bits);
+    const std::uint64_t a3 = extractBits(tag, 2 * bits, bits);
+    out[0] = static_cast<std::size_t>(a1 ^ a2 ^ a3);
+    for (unsigned w = 1; w < n; ++w) {
+        skewStep(a1, a2, fb, fb_inv, bits);
+        out[w] = static_cast<std::size_t>(a1 ^ a2 ^ a3);
     }
 }
 

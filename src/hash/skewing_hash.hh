@@ -13,6 +13,11 @@
  * f_w is a permutation-based XOR hash; distinct ways use distinct powers,
  * giving the inter-way dispersion property skewed caches rely on: two
  * tags that conflict in one way are unlikely to conflict in another.
+ *
+ * Like the hardware's few levels of XOR, the model takes no
+ * data-dependent branch: each LFSR step (and its inverse) applies the
+ * feedback through a mask built from the shifted-out bit, so the cost of
+ * indexAll() does not depend on the tag's bits.
  */
 
 #ifndef CDIR_HASH_SKEWING_HASH_HH
@@ -38,15 +43,11 @@ class SkewingHashFamily : public HashFamily
     void indexAll(Tag tag, std::size_t *out) const override;
 
   private:
-    /** One Galois-LFSR step on an indexBits-wide value (bijective). */
-    std::uint64_t sigma(std::uint64_t v) const;
-    /** Inverse of sigma. */
-    std::uint64_t sigmaInv(std::uint64_t v) const;
-
     unsigned ways;
     std::size_t sets;
     unsigned indexBits;
     std::uint64_t feedback; //!< LFSR feedback polynomial for this width.
+    std::uint64_t feedbackInv; //!< (feedback << 1) | 1, for sigma^-1
 };
 
 } // namespace cdir

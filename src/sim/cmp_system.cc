@@ -97,6 +97,7 @@ void
 CmpSystem::stage(const MemAccess &mem)
 {
     assert(mem.core < cfg.numCores);
+    assert(mem.addr != kVacantTag && "reserved block address");
     const CacheId cache_id = cacheIdFor(mem.core, mem.instruction);
     SetAssocCache &priv = *caches[cache_id];
     const std::size_t home = sliceOf(mem.addr);

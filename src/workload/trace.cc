@@ -1,6 +1,7 @@
 #include "workload/trace.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <limits>
@@ -98,8 +99,22 @@ bool
 parseHexAddr(const std::string &text, BlockAddr &addr)
 {
     char *end = nullptr;
+    errno = 0;
     addr = std::strtoull(text.c_str(), &end, 16);
-    return end != text.c_str() && *end == '\0';
+    // An out-of-range value saturates to ~0 (ERANGE): reject it rather
+    // than read a different address than the file holds.
+    return end != text.c_str() && *end == '\0' && errno != ERANGE;
+}
+
+/** Why @p addr cannot be simulated: kVacantTag marks an empty slot. */
+std::string
+reservedAddrReason(BlockAddr addr)
+{
+    char buf[96];
+    std::snprintf(buf, sizeof buf,
+                  "block address %llx is reserved (marks an empty slot)",
+                  static_cast<unsigned long long>(addr));
+    return buf;
 }
 
 } // namespace
@@ -129,6 +144,8 @@ parseTraceLine(const std::string &line, MemAccess &access,
     BlockAddr addr = 0;
     if (!parseHexAddr(addr_text, addr))
         return fail("bad block address '" + addr_text + "'");
+    if (addr == kVacantTag)
+        return fail(reservedAddrReason(addr));
 
     access.core = static_cast<CoreId>(core);
     access.addr = addr;
@@ -178,6 +195,8 @@ parseChampSimLine(const std::string &line, MemAccess &access,
     BlockAddr addr = 0;
     if (!parseHexAddr(addr_text, addr))
         return fail("bad block address '" + addr_text + "'");
+    if (addr == kVacantTag)
+        return fail(reservedAddrReason(addr));
 
     access.core = static_cast<CoreId>(core);
     access.addr = addr;
@@ -376,14 +395,19 @@ BinaryTraceReader::fill()
         if (core > std::numeric_limits<CoreId>::max())
             corrupt("core id " + std::to_string(core) +
                     " overflows CoreId");
-        if (opts.maxCores != 0 && core >= opts.maxCores) {
-            // Out-of-range cores are data errors, not framing errors:
-            // the stream stays in sync, so tolerant readers may skip.
+        // Out-of-range cores and the reserved address are data errors,
+        // not framing errors: the stream stays in sync, so tolerant
+        // readers may skip.
+        std::string why;
+        if (opts.maxCores != 0 && core >= opts.maxCores)
+            why = "core id " + std::to_string(core) +
+                  " out of range (trace limited to " +
+                  std::to_string(opts.maxCores) + " cores)";
+        else if (prevAddr == kVacantTag)
+            why = reservedAddrReason(prevAddr);
+        if (!why.empty()) {
             ++malformed;
-            error = file + ": byte " + std::to_string(offset) +
-                    ": core id " + std::to_string(core) +
-                    " out of range (trace limited to " +
-                    std::to_string(opts.maxCores) + " cores)";
+            error = file + ": byte " + std::to_string(offset) + ": " + why;
             if (opts.strict)
                 throw std::runtime_error(error);
             continue;

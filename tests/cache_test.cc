@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
 #include <set>
+#include <vector>
 
 #include "cache/cache.hh"
 #include "common/rng.hh"
@@ -183,6 +186,182 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Combine(testing::Values(std::size_t{1}, std::size_t{8},
                                      std::size_t{64}, std::size_t{512}),
                      testing::Values(1u, 2u, 4u, 16u)));
+
+// --- differential reference model --------------------------------------------
+
+/**
+ * Test-local true-LRU write-back cache: one list per set, most recently
+ * used at the front. Written for clarity, not speed, so it shares no
+ * code or layout with SetAssocCache.
+ */
+class ReferenceCache
+{
+  public:
+    explicit ReferenceCache(const CacheConfig &config)
+        : cfg(config), sets(config.numSets)
+    {}
+
+    CacheAccessResult
+    access(BlockAddr addr, bool is_write)
+    {
+        CacheAccessResult result;
+        auto &set = setOf(addr);
+        const auto it = find(set, addr);
+        if (it != set.end()) {
+            result.hit = true;
+            Line line = *it;
+            if (is_write && !line.dirty) {
+                result.writeHitClean = true;
+                line.dirty = true;
+            }
+            set.erase(it);
+            set.push_front(line);
+            return result;
+        }
+        if (set.size() == cfg.assoc) {
+            result.victim = set.back().addr;
+            result.victimDirty = set.back().dirty;
+            set.pop_back();
+        }
+        set.push_front(Line{addr, is_write});
+        return result;
+    }
+
+    bool
+    contains(BlockAddr addr)
+    {
+        auto &set = setOf(addr);
+        return find(set, addr) != set.end();
+    }
+
+    bool
+    isDirty(BlockAddr addr)
+    {
+        auto &set = setOf(addr);
+        const auto it = find(set, addr);
+        return it != set.end() && it->dirty;
+    }
+
+    bool
+    invalidate(BlockAddr addr)
+    {
+        auto &set = setOf(addr);
+        const auto it = find(set, addr);
+        if (it == set.end())
+            return false;
+        set.erase(it);
+        return true;
+    }
+
+    void
+    cleanse(BlockAddr addr)
+    {
+        auto &set = setOf(addr);
+        const auto it = find(set, addr);
+        if (it != set.end())
+            it->dirty = false;
+    }
+
+    std::vector<BlockAddr>
+    residentAddresses() const
+    {
+        std::vector<BlockAddr> out;
+        for (const auto &set : sets)
+            for (const Line &line : set)
+                out.push_back(line.addr);
+        return out;
+    }
+
+  private:
+    struct Line
+    {
+        BlockAddr addr;
+        bool dirty;
+    };
+    using Set = std::list<Line>;
+
+    Set &setOf(BlockAddr addr) { return sets[addr % cfg.numSets]; }
+
+    static Set::iterator
+    find(Set &set, BlockAddr addr)
+    {
+        return std::find_if(set.begin(), set.end(), [&](const Line &line) {
+            return line.addr == addr;
+        });
+    }
+
+    CacheConfig cfg;
+    std::vector<Set> sets;
+};
+
+std::vector<BlockAddr>
+sorted(std::vector<BlockAddr> v)
+{
+    std::sort(v.begin(), v.end());
+    return v;
+}
+
+TEST(Cache, MatchesReferenceModelUnderRandomTraffic)
+{
+    // Random reads, writes, invalidations and cleanses over a pool about
+    // twice the capacity, so hits, clean and dirty evictions, write
+    // upgrades and refills of invalidated frames are all common. Half
+    // the pool sits at the top of the address space (bit 63 set), where
+    // an address could be mistaken for the stamp's dirty flag.
+    const CacheConfig geometries[] = {{512, 2}, {1024, 16}, {4, 1}};
+    for (const CacheConfig &cfg : geometries) {
+        SetAssocCache cache(cfg);
+        ReferenceCache ref(cfg);
+        Rng rng(0xcace + cfg.numSets * 31 + cfg.assoc);
+        const std::uint64_t pool = 2 * cfg.capacityBlocks() + 3;
+        const int ops = 200000;
+        for (int i = 0; i < ops; ++i) {
+            BlockAddr addr = rng.below(pool);
+            if (rng.chance(0.5))
+                addr |= BlockAddr{1} << 63;
+            const std::uint64_t op = rng.below(100);
+            if (op < 55 || op >= 90) {
+                const bool is_write = op >= 90 || rng.chance(0.3);
+                const CacheAccessResult got = cache.access(addr, is_write);
+                const CacheAccessResult want = ref.access(addr, is_write);
+                ASSERT_EQ(got.hit, want.hit) << "op " << i;
+                ASSERT_EQ(got.writeHitClean, want.writeHitClean)
+                    << "op " << i;
+                ASSERT_EQ(got.victim, want.victim) << "op " << i;
+                ASSERT_EQ(got.victimDirty, want.victimDirty) << "op " << i;
+            } else if (op < 75) {
+                ASSERT_EQ(cache.invalidate(addr), ref.invalidate(addr))
+                    << "op " << i;
+            } else {
+                cache.cleanse(addr);
+                ref.cleanse(addr);
+            }
+            ASSERT_EQ(cache.contains(addr), ref.contains(addr)) << "op " << i;
+            ASSERT_EQ(cache.isDirty(addr), ref.isDirty(addr)) << "op " << i;
+            if (i % 4096 == 0 || i == ops - 1) {
+                const auto want = sorted(ref.residentAddresses());
+                ASSERT_EQ(cache.residentBlocks(), want.size()) << "op " << i;
+                ASSERT_EQ(sorted(cache.residentAddresses()), want)
+                    << "op " << i;
+            }
+        }
+    }
+}
+
+// --- layout --------------------------------------------------------------------
+
+static_assert(sizeof(SetAssocCache::Frame) == 16,
+              "a frame is a tag word and a stamp word, dirty bit included");
+
+TEST(Cache, MemoryIsCapacityTimesFrameSize)
+{
+    for (const CacheConfig &cfg :
+         {CacheConfig{512, 2}, CacheConfig{1024, 16}, CacheConfig{4, 1}}) {
+        const SetAssocCache cache(cfg);
+        EXPECT_EQ(cache.memoryBytes(),
+                  sizeof(SetAssocCache) + cfg.capacityBlocks() * 16);
+    }
+}
 
 TEST(CacheConfigStruct, CapacityIsSetsTimesWays)
 {

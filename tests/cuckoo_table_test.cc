@@ -69,6 +69,37 @@ TEST(CuckooTable, CapacityIsWaysTimesSets)
     EXPECT_EQ(table.setsPerWay(), 128u);
 }
 
+TEST(CuckooTable, PrecomputedIndicesMatchRehashing)
+{
+    // A directory miss hashes once and hands the indices to both the
+    // probe and the insertion; that must place, displace and discard
+    // exactly like the self-hashing calls, up to a full table.
+    for (unsigned bucket : {1u, 2u}) {
+        auto family = makeHashFamily(HashKind::Skewing, 4, 64);
+        Table rehashing(*family, 32, bucket);
+        Table precomputed(*family, 32, bucket);
+        Rng rng(23 + bucket);
+        for (int i = 0; i < 600; ++i) {
+            const Tag tag = rng.next() >> 8;
+            std::size_t idx[kMaxProbeWays];
+            precomputed.indexAll(tag, idx);
+            const std::size_t pos = precomputed.findPos(tag, idx);
+            ASSERT_EQ(pos, rehashing.findPos(tag)) << "op " << i;
+            if (pos != Table::npos) {
+                ASSERT_EQ(precomputed.eraseAt(pos), *rehashing.erase(tag));
+                continue;
+            }
+            const auto want = rehashing.insert(tag, int(i));
+            const auto got = precomputed.insert(tag, int(i), idx);
+            ASSERT_EQ(got.attempts, want.attempts) << "op " << i;
+            ASSERT_EQ(got.discarded, want.discarded) << "op " << i;
+            ASSERT_EQ(got.discardedTag, want.discardedTag) << "op " << i;
+            ASSERT_EQ(got.discardedPayload, want.discardedPayload);
+        }
+        EXPECT_EQ(precomputed.size(), rehashing.size());
+    }
+}
+
 TEST(CuckooTable, DisplacementPreservesAllElements)
 {
     // Fill to 50% occupancy; every inserted element must remain findable

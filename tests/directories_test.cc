@@ -16,6 +16,7 @@
 #include "common/rng.hh"
 #include "directory/assoc_directory.hh"
 #include "directory/cuckoo_directory.hh"
+#include "directory/cuckoo_table.hh"
 #include "directory/directory.hh"
 #include "directory/duplicate_tag_directory.hh"
 #include "directory/in_cache_directory.hh"
@@ -515,6 +516,25 @@ TEST(DirectoryFactory, KindNamesAreDistinct)
     for (const std::string &org : kAllOrgs)
         names.insert(makeOrg(org)->name());
     EXPECT_EQ(names.size(), std::size(kAllOrgs));
+}
+
+// --- storage layout ------------------------------------------------------------
+
+static_assert(sizeof(CuckooTable<SharerSet>::Slot) == 24,
+              "a Cuckoo slot is a tag word plus the sharer set, no valid lane");
+
+TEST(DirectoryLayout, MemoryIsCapacityTimesEntrySize)
+{
+    // Cuckoo: one {tag, sharers} slot per entry.
+    auto family = makeHashFamily(HashKind::Skewing, 4, 512);
+    const CuckooTable<SharerSet> table(*family);
+    EXPECT_EQ(table.memoryBytes(), table.capacity() * 24);
+
+    // Sparse: tag, LRU stamp and sharer lanes — 8 + 8 + 16 bytes per
+    // entry (16 caches need no sharer spill storage).
+    const auto sparse = makeSparseDirectory(16, 8, 512);
+    EXPECT_EQ(sparse->memoryBytes(),
+              sizeof(AssocDirectory) + sparse->capacity() * 32);
 }
 
 } // namespace

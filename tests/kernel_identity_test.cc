@@ -7,8 +7,8 @@
  * implementations as test oracles and pins the kernels at three levels:
  *
  *  1. kernel level — randomized findTag/findVacant agreement with the
- *     oracles and match-mask semantics over adversarial valid/tag
- *     patterns;
+ *     oracles and match-mask semantics over adversarial tag patterns
+ *     with vacant (kVacantTag) slots mixed in;
  *  2. system level — the committed golden-trace tables reproduce
  *     exactly at every tested --jobs setting (sweep-pool parallelism);
  *  3. slice level — DuplicateTag's chunk-occupancy skip agrees with a
@@ -41,25 +41,24 @@ using test::kGoldenTraces;
 using test::measureGolden;
 
 /**
- * Oracle: index of the first valid slot in [0, n) whose tag equals
- * @p needle, or @p n if absent. Early-exit branchy loop.
+ * Oracle: index of the first slot in [0, n) whose tag equals @p needle,
+ * or @p n if absent. Early-exit branchy loop.
  */
 std::size_t
-findTagScalar(const Tag *tags, const std::uint8_t *valid, std::size_t n,
-              Tag needle)
+findTagScalar(const Tag *tags, std::size_t n, Tag needle)
 {
     for (std::size_t i = 0; i < n; ++i)
-        if (valid[i] != 0 && tags[i] == needle)
+        if (tags[i] == needle)
             return i;
     return n;
 }
 
-/** Oracle for findVacant: first *invalid* slot in [0, n), or n. */
+/** Oracle for findVacant: first slot in [0, n) holding kVacantTag, or n. */
 std::size_t
-findVacantScalar(const std::uint8_t *valid, std::size_t n)
+findVacantScalar(const Tag *tags, std::size_t n)
 {
     for (std::size_t i = 0; i < n; ++i)
-        if (valid[i] == 0)
+        if (tags[i] == kVacantTag)
             return i;
     return n;
 }
@@ -67,40 +66,42 @@ findVacantScalar(const std::uint8_t *valid, std::size_t n)
 // --- kernel level ------------------------------------------------------------
 
 /**
- * Random candidate run of width @p n: ~half the slots invalid, tags
+ * Random candidate run of width @p n: ~half the slots vacant, tags
  * drawn from a tiny alphabet so duplicate tags (first-match tie-breaks)
- * and valid-but-different slots are all common.
+ * and occupied-but-different slots are all common.
  */
-struct CandidateRun
-{
-    std::vector<Tag> tags;
-    std::vector<std::uint8_t> valids;
-};
-
-CandidateRun
+std::vector<Tag>
 randomRun(Rng &rng, std::size_t n)
 {
-    CandidateRun run;
-    run.tags.resize(n);
-    run.valids.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        run.tags[i] = rng.below(8);
-        run.valids[i] = rng.below(2) != 0 ? 1 : 0;
-    }
+    std::vector<Tag> run(n);
+    for (Tag &tag : run)
+        tag = rng.below(2) != 0 ? rng.below(8) : kVacantTag;
     return run;
 }
+
+/** A slot-shaped run element: the kernels read its `tag` member. */
+struct PaddedSlot
+{
+    Tag tag;
+    std::uint64_t payload;
+};
 
 TEST(KernelIdentity, FindTagAgreesWithScalarReference)
 {
     Rng rng(0xf00d);
     for (int iter = 0; iter < 2000; ++iter) {
         const std::size_t n = 1 + rng.below(kKernelWidth);
-        const CandidateRun run = randomRun(rng, n);
+        const std::vector<Tag> run = randomRun(rng, n);
         const Tag needle = rng.below(8);
 
-        ASSERT_EQ(findTag(run.tags.data(), run.valids.data(), n, needle),
-                  findTagScalar(run.tags.data(), run.valids.data(), n,
-                                needle))
+        const std::size_t want = findTagScalar(run.data(), n, needle);
+        ASSERT_EQ(findTag(run.data(), n, needle), want)
+            << "width " << n << " iter " << iter;
+        // Slot runs reduce exactly like bare tag runs.
+        std::vector<PaddedSlot> slots(n);
+        for (std::size_t i = 0; i < n; ++i)
+            slots[i] = PaddedSlot{run[i], ~std::uint64_t{0}};
+        ASSERT_EQ(findTag(slots.data(), n, needle), want)
             << "width " << n << " iter " << iter;
     }
 }
@@ -110,10 +111,9 @@ TEST(KernelIdentity, FindVacantAgreesWithScalarReference)
     Rng rng(0xbeef);
     for (int iter = 0; iter < 2000; ++iter) {
         const std::size_t n = 1 + rng.below(kKernelWidth);
-        const CandidateRun run = randomRun(rng, n);
+        const std::vector<Tag> run = randomRun(rng, n);
 
-        ASSERT_EQ(findVacant(run.valids.data(), n),
-                  findVacantScalar(run.valids.data(), n))
+        ASSERT_EQ(findVacant(run.data(), n), findVacantScalar(run.data(), n))
             << "width " << n << " iter " << iter;
     }
 }
@@ -123,18 +123,15 @@ TEST(KernelIdentity, MatchMaskBitsAreExactlyTheMatches)
     Rng rng(0xcafe);
     for (int iter = 0; iter < 2000; ++iter) {
         const std::size_t n = 1 + rng.below(kKernelWidth);
-        const CandidateRun run = randomRun(rng, n);
+        const std::vector<Tag> run = randomRun(rng, n);
         const Tag needle = rng.below(8);
 
-        const std::uint64_t mask =
-            tagMatchMask(run.tags.data(), run.valids.data(), n, needle);
-        const std::uint64_t vacant = vacancyMask(run.valids.data(), n);
+        const std::uint64_t mask = tagMatchMask(run.data(), n, needle);
+        const std::uint64_t vacant = vacancyMask(run.data(), n);
         for (std::size_t i = 0; i < n; ++i) {
-            const bool match =
-                run.valids[i] != 0 && run.tags[i] == needle;
-            ASSERT_EQ((mask >> i) & 1u, match ? 1u : 0u)
+            ASSERT_EQ((mask >> i) & 1u, run[i] == needle ? 1u : 0u)
                 << "bit " << i << " iter " << iter;
-            ASSERT_EQ((vacant >> i) & 1u, run.valids[i] == 0 ? 1u : 0u)
+            ASSERT_EQ((vacant >> i) & 1u, run[i] == kVacantTag ? 1u : 0u)
                 << "bit " << i << " iter " << iter;
         }
         // No bits past the run width.
@@ -142,6 +139,28 @@ TEST(KernelIdentity, MatchMaskBitsAreExactlyTheMatches)
             ASSERT_EQ(mask >> n, 0u);
             ASSERT_EQ(vacant >> n, 0u);
         }
+    }
+}
+
+TEST(KernelIdentity, VacantSlotNeverMatchesAProbedTag)
+{
+    // A vacant slot keeps whatever payload it had, but its tag word is
+    // the sentinel: no real tag (anything but kVacantTag) can hit it.
+    Rng rng(0x5a5a);
+    std::vector<Tag> vacant(kKernelWidth, kVacantTag);
+    for (int iter = 0; iter < 2000; ++iter) {
+        const std::size_t n = 1 + rng.below(kKernelWidth);
+        Tag needle = rng.below(2) != 0 ? rng.next() : rng.below(8);
+        if (needle == kVacantTag)
+            needle = 0;
+        ASSERT_EQ(tagMatchMask(vacant.data(), n, needle), 0u);
+        ASSERT_EQ(findTag(vacant.data(), n, needle), n);
+
+        // Mixed runs: every match bit is an occupied slot.
+        const std::vector<Tag> run = randomRun(rng, n);
+        const std::uint64_t mask = tagMatchMask(run.data(), n, needle);
+        ASSERT_EQ(mask & vacancyMask(run.data(), n), 0u)
+            << "width " << n << " iter " << iter;
     }
 }
 

@@ -126,6 +126,20 @@ TEST(TraceFormat, RejectsOutOfRangeCore)
     EXPECT_NE(error.find("out of range"), std::string::npos) << error;
 }
 
+TEST(TraceFormat, RejectsReservedAndOverflowingAddresses)
+{
+    // ffffffffffffffff marks an empty slot in every tag lane, so no
+    // record may carry it; a 17-digit address must not saturate to it.
+    MemAccess parsed;
+    std::string error;
+    EXPECT_FALSE(parseTraceLine("0 ffffffffffffffff r", parsed, &error));
+    EXPECT_NE(error.find("reserved"), std::string::npos) << error;
+    EXPECT_FALSE(parseTraceLine("0 1ffffffffffffffff r", parsed, &error));
+    EXPECT_NE(error.find("bad block address"), std::string::npos) << error;
+    EXPECT_TRUE(parseTraceLine("0 fffffffffffffffe r", parsed, &error));
+    EXPECT_EQ(parsed.addr, 0xfffffffffffffffeull);
+}
+
 TEST(TraceFormat, ParsesHexAddresses)
 {
     MemAccess parsed;
@@ -221,6 +235,40 @@ TEST(TextTraceFile, OutOfRangeCoreIsRejectedNotWrapped)
     EXPECT_EQ(reader.malformedRecords(), 1u);
     EXPECT_NE(reader.lastError().find("out of range"), std::string::npos)
         << reader.lastError();
+    std::filesystem::remove(path);
+}
+
+TEST(TextTraceFile, ReservedAddressIsMalformedAtItsLine)
+{
+    const std::string path = tempPath("cdir_trace_reserved.txt");
+    {
+        std::ofstream out(path);
+        out << "0 10 r\n"
+            << "1 ffffffffffffffff w\n"
+            << "2 20 r\n";
+    }
+    // Lenient: skipped, counted, and reported with its line number.
+    TextTraceReader reader(path);
+    EXPECT_EQ(reader.next().addr, 0x10u);
+    EXPECT_EQ(reader.next().addr, 0x20u);
+    EXPECT_TRUE(reader.exhausted());
+    EXPECT_EQ(reader.malformedRecords(), 1u);
+    EXPECT_NE(reader.lastError().find(path + ":2:"), std::string::npos)
+        << reader.lastError();
+    EXPECT_NE(reader.lastError().find("reserved"), std::string::npos)
+        << reader.lastError();
+
+    TraceReadOptions opts;
+    opts.strict = true;
+    try {
+        TextTraceReader strict(path, opts);
+        while (!strict.exhausted())
+            strict.next();
+        FAIL() << "strict reader accepted the reserved address";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find(":2:"), std::string::npos)
+            << e.what();
+    }
     std::filesystem::remove(path);
 }
 
@@ -391,6 +439,41 @@ TEST(BinaryTraceFile, StrictModeRejectsOutOfRangeCore)
                 reader.next();
         },
         std::runtime_error);
+    std::filesystem::remove(path);
+}
+
+TEST(BinaryTraceFile, ReservedAddressIsMalformedAtItsByteOffset)
+{
+    const std::string path = tempPath("cdir_trace_reserved.ctr");
+    {
+        BinaryTraceWriter writer(path);
+        writer.write({0, 0x10, false, false});
+        writer.write({1, kVacantTag, true, false});
+        writer.write({2, 0x20, false, false});
+    }
+    // The record is well framed, so a tolerant reader stays in sync:
+    // it skips the record and decodes the next delta correctly.
+    BinaryTraceReader tolerant(path);
+    EXPECT_EQ(tolerant.next().addr, 0x10u);
+    EXPECT_EQ(tolerant.next().addr, 0x20u);
+    EXPECT_TRUE(tolerant.exhausted());
+    EXPECT_EQ(tolerant.malformedRecords(), 1u);
+    EXPECT_NE(tolerant.lastError().find(": byte "), std::string::npos)
+        << tolerant.lastError();
+    EXPECT_NE(tolerant.lastError().find("reserved"), std::string::npos)
+        << tolerant.lastError();
+
+    TraceReadOptions strict;
+    strict.strict = true;
+    try {
+        BinaryTraceReader reader(path, strict);
+        while (!reader.exhausted())
+            reader.next();
+        FAIL() << "strict reader accepted the reserved address";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find(": byte "), std::string::npos)
+            << e.what();
+    }
     std::filesystem::remove(path);
 }
 
@@ -820,6 +903,37 @@ TEST(ChampSimReader, ReadsExternalTracesWithLineNumberedErrors)
         FAIL() << "strict reader accepted a malformed line";
     } catch (const std::runtime_error &e) {
         EXPECT_NE(std::string(e.what()).find(":3:"), std::string::npos)
+            << e.what();
+    }
+    std::filesystem::remove(path);
+}
+
+TEST(ChampSimReader, ReservedAddressIsMalformedAtItsLine)
+{
+    const std::string path = tempPath("cdir_champsim_reserved.txt");
+    {
+        std::ofstream out(path);
+        out << "10 0 r\n"
+               "0xffffffffffffffff 1 w\n"
+               "20 2 r\n";
+    }
+    ChampSimTraceReader tolerant(path);
+    EXPECT_EQ(tolerant.next().addr, 0x10u);
+    EXPECT_EQ(tolerant.next().addr, 0x20u);
+    EXPECT_TRUE(tolerant.exhausted());
+    EXPECT_EQ(tolerant.malformedRecords(), 1u);
+    EXPECT_NE(tolerant.lastError().find(":2:"), std::string::npos)
+        << tolerant.lastError();
+    EXPECT_NE(tolerant.lastError().find("reserved"), std::string::npos)
+        << tolerant.lastError();
+
+    try {
+        ChampSimTraceReader strict(path, TraceReadOptions{0, true});
+        while (!strict.exhausted())
+            strict.next();
+        FAIL() << "strict reader accepted the reserved address";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find(":2:"), std::string::npos)
             << e.what();
     }
     std::filesystem::remove(path);
