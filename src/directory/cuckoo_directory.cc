@@ -74,7 +74,7 @@ CuckooDirectory::access(const DirRequest &request, DirAccessContext &ctx)
     // Hash once: the probe and, on a miss, the first insertion attempt
     // use the same way indices.
     std::size_t idx[kMaxProbeWays];
-    table.indexAll(request.tag, idx);
+    family->indexAll(request.tag, idx);
     const std::size_t pos = table.findPos(request.tag, idx);
     if (pos != CuckooTable<SharerSet>::npos) {
         out.hit = true;

@@ -101,16 +101,6 @@ class CuckooTable
         assert(bucket_slots >= 1 && bucket_slots <= kKernelWidth);
     }
 
-    /**
-     * Way indices of @p tag, one per way, into @p idx (room for
-     * numWays()); what findPos() and insert() take to skip rehashing.
-     */
-    void
-    indexAll(Tag tag, std::size_t *idx) const
-    {
-        hashes.indexAll(tag, idx);
-    }
-
     /** Position of @p tag, or npos. */
     std::size_t
     findPos(Tag tag) const
@@ -121,10 +111,10 @@ class CuckooTable
     }
 
     /**
-     * Position of @p tag given its way indices @p idx (from indexAll),
-     * or npos. The match-mask kernel reduces the gathered candidate
-     * tags (probe order way-major, bucket slots in order — identical to
-     * the scalar walk).
+     * Position of @p tag given its way indices @p idx (the table's
+     * HashFamily::indexAll of @p tag), or npos. The match-mask kernel
+     * reduces the gathered candidate tags (probe order way-major, bucket
+     * slots in order — identical to the scalar walk).
      */
     std::size_t
     findPos(Tag tag, const std::size_t *idx) const
@@ -198,8 +188,8 @@ class CuckooTable
     }
 
     /**
-     * insert() given the way indices @p tag_idx of @p tag (from
-     * indexAll), so a miss that already probed does not hash the tag
+     * insert() given the way indices @p tag_idx of @p tag (as for
+     * findPos), so a miss that already probed does not hash the tag
      * again.
      */
     InsertResult

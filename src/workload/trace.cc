@@ -106,16 +106,9 @@ parseHexAddr(const std::string &text, BlockAddr &addr)
     return end != text.c_str() && *end == '\0' && errno != ERANGE;
 }
 
-/** Why @p addr cannot be simulated: kVacantTag marks an empty slot. */
-std::string
-reservedAddrReason(BlockAddr addr)
-{
-    char buf[96];
-    std::snprintf(buf, sizeof buf,
-                  "block address %llx is reserved (marks an empty slot)",
-                  static_cast<unsigned long long>(addr));
-    return buf;
-}
+/** Why a record carrying kVacantTag cannot be simulated. */
+constexpr const char *kReservedAddrReason =
+    "block address ffffffffffffffff is reserved (marks an empty slot)";
 
 } // namespace
 
@@ -145,7 +138,7 @@ parseTraceLine(const std::string &line, MemAccess &access,
     if (!parseHexAddr(addr_text, addr))
         return fail("bad block address '" + addr_text + "'");
     if (addr == kVacantTag)
-        return fail(reservedAddrReason(addr));
+        return fail(kReservedAddrReason);
 
     access.core = static_cast<CoreId>(core);
     access.addr = addr;
@@ -196,7 +189,7 @@ parseChampSimLine(const std::string &line, MemAccess &access,
     if (!parseHexAddr(addr_text, addr))
         return fail("bad block address '" + addr_text + "'");
     if (addr == kVacantTag)
-        return fail(reservedAddrReason(addr));
+        return fail(kReservedAddrReason);
 
     access.core = static_cast<CoreId>(core);
     access.addr = addr;
@@ -404,7 +397,7 @@ BinaryTraceReader::fill()
                   " out of range (trace limited to " +
                   std::to_string(opts.maxCores) + " cores)";
         else if (prevAddr == kVacantTag)
-            why = reservedAddrReason(prevAddr);
+            why = kReservedAddrReason;
         if (!why.empty()) {
             ++malformed;
             error = file + ": byte " + std::to_string(offset) + ": " + why;

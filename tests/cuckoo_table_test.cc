@@ -82,7 +82,7 @@ TEST(CuckooTable, PrecomputedIndicesMatchRehashing)
         for (int i = 0; i < 600; ++i) {
             const Tag tag = rng.next() >> 8;
             std::size_t idx[kMaxProbeWays];
-            precomputed.indexAll(tag, idx);
+            family->indexAll(tag, idx);
             const std::size_t pos = precomputed.findPos(tag, idx);
             ASSERT_EQ(pos, rehashing.findPos(tag)) << "op " << i;
             if (pos != Table::npos) {
