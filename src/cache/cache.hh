@@ -105,7 +105,7 @@ class SetAssocCache
     /** One cache frame: block address and LRU stamp (see file comment). */
     struct Frame
     {
-        BlockAddr tag;      //!< resident block, or kVacantTag
+        BlockAddr tag;       //!< resident block, or kVacantTag
         std::uint64_t stamp; //!< last use, dirty flag in the top bit
     };
 
