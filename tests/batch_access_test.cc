@@ -22,9 +22,11 @@
 #include <vector>
 
 #include "common/alloc_counter.hh"
+#include "common/bit_util.hh"
 #include "common/rng.hh"
 #include "dir_test_util.hh"
 #include "directory/registry.hh"
+#include "model/cost_model.hh"
 #include "sim/cmp_system.hh"
 #include "sim/experiment.hh"
 
@@ -244,6 +246,241 @@ TEST(BatchAccess, WindowOfOneMatchesPerReferenceDriver)
         EXPECT_EQ(batched.stats().forcedInvalidations,
                   serial.stats().forcedInvalidations)
             << name;
+    }
+}
+
+/**
+ * Reference driver: the staged per-slice replay CmpSystem once used,
+ * rebuilt from public calls on a second system's caches and slices.
+ * A window stages each slice's sharer removals and requests in order,
+ * then every touched slice replays its queue through accessBatch and
+ * the outcomes are applied in first-touch slice order.
+ */
+class StagedReplayDriver
+{
+  public:
+    StagedReplayDriver(CmpSystem &system, const CostModel *model)
+        : sys(system), costs(model), queues(system.numSlices())
+    {
+        for (std::size_t s = 0; s < sys.numSlices(); ++s)
+            contexts.push_back(sys.slice(s).makeContext());
+        if (costs != nullptr)
+            counters.latency.preallocate();
+    }
+
+    void
+    run(AccessSource &source, std::uint64_t count,
+        std::uint64_t sample_every)
+    {
+        const std::size_t window = sys.config().batchWindow;
+        std::size_t staged = 0;
+        for (std::uint64_t executed = 1; executed <= count; ++executed) {
+            stage(source.next());
+            const bool sample_due = executed % sample_every == 0;
+            if (++staged == window || sample_due) {
+                flush();
+                staged = 0;
+            }
+            if (sample_due)
+                counters.directoryOccupancy.add(sys.currentOccupancy());
+        }
+        flush();
+    }
+
+    CmpStats counters;
+
+  private:
+    struct Removal
+    {
+        std::size_t beforeRequest;
+        Tag tag;
+        CacheId cache;
+    };
+
+    struct Queue
+    {
+        std::vector<Removal> removals;
+        std::vector<DirRequest> requests;
+        bool dirty = false;
+    };
+
+    std::size_t sliceOf(BlockAddr a) const { return a & (queues.size() - 1); }
+    Tag tagOf(BlockAddr a) const { return a >> floorLog2(queues.size()); }
+
+    Queue &
+    touch(std::size_t slice)
+    {
+        if (!queues[slice].dirty) {
+            queues[slice].dirty = true;
+            dirty.push_back(slice);
+        }
+        return queues[slice];
+    }
+
+    void
+    stage(const MemAccess &mem)
+    {
+        const CacheId id =
+            static_cast<CacheId>(mem.core * 2 + (mem.instruction ? 0 : 1));
+        ++counters.accesses;
+        const CacheAccessResult res = sys.cache(id).access(mem.addr, mem.write);
+        if (res.hit) {
+            ++counters.cacheHits;
+            if (res.writeHitClean) {
+                ++counters.writeUpgrades;
+                touch(sliceOf(mem.addr))
+                    .requests.push_back(DirRequest{tagOf(mem.addr), id, true});
+            }
+            return;
+        }
+        ++counters.cacheMisses;
+        if (res.victim) {
+            ++counters.cacheEvictions;
+            Queue &q = touch(sliceOf(*res.victim));
+            q.removals.push_back(
+                Removal{q.requests.size(), tagOf(*res.victim), id});
+        }
+        touch(sliceOf(mem.addr))
+            .requests.push_back(DirRequest{tagOf(mem.addr), id, mem.write});
+    }
+
+    void
+    replay(std::size_t s)
+    {
+        Queue &q = queues[s];
+        DirAccessContext &ctx = contexts[s];
+        ctx.reset();
+        std::size_t next = 0;
+        const auto requests = [&](std::size_t end) {
+            sys.slice(s).accessBatch(
+                std::span<const DirRequest>(q.requests.data() + next,
+                                            end - next),
+                ctx);
+            next = end;
+        };
+        for (const Removal &r : q.removals) {
+            requests(r.beforeRequest);
+            sys.slice(s).removeSharer(r.tag, r.cache);
+        }
+        requests(q.requests.size());
+    }
+
+    void
+    apply(std::size_t s)
+    {
+        const Queue &q = queues[s];
+        const DirAccessContext &ctx = contexts[s];
+        const unsigned shift = floorLog2(queues.size());
+        for (std::size_t i = 0; i < ctx.size(); ++i) {
+            const DirAccessOutcome &out = ctx.outcome(i);
+            const DirRequest &req = q.requests[i];
+            if (costs != nullptr)
+                counters.latency.add(costs->accessLatency(req, out, ctx, s));
+            if (out.hadSharerInvalidations) {
+                const BlockAddr addr = (req.tag << shift) | s;
+                ctx.sharerInvalidations(out).forEachSetBit([&](std::size_t c) {
+                    if (c != req.cache && sys.cache(c).invalidate(addr))
+                        ++counters.sharingInvalidations;
+                });
+            }
+            for (std::size_t e = 0; e < out.evictionCount; ++e) {
+                const EvictedEntry &ev = ctx.forcedEviction(out, e);
+                const BlockAddr addr = (ev.tag << shift) | s;
+                ev.targets.forEachSetBit([&](std::size_t c) {
+                    if (sys.cache(c).invalidate(addr))
+                        ++counters.forcedInvalidations;
+                });
+            }
+        }
+    }
+
+    void
+    flush()
+    {
+        for (const std::size_t s : dirty)
+            replay(s);
+        for (const std::size_t s : dirty) {
+            apply(s);
+            queues[s] = Queue{};
+        }
+        dirty.clear();
+    }
+
+    CmpSystem &sys;
+    const CostModel *costs;
+    std::vector<Queue> queues;
+    std::vector<std::size_t> dirty;
+    std::vector<DirAccessContext> contexts;
+};
+
+TEST(BatchAccess, DeferredApplyMatchesStagedReplay)
+{
+    // CmpSystem::run must reproduce the staged per-slice replay's every
+    // counter — system, directory, latency and cache contents — for
+    // every organization, window and timing mode.
+    constexpr std::uint64_t kAccesses = 20000, kSampleEvery = 1000;
+    for (const std::string &name : DirectoryRegistry::instance().names()) {
+        for (const std::size_t window : {1, 4, 64}) {
+            for (const std::string timing : {"", "mesh"}) {
+                const std::string label = name + " window " +
+                                          std::to_string(window) + " " +
+                                          (timing.empty() ? "untimed" : timing);
+                const CmpConfig cfg = tinyConfig(name, window);
+                const auto model =
+                    timing.empty() ? nullptr : makeCostModel(timing, cfg);
+
+                CmpSystem sys(cfg);
+                sys.setCostModel(model.get());
+                SyntheticSource gen(tinyWorkload(13));
+                sys.run(gen, kAccesses, kSampleEvery);
+
+                CmpSystem shell(cfg);
+                StagedReplayDriver ref(shell, model.get());
+                SyntheticSource ref_gen(tinyWorkload(13));
+                ref.run(ref_gen, kAccesses, kSampleEvery);
+
+                const CmpStats &got = sys.stats();
+                const CmpStats &want = ref.counters;
+                EXPECT_EQ(got.accesses, want.accesses) << label;
+                EXPECT_EQ(got.cacheHits, want.cacheHits) << label;
+                EXPECT_EQ(got.cacheMisses, want.cacheMisses) << label;
+                EXPECT_EQ(got.writeUpgrades, want.writeUpgrades) << label;
+                EXPECT_EQ(got.cacheEvictions, want.cacheEvictions) << label;
+                EXPECT_EQ(got.sharingInvalidations, want.sharingInvalidations)
+                    << label;
+                EXPECT_EQ(got.forcedInvalidations, want.forcedInvalidations)
+                    << label;
+                EXPECT_EQ(got.directoryOccupancy.count(),
+                          want.directoryOccupancy.count())
+                    << label;
+                EXPECT_EQ(got.directoryOccupancy.sum(),
+                          want.directoryOccupancy.sum())
+                    << label;
+                EXPECT_EQ(got.latency.count(), want.latency.count()) << label;
+                EXPECT_EQ(got.latency.totalCycles(), want.latency.totalCycles())
+                    << label;
+                for (std::size_t b = 0; b < LatencyHistogram::kBuckets; ++b)
+                    ASSERT_EQ(got.latency.bucketAt(b), want.latency.bucketAt(b))
+                        << label << " latency bucket " << b;
+
+                expectStatsEqual(sys.aggregateDirectoryStats(),
+                                 shell.aggregateDirectoryStats(), label);
+                const Histogram a = sys.aggregateAttemptHistogram();
+                const Histogram b = shell.aggregateAttemptHistogram();
+                ASSERT_EQ(a.maxValue(), b.maxValue()) << label;
+                for (std::size_t v = 0; v <= a.maxValue(); ++v)
+                    EXPECT_EQ(a.at(v), b.at(v)) << label << " attempts " << v;
+                for (std::size_t c = 0; c < sys.numCaches(); ++c)
+                    EXPECT_EQ(sys.cache(c).residentAddresses(),
+                              shell.cache(c).residentAddresses())
+                        << label << " cache " << c;
+                if (window > 1) {
+                    EXPECT_GT(got.forcedInvalidations + got.sharingInvalidations,
+                              0u)
+                        << label;
+                }
+            }
+        }
     }
 }
 

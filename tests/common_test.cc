@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "common/bitset.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
+#include "rng_test_util.hh"
 
 namespace cdir {
 namespace {
@@ -145,6 +148,60 @@ TEST(Rng, ChanceMatchesProbability)
         if (rng.chance(0.25))
             ++hits;
     EXPECT_NEAR(hits / 100000.0, 0.25, 0.01);
+}
+
+TEST(Rng, EmittingHelperProducesRequestedWord)
+{
+    Rng words(3);
+    for (int i = 0; i < 1000; ++i) {
+        const std::uint64_t raw = words.next();
+        Rng rng = test::rngEmitting(raw);
+        ASSERT_EQ(rng.next(), raw);
+    }
+}
+
+/** ceil(p * 2^53) clamped to [0, 2^53]: the integer form of chance(p). */
+std::uint64_t
+referenceThreshold(double p)
+{
+    if (!(p > 0.0))
+        return 0;
+    if (p >= 1.0)
+        return std::uint64_t{1} << 53;
+    return static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
+}
+
+TEST(Rng, ChanceThresholdMatchesUniformCompare)
+{
+    // uniform() is x * 2^-53 for the integer x = next() >> 11, and
+    // scaling by a power of two is exact, so uniform() < p holds iff
+    // x < ceil(p * 2^53). Probe the boundaries (0, 1, the smallest
+    // denormal, 0.5, the DB2 write fraction and its neighbours) and
+    // random p, each against random raw words plus the words that
+    // land exactly on, just below and just above the threshold.
+    const double denormal = std::numeric_limits<double>::denorm_min();
+    std::vector<double> probabilities = {
+        0.0, 1.0, denormal, 0.5, 0.22, std::nextafter(0.22, 0.0),
+        std::nextafter(0.22, 1.0)};
+    Rng picks(41);
+    for (int i = 0; i < 200; ++i)
+        probabilities.push_back(picks.uniform());
+
+    Rng words(43);
+    for (const double p : probabilities) {
+        const std::uint64_t threshold = referenceThreshold(p);
+        std::vector<std::uint64_t> raws;
+        for (int i = 0; i < 500; ++i)
+            raws.push_back(words.next());
+        for (const std::uint64_t x : {threshold - 1, threshold, threshold + 1})
+            if (x < (std::uint64_t{1} << 53))
+                raws.push_back((x << 11) | (words.next() & 0x7ff));
+        for (const std::uint64_t raw : raws) {
+            Rng rng = test::rngEmitting(raw);
+            ASSERT_EQ(rng.chance(p), (raw >> 11) < threshold)
+                << "p=" << p << " raw=" << raw;
+        }
+    }
 }
 
 // --- DynamicBitset -----------------------------------------------------------

@@ -7,9 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <map>
 #include <set>
 
+#include "rng_test_util.hh"
+#include "workload/feedback.hh"
+#include "workload/fleet.hh"
 #include "workload/workload.hh"
 
 namespace cdir {
@@ -63,6 +69,104 @@ TEST(Zipf, SingleItemAlwaysZero)
     Rng rng(4);
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(z.sample(rng), 0u);
+}
+
+/** The sampler's CDF, rebuilt with the same arithmetic. */
+std::vector<double>
+referenceCdf(std::size_t n, double theta)
+{
+    std::vector<double> cdf;
+    double total = 0.0;
+    for (std::size_t k = 1; k <= n; ++k) {
+        total += 1.0 / std::pow(static_cast<double>(k), theta);
+        cdf.push_back(total);
+    }
+    for (auto &v : cdf)
+        v /= total;
+    return cdf;
+}
+
+TEST(Zipf, GuideTableMatchesFullSearch)
+{
+    // Every draw must be the first rank whose CDF reaches u: the full
+    // lower_bound answer, whatever index narrows the search. Inputs are
+    // random raw words plus the raw words landing on every bucket edge
+    // b/K of a K = bit_ceil(n) guide table and on the draws just below
+    // and above it. theta = 0 is the uniform path: Lemire's reduction
+    // of the same raw word.
+    Rng words(59);
+    for (const std::size_t n : {1, 2, 3, 1000, 1024, 6144, 24576, 100000}) {
+        const std::uint64_t k = std::bit_ceil(std::uint64_t{n});
+        const unsigned shift = 53 - std::countr_zero(k);
+        for (const double theta : {0.0, 0.3, 0.7, 0.9, 1.0, 1.2}) {
+            const ZipfSampler zipf(n, theta);
+            const std::vector<double> cdf =
+                theta > 0.0 ? referenceCdf(n, theta) : std::vector<double>{};
+            const auto expected = [&](std::uint64_t raw) -> std::size_t {
+                if (theta <= 0.0)
+                    return static_cast<std::size_t>(
+                        (static_cast<unsigned __int128>(raw) * n) >> 64);
+                const double u = static_cast<double>(raw >> 11) * 0x1.0p-53;
+                return static_cast<std::size_t>(
+                    std::lower_bound(cdf.begin(), cdf.end(), u) -
+                    cdf.begin());
+            };
+            const auto check = [&](std::uint64_t raw) {
+                Rng rng = test::rngEmitting(raw);
+                ASSERT_EQ(zipf.sample(rng), expected(raw))
+                    << "n=" << n << " theta=" << theta << " raw=" << raw;
+            };
+            for (int i = 0; i < 20000; ++i)
+                check(words.next());
+            for (std::uint64_t b = 0; b < k; ++b) {
+                const std::uint64_t edge = b << shift; // u == b/K
+                for (const std::uint64_t x : {edge - 1, edge, edge + 1})
+                    if (x < (std::uint64_t{1} << 53))
+                        check(x << 11 | (words.next() & 0x7ff));
+            }
+        }
+    }
+}
+
+/** FNV-1a digest of the first @p count accesses of @p source. */
+template <typename Source>
+std::uint64_t
+streamDigest(Source &source, std::size_t count)
+{
+    std::uint64_t hash = fnv1aInit();
+    for (std::size_t i = 0; i < count; ++i) {
+        const MemAccess a = source.next();
+        hash = fnv1aMix(hash, a.core);
+        hash = fnv1aMix(hash, a.addr);
+        hash = fnv1aMix(hash, (a.write ? 1u : 0u) | (a.instruction ? 2u : 0u));
+    }
+    return hash;
+}
+
+TEST(Workload, StreamPinnedToParent)
+{
+    // Generator rewrites must keep every stream bit-identical. The
+    // third fleet spec makes churn, storms and the diurnal wave fire
+    // inside the window.
+    SyntheticWorkload db2(paperWorkloadParams(PaperWorkload::OltpDb2, false, 16));
+    EXPECT_EQ(streamDigest(db2, 200000), 0x2bb7eeb29db7781bull) << "DB2";
+    SyntheticWorkload ocean(
+        paperWorkloadParams(PaperWorkload::SciOcean, true, 16));
+    EXPECT_EQ(streamDigest(ocean, 200000), 0xce52b54af9ef1db3ull) << "ocean";
+    for (const auto &[spec, digest] :
+         {std::pair<const char *, std::uint64_t>{
+              "fleet:tenants=16:blocks=8192:churn=200000:storm=500000",
+              0x3bd7c5d4ff3968f8ull},
+          {"fleet:tenants=16:blocks=8192:churn=7000:storm=30000:"
+           "storm-len=2000:diurnal=50000:min-active=4",
+           0x998bf5b4cbb8a32full}}) {
+        FleetWorkload fleet(parseFleetSpec(spec, 16));
+        EXPECT_EQ(streamDigest(fleet, 200000), digest) << spec;
+        if (fleet.params().churnEvery < 200000) {
+            EXPECT_GT(fleet.churnEvents(), 0u) << spec;
+            EXPECT_GT(fleet.stormOnsets(), 0u) << spec;
+        }
+    }
 }
 
 TEST(Workload, DeterministicForSeed)
