@@ -187,20 +187,6 @@ findVacant(const Elem *run, std::size_t n)
     return findTag(run, n, kVacantTag);
 }
 
-/**
- * Hint the cache hierarchy to pull @p addr for a read. Purely a
- * performance hint — never changes observable behaviour.
- */
-inline void
-prefetchRead(const void *addr)
-{
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(addr, /*rw=*/0, /*locality=*/3);
-#else
-    (void)addr;
-#endif
-}
-
 } // namespace cdir
 
 #endif // CDIR_COMMON_BIT_UTIL_HH

@@ -11,9 +11,30 @@
 #ifndef CDIR_COMMON_RNG_HH
 #define CDIR_COMMON_RNG_HH
 
+#include <cmath>
 #include <cstdint>
 
 namespace cdir {
+
+/**
+ * A Bernoulli probability in integer form, precomputed off the hot
+ * path. Rng::uniform() is x * 2^-53 for the integer x = next() >> 11,
+ * and scaling by a power of two is exact, so uniform() < p holds iff
+ * x < ceil(p * 2^53): Rng::chance(ChanceThreshold(p)) draws exactly
+ * what Rng::chance(p) draws, without the conversion to double.
+ */
+struct ChanceThreshold
+{
+    explicit ChanceThreshold(double p)
+        : bound(!(p > 0.0)  ? 0
+                : p >= 1.0 ? std::uint64_t{1} << 53
+                           : static_cast<std::uint64_t>(
+                                 std::ceil(std::ldexp(p, 53))))
+    {}
+
+    /** Draws x = next() >> 11 below this succeed. */
+    std::uint64_t bound;
+};
 
 /**
  * Xoshiro256** generator (Blackman & Vigna). Satisfies the needs of a
@@ -74,6 +95,13 @@ class Rng
     chance(double p)
     {
         return uniform() < p;
+    }
+
+    /** The same Bernoulli draw as chance(p) for @p t = ChanceThreshold(p). */
+    bool
+    chance(ChanceThreshold t)
+    {
+        return (next() >> 11) < t.bound;
     }
 
   private:

@@ -8,13 +8,19 @@
  * every miss. This header replaces that with a caller-owned, reusable
  * `DirAccessContext`:
  *
- *  - the caller binds a context to the slice's cache count once, then
+ *  - the caller binds a context to the cache count once, then
  *    `reset()`s it between batches — storage is reused, never freed;
  *  - an organization appends one `DirAccessOutcome` per request via
  *    `beginOutcome()` and claims invalidation bitsets / evicted-entry
  *    records from the context's pools;
  *  - the consumer walks outcomes in request order and reads the claimed
  *    storage back through the context.
+ *
+ * Outcomes only index the context's pools, so one context can collect
+ * requests to any number of slices that track the same caches: the CMP
+ * driver keeps a single context for the whole system, fills it as each
+ * reference reaches its home slice and applies and resets it at the end
+ * of every batch window.
  *
  * After a warmup period grows every pool to its high-water size, the
  * steady-state protocol performs zero heap allocations per access.

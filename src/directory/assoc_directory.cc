@@ -69,19 +69,6 @@ AssocDirectory::findPosWithIdx(Tag tag, const std::size_t *idx) const
 }
 
 void
-AssocDirectory::prefetchTag(Tag tag) const
-{
-    std::size_t idx[kMaxProbeWays];
-    family->indexAll(tag, idx);
-    if (setMajor) {
-        prefetchRead(&tags[idx[0] * ways]);
-        return;
-    }
-    for (unsigned w = 0; w < ways; ++w)
-        prefetchRead(&tags[pos(w, idx[w])]);
-}
-
-void
 AssocDirectory::access(const DirRequest &request, DirAccessContext &ctx)
 {
     DirAccessOutcome &out = ctx.beginOutcome();

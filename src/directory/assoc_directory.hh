@@ -50,7 +50,6 @@ class AssocDirectory : public Directory
 
     void access(const DirRequest &request, DirAccessContext &ctx) override;
     void removeSharer(Tag tag, CacheId cache) override;
-    void prefetchTag(Tag tag) const override;
     bool probe(Tag tag, DynamicBitset *sharers = nullptr) const override;
     std::size_t validEntries() const override { return occupied; }
     std::size_t capacity() const override { return tags.size(); }

@@ -47,7 +47,6 @@ class CuckooDirectory : public Directory
 
     void access(const DirRequest &request, DirAccessContext &ctx) override;
     void removeSharer(Tag tag, CacheId cache) override;
-    void prefetchTag(Tag tag) const override { table.prefetch(tag); }
     bool probe(Tag tag, DynamicBitset *sharers = nullptr) const override;
     std::size_t validEntries() const override;
     std::size_t capacity() const override;

@@ -278,22 +278,6 @@ class CuckooTable
         return eraseAt(pos);
     }
 
-    /**
-     * Hint the candidate slots of @p tag into the cache ahead of an
-     * upcoming probe (batch-window lookahead).
-     */
-    void
-    prefetch(Tag tag) const
-    {
-        std::size_t idx[kMaxProbeWays];
-        hashes.indexAll(tag, idx);
-        for (unsigned w = 0; w < ways; ++w) {
-            const std::size_t base =
-                (std::size_t{w} * sets + idx[w]) * bucketSlots;
-            prefetchRead(&slots[base]);
-        }
-    }
-
     /** Valid elements. */
     std::size_t size() const { return occupied; }
 

@@ -4,27 +4,12 @@
 
 namespace cdir {
 
-namespace {
-
-/** Lookahead (in requests) accessBatch() prefetches tag lanes by. */
-constexpr std::size_t kPrefetchDistance = 8;
-
-} // namespace
-
 void
 Directory::accessBatch(std::span<const DirRequest> requests,
                        DirAccessContext &ctx)
 {
-    // Walk the span in order, hinting the tag lanes of the request
-    // kPrefetchDistance slots ahead so the probe's candidate lines are
-    // (likely) resident by the time access() reaches them. prefetchTag()
-    // is side-effect free, so outcomes are identical to the plain loop.
-    const std::size_t n = requests.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        if (i + kPrefetchDistance < n)
-            prefetchTag(requests[i + kPrefetchDistance].tag);
-        access(requests[i], ctx);
-    }
+    for (const DirRequest &request : requests)
+        access(request, ctx);
 }
 
 void

@@ -17,8 +17,9 @@
  *  - probe(tag): lookup without side effects.
  *
  * Results are recorded into a caller-owned, reusable DirAccessContext
- * (see access_context.hh); accessBatch() drives a whole span of requests
- * through one context, which is what the CMP driver does per slice.
+ * (see access_context.hh); the CMP driver records a whole batch
+ * window's outcomes in one context. accessBatch() drives a span of
+ * requests through one context (trace replay, micro-benchmarks).
  * Call sites that want value semantics off the hot path take a
  * DirAccessResult snapshot via DirAccessContext::snapshot() (the
  * historical value-returning access() shim has been removed).
@@ -124,22 +125,10 @@ class Directory
 
     /**
      * Handle a span of requests in order, accumulating one outcome per
-     * request into @p ctx. The default implementation walks the span in
-     * order and software-prefetches the tag lanes of the request eight
-     * slots ahead (see prefetchTag()); organizations may override it to
-     * exploit batch locality further.
+     * request into @p ctx: access() on each request in turn.
      */
-    virtual void accessBatch(std::span<const DirRequest> requests,
-                             DirAccessContext &ctx);
-
-    /**
-     * Hint the storage a probe of @p tag will touch into the cache.
-     * Pure performance hint — must have no observable side effects.
-     * The default is a no-op; organizations with SoA tag lanes override
-     * it so accessBatch() can hide probe latency across the batch
-     * window.
-     */
-    virtual void prefetchTag(Tag tag) const { (void)tag; }
+    void accessBatch(std::span<const DirRequest> requests,
+                     DirAccessContext &ctx);
 
     /** Private cache @p cache evicted block @p tag. */
     virtual void removeSharer(Tag tag, CacheId cache) = 0;

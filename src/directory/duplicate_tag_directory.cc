@@ -60,17 +60,6 @@ DuplicateTagDirectory::collectHolders(std::size_t set, Tag tag,
 }
 
 void
-DuplicateTagDirectory::prefetchTag(Tag tag) const
-{
-    // Hint the whole set run (caches x assoc tags, 8B each), one cache
-    // line per step.
-    const std::size_t base = regionBase(setIndex(tag), 0);
-    const std::size_t width = std::size_t{caches} * cacheAssoc;
-    for (std::size_t i = 0; i < width; i += 8)
-        prefetchRead(&tags[base + i]);
-}
-
-void
 DuplicateTagDirectory::access(const DirRequest &request,
                               DirAccessContext &ctx)
 {

@@ -50,15 +50,6 @@ ElbowDirectory::findPosWithIdx(Tag tag, const std::size_t *idx) const
 }
 
 void
-ElbowDirectory::prefetchTag(Tag tag) const
-{
-    std::size_t idx[kMaxProbeWays];
-    family->indexAll(tag, idx);
-    for (unsigned w = 0; w < ways; ++w)
-        prefetchRead(&tags[pos(w, idx[w])]);
-}
-
-void
 ElbowDirectory::access(const DirRequest &request, DirAccessContext &ctx)
 {
     DirAccessOutcome &out = ctx.beginOutcome();

@@ -1,6 +1,5 @@
 #include "sim/cmp_system.hh"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -67,20 +66,13 @@ CmpSystem::CmpSystem(const CmpConfig &config) : cfg(config)
         dir.sets = cfg.privateCache.numSets / cfg.numSlices;
     }
     slices.reserve(cfg.numSlices);
-    queues.resize(cfg.numSlices);
-    dirtySlices.reserve(cfg.numSlices);
-    contexts.reserve(cfg.numSlices);
     for (std::size_t s = 0; s < cfg.numSlices; ++s) {
         dir.hashSeed = cfg.directory.hashSeed + s;
         slices.push_back(makeDirectory(dir));
-        contexts.emplace_back(n_caches);
-        // A window stages at most batchWindow requests and removals per
-        // slice; reserving that bound keeps the steady-state loop free
-        // of heap traffic.
-        contexts.back().reserve(cfg.batchWindow);
-        queues[s].removals.reserve(cfg.batchWindow);
-        queues[s].requests.reserve(cfg.batchWindow);
     }
+    // The pending list and context grow to their high-water mark during
+    // warmup, never in proportion to batchWindow up front.
+    context.bind(n_caches);
 }
 
 CacheId
@@ -112,9 +104,7 @@ CmpSystem::stage(const MemAccess &mem)
             // MSI upgrade: the block may be shared elsewhere; the home
             // directory invalidates the other copies.
             ++counters.writeUpgrades;
-            markDirty(home);
-            queues[home].requests.push_back(
-                DirRequest{tag, cache_id, true});
+            request(home, DirRequest{tag, cache_id, true});
         }
         return;
     }
@@ -123,132 +113,70 @@ CmpSystem::stage(const MemAccess &mem)
 
     // The cache's eviction reaches the directory before this miss's
     // request (it is what keeps Duplicate-Tag slices exactly mirroring
-    // the caches); beforeRequest records its position in the slice's
-    // replay order.
+    // the caches).
     if (res.victim) {
         ++counters.cacheEvictions;
         const BlockAddr victim = *res.victim;
-        const std::size_t victim_home = sliceOf(victim);
-        markDirty(victim_home);
-        SliceQueue &victim_queue = queues[victim_home];
-        victim_queue.removals.push_back(StagedRemoval{
-            static_cast<std::uint32_t>(victim_queue.requests.size()),
-            tagOf(victim), cache_id});
+        slices[sliceOf(victim)]->removeSharer(tagOf(victim), cache_id);
     }
 
-    markDirty(home);
-    queues[home].requests.push_back(DirRequest{tag, cache_id, mem.write});
+    request(home, DirRequest{tag, cache_id, mem.write});
 }
 
 void
-CmpSystem::markDirty(std::size_t slice)
+CmpSystem::request(std::size_t slice, const DirRequest &req)
 {
-    if (!queues[slice].dirty) {
-        queues[slice].dirty = true;
-        dirtySlices.push_back(static_cast<std::uint32_t>(slice));
-    }
+    slices[slice]->access(req, context);
+    pending.push_back(PendingRequest{req, slice});
 }
 
 void
 CmpSystem::flush()
 {
-    if (dirtySlices.empty())
-        return;
-
-    // Phase 1 — replay: slice-local directory work. Queues are fixed
-    // for the whole flush, and nothing here touches the private caches.
-    for (const std::uint32_t s : dirtySlices)
-        replaySlice(s);
-
-    // Phase 2 — apply: cache invalidations and system counters, in
-    // first-touch slice order with per-slice outcomes in staging order.
-    for (const std::uint32_t s : dirtySlices) {
-        SliceQueue &queue = queues[s];
-        queue.dirty = false;
-        applyDirectoryOutcomes(
-            s,
-            std::span<const DirRequest>(queue.requests.data(),
-                                        queue.requests.size()),
-            contexts[s]);
-        queue.removals.clear();
-        queue.requests.clear();
-    }
-    dirtySlices.clear();
-}
-
-void
-CmpSystem::replaySlice(std::size_t s)
-{
-    SliceQueue &queue = queues[s];
-    Directory &dir = *slices[s];
-    DirAccessContext &ctx = contexts[s];
-    ctx.reset();
-    // Replay the slice's operations in exact staging order: each
-    // removal splits the requests into contiguous runs, and every run
-    // between two removals goes through accessBatch at once. Outcomes
-    // accumulate in the context — one per request, in request order —
-    // for the apply phase.
-    std::size_t next_request = 0;
-    for (const StagedRemoval &removal : queue.removals) {
-        if (removal.beforeRequest > next_request) {
-            dir.accessBatch(std::span<const DirRequest>(
-                                queue.requests.data() + next_request,
-                                removal.beforeRequest - next_request),
-                            ctx);
-            next_request = removal.beforeRequest;
-        }
-        dir.removeSharer(removal.tag, removal.cache);
-    }
-    if (next_request < queue.requests.size()) {
-        dir.accessBatch(std::span<const DirRequest>(
-                            queue.requests.data() + next_request,
-                            queue.requests.size() - next_request),
-                        ctx);
-    }
-}
-
-void
-CmpSystem::applyDirectoryOutcomes(std::size_t slice,
-                                  std::span<const DirRequest> requests,
-                                  const DirAccessContext &ctx)
-{
-    assert(ctx.size() == requests.size() &&
+    assert(context.size() == pending.size() &&
            "every request must yield exactly one outcome");
-    for (std::size_t i = 0; i < ctx.size(); ++i) {
-        const DirAccessOutcome &out = ctx.outcome(i);
-        const DirRequest &req = requests[i];
+    for (std::size_t i = 0; i < pending.size(); ++i)
+        apply(pending[i], context.outcome(i));
+    pending.clear();
+    context.reset();
+}
 
-        // Timing: the apply phase runs in canonical order, so
-        // accounting here keeps latency histograms bit-identical across
-        // --jobs for free.
-        if (costs != nullptr)
-            counters.latency.add(costs->accessLatency(req, out, ctx, slice));
+void
+CmpSystem::apply(const PendingRequest &pending_request,
+                 const DirAccessOutcome &out)
+{
+    const DirRequest &req = pending_request.request;
+    const std::size_t slice = pending_request.slice;
 
-        // Writes invalidate the other sharers' cached copies. The
-        // directory already updated its own sharer state; caches are
-        // invalidated silently (no removeSharer echo).
-        if (out.hadSharerInvalidations) {
-            const BlockAddr addr = addrOf(req.tag, slice);
-            const DynamicBitset &targets = ctx.sharerInvalidations(out);
-            targets.forEachSetBit([&](std::size_t c) {
-                if (c == req.cache)
-                    return;
-                if (caches[c]->invalidate(addr))
-                    ++counters.sharingInvalidations;
-            });
-        }
+    // Timing: outcomes apply in staging order, so accounting here keeps
+    // latency histograms bit-identical across --jobs for free.
+    if (costs != nullptr)
+        counters.latency.add(costs->accessLatency(req, out, context, slice));
 
-        // Forced evictions (set conflicts / Cuckoo give-up): the evicted
-        // entries' blocks must leave the private caches to keep the
-        // directory precise (§3.2).
-        for (std::size_t e = 0; e < out.evictionCount; ++e) {
-            const EvictedEntry &evicted = ctx.forcedEviction(out, e);
-            const BlockAddr block = addrOf(evicted.tag, slice);
-            evicted.targets.forEachSetBit([&](std::size_t c) {
-                if (caches[c]->invalidate(block))
-                    ++counters.forcedInvalidations;
-            });
-        }
+    // Writes invalidate the other sharers' cached copies. The directory
+    // already updated its own sharer state; caches are invalidated
+    // silently (no removeSharer echo).
+    if (out.hadSharerInvalidations) {
+        const BlockAddr addr = addrOf(req.tag, slice);
+        const DynamicBitset &targets = context.sharerInvalidations(out);
+        targets.forEachSetBit([&](std::size_t c) {
+            if (c == req.cache)
+                return;
+            if (caches[c]->invalidate(addr))
+                ++counters.sharingInvalidations;
+        });
+    }
+
+    // Forced evictions (set conflicts / Cuckoo give-up): the evicted
+    // entries' blocks must leave the private caches to keep the
+    // directory precise (§3.2).
+    for (std::size_t e = 0; e < out.evictionCount; ++e) {
+        const EvictedEntry &evicted = context.forcedEviction(out, e);
+        const BlockAddr block = addrOf(evicted.tag, slice);
+        evicted.targets.forEachSetBit([&](std::size_t c) {
+            if (caches[c]->invalidate(block))
+                ++counters.forcedInvalidations;
+        });
     }
 }
 
@@ -263,7 +191,7 @@ std::uint64_t
 CmpSystem::run(AccessSource &source, std::uint64_t count,
                std::uint64_t sample_every)
 {
-    const std::size_t window = std::max<std::size_t>(cfg.batchWindow, 1);
+    const std::size_t window = cfg.batchWindow;
     std::size_t staged = 0;
     std::uint64_t executed = 0;
     while (executed < count && !source.exhausted()) {
@@ -273,9 +201,9 @@ CmpSystem::run(AccessSource &source, std::uint64_t count,
         const bool sample_due =
             sample_every != 0 && executed % sample_every == 0;
         // Probe boundaries force a flush so the capture sees the state
-        // after *exactly* probe->accessesSeen() accesses — the serial
-        // apply has retired everything staged so far, making the
-        // snapshot independent of batch windowing position.
+        // after *exactly* probe->accessesSeen() accesses — every
+        // outcome staged so far has been applied, making the snapshot
+        // independent of batch windowing position.
         const bool probe_due =
             feedbackProbe != nullptr && feedbackProbe->tick();
         if (staged == window || sample_due || probe_due) {

@@ -23,33 +23,24 @@
  * on slice-local tags (blockAddr / numSlices), so a Duplicate-Tag
  * slice's low tag bits reproduce the private-cache set index (Fig. 3).
  *
- * Batched directory protocol: references are staged into per-slice
- * queues (sharer removals + DirRequests) and flushed through
- * Directory::accessBatch with one reusable DirAccessContext per slice,
- * so the steady-state loop performs zero heap allocations. With
- * CmpConfig::batchWindow == 1 (the default) every reference is flushed
- * immediately and behaviour is bit-identical to the historical serial
- * driver; larger windows treat the window's references as concurrent
- * across slices, while each slice replays its own removals and
- * accesses in exact staging order (accessBatch is driven over the
- * maximal request runs between removals, so an eviction staged after
- * its tag's insertion still retires the sharer). What a larger window
- * trades away is only the cross-reference feedback through the private
- * caches (invalidations land at run boundaries instead of between
- * references).
+ * Directory protocol — directory work at access time; apply deferred
+ * to the window's end. A reference runs in one pass: the private-cache
+ * access, the victim's sharer removal at its home slice and the miss or
+ * upgrade request at the home slice (§4.2: a slice handles a request
+ * when it arrives). The request's outcome is recorded in one reusable
+ * DirAccessContext, and {request, home slice} is appended to a pending
+ * list. At the end of a batch window the pending outcomes are applied
+ * in staging order: sharer and forced invalidations reach the private
+ * caches, and the cost model charges each access. Both lists keep their
+ * storage, so the steady-state loop performs zero heap allocations.
  *
- * Each flush of a batch window runs in two phases on the calling
- * thread:
- *
- *  1. *Replay*: every dirty slice drives its staged removals and request
- *     runs through its slice-local directory and context in exact
- *     staging order, recording the outcomes in the context.
- *  2. *Apply*: the recorded outcomes are applied to the private caches
- *     and system counters in first-touch slice order. Cache
- *     invalidations never feed back into directory work within a flush
- *     (queues are fixed at flush time and directories are only read or
- *     written in phase 1), so the split is the same call sequence as
- *     handling each slice's outcomes as soon as it has replayed.
+ * CmpConfig::batchWindow == 1 (the default) ends the window after every
+ * reference: the serial protocol. A larger window only lets
+ * invalidations land at the window's end instead of between
+ * references. Slices are independent and directory operations never
+ * read private-cache state, so this gives the same directory state,
+ * outcomes and counters as staging every slice's removals and requests
+ * and replaying each slice in turn.
  *
  * A CmpSystem is single-threaded; parallel sweeps (`--jobs`) run one
  * independent system per experiment cell, so every metric is
@@ -98,9 +89,9 @@ struct CmpConfig
     DirectoryParams directory;
 
     /**
-     * References staged before the per-slice directory queues are
-     * flushed. 1 (default) reproduces the serial driver exactly; larger
-     * windows batch directory accesses per slice (see file comment).
+     * References per batch window. Directory work runs at access time;
+     * the outcomes' invalidations and latencies are applied at the
+     * window's end. 1 (default) is the serial driver (see file comment).
      */
     std::size_t batchWindow = 1;
 
@@ -184,10 +175,10 @@ class CmpSystem
     /**
      * Attach @p model (non-owning; nullptr detaches): every directory
      * access outcome is charged model->accessLatency() cycles into
-     * stats().latency during the apply phase, in canonical order, so
-     * the histogram is bit-identical at any `--jobs` setting. With no
-     * model attached (the default) the measure path is exactly the
-     * unmodelled driver: one pointer test per outcome, no histogram
+     * stats().latency as the window's outcomes are applied, in staging
+     * order, so the histogram is bit-identical at any `--jobs` setting.
+     * With no model attached (the default) the measure path is exactly
+     * the unmodelled driver: one pointer test per outcome, no histogram
      * storage.
      */
     void setCostModel(const CostModel *model);
@@ -199,9 +190,9 @@ class CmpSystem
      * Attach @p probe (non-owning; nullptr detaches): the
      * AccessSource-driven run loop counts every access into it and, at
      * each probe boundary, flushes the open batch window and lets the
-     * probe capture the system state — after the apply phase, so the
-     * published snapshot (and every feedback decision taken from it)
-     * is bit-identical at any `--jobs` setting. resetStats()
+     * probe capture the system state — after the window's outcomes are
+     * applied, so the published snapshot (and every feedback decision
+     * taken from it) is bit-identical at any `--jobs` setting. resetStats()
      * re-baselines the probe's windowed deltas. With no probe attached
      * (the default) the run loop pays one pointer test per access.
      */
@@ -249,24 +240,11 @@ class CmpSystem
     bool directoryCoversCaches() const;
 
   private:
-    /** A sharer removal staged between two request runs. */
-    struct StagedRemoval
+    /** A directory request whose outcome awaits the window's end. */
+    struct PendingRequest
     {
-        /** Requests staged before this removal (its replay position). */
-        std::uint32_t beforeRequest;
-        Tag tag;
-        CacheId cache;
-    };
-
-    /** Per-slice staged directory work for the current batch window. */
-    struct SliceQueue
-    {
-        /** Removals, interleaved with the requests by beforeRequest. */
-        std::vector<StagedRemoval> removals;
-        /** Miss / upgrade requests driven through accessBatch. */
-        std::vector<DirRequest> requests;
-        /** Whether this slice is on the dirty list. */
-        bool dirty = false;
+        DirRequest request;
+        std::size_t slice; //!< home slice
     };
 
     CacheId cacheIdFor(CoreId core, bool instruction) const;
@@ -280,36 +258,27 @@ class CmpSystem
         return (tag << sliceShift) | slice;
     }
 
-    /** Private-cache access; stage directory work per slice. */
+    /** Private-cache access and its directory work (file comment). */
     void stage(const MemAccess &access);
 
-    /** Put @p slice on the dirty list if it is not there yet. */
-    void markDirty(std::size_t slice);
+    /** Run @p request at @p slice; its outcome applies at flush(). */
+    void request(std::size_t slice, const DirRequest &request);
 
-    /** Drain every slice queue: replay, then apply (file comment). */
+    /** Apply every pending outcome in staging order, then reset. */
     void flush();
 
-    /**
-     * Replay one dirty slice's staged removals and request runs through
-     * its directory, accumulating every outcome into the slice context
-     * (application deferred to applyDirectoryOutcomes).
-     */
-    void replaySlice(std::size_t slice);
-
-    /** Apply a replayed slice's batch outcomes to the private caches. */
-    void applyDirectoryOutcomes(std::size_t slice,
-                                std::span<const DirRequest> requests,
-                                const DirAccessContext &ctx);
+    /** Apply one outcome to the private caches and system counters. */
+    void apply(const PendingRequest &pending, const DirAccessOutcome &out);
 
     CmpConfig cfg;
     std::size_t sliceMask;
     unsigned sliceShift;
     std::vector<std::unique_ptr<SetAssocCache>> caches;
     std::vector<std::unique_ptr<Directory>> slices;
-    std::vector<SliceQueue> queues;
-    /** Slices with staged work, in first-touch order. */
-    std::vector<std::uint32_t> dirtySlices;
-    std::vector<DirAccessContext> contexts; //!< one per slice, reused
+    /** Requests of the open window, in staging order. */
+    std::vector<PendingRequest> pending;
+    /** Their outcomes, one per pending request (storage reused). */
+    DirAccessContext context;
     CmpStats counters;
     /** Attached timing model (non-owning; nullptr = timing off). */
     const CostModel *costs = nullptr;

@@ -58,6 +58,9 @@ fleetFail(const std::string &what)
 FleetWorkload::FleetWorkload(const FleetParams &params)
     : cfg(params),
       rng(params.seed ^ 0xf1ee7f1ee7ull),
+      writeOdds(params.writeFraction),
+      sharedOdds(params.sharedFraction),
+      stormOdds(params.stormFraction),
       keyZipf(params.blocksPerTenant >= 1 ? params.blocksPerTenant : 1,
               params.theta),
       sharedZipf(params.sharedBlocks >= 1 ? params.sharedBlocks : 1,
@@ -84,6 +87,10 @@ FleetWorkload::FleetWorkload(const FleetParams &params)
     if (cfg.minActiveTenants == 0 || cfg.minActiveTenants > cfg.tenants)
         fleetFail("min active tenants must be in [1, tenants]");
     generation.assign(cfg.tenants, 0);
+    // Churn and storms fire at every positive multiple of their period.
+    constexpr std::uint64_t never = ~std::uint64_t{0};
+    churnIn = cfg.churnEvery != 0 ? cfg.churnEvery : never;
+    stormIn = cfg.stormEvery != 0 ? cfg.stormEvery : never;
 }
 
 BlockAddr
@@ -136,34 +143,38 @@ FleetWorkload::next()
 {
     MemAccess access;
     access.core = nextCore;
-    nextCore = static_cast<CoreId>((nextCore + 1) % cfg.numCores);
+    if (++nextCore == cfg.numCores)
+        nextCore = 0;
 
-    const std::uint64_t tick = emitted;
     const std::size_t active = activeTenants();
     ++emitted;
 
-    if (cfg.churnEvery != 0 && tick != 0 && tick % cfg.churnEvery == 0) {
+    if (churnIn == 0) {
         ++generation[churnCursor];
         churnCursor = (churnCursor + 1) % cfg.tenants;
         ++churns;
+        churnIn = cfg.churnEvery;
     }
-    if (cfg.stormEvery != 0 && tick != 0 && tick % cfg.stormEvery == 0) {
+    --churnIn;
+    if (stormIn == 0) {
         stormRemaining = cfg.stormLength;
         stormTenant = static_cast<std::size_t>(storms % cfg.tenants);
         stormKey = 0; // the tenant's hottest key melts down
         ++storms;
+        stormIn = cfg.stormEvery;
     }
+    --stormIn;
 
     if (stormRemaining != 0) {
         --stormRemaining;
-        if (rng.chance(cfg.stormFraction)) {
+        if (rng.chance(stormOdds)) {
             access.addr = tenantAddr(stormTenant, stormKey);
-            access.write = rng.chance(cfg.writeFraction);
+            access.write = rng.chance(writeOdds);
             return access;
         }
     }
 
-    if (rng.chance(cfg.sharedFraction)) {
+    if (rng.chance(sharedOdds)) {
         // Shared frontend/runtime code: every tenant executes it, so
         // it lands in a slot of its own past the last tenant.
         access.instruction = true;
@@ -176,7 +187,7 @@ FleetWorkload::next()
     const std::size_t tenant =
         static_cast<std::size_t>(rng.below(active));
     access.addr = tenantAddr(tenant, keyZipf.sample(rng));
-    access.write = rng.chance(cfg.writeFraction);
+    access.write = rng.chance(writeOdds);
     return access;
 }
 

@@ -118,6 +118,9 @@ class FleetWorkload : public AccessSource
 
     FleetParams cfg;
     Rng rng;
+    ChanceThreshold writeOdds;
+    ChanceThreshold sharedOdds;
+    ChanceThreshold stormOdds;
     ZipfSampler keyZipf;
     ZipfSampler sharedZipf;
     std::vector<std::uint32_t> generation; //!< per-tenant churn epoch
@@ -125,7 +128,11 @@ class FleetWorkload : public AccessSource
     std::uint64_t emitted = 0;
     std::uint64_t churns = 0;
     std::size_t churnCursor = 0;
+    /** Accesses until the next churn; a disabled knob never reaches 0. */
+    std::uint64_t churnIn;
     std::uint64_t storms = 0;
+    /** Accesses until the next storm onset (same convention). */
+    std::uint64_t stormIn;
     std::uint64_t stormRemaining = 0;
     std::size_t stormTenant = 0;
     std::uint64_t stormKey = 0;

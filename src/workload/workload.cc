@@ -59,6 +59,9 @@ scatterPages(std::uint64_t salt, std::uint64_t rank)
 SyntheticWorkload::SyntheticWorkload(const WorkloadParams &params)
     : cfg(params),
       rng(params.seed),
+      instructionOdds(params.instructionFraction),
+      writeOdds(params.writeFraction),
+      sharedOdds(params.sharedDataFraction),
       codeZipf(params.codeBlocks, params.codeTheta),
       sharedZipf(params.sharedBlocks, params.sharedTheta),
       privateZipf(params.privateBlocksPerCore, params.privateTheta)
@@ -91,9 +94,10 @@ SyntheticWorkload::next()
 {
     MemAccess access;
     access.core = nextCore;
-    nextCore = static_cast<CoreId>((nextCore + 1) % cfg.numCores);
+    if (++nextCore == cfg.numCores)
+        nextCore = 0;
 
-    if (rng.chance(cfg.instructionFraction)) {
+    if (rng.chance(instructionOdds)) {
         access.instruction = true;
         access.write = false;
         access.addr =
@@ -101,8 +105,8 @@ SyntheticWorkload::next()
         return access;
     }
 
-    access.write = rng.chance(cfg.writeFraction);
-    if (rng.chance(cfg.sharedDataFraction)) {
+    access.write = rng.chance(writeOdds);
+    if (rng.chance(sharedOdds)) {
         access.addr =
             sharedBase() + scatterPages(2, sharedZipf.sample(rng));
     } else {

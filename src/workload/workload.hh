@@ -119,6 +119,9 @@ class SyntheticWorkload
 
     WorkloadParams cfg;
     Rng rng;
+    ChanceThreshold instructionOdds;
+    ChanceThreshold writeOdds;
+    ChanceThreshold sharedOdds;
     ZipfSampler codeZipf;
     ZipfSampler sharedZipf;
     ZipfSampler privateZipf;

@@ -7,15 +7,24 @@
  * uniform. The synthetic workload generator draws block ranks from a
  * Zipf(theta) distribution: P(rank k) proportional to 1/k^theta, theta=0
  * degenerating to uniform.
+ *
+ * A draw inverts the CDF through a guide table: K = bit_ceil(n) buckets
+ * over u-space, bucket b holding the first rank whose CDF reaches b/K.
+ * A draw of u starts at its bucket's rank and scans forward, so it
+ * returns exactly the first rank whose CDF reaches u (a full-range
+ * lower bound) after one table read and at most two CDF reads on
+ * average (n / K <= 1 ranks per bucket). K is a power of two, so u * K
+ * and b * (1/K) are exact.
  */
 
 #ifndef CDIR_WORKLOAD_ZIPF_HH
 #define CDIR_WORKLOAD_ZIPF_HH
 
-#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hh"
@@ -32,7 +41,7 @@ class ZipfSampler
      */
     ZipfSampler(std::size_t n, double theta) : items(n), skew(theta)
     {
-        assert(n >= 1);
+        assert(n >= 1 && n <= std::numeric_limits<std::uint32_t>::max());
         if (skew <= 0.0)
             return; // uniform fast path
         cdf.reserve(n);
@@ -44,23 +53,19 @@ class ZipfSampler
         for (auto &v : cdf)
             v /= total;
 
-        // Coarse index over u-space: bucketStart[b] is the first rank
-        // whose CDF value reaches b/K. A draw's answer (first rank with
-        // cdf >= u) then lies in [bucketStart[b], bucketStart[b+1]] for
-        // u's bucket b, so the binary search runs over a handful of
-        // ranks instead of the whole CDF — the answer is provably the
-        // same index, only found through fewer (cache-missing) probes.
-        indexBuckets = std::min<std::size_t>(4096, std::max<std::size_t>(64, n));
-        bucketStart.resize(indexBuckets + 1);
+        // cdf[n - 1] is total / total == 1.0 and every bucket edge is
+        // below 1, so each scan stops inside the CDF.
+        const std::size_t buckets = std::bit_ceil(n);
+        guideScale = static_cast<double>(buckets);
+        const double width = 1.0 / guideScale;
+        guide.resize(buckets);
         std::size_t rank = 0;
-        for (std::size_t b = 0; b < indexBuckets; ++b) {
-            const double threshold =
-                static_cast<double>(b) / static_cast<double>(indexBuckets);
-            while (rank < n - 1 && cdf[rank] < threshold)
+        for (std::size_t b = 0; b < buckets; ++b) {
+            const double edge = static_cast<double>(b) * width;
+            while (cdf[rank] < edge)
                 ++rank;
-            bucketStart[b] = rank;
+            guide[b] = static_cast<std::uint32_t>(rank);
         }
-        bucketStart[indexBuckets] = n - 1;
     }
 
     /** Draw one rank using @p rng. */
@@ -69,22 +74,21 @@ class ZipfSampler
     {
         if (skew <= 0.0)
             return static_cast<std::size_t>(rng.below(items));
-        const double u = rng.uniform();
-        // Binary search the CDF for the first bucket >= u, with the
-        // bounds pre-narrowed by the coarse index (same first-true
-        // index as a full-range search).
-        const std::size_t b = std::min(
-            indexBuckets - 1,
-            static_cast<std::size_t>(u * static_cast<double>(indexBuckets)));
-        std::size_t lo = bucketStart[b], hi = bucketStart[b + 1];
-        while (lo < hi) {
-            const std::size_t mid = (lo + hi) / 2;
-            if (cdf[mid] < u)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        return lo;
+        return rankAt(rng.uniform());
+    }
+
+    /**
+     * The first rank whose CDF reaches @p u, for u in [0, 1) and
+     * theta > 0: the rank sample() returns for a uniform draw of u.
+     */
+    std::size_t
+    rankAt(double u) const
+    {
+        assert(skew > 0.0 && u >= 0.0 && u < 1.0);
+        std::size_t rank = guide[static_cast<std::size_t>(u * guideScale)];
+        while (cdf[rank] < u)
+            ++rank;
+        return rank;
     }
 
     /** Number of ranks. */
@@ -97,8 +101,8 @@ class ZipfSampler
     std::size_t items;
     double skew;
     std::vector<double> cdf;
-    std::size_t indexBuckets = 0;
-    std::vector<std::size_t> bucketStart; //!< coarse u-space index
+    double guideScale = 0.0;         //!< K, the guide table's size
+    std::vector<std::uint32_t> guide; //!< first rank reaching b / K
 };
 
 } // namespace cdir

@@ -8,13 +8,15 @@
  *  - DirAccessResult snapshots must agree with the live context
  *    outcomes field by field;
  *  - CmpSystem with batchWindow > 1 must keep the directory-covers-
- *    caches inclusion invariant for every organization, and
+ *    caches inclusion invariant for every organization,
  *    batchWindow == 1 must reproduce the per-reference access() path
- *    exactly;
+ *    exactly, and every window must reproduce the staged per-slice
+ *    replay the driver once used, counter for counter;
  *  - steady-state directory churn through the context protocol must be
  *    allocation-free for every organization (the redesign's headline
  *    guarantee), including every sharer format once sets spill past
- *    64 caches, and building a system must not allocate per entry.
+ *    64 caches, and building a system must not allocate per entry or
+ *    per batch-window slot.
  */
 
 #include <gtest/gtest.h>
@@ -624,6 +626,23 @@ TEST(BatchAccess, ConstructionAllocationsDoNotScaleWithEntries)
         EXPECT_EQ(allocationsFor(512), allocationsFor(1024))
             << (sparse ? "Sparse 8x" : "Cuckoo 4x");
     }
+}
+
+TEST(BatchAccess, ConstructionAllocationsDoNotScaleWithWindow)
+{
+    // A campaign manifest's batch_window reaches the constructor
+    // unchecked: a huge window must cost nothing until accesses run.
+    auto allocationsFor = [](std::size_t window) {
+        CmpConfig cfg = CmpConfig::paperConfig(CmpConfigKind::SharedL2);
+        cfg.directory = cuckooSliceParams(4, 512);
+        cfg.batchWindow = window;
+        const std::size_t before = allocationCount();
+        {
+            CmpSystem sys(cfg);
+        }
+        return allocationCount() - before;
+    };
+    EXPECT_EQ(allocationsFor(std::size_t{1} << 24), allocationsFor(1));
 }
 
 TEST(BatchAccess, SteadyStateSystemRunIsAllocationFree)

@@ -178,7 +178,8 @@ TEST(Rng, ChanceThresholdMatchesUniformCompare)
     // x < ceil(p * 2^53). Probe the boundaries (0, 1, the smallest
     // denormal, 0.5, the DB2 write fraction and its neighbours) and
     // random p, each against random raw words plus the words that
-    // land exactly on, just below and just above the threshold.
+    // land exactly on, just below and just above the threshold. The
+    // precomputed ChanceThreshold must equal that integer form.
     const double denormal = std::numeric_limits<double>::denorm_min();
     std::vector<double> probabilities = {
         0.0, 1.0, denormal, 0.5, 0.22, std::nextafter(0.22, 0.0),
@@ -190,6 +191,7 @@ TEST(Rng, ChanceThresholdMatchesUniformCompare)
     Rng words(43);
     for (const double p : probabilities) {
         const std::uint64_t threshold = referenceThreshold(p);
+        ASSERT_EQ(ChanceThreshold(p).bound, threshold) << "p=" << p;
         std::vector<std::uint64_t> raws;
         for (int i = 0; i < 500; ++i)
             raws.push_back(words.next());
@@ -198,7 +200,10 @@ TEST(Rng, ChanceThresholdMatchesUniformCompare)
                 raws.push_back((x << 11) | (words.next() & 0x7ff));
         for (const std::uint64_t raw : raws) {
             Rng rng = test::rngEmitting(raw);
+            Rng same = rng;
             ASSERT_EQ(rng.chance(p), (raw >> 11) < threshold)
+                << "p=" << p << " raw=" << raw;
+            ASSERT_EQ(same.chance(ChanceThreshold(p)), (raw >> 11) < threshold)
                 << "p=" << p << " raw=" << raw;
         }
     }

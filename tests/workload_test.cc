@@ -92,8 +92,9 @@ TEST(Zipf, GuideTableMatchesFullSearch)
     // lower_bound answer, whatever index narrows the search. Inputs are
     // random raw words plus the raw words landing on every bucket edge
     // b/K of a K = bit_ceil(n) guide table and on the draws just below
-    // and above it. theta = 0 is the uniform path: Lemire's reduction
-    // of the same raw word.
+    // and above it; rankAt() also takes each edge's nextafter
+    // neighbours, which no 53-bit draw produces. theta = 0 is the
+    // uniform path: Lemire's reduction of the same raw word.
     Rng words(59);
     for (const std::size_t n : {1, 2, 3, 1000, 1024, 6144, 24576, 100000}) {
         const std::uint64_t k = std::bit_ceil(std::uint64_t{n});
@@ -123,6 +124,19 @@ TEST(Zipf, GuideTableMatchesFullSearch)
                 for (const std::uint64_t x : {edge - 1, edge, edge + 1})
                     if (x < (std::uint64_t{1} << 53))
                         check(x << 11 | (words.next() & 0x7ff));
+                if (theta <= 0.0)
+                    continue;
+                const double u = static_cast<double>(b) / static_cast<double>(k);
+                for (const double v :
+                     {std::nextafter(u, -1.0), u, std::nextafter(u, 1.0)}) {
+                    if (v < 0.0)
+                        continue;
+                    ASSERT_EQ(zipf.rankAt(v),
+                              static_cast<std::size_t>(
+                                  std::lower_bound(cdf.begin(), cdf.end(), v) -
+                                  cdf.begin()))
+                        << "n=" << n << " theta=" << theta << " u=" << v;
+                }
             }
         }
     }
