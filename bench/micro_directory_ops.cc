@@ -14,7 +14,11 @@
  *  - BM_AccessBatch drives whole DirRequest spans through accessBatch;
  *  - BM_HashIndexAll times one HashFamily::indexAll call (4 ways, 512
  *    sets per way — the paper's Cuckoo slice) over random tags, the
- *    index computation every probe starts with.
+ *    index computation every probe starts with;
+ *  - BM_SyntheticNext/DB2 and BM_FleetNext time one generator draw of
+ *    the DB2 preset (16 cores) and of the 16-tenant fleet spec, and
+ *    BM_ZipfSample/{6144,24576} one Zipf draw over the DB2 code and
+ *    shared regions — the generator's cost without a profiler.
  *
  * The churn and batch families report an `allocs/op` counter from a
  * global operator-new hook; after warmup it must read 0.00.
@@ -32,6 +36,8 @@
 #include "common/rng.hh"
 #include "directory/registry.hh"
 #include "hash/hash_family.hh"
+#include "workload/fleet.hh"
+#include "workload/workload.hh"
 
 namespace {
 
@@ -190,6 +196,56 @@ BM_HashIndexAll(benchmark::State &state, HashKind kind)
 BENCHMARK_CAPTURE(BM_HashIndexAll, Skewing, HashKind::Skewing);
 BENCHMARK_CAPTURE(BM_HashIndexAll, Strong, HashKind::Strong);
 BENCHMARK_CAPTURE(BM_HashIndexAll, Modulo, HashKind::Modulo);
+
+/** The DB2 preset's generator parameters (Shared-L2, 16 cores). */
+WorkloadParams
+db2Params()
+{
+    return paperWorkloadParams(PaperWorkload::OltpDb2, false, 16);
+}
+
+/** One SyntheticWorkload::next() per iteration. */
+void
+BM_SyntheticNext(benchmark::State &state, const WorkloadParams &params)
+{
+    SyntheticWorkload workload(params);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(workload.next());
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+BENCHMARK_CAPTURE(BM_SyntheticNext, DB2, db2Params());
+
+/** One FleetWorkload::next() per iteration (the 16-tenant fleet). */
+void
+BM_FleetNext(benchmark::State &state)
+{
+    FleetWorkload fleet(parseFleetSpec(
+        "fleet:tenants=16:blocks=8192:churn=200000:storm=500000", 16));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(fleet.next());
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+BENCHMARK(BM_FleetNext);
+
+/** One Zipf draw over a DB2 region of state.range(0) blocks. */
+void
+BM_ZipfSample(benchmark::State &state)
+{
+    const WorkloadParams p = db2Params();
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const double theta = n == p.codeBlocks     ? p.codeTheta
+                         : n == p.sharedBlocks ? p.sharedTheta
+                                               : p.privateTheta;
+    const ZipfSampler zipf(n, theta);
+    Rng rng(13);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(zipf.sample(rng));
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+BENCHMARK(BM_ZipfSample)->Arg(6144)->Arg(24576);
 
 /**
  * Register one instance of each benchmark per organization.

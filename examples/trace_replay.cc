@@ -35,10 +35,10 @@ exampleConfig()
     cfg.directory.organization = "Cuckoo";
     cfg.directory.ways = 4;
     cfg.directory.sets = 512;
-    // Batched driver: per-slice accessBatch over 64-reference windows.
-    // Invalidation feedback lands at batch boundaries, so counts can
-    // differ slightly from batchWindow = 1 (the exact serial protocol);
-    // every system in this example uses the same window, so they stay
+    // 64-reference batch windows: directory work runs at access time,
+    // but invalidations land at the window's end, so counts can differ
+    // slightly from batchWindow = 1 (the exact serial protocol); every
+    // system in this example uses the same window, so they stay
     // comparable.
     cfg.batchWindow = 64;
     return cfg;
@@ -78,8 +78,8 @@ main(int argc, char **argv)
     }
 
     const CmpConfig cfg = exampleConfig();
-    std::printf("driver: batchWindow=%zu (batched accessBatch protocol; "
-                "set to 1 for the exact serial driver)\n",
+    std::printf("driver: batchWindow=%zu (invalidations deferred to the "
+                "window's end; set to 1 for the exact serial driver)\n",
                 cfg.batchWindow);
 
     if (!external.empty()) {

@@ -193,13 +193,16 @@ CmpSystem::run(AccessSource &source, std::uint64_t count,
 {
     const std::size_t window = cfg.batchWindow;
     std::size_t staged = 0;
+    // Accesses left until the next occupancy sample; with sampling off
+    // the count starts where no run reaches zero.
+    std::uint64_t until_sample =
+        sample_every != 0 ? sample_every : ~std::uint64_t{0};
     std::uint64_t executed = 0;
     while (executed < count && !source.exhausted()) {
         stage(source.next());
         ++executed;
         ++staged;
-        const bool sample_due =
-            sample_every != 0 && executed % sample_every == 0;
+        const bool sample_due = --until_sample == 0;
         // Probe boundaries force a flush so the capture sees the state
         // after *exactly* probe->accessesSeen() accesses — every
         // outcome staged so far has been applied, making the snapshot
@@ -210,8 +213,10 @@ CmpSystem::run(AccessSource &source, std::uint64_t count,
             flush();
             staged = 0;
         }
-        if (sample_due)
+        if (sample_due) {
             sampleOccupancy();
+            until_sample = sample_every;
+        }
         if (probe_due)
             feedbackProbe->capture(*this);
     }

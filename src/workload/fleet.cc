@@ -45,6 +45,16 @@ scatterFleetPages(std::uint64_t salt, std::uint64_t rank)
     return frame * pageBlocks + offset;
 }
 
+/**
+ * Accesses before the first event of a knob firing at every positive
+ * multiple of @p period; a disabled knob (0) never counts down to it.
+ */
+std::uint64_t
+firstCountdown(std::uint64_t period)
+{
+    return period != 0 ? period : ~std::uint64_t{0};
+}
+
 [[noreturn]] void
 fleetFail(const std::string &what)
 {
@@ -64,7 +74,9 @@ FleetWorkload::FleetWorkload(const FleetParams &params)
       keyZipf(params.blocksPerTenant >= 1 ? params.blocksPerTenant : 1,
               params.theta),
       sharedZipf(params.sharedBlocks >= 1 ? params.sharedBlocks : 1,
-                 params.theta)
+                 params.theta),
+      churnIn(firstCountdown(params.churnEvery)),
+      stormIn(firstCountdown(params.stormEvery))
 {
     if (cfg.numCores == 0)
         fleetFail("numCores must be >= 1");
@@ -87,10 +99,6 @@ FleetWorkload::FleetWorkload(const FleetParams &params)
     if (cfg.minActiveTenants == 0 || cfg.minActiveTenants > cfg.tenants)
         fleetFail("min active tenants must be in [1, tenants]");
     generation.assign(cfg.tenants, 0);
-    // Churn and storms fire at every positive multiple of their period.
-    constexpr std::uint64_t never = ~std::uint64_t{0};
-    churnIn = cfg.churnEvery != 0 ? cfg.churnEvery : never;
-    stormIn = cfg.stormEvery != 0 ? cfg.stormEvery : never;
 }
 
 BlockAddr

@@ -123,16 +123,15 @@ class FleetWorkload : public AccessSource
     ChanceThreshold stormOdds;
     ZipfSampler keyZipf;
     ZipfSampler sharedZipf;
+    /** Accesses until the next churn / storm onset. */
+    std::uint64_t churnIn;
+    std::uint64_t stormIn;
     std::vector<std::uint32_t> generation; //!< per-tenant churn epoch
     CoreId nextCore = 0;
     std::uint64_t emitted = 0;
     std::uint64_t churns = 0;
     std::size_t churnCursor = 0;
-    /** Accesses until the next churn; a disabled knob never reaches 0. */
-    std::uint64_t churnIn;
     std::uint64_t storms = 0;
-    /** Accesses until the next storm onset (same convention). */
-    std::uint64_t stormIn;
     std::uint64_t stormRemaining = 0;
     std::size_t stormTenant = 0;
     std::uint64_t stormKey = 0;
