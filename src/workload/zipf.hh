@@ -86,6 +86,9 @@ class ZipfSampler
     {
         assert(skew > 0.0 && u >= 0.0 && u < 1.0);
         std::size_t rank = guide[static_cast<std::size_t>(u * guideScale)];
+        // Most draws take zero or one step, a coin flip no branch
+        // predictor learns; take the first one without a branch.
+        rank += cdf[rank] < u;
         while (cdf[rank] < u)
             ++rank;
         return rank;
