@@ -22,6 +22,7 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <new>
 #include <vector>
 
@@ -31,10 +32,22 @@ namespace cdir {
  * Minimal allocator pinning allocations to @p Align bytes; keeps
  * std::vector's value semantics while making every word buffer start on
  * a cache-line boundary.
+ *
+ * It over-allocates by @p Align from plain operator new and keeps the
+ * raw pointer just below the aligned block. glibc's aligned allocation
+ * instead asks the heap for the size plus worst-case padding, so a
+ * freed buffer is too small to serve the same request again unless it
+ * coalesces with a free neighbour; a program that rebuilds systems
+ * (every sweep cell, every benchmark repetition) then grows its heap by
+ * about one system per rebuild. An over-allocated block is an exact fit
+ * for its successor.
  */
 template <typename T, std::size_t Align>
 struct AlignedAllocator
 {
+    static_assert(std::has_single_bit(Align) && Align >= sizeof(void *),
+                  "Align must be a power of two that can hold a pointer");
+
     using value_type = T;
 
     AlignedAllocator() = default;
@@ -50,14 +63,25 @@ struct AlignedAllocator
     T *
     allocate(std::size_t n)
     {
-        return static_cast<T *>(
-            ::operator new(n * sizeof(T), std::align_val_t{Align}));
+        if (n > (SIZE_MAX - Align) / sizeof(T))
+            throw std::bad_array_new_length{};
+        // operator new's result is at least pointer-aligned, so the
+        // first multiple of Align above it leaves room for the pointer.
+        void *raw = ::operator new(n * sizeof(T) + Align);
+        const std::uintptr_t aligned =
+            (reinterpret_cast<std::uintptr_t>(raw) + Align) & ~(Align - 1);
+        std::memcpy(reinterpret_cast<void *>(aligned - sizeof(void *)), &raw,
+                    sizeof raw);
+        return reinterpret_cast<T *>(aligned);
     }
 
     void
     deallocate(T *p, std::size_t) noexcept
     {
-        ::operator delete(p, std::align_val_t{Align});
+        void *raw;
+        std::memcpy(&raw, reinterpret_cast<const char *>(p) - sizeof raw,
+                    sizeof raw);
+        ::operator delete(raw);
     }
 
     bool operator==(const AlignedAllocator &) const { return true; }
