@@ -11,7 +11,7 @@
  * targets) to a latency in cycles, and CmpSystem accumulates the
  * samples into the `LatencyHistogram` inside CmpStats during the
  * outcome-apply phase. Because accounting rides the apply phase — which
- * runs in canonical first-touch order — latency histograms inherit the
+ * runs in staging order — latency histograms inherit the
  * repository's bit-identical `--jobs` contract for free, and the
  * `if (model)` guard keeps the unmodelled path exactly as fast as
  * before.

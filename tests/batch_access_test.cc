@@ -16,12 +16,17 @@
  *    allocation-free for every organization (the redesign's headline
  *    guarantee), including every sharer format once sets spill past
  *    64 caches, and building a system must not allocate per entry or
- *    per batch-window slot.
+ *    per batch-window slot, nor strand heap when it is rebuilt.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "common/alloc_counter.hh"
 #include "common/bit_util.hh"
@@ -643,6 +648,39 @@ TEST(BatchAccess, ConstructionAllocationsDoNotScaleWithWindow)
         return allocationCount() - before;
     };
     EXPECT_EQ(allocationsFor(std::size_t{1} << 24), allocationsFor(1));
+}
+
+TEST(BatchAccess, RebuiltSystemsReuseTheirHeap)
+{
+#if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__)
+    // A benchmark or sweep rebuilds the system many times while keeping
+    // small result records. The systems' line-aligned buffers must be
+    // reusable after they are freed, or every rebuild strands about a
+    // system's worth of heap.
+    CmpConfig cfg = CmpConfig::paperConfig(CmpConfigKind::SharedL2);
+    cfg.directory = cuckooSliceParams(4, 512);
+    const WorkloadParams params =
+        paperWorkloadParams(PaperWorkload::OltpDb2, false, 16);
+    std::vector<std::string> records;
+    std::size_t heap_after_warmup = 0;
+    for (int rebuild = 0; rebuild < 60; ++rebuild) {
+        {
+            CmpSystem sys(cfg);
+            SyntheticSource gen(params);
+            sys.run(gen, 20000);
+            for (int i = 0; i < 30; ++i)
+                records.push_back("a result record too long for SSO " +
+                                  std::to_string(i));
+        }
+        if (rebuild == 10)
+            heap_after_warmup = mallinfo2().arena;
+    }
+    const std::size_t growth = mallinfo2().arena - heap_after_warmup;
+    EXPECT_LT(growth, std::size_t{4} << 20)
+        << "heap grew " << growth << " bytes over 50 rebuilds";
+#else
+    GTEST_SKIP() << "needs glibc's mallinfo2 and its allocator";
+#endif
 }
 
 TEST(BatchAccess, SteadyStateSystemRunIsAllocationFree)
