@@ -215,6 +215,38 @@ TEST(CampaignManifest, EnumeratesCellsInRunManyOrderWithStableIds)
         EXPECT_EQ(manifest.cells[i].id, again.cells[i].id);
 }
 
+/** FNV-1a 64 of @p text (a compact pin for a whole document). */
+std::uint64_t
+documentDigest(const std::string &text)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const char ch : text) {
+        hash ^= static_cast<unsigned char>(ch);
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
+}
+
+TEST(CampaignManifest, DocumentsPinnedToParent)
+{
+    // The acceptance grid's cell ids and the digests of its manifest and
+    // results documents, recorded before the cell enumeration, runner
+    // and serializers were unified with the sweep engine. A byte of
+    // drift in any of the three fails here.
+    const CampaignManifest manifest = gridManifest();
+    const char *const ids[] = {"e4196308884f3d44", "0189ff4dcfe19f56",
+                               "d09cead63abb9bfe", "3ab8a4082a54feda"};
+    ASSERT_EQ(manifest.cells.size(), std::size(ids));
+    for (std::size_t i = 0; i < manifest.cells.size(); ++i)
+        EXPECT_EQ(campaignCellId(manifest.cells[i]), ids[i]) << i;
+    EXPECT_EQ(documentDigest(campaignManifestToJson(manifest)),
+              0x3f0ab4c36bee9805ull);
+    for (const unsigned jobs : {1u, 4u})
+        EXPECT_EQ(documentDigest(referenceJson(manifest, jobs)),
+                  0x1fa665cddeb21744ull)
+            << "jobs=" << jobs;
+}
+
 TEST(CampaignManifest, AnyKnobEditChangesTheCellId)
 {
     const CampaignManifest manifest = gridManifest();
