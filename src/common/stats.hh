@@ -85,6 +85,13 @@ class RunningMean
 };
 
 /**
+ * Top bucket of the insertion-attempt histogram (0..32, where 32 also
+ * accumulates terminated insertions): the geometry of every Histogram
+ * the simulator records and the only one campaign documents accept.
+ */
+inline constexpr std::size_t kAttemptHistogramMax = 32;
+
+/**
  * Fixed-range integer histogram with an inclusive overflow top bucket,
  * matching how the paper buckets insertion attempts (0..32, where 32
  * also accumulates terminated insertions).
@@ -93,7 +100,7 @@ class Histogram
 {
   public:
     /** Buckets cover [0, maxValue]; samples above clamp to maxValue. */
-    explicit Histogram(std::size_t max_value = 32)
+    explicit Histogram(std::size_t max_value = kAttemptHistogramMax)
         : buckets(max_value + 1, 0)
     {}
 

@@ -65,7 +65,7 @@ struct DirectoryStats
     /** Insertions that exhausted the attempt budget (Cuckoo only). */
     std::uint64_t insertFailures = 0;
     RunningMean insertionAttempts;  //!< attempts per new-entry insertion
-    Histogram attemptHistogram{32}; //!< Fig. 11 distribution
+    Histogram attemptHistogram{kAttemptHistogramMax}; //!< Fig. 11
 
     /** Forced invalidation rate: forced evictions per insertion. */
     double

@@ -3,11 +3,15 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include <unistd.h>
@@ -16,7 +20,7 @@ namespace cdir {
 
 namespace {
 
-// --- JSON writing ------------------------------------------------------------
+// --- formatting --------------------------------------------------------------
 //
 // The campaign format is written and read by this translation unit
 // only, so a minimal deterministic writer + recursive-descent parser
@@ -43,45 +47,15 @@ fmtDouble(double v)
     return buf;
 }
 
-std::string
-fmtString(const std::string &s)
-{
-    return "\"" + jsonEscape(s) + "\"";
-}
-
-/** Appends `"key": value` members with correct comma placement. */
-class ObjectWriter
-{
-  public:
-    explicit ObjectWriter(std::string &out) : buf(out) { buf += '{'; }
-
-    void
-    member(const char *key, const std::string &rendered_value)
-    {
-        if (!first)
-            buf += ", ";
-        first = false;
-        buf += '"';
-        buf += key;
-        buf += "\": ";
-        buf += rendered_value;
-    }
-
-    void u64(const char *key, std::uint64_t v) { member(key, fmtU64(v)); }
-    void num(const char *key, double v) { member(key, fmtDouble(v)); }
-    void str(const char *key, const std::string &v)
-    {
-        member(key, fmtString(v));
-    }
-
-    void close() { buf += '}'; }
-
-  private:
-    std::string &buf;
-    bool first = true;
-};
-
 // --- JSON parsing ------------------------------------------------------------
+
+/**
+ * Deepest array/object nesting the parser accepts. The deepest document
+ * written is 10 levels (results > cells > cell > result > intervals >
+ * windows > window > latency > buckets > pair); the cap keeps the
+ * recursive descent off the end of the stack on hostile input.
+ */
+constexpr unsigned kMaxJsonDepth = 64;
 
 struct JsonValue
 {
@@ -96,7 +70,8 @@ struct JsonValue
     };
 
     Kind kind = Kind::Null;
-    bool boolean = false;
+    std::size_t line = 0;   //!< 1-based position of the first character
+    std::size_t column = 0;
     std::string text; //!< number token or decoded string contents
     std::vector<JsonValue> items;
     std::vector<std::pair<std::string, JsonValue>> members;
@@ -109,69 +84,26 @@ struct JsonValue
                 return &v;
         return nullptr;
     }
-
-    const JsonValue &
-    at(const char *key) const
-    {
-        if (kind != Kind::Object)
-            throw std::runtime_error(std::string("campaign JSON: '") +
-                                     key + "' looked up in a non-object");
-        if (const JsonValue *v = find(key))
-            return *v;
-        throw std::runtime_error(std::string("campaign JSON: missing '") +
-                                 key + "'");
-    }
-
-    std::uint64_t
-    asU64() const
-    {
-        if (kind != Kind::Number)
-            throw std::runtime_error(
-                "campaign JSON: expected an integer");
-        char *end = nullptr;
-        errno = 0;
-        const std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
-        if (end == text.c_str() || *end != '\0' || errno == ERANGE)
-            throw std::runtime_error("campaign JSON: bad integer '" +
-                                     text + "'");
-        return v;
-    }
-
-    double
-    asDouble() const
-    {
-        if (kind != Kind::Number)
-            throw std::runtime_error("campaign JSON: expected a number");
-        char *end = nullptr;
-        const double v = std::strtod(text.c_str(), &end);
-        if (end == text.c_str() || *end != '\0')
-            throw std::runtime_error("campaign JSON: bad number '" +
-                                     text + "'");
-        return v;
-    }
-
-    const std::string &
-    asString() const
-    {
-        if (kind != Kind::String)
-            throw std::runtime_error("campaign JSON: expected a string");
-        return text;
-    }
-
-    const std::vector<JsonValue> &
-    asArray() const
-    {
-        if (kind != Kind::Array)
-            throw std::runtime_error("campaign JSON: expected an array");
-        return items;
-    }
 };
+
+[[noreturn]] void
+failAt(std::size_t line, std::size_t column, const std::string &what)
+{
+    throw std::runtime_error("campaign JSON " + fmtU64(line) + ":" +
+                             fmtU64(column) + ": " + what);
+}
+
+[[noreturn]] void
+failAt(const JsonValue &v, const std::string &what)
+{
+    failAt(v.line, v.column, what);
+}
 
 class JsonParser
 {
   public:
     explicit JsonParser(const std::string &input)
-        : p(input.c_str()), end(input.c_str() + input.size())
+        : p(input.data()), end(input.data() + input.size()), lineStart(p)
     {
     }
 
@@ -189,15 +121,20 @@ class JsonParser
     [[noreturn]] void
     fail(const std::string &what) const
     {
-        throw std::runtime_error("campaign JSON: " + what);
+        failAt(line, static_cast<std::size_t>(p - lineStart) + 1, what);
     }
 
     void
     skipSpace()
     {
-        while (p != end && (*p == ' ' || *p == '\t' || *p == '\n' ||
-                            *p == '\r'))
-            ++p;
+        for (; p != end; ++p) {
+            if (*p == '\n') {
+                ++line;
+                lineStart = p + 1;
+            } else if (*p != ' ' && *p != '\t' && *p != '\r') {
+                return;
+            }
+        }
     }
 
     char
@@ -220,30 +157,49 @@ class JsonParser
     bool
     consume(char ch)
     {
-        if (p != end && peek() == ch) {
-            ++p;
-            return true;
-        }
-        return false;
+        if (peek() != ch)
+            return false;
+        ++p;
+        return true;
     }
 
     JsonValue
     parseValue()
     {
         const char ch = peek();
-        if (ch == '{')
-            return parseObject();
-        if (ch == '[')
-            return parseArray();
-        if (ch == '"')
-            return parseString();
-        if (ch == 't' || ch == 'f')
-            return parseBool();
-        if (ch == 'n') {
+        JsonValue v;
+        v.line = line;
+        v.column = static_cast<std::size_t>(p - lineStart) + 1;
+        if (ch == '{' || ch == '[') {
+            if (++depth > kMaxJsonDepth)
+                fail("nesting deeper than " + fmtU64(kMaxJsonDepth) +
+                     " levels");
+            if (ch == '{')
+                parseObject(v);
+            else
+                parseArray(v);
+            --depth;
+        } else if (ch == '"') {
+            v.kind = JsonValue::Kind::String;
+            parseString(v.text);
+        } else if (ch == 't' || ch == 'f') {
+            v.kind = JsonValue::Kind::Bool;
+            parseLiteral(ch == 't' ? "true" : "false");
+        } else if (ch == 'n') {
             parseLiteral("null");
-            return JsonValue{};
+        } else {
+            v.kind = JsonValue::Kind::Number;
+            const char *start = p;
+            while (p != end &&
+                   (std::isdigit(static_cast<unsigned char>(*p)) ||
+                    *p == '-' || *p == '+' || *p == '.' || *p == 'e' ||
+                    *p == 'E'))
+                ++p;
+            if (p == start)
+                fail(std::string("unexpected '") + ch + "'");
+            v.text.assign(start, p);
         }
-        return parseNumber();
+        return v;
     }
 
     void
@@ -256,561 +212,700 @@ class JsonParser
         p += len;
     }
 
-    JsonValue
-    parseBool()
-    {
-        JsonValue v;
-        v.kind = JsonValue::Kind::Bool;
-        if (*p == 't') {
-            parseLiteral("true");
-            v.boolean = true;
-        } else {
-            parseLiteral("false");
-            v.boolean = false;
-        }
-        return v;
-    }
-
-    JsonValue
-    parseNumber()
-    {
-        JsonValue v;
-        v.kind = JsonValue::Kind::Number;
-        const char *start = p;
-        while (p != end &&
-               (std::isdigit(static_cast<unsigned char>(*p)) ||
-                *p == '-' || *p == '+' || *p == '.' || *p == 'e' ||
-                *p == 'E'))
-            ++p;
-        if (p == start)
-            fail("expected a number");
-        v.text.assign(start, p);
-        return v;
-    }
-
-    JsonValue
-    parseString()
+    void
+    parseString(std::string &out)
     {
         expect('"');
-        JsonValue v;
-        v.kind = JsonValue::Kind::String;
         while (true) {
             if (p == end)
                 fail("unterminated string");
+            // Raw control characters are invalid JSON (the writer
+            // escapes them all), and keep line numbers honest.
+            if (static_cast<unsigned char>(*p) < 0x20)
+                fail("control character in string");
             const char ch = *p++;
             if (ch == '"')
-                break;
+                return;
             if (ch != '\\') {
-                v.text += ch;
+                out += ch;
                 continue;
             }
             if (p == end)
                 fail("unterminated escape");
             const char esc = *p++;
-            switch (esc) {
-              case '"':
-                v.text += '"';
-                break;
-              case '\\':
-                v.text += '\\';
-                break;
-              case '/':
-                v.text += '/';
-                break;
-              case 'n':
-                v.text += '\n';
-                break;
-              case 't':
-                v.text += '\t';
-                break;
-              case 'r':
-                v.text += '\r';
-                break;
-              case 'b':
-                v.text += '\b';
-                break;
-              case 'f':
-                v.text += '\f';
-                break;
-              case 'u': {
-                if (end - p < 4)
-                    fail("truncated \\u escape");
-                unsigned code = 0;
-                for (int i = 0; i < 4; ++i) {
-                    const char h = *p++;
-                    code <<= 4;
-                    if (h >= '0' && h <= '9')
-                        code |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        code |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        code |= static_cast<unsigned>(h - 'A' + 10);
-                    else
-                        fail("bad \\u escape");
-                }
-                // The writer only emits \u00xx control codes; reject
-                // anything wider rather than mis-decoding it.
-                if (code > 0xff)
-                    fail("unsupported \\u escape beyond U+00FF");
-                v.text += static_cast<char>(code);
-                break;
-              }
-              default:
-                fail("unknown escape");
+            static const char kEscaped[] = "\"\\/bfnrt";
+            static const char kDecoded[] = "\"\\/\b\f\n\r\t";
+            if (const char *at = std::strchr(kEscaped, esc);
+                at != nullptr && esc != '\0') {
+                out += kDecoded[at - kEscaped];
+                continue;
             }
+            if (esc != 'u')
+                fail("unknown escape");
+            unsigned code = 0;
+            const char *hex_end = p + std::min<std::ptrdiff_t>(end - p, 4);
+            if (std::from_chars(p, hex_end, code, 16).ptr != p + 4)
+                fail("bad \\u escape");
+            p += 4;
+            // The writer only emits \u00xx control codes; reject
+            // anything wider rather than mis-decoding it.
+            if (code > 0xff)
+                fail("unsupported \\u escape beyond U+00FF");
+            out += static_cast<char>(code);
         }
-        return v;
     }
 
-    JsonValue
-    parseArray()
+    void
+    parseArray(JsonValue &v)
     {
         expect('[');
-        JsonValue v;
         v.kind = JsonValue::Kind::Array;
         if (consume(']'))
-            return v;
+            return;
         while (true) {
             v.items.push_back(parseValue());
             if (consume(']'))
-                return v;
+                return;
             expect(',');
         }
     }
 
-    JsonValue
-    parseObject()
+    void
+    parseObject(JsonValue &v)
     {
         expect('{');
-        JsonValue v;
         v.kind = JsonValue::Kind::Object;
         if (consume('}'))
-            return v;
+            return;
         while (true) {
-            JsonValue key = parseString();
+            if (peek() != '"')
+                fail("expected a string key");
+            std::string key;
+            parseString(key);
             expect(':');
-            v.members.emplace_back(std::move(key.text), parseValue());
+            v.members.emplace_back(std::move(key), parseValue());
             if (consume('}'))
-                return v;
+                return;
             expect(',');
         }
     }
 
     const char *p;
     const char *end;
+    const char *lineStart;
+    std::size_t line = 1;
+    unsigned depth = 0;
 };
 
-// --- struct <-> JSON ---------------------------------------------------------
+// --- field lists -------------------------------------------------------------
+//
+// Each serialized struct has one `fields(io, s)` template that lists its
+// keys once, in output order. JsonOut renders the list as an object's
+// members; JsonIn reads the same list back out of a parsed object,
+// converting each integer into its declared type with a range check.
+// `optional` marks keys older documents may lack, `constant` a value the
+// reader must find exactly (document headers, cell ids), and `block` /
+// `rows` only choose the document-level line layout.
 
-std::string
-runningMeanToJson(const RunningMean &m)
-{
-    std::string out;
-    ObjectWriter w(out);
-    w.u64("count", m.count());
-    w.num("sum", m.sum());
-    w.close();
-    return out;
-}
+/** S is T or const T, so one field list serves writer and reader. */
+template <class S, class T>
+concept Is = std::same_as<std::remove_const_t<S>, T>;
 
-RunningMean
-parseRunningMean(const JsonValue &v)
-{
-    RunningMean m;
-    m.restore(v.at("count").asU64(), v.at("sum").asDouble());
-    return m;
-}
+template <class T>
+concept Vector = requires { typename T::value_type; } &&
+                 std::same_as<T, std::vector<typename T::value_type>>;
 
-std::string
-histogramToJson(const Histogram &h)
-{
-    std::string out = "{\"max\": " + fmtU64(h.maxValue()) +
-                      ", \"buckets\": [";
-    bool first = true;
-    for (std::size_t v = 0; v <= h.maxValue(); ++v) {
-        if (h.at(v) == 0)
-            continue;
-        if (!first)
-            out += ", ";
-        first = false;
-        out += "[" + fmtU64(v) + ", " + fmtU64(h.at(v)) + "]";
-    }
-    out += "]}";
-    return out;
-}
+template <class T>
+concept Pair = requires {
+    typename T::first_type;
+    typename T::second_type;
+} && std::same_as<T, std::pair<typename T::first_type,
+                               typename T::second_type>>;
 
-Histogram
-parseHistogram(const JsonValue &v)
-{
-    Histogram h(static_cast<std::size_t>(v.at("max").asU64()));
-    for (const JsonValue &pair : v.at("buckets").asArray()) {
-        const auto &entries = pair.asArray();
-        if (entries.size() != 2)
-            throw std::runtime_error(
-                "campaign JSON: histogram bucket is not a pair");
-        h.addCount(entries[0].asU64(), entries[1].asU64());
-    }
-    return h;
-}
+/** Largest enumerator of each serialized enum (the reader's bound). */
+constexpr CmpConfigKind lastOf(CmpConfigKind) { return kLastCmpConfigKind; }
+constexpr SharerFormat lastOf(SharerFormat) { return kLastSharerFormat; }
+constexpr HashKind lastOf(HashKind) { return kLastHashKind; }
 
-std::string
-latencyHistogramToJson(const LatencyHistogram &h)
+/** Renders field lists as JSON object members (see above). */
+class JsonOut
 {
-    std::string out = "{\"sum\": " + fmtU64(h.totalCycles()) +
-                      ", \"buckets\": [";
-    bool first = true;
-    for (std::size_t b = 0; b < LatencyHistogram::kBuckets; ++b) {
-        if (h.bucketAt(b) == 0)
-            continue;
-        if (!first)
-            out += ", ";
-        first = false;
-        out += "[" + fmtU64(b) + ", " + fmtU64(h.bucketAt(b)) + "]";
-    }
-    out += "]}";
-    return out;
-}
+  public:
+    static constexpr bool reading = false;
 
-LatencyHistogram
-parseLatencyHistogram(const JsonValue &v)
-{
-    std::vector<std::pair<std::size_t, std::uint64_t>> buckets;
-    for (const JsonValue &pair : v.at("buckets").asArray()) {
-        const auto &entries = pair.asArray();
-        if (entries.size() != 2)
-            throw std::runtime_error(
-                "campaign JSON: latency bucket is not a pair");
-        buckets.emplace_back(
-            static_cast<std::size_t>(entries[0].asU64()),
-            entries[1].asU64());
-    }
-    LatencyHistogram h;
-    h.restore(v.at("sum").asU64(), buckets);
-    return h;
-}
+    explicit JsonOut(std::string &out) : buf(out) { buf += '{'; }
 
-std::string
-directoryStatsToJson(const DirectoryStats &s)
-{
-    std::string out;
-    ObjectWriter w(out);
-    w.u64("lookups", s.lookups);
-    w.u64("hits", s.hits);
-    w.u64("insertions", s.insertions);
-    w.u64("sharer_adds", s.sharerAdds);
-    w.u64("write_upgrades", s.writeUpgrades);
-    w.u64("sharer_removals", s.sharerRemovals);
-    w.u64("entry_frees", s.entryFrees);
-    w.u64("forced_evictions", s.forcedEvictions);
-    w.u64("forced_block_invalidations", s.forcedBlockInvalidations);
-    w.u64("insert_failures", s.insertFailures);
-    w.member("insertion_attempts",
-             runningMeanToJson(s.insertionAttempts));
-    w.member("attempt_histogram", histogramToJson(s.attemptHistogram));
-    w.close();
-    return out;
-}
+    void close() { buf += '}'; }
 
-DirectoryStats
-parseDirectoryStats(const JsonValue &v)
-{
-    DirectoryStats s;
-    s.lookups = v.at("lookups").asU64();
-    s.hits = v.at("hits").asU64();
-    s.insertions = v.at("insertions").asU64();
-    s.sharerAdds = v.at("sharer_adds").asU64();
-    s.writeUpgrades = v.at("write_upgrades").asU64();
-    s.sharerRemovals = v.at("sharer_removals").asU64();
-    s.entryFrees = v.at("entry_frees").asU64();
-    s.forcedEvictions = v.at("forced_evictions").asU64();
-    s.forcedBlockInvalidations =
-        v.at("forced_block_invalidations").asU64();
-    s.insertFailures = v.at("insert_failures").asU64();
-    s.insertionAttempts = parseRunningMean(v.at("insertion_attempts"));
-    s.attemptHistogram = parseHistogram(v.at("attempt_histogram"));
-    return s;
-}
-
-std::string
-cmpStatsToJson(const CmpStats &s)
-{
-    std::string out;
-    ObjectWriter w(out);
-    w.u64("accesses", s.accesses);
-    w.u64("cache_hits", s.cacheHits);
-    w.u64("cache_misses", s.cacheMisses);
-    w.u64("write_upgrades", s.writeUpgrades);
-    w.u64("cache_evictions", s.cacheEvictions);
-    w.u64("sharing_invalidations", s.sharingInvalidations);
-    w.u64("forced_invalidations", s.forcedInvalidations);
-    w.member("directory_occupancy",
-             runningMeanToJson(s.directoryOccupancy));
-    w.member("latency", latencyHistogramToJson(s.latency));
-    w.close();
-    return out;
-}
-
-CmpStats
-parseCmpStats(const JsonValue &v)
-{
-    CmpStats s;
-    s.accesses = v.at("accesses").asU64();
-    s.cacheHits = v.at("cache_hits").asU64();
-    s.cacheMisses = v.at("cache_misses").asU64();
-    s.writeUpgrades = v.at("write_upgrades").asU64();
-    s.cacheEvictions = v.at("cache_evictions").asU64();
-    s.sharingInvalidations = v.at("sharing_invalidations").asU64();
-    s.forcedInvalidations = v.at("forced_invalidations").asU64();
-    s.directoryOccupancy = parseRunningMean(v.at("directory_occupancy"));
-    s.latency = parseLatencyHistogram(v.at("latency"));
-    return s;
-}
-
-std::string
-intervalStatsToJson(const IntervalStats &s)
-{
-    std::string out = "{\"interval\": " + fmtU64(s.intervalAccesses) +
-                      ", \"windows\": [";
-    for (std::size_t i = 0; i < s.windows.size(); ++i) {
-        const IntervalRecord &r = s.windows[i];
-        if (i != 0)
-            out += ", ";
-        ObjectWriter w(out);
-        w.u64("accesses", r.accesses);
-        w.u64("cache_misses", r.cacheMisses);
-        w.u64("insertions", r.insertions);
-        w.u64("attempt_sum", r.attemptSum);
-        w.u64("attempt_count", r.insertionAttemptCount);
-        w.u64("forced_evictions", r.forcedEvictions);
-        w.u64("sharing_invalidations", r.sharingInvalidations);
-        w.u64("forced_invalidations", r.forcedInvalidations);
-        w.u64("occupied", r.occupiedEntries);
-        w.u64("capacity", r.capacityEntries);
-        w.member("latency", latencyHistogramToJson(r.latency));
-        w.close();
-    }
-    out += "]}";
-    return out;
-}
-
-IntervalStats
-parseIntervalStats(const JsonValue &v)
-{
-    IntervalStats s;
-    s.intervalAccesses = v.at("interval").asU64();
-    for (const JsonValue &win : v.at("windows").asArray()) {
-        IntervalRecord r;
-        r.accesses = win.at("accesses").asU64();
-        r.cacheMisses = win.at("cache_misses").asU64();
-        r.insertions = win.at("insertions").asU64();
-        r.attemptSum = win.at("attempt_sum").asU64();
-        r.insertionAttemptCount = win.at("attempt_count").asU64();
-        r.forcedEvictions = win.at("forced_evictions").asU64();
-        r.sharingInvalidations =
-            win.at("sharing_invalidations").asU64();
-        r.forcedInvalidations = win.at("forced_invalidations").asU64();
-        r.occupiedEntries = win.at("occupied").asU64();
-        r.capacityEntries = win.at("capacity").asU64();
-        r.latency = parseLatencyHistogram(win.at("latency"));
-        s.windows.push_back(std::move(r));
-    }
-    return s;
-}
-
-std::string
-cmpConfigToJson(const CmpConfig &c)
-{
-    std::string dir;
+    template <class T>
+    void
+    field(const char *key, const T &v)
     {
-        ObjectWriter w(dir);
-        w.str("organization", c.directory.organization);
-        w.u64("num_caches", c.directory.numCaches);
-        w.u64("ways", c.directory.ways);
-        w.u64("sets", c.directory.sets);
-        w.u64("format", static_cast<std::uint64_t>(c.directory.format));
-        w.u64("hash", static_cast<std::uint64_t>(c.directory.hash));
-        w.u64("max_attempts", c.directory.maxAttempts);
-        w.u64("bucket_slots", c.directory.bucketSlots);
-        w.u64("stash_entries", c.directory.stashEntries);
-        w.u64("hash_seed", c.directory.hashSeed);
-        w.u64("tracked_cache_assoc", c.directory.trackedCacheAssoc);
-        w.u64("tagless_bucket_bits", c.directory.taglessBucketBits);
-        w.close();
+        member(key, ", ");
+        write(v);
     }
-    std::string out;
-    ObjectWriter w(out);
-    w.u64("kind", static_cast<std::uint64_t>(c.kind));
-    w.u64("num_cores", c.numCores);
-    w.u64("num_slices", c.numSlices);
-    w.u64("cache_sets", c.privateCache.numSets);
-    w.u64("cache_assoc", c.privateCache.assoc);
-    w.u64("batch_window", c.batchWindow);
-    w.member("dir", dir);
-    w.close();
-    return out;
-}
 
-/** @p v as an enum value in [0, @p last]; throws when out of range. */
-template <typename Enum>
-Enum
-checkedEnum(const JsonValue &v, const char *what, Enum last)
+    template <class T>
+    void optional(const char *key, const T &v) { field(key, v); }
+
+    template <class T>
+    void constant(const char *key, const T &v) { field(key, v); }
+
+    /** field() on a line of its own. */
+    template <class T>
+    void
+    block(const char *key, const T &v)
+    {
+        member(key, ",\n ");
+        write(v);
+    }
+
+    /** An array of @p n objects, one per line, filled by fn(row, i). */
+    template <class Fn>
+    void
+    rows(const char *key, std::size_t n, Fn fn)
+    {
+        member(key, ",\n ");
+        buf += '[';
+        for (std::size_t i = 0; i < n; ++i) {
+            buf += i == 0 ? "\n  " : ",\n  ";
+            JsonOut row(buf);
+            fn(row, i);
+            row.close();
+        }
+        buf += "\n ]";
+    }
+
+  private:
+    void
+    member(const char *key, const char *separator)
+    {
+        if (!first)
+            buf += separator;
+        first = false;
+        buf += '"';
+        buf += key;
+        buf += "\": ";
+    }
+
+    template <class T>
+    void
+    write(const T &v)
+    {
+        if constexpr (std::is_same_v<T, std::string>) {
+            buf += '"';
+            buf += jsonEscape(v);
+            buf += '"';
+        } else if constexpr (std::is_floating_point_v<T>) {
+            buf += fmtDouble(v);
+        } else if constexpr (std::is_enum_v<T> || std::is_integral_v<T>) {
+            buf += fmtU64(static_cast<std::uint64_t>(v));
+        } else if constexpr (Vector<T>) {
+            buf += '[';
+            for (std::size_t i = 0; i < v.size(); ++i) {
+                if (i != 0)
+                    buf += ", ";
+                write(v[i]);
+            }
+            buf += ']';
+        } else if constexpr (Pair<T>) {
+            buf += '[';
+            write(v.first);
+            buf += ", ";
+            write(v.second);
+            buf += ']';
+        } else {
+            JsonOut inner(buf);
+            fields(inner, v);
+            inner.close();
+        }
+    }
+
+    std::string &buf;
+    bool first = true;
+};
+
+/** Reads field lists back out of a parsed JSON object (see above). */
+class JsonIn
 {
-    const std::uint64_t raw = v.asU64();
-    if (raw > static_cast<std::uint64_t>(last))
-        throw std::runtime_error(std::string("campaign JSON: ") + what +
-                                 " out of range: " + fmtU64(raw));
-    return static_cast<Enum>(raw);
-}
+  public:
+    static constexpr bool reading = true;
 
-CmpConfig
-parseCmpConfig(const JsonValue &v)
-{
-    CmpConfig c;
-    c.kind = checkedEnum(v.at("kind"), "config kind", kLastCmpConfigKind);
-    c.numCores = static_cast<std::size_t>(v.at("num_cores").asU64());
-    c.numSlices = static_cast<std::size_t>(v.at("num_slices").asU64());
-    c.privateCache.numSets =
-        static_cast<std::size_t>(v.at("cache_sets").asU64());
-    c.privateCache.assoc =
-        static_cast<unsigned>(v.at("cache_assoc").asU64());
-    c.batchWindow =
-        static_cast<std::size_t>(v.at("batch_window").asU64());
-    const JsonValue &d = v.at("dir");
-    c.directory.organization = d.at("organization").asString();
-    c.directory.numCaches =
-        static_cast<std::size_t>(d.at("num_caches").asU64());
-    c.directory.ways = static_cast<unsigned>(d.at("ways").asU64());
-    c.directory.sets = static_cast<std::size_t>(d.at("sets").asU64());
-    c.directory.format =
-        checkedEnum(d.at("format"), "sharer format", kLastSharerFormat);
-    c.directory.hash = checkedEnum(d.at("hash"), "hash kind", kLastHashKind);
-    c.directory.maxAttempts =
-        static_cast<unsigned>(d.at("max_attempts").asU64());
-    c.directory.bucketSlots =
-        static_cast<unsigned>(d.at("bucket_slots").asU64());
-    c.directory.stashEntries =
-        static_cast<unsigned>(d.at("stash_entries").asU64());
-    c.directory.hashSeed = d.at("hash_seed").asU64();
-    c.directory.trackedCacheAssoc =
-        static_cast<unsigned>(d.at("tracked_cache_assoc").asU64());
-    c.directory.taglessBucketBits =
-        static_cast<std::size_t>(d.at("tagless_bucket_bits").asU64());
-    return c;
-}
+    explicit JsonIn(const JsonValue &value) : obj(value)
+    {
+        if (obj.kind != JsonValue::Kind::Object)
+            failAt(obj, "expected an object");
+    }
 
+    template <class T>
+    void field(const char *key, T &v) { read(member(key), v); }
+
+    template <class T>
+    void
+    optional(const char *key, T &v)
+    {
+        if (const JsonValue *m = obj.find(key))
+            read(*m, v);
+    }
+
+    template <class T>
+    void
+    constant(const char *key, const T &want)
+    {
+        const JsonValue &m = member(key);
+        T got{};
+        read(m, got);
+        if (got != want)
+            failAt(m, std::string("\"") + key + "\" is " + show(got) +
+                          ", expected " + show(want));
+    }
+
+    template <class T>
+    void block(const char *key, T &v) { field(key, v); }
+
+    /** Read an array of exactly @p n objects through fn(row, i). */
+    template <class Fn>
+    void
+    rows(const char *key, std::size_t n, Fn fn)
+    {
+        const JsonValue &m = member(key);
+        const std::vector<JsonValue> &items = array(m);
+        if (items.size() != n)
+            failAt(m, std::string("\"") + key + "\" holds " +
+                          fmtU64(items.size()) + " entries, expected " +
+                          fmtU64(n));
+        for (std::size_t i = 0; i < n; ++i) {
+            JsonIn row(items[i]);
+            fn(row, i);
+        }
+    }
+
+    /** Length of array member @p key. */
+    std::size_t size(const char *key) const { return array(member(key)).size(); }
+
+    /** Fail with @p what at member @p key's value. */
+    [[noreturn]] void
+    fail(const char *key, const std::string &what) const
+    {
+        failAt(member(key), what);
+    }
+
+  private:
+    const JsonValue &
+    member(const char *key) const
+    {
+        if (const JsonValue *m = obj.find(key))
+            return *m;
+        failAt(obj, std::string("missing \"") + key + "\"");
+    }
+
+    static std::string show(const std::string &s) { return '"' + s + '"'; }
+    static std::string show(std::uint64_t v) { return fmtU64(v); }
+
+    static const std::vector<JsonValue> &
+    array(const JsonValue &v)
+    {
+        if (v.kind != JsonValue::Kind::Array)
+            failAt(v, "expected an array");
+        return v.items;
+    }
+
+    /** @p v as an integer in [0, @p max]. */
+    static std::uint64_t
+    integer(const JsonValue &v, std::uint64_t max)
+    {
+        if (v.kind != JsonValue::Kind::Number)
+            failAt(v, "expected an integer");
+        const char *begin = v.text.data();
+        const char *end = begin + v.text.size();
+        std::uint64_t x = 0;
+        const auto [ptr, ec] = std::from_chars(begin, end, x);
+        if (ec == std::errc::result_out_of_range || (ptr == end && x > max))
+            failAt(v, "integer " + v.text + " out of range (max " +
+                          fmtU64(max) + ")");
+        if (ec != std::errc{} || ptr != end)
+            failAt(v, "bad integer '" + v.text + "'");
+        return x;
+    }
+
+    template <class T>
+    static void
+    read(const JsonValue &v, T &out)
+    {
+        if constexpr (std::is_same_v<T, std::string>) {
+            if (v.kind != JsonValue::Kind::String)
+                failAt(v, "expected a string");
+            out = v.text;
+        } else if constexpr (std::is_floating_point_v<T>) {
+            if (v.kind != JsonValue::Kind::Number)
+                failAt(v, "expected a number");
+            char *end = nullptr;
+            out = std::strtod(v.text.c_str(), &end);
+            if (end != v.text.c_str() + v.text.size())
+                failAt(v, "bad number '" + v.text + "'");
+        } else if constexpr (std::is_enum_v<T>) {
+            out = static_cast<T>(
+                integer(v, static_cast<std::uint64_t>(lastOf(T{}))));
+        } else if constexpr (std::is_integral_v<T>) {
+            out = static_cast<T>(
+                integer(v, std::numeric_limits<T>::max()));
+        } else if constexpr (Vector<T>) {
+            const std::vector<JsonValue> &items = array(v);
+            out.clear();
+            out.resize(items.size());
+            for (std::size_t i = 0; i < items.size(); ++i)
+                read(items[i], out[i]);
+        } else if constexpr (Pair<T>) {
+            const std::vector<JsonValue> &items = array(v);
+            if (items.size() != 2)
+                failAt(v, "expected a pair");
+            read(items[0], out.first);
+            read(items[1], out.second);
+        } else {
+            JsonIn inner(v);
+            fields(inner, out);
+        }
+    }
+
+    const JsonValue &obj;
+};
+
+/** Serialize @p v's field list as one JSON object. */
+template <class T>
 std::string
-workloadParamsToJson(const WorkloadParams &p)
+toJson(const T &v)
 {
     std::string out;
-    ObjectWriter w(out);
-    w.str("name", p.name);
-    w.u64("num_cores", p.numCores);
-    w.str("trace_path", p.tracePath);
-    w.str("scenario_spec", p.scenarioSpec);
-    w.u64("code_blocks", p.codeBlocks);
-    w.u64("shared_blocks", p.sharedBlocks);
-    w.u64("private_blocks_per_core", p.privateBlocksPerCore);
-    w.num("instruction_fraction", p.instructionFraction);
-    w.num("shared_data_fraction", p.sharedDataFraction);
-    w.num("write_fraction", p.writeFraction);
-    w.num("code_theta", p.codeTheta);
-    w.num("shared_theta", p.sharedTheta);
-    w.num("private_theta", p.privateTheta);
-    w.u64("seed", p.seed);
+    JsonOut w(out);
+    fields(w, v);
     w.close();
     return out;
 }
 
-WorkloadParams
-parseWorkloadParams(const JsonValue &v)
+/** Parse @p json and read a T's field list out of it. */
+template <class T>
+T
+fromJson(const std::string &json)
 {
-    WorkloadParams p;
-    p.name = v.at("name").asString();
-    p.numCores = static_cast<std::size_t>(v.at("num_cores").asU64());
-    p.tracePath = v.at("trace_path").asString();
-    p.scenarioSpec = v.at("scenario_spec").asString();
-    p.codeBlocks = static_cast<std::size_t>(v.at("code_blocks").asU64());
-    p.sharedBlocks =
-        static_cast<std::size_t>(v.at("shared_blocks").asU64());
-    p.privateBlocksPerCore =
-        static_cast<std::size_t>(v.at("private_blocks_per_core").asU64());
-    p.instructionFraction = v.at("instruction_fraction").asDouble();
-    p.sharedDataFraction = v.at("shared_data_fraction").asDouble();
-    p.writeFraction = v.at("write_fraction").asDouble();
-    p.codeTheta = v.at("code_theta").asDouble();
-    p.sharedTheta = v.at("shared_theta").asDouble();
-    p.privateTheta = v.at("private_theta").asDouble();
-    p.seed = v.at("seed").asU64();
-    return p;
+    const JsonValue doc = JsonParser(json).parseDocument();
+    T v;
+    JsonIn in(doc);
+    fields(in, v);
+    return v;
 }
 
-std::string
-experimentOptionsToJson(const ExperimentOptions &o)
+// --- the field lists ---------------------------------------------------------
+
+template <class IO, Is<RunningMean> S>
+void
+fields(IO &io, S &m)
 {
-    std::string out;
-    ObjectWriter w(out);
-    w.u64("warmup", o.warmupAccesses);
-    w.u64("measure", o.measureAccesses);
-    w.u64("occupancy_sample_every", o.occupancySampleEvery);
-    w.u64("interval_accesses", o.intervalAccesses);
-    w.str("cost_model", o.costModel);
-    w.u64("probe_every", o.probeEvery);
-    w.close();
-    return out;
+    std::uint64_t count = m.count();
+    double sum = m.sum();
+    io.field("count", count);
+    io.field("sum", sum);
+    if constexpr (IO::reading)
+        m.restore(count, sum);
 }
 
-ExperimentOptions
-parseExperimentOptions(const JsonValue &v)
+/** A histogram's serialized form: its non-zero (bucket, count) pairs. */
+using Buckets = std::vector<std::pair<std::size_t, std::uint64_t>>;
+
+/**
+ * The "buckets" member shared by both histogram types: the writer
+ * collects the non-zero counts of buckets [0, @p size) through @p at;
+ * the reader rejects a bucket index outside that range.
+ */
+template <class IO, class At>
+void
+sparseBuckets(IO &io, Buckets &buckets, std::size_t size, At at)
 {
-    ExperimentOptions o;
-    o.warmupAccesses = v.at("warmup").asU64();
-    o.measureAccesses = v.at("measure").asU64();
-    o.occupancySampleEvery = v.at("occupancy_sample_every").asU64();
-    o.intervalAccesses = v.at("interval_accesses").asU64();
-    o.costModel = v.at("cost_model").asString();
-    // Optional for manifests written before the feedback subsystem.
-    if (const JsonValue *pe = v.find("probe_every"))
-        o.probeEvery = pe->asU64();
-    return o;
+    if constexpr (!IO::reading)
+        for (std::size_t b = 0; b < size; ++b)
+            if (at(b) != 0)
+                buckets.emplace_back(b, at(b));
+    io.field("buckets", buckets);
+    if constexpr (IO::reading)
+        for (const auto &bucket : buckets)
+            if (bucket.first >= size)
+                io.fail("buckets", "bucket " + fmtU64(bucket.first) +
+                                       " out of range (histogram has " +
+                                       fmtU64(size) + " buckets)");
 }
 
-ExperimentResult
-parseExperimentResultValue(const JsonValue &v)
+template <class IO, Is<Histogram> S>
+void
+fields(IO &io, S &h)
 {
-    ExperimentResult r;
-    r.workload = v.at("workload").asString();
-    r.organization = v.at("organization").asString();
-    r.avgInsertionAttempts = v.at("avg_insertion_attempts").asDouble();
-    r.forcedInvalidationRate =
-        v.at("forced_invalidation_rate").asDouble();
-    r.avgOccupancy = v.at("avg_occupancy").asDouble();
-    r.attemptHistogram = parseHistogram(v.at("attempt_histogram"));
-    r.directoryCapacity =
-        static_cast<std::size_t>(v.at("directory_capacity").asU64());
-    r.directory = parseDirectoryStats(v.at("directory"));
-    r.system = parseCmpStats(v.at("system"));
-    r.intervals = parseIntervalStats(v.at("intervals"));
-    r.costModel = v.at("cost_model").asString();
-    r.latencyP50 = v.at("latency_p50").asU64();
-    r.latencyP99 = v.at("latency_p99").asU64();
-    r.latencyP999 = v.at("latency_p999").asU64();
-    // Optional for shards written before footprint accounting existed.
-    if (const JsonValue *eb = v.find("estimated_bytes"))
-        r.estimatedBytes = eb->asU64();
-    // Optional for shards written before the feedback subsystem.
-    if (const JsonValue *fe = v.find("feedback_events"))
-        r.feedbackEvents = fe->asU64();
-    if (const JsonValue *fd = v.find("feedback_digest"))
-        r.feedbackDigest = fd->asU64();
-    if (const JsonValue *rl = v.find("ramp_final_level"))
-        r.rampFinalLevel = rl->asU64();
-    if (const JsonValue *rk = v.find("ramp_knee_level"))
-        r.rampKneeLevel = rk->asU64();
-    if (const JsonValue *km = v.find("ramp_knee_metric"))
-        r.rampKneeMetric = km->asDouble();
-    if (const JsonValue *cm = v.find("ramp_cross_metric"))
-        r.rampCrossMetric = cm->asDouble();
-    return r;
+    // Only the attempt histogram is serialized, and its geometry is
+    // fixed: checking it keeps a hostile "max" from sizing the buckets.
+    std::size_t max = h.maxValue();
+    io.field("max", max);
+    if constexpr (IO::reading)
+        if (max != kAttemptHistogramMax)
+            io.fail("max", "histogram max " + fmtU64(max) + " is not " +
+                               fmtU64(kAttemptHistogramMax));
+    Buckets buckets;
+    sparseBuckets(io, buckets, max + 1,
+                  [&](std::size_t v) { return h.at(v); });
+    if constexpr (IO::reading) {
+        h = Histogram(max);
+        for (const auto &[v, count] : buckets)
+            h.addCount(v, count);
+    }
+}
+
+template <class IO, Is<LatencyHistogram> S>
+void
+fields(IO &io, S &h)
+{
+    std::uint64_t sum = h.totalCycles();
+    io.field("sum", sum);
+    Buckets buckets;
+    sparseBuckets(io, buckets, LatencyHistogram::kBuckets,
+                  [&](std::size_t b) { return h.bucketAt(b); });
+    if constexpr (IO::reading)
+        h.restore(sum, buckets);
+}
+
+template <class IO, Is<DirectoryStats> S>
+void
+fields(IO &io, S &s)
+{
+    io.field("lookups", s.lookups);
+    io.field("hits", s.hits);
+    io.field("insertions", s.insertions);
+    io.field("sharer_adds", s.sharerAdds);
+    io.field("write_upgrades", s.writeUpgrades);
+    io.field("sharer_removals", s.sharerRemovals);
+    io.field("entry_frees", s.entryFrees);
+    io.field("forced_evictions", s.forcedEvictions);
+    io.field("forced_block_invalidations", s.forcedBlockInvalidations);
+    io.field("insert_failures", s.insertFailures);
+    io.field("insertion_attempts", s.insertionAttempts);
+    io.field("attempt_histogram", s.attemptHistogram);
+}
+
+template <class IO, Is<CmpStats> S>
+void
+fields(IO &io, S &s)
+{
+    io.field("accesses", s.accesses);
+    io.field("cache_hits", s.cacheHits);
+    io.field("cache_misses", s.cacheMisses);
+    io.field("write_upgrades", s.writeUpgrades);
+    io.field("cache_evictions", s.cacheEvictions);
+    io.field("sharing_invalidations", s.sharingInvalidations);
+    io.field("forced_invalidations", s.forcedInvalidations);
+    io.field("directory_occupancy", s.directoryOccupancy);
+    io.field("latency", s.latency);
+}
+
+template <class IO, Is<IntervalRecord> S>
+void
+fields(IO &io, S &r)
+{
+    io.field("accesses", r.accesses);
+    io.field("cache_misses", r.cacheMisses);
+    io.field("insertions", r.insertions);
+    io.field("attempt_sum", r.attemptSum);
+    io.field("attempt_count", r.insertionAttemptCount);
+    io.field("forced_evictions", r.forcedEvictions);
+    io.field("sharing_invalidations", r.sharingInvalidations);
+    io.field("forced_invalidations", r.forcedInvalidations);
+    io.field("occupied", r.occupiedEntries);
+    io.field("capacity", r.capacityEntries);
+    io.field("latency", r.latency);
+}
+
+template <class IO, Is<IntervalStats> S>
+void
+fields(IO &io, S &s)
+{
+    io.field("interval", s.intervalAccesses);
+    io.field("windows", s.windows);
+}
+
+template <class IO, Is<DirectoryParams> S>
+void
+fields(IO &io, S &d)
+{
+    io.field("organization", d.organization);
+    io.field("num_caches", d.numCaches);
+    io.field("ways", d.ways);
+    io.field("sets", d.sets);
+    io.field("format", d.format);
+    io.field("hash", d.hash);
+    io.field("max_attempts", d.maxAttempts);
+    io.field("bucket_slots", d.bucketSlots);
+    io.field("stash_entries", d.stashEntries);
+    io.field("hash_seed", d.hashSeed);
+    io.field("tracked_cache_assoc", d.trackedCacheAssoc);
+    io.field("tagless_bucket_bits", d.taglessBucketBits);
+}
+
+template <class IO, Is<CmpConfig> S>
+void
+fields(IO &io, S &c)
+{
+    io.field("kind", c.kind);
+    io.field("num_cores", c.numCores);
+    io.field("num_slices", c.numSlices);
+    io.field("cache_sets", c.privateCache.numSets);
+    io.field("cache_assoc", c.privateCache.assoc);
+    io.field("batch_window", c.batchWindow);
+    io.field("dir", c.directory);
+}
+
+template <class IO, Is<WorkloadParams> S>
+void
+fields(IO &io, S &p)
+{
+    io.field("name", p.name);
+    io.field("num_cores", p.numCores);
+    io.field("trace_path", p.tracePath);
+    io.field("scenario_spec", p.scenarioSpec);
+    io.field("code_blocks", p.codeBlocks);
+    io.field("shared_blocks", p.sharedBlocks);
+    io.field("private_blocks_per_core", p.privateBlocksPerCore);
+    io.field("instruction_fraction", p.instructionFraction);
+    io.field("shared_data_fraction", p.sharedDataFraction);
+    io.field("write_fraction", p.writeFraction);
+    io.field("code_theta", p.codeTheta);
+    io.field("shared_theta", p.sharedTheta);
+    io.field("private_theta", p.privateTheta);
+    io.field("seed", p.seed);
+}
+
+template <class IO, Is<ExperimentOptions> S>
+void
+fields(IO &io, S &o)
+{
+    io.field("warmup", o.warmupAccesses);
+    io.field("measure", o.measureAccesses);
+    io.field("occupancy_sample_every", o.occupancySampleEvery);
+    io.field("interval_accesses", o.intervalAccesses);
+    io.field("cost_model", o.costModel);
+    io.field("probe_every", o.probeEvery);
+}
+
+template <class IO, Is<ExperimentResult> S>
+void
+fields(IO &io, S &r)
+{
+    io.field("workload", r.workload);
+    io.field("organization", r.organization);
+    io.field("avg_insertion_attempts", r.avgInsertionAttempts);
+    io.field("forced_invalidation_rate", r.forcedInvalidationRate);
+    io.field("avg_occupancy", r.avgOccupancy);
+    io.field("attempt_histogram", r.attemptHistogram);
+    io.field("directory_capacity", r.directoryCapacity);
+    io.field("directory", r.directory);
+    io.field("system", r.system);
+    io.field("intervals", r.intervals);
+    io.field("cost_model", r.costModel);
+    io.field("latency_p50", r.latencyP50);
+    io.field("latency_p99", r.latencyP99);
+    io.field("latency_p999", r.latencyP999);
+    // estimatedBytes is deterministic for a given access history, so it
+    // checkpoints safely. peakRssBytes / wallSeconds are environmental
+    // (host- and concurrency-dependent) and are deliberately NOT
+    // serialized: a campaign-loaded cell reports 0 for them. The keys
+    // below are optional for shards written before footprint
+    // accounting and the feedback subsystem existed.
+    io.optional("estimated_bytes", r.estimatedBytes);
+    // Feedback witness and SLO-ramp knee: deterministic functions of
+    // the access history, safe to checkpoint and merge.
+    io.optional("feedback_events", r.feedbackEvents);
+    io.optional("feedback_digest", r.feedbackDigest);
+    io.optional("ramp_final_level", r.rampFinalLevel);
+    io.optional("ramp_knee_level", r.rampKneeLevel);
+    io.optional("ramp_knee_metric", r.rampKneeMetric);
+    io.optional("ramp_cross_metric", r.rampCrossMetric);
+}
+
+template <class IO, Is<SweepCell> S>
+void
+fields(IO &io, S &cell)
+{
+    // The id is derived from the rest of the cell: written for readers,
+    // and checked against the content on the way back in.
+    std::string id;
+    if constexpr (!IO::reading)
+        id = campaignCellId(cell);
+    io.field("id", id);
+    io.field("spec", cell.specIndex);
+    io.field("config_index", cell.configIndex);
+    io.field("workload_index", cell.workloadIndex);
+    io.field("options_index", cell.optionsIndex);
+    io.field("config_label", cell.configLabel);
+    io.field("workload_label", cell.workloadLabel);
+    io.field("options_label", cell.optionsLabel);
+    io.field("config", cell.config);
+    io.field("workload", cell.workload);
+    io.field("options", cell.options);
+    if constexpr (IO::reading)
+        if (const std::string expected = campaignCellId(cell); id != expected)
+            io.fail("id", "cell id '" + id + "' does not match its content "
+                          "(expected " + expected +
+                          ") — the manifest was edited or corrupted");
+}
+
+/** The `format` / `version` pair every campaign document opens with. */
+template <class IO>
+void
+header(IO &io, const char *format)
+{
+    io.constant("format", std::string(format));
+    io.constant("version", std::uint64_t{CampaignManifest::kVersion});
+}
+
+template <class IO, Is<CampaignManifest> S>
+void
+fields(IO &io, S &m)
+{
+    header(io, "cdir-campaign-manifest");
+    io.field("tool", m.tool);
+    io.field("spec_count", m.specCount);
+    if constexpr (IO::reading)
+        m.cells.resize(io.size("cells"));
+    io.rows("cells", m.cells.size(), [&](auto &row, std::size_t i) {
+        fields(row, m.cells[i]);
+        if constexpr (IO::reading)
+            if (m.cells[i].specIndex >= m.specCount)
+                row.fail("spec", "cell names spec " +
+                                     fmtU64(m.cells[i].specIndex) +
+                                     " but spec_count is " +
+                                     fmtU64(m.specCount));
+    });
+}
+
+/** A shard: the header, its cell's id, and the cell's result. */
+template <class IO, Is<ExperimentResult> R>
+void
+shardDocument(IO &io, const std::string &cell_id, R &result)
+{
+    header(io, "cdir-campaign-shard");
+    io.constant("cell", cell_id);
+    io.block("result", result);
+}
+
+/**
+ * A results document: the header, the grid it belongs to, and one
+ * (cell id, result(i)) row per manifest cell, in cell order.
+ */
+template <class IO, class ResultAt>
+void
+resultsDocument(IO &io, const CampaignManifest &manifest, ResultAt result)
+{
+    header(io, "cdir-campaign-results");
+    io.constant("tool", manifest.tool);
+    io.constant("spec_count", manifest.specCount);
+    io.rows("cells", manifest.cells.size(),
+            [&](auto &row, std::size_t i) {
+                row.constant("id", campaignCellId(manifest.cells[i]));
+                row.field("result", result(i));
+            });
 }
 
 // --- files -------------------------------------------------------------------
@@ -831,6 +926,62 @@ readFileOrThrow(const std::string &path)
     if (failed)
         throw std::runtime_error(path + ": read failed");
     return content;
+}
+
+std::uint64_t
+fnv1a(std::uint64_t hash, const std::string &data)
+{
+    for (const char ch : data) {
+        hash ^= static_cast<unsigned char>(ch);
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
+}
+
+bool
+shardExists(const std::string &shard_dir, const std::string &cell_id)
+{
+    std::error_code ec;
+    return std::filesystem::exists(campaignShardPath(shard_dir, cell_id),
+                                   ec);
+}
+
+} // namespace
+
+// --- public API --------------------------------------------------------------
+
+std::string
+campaignCellId(const SweepCell &cell)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    hash = fnv1a(hash, fmtU64(cell.specIndex));
+    hash = fnv1a(hash, cell.label());
+    hash = fnv1a(hash, toJson(cell.config));
+    hash = fnv1a(hash, toJson(cell.workload));
+    hash = fnv1a(hash, toJson(cell.options));
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(hash));
+    return buf;
+}
+
+CampaignManifest
+buildCampaignManifest(std::span<const SweepSpec> specs,
+                      const SweepRunner &runner, const std::string &tool)
+{
+    return {tool, specs.size(), runner.cells(specs)};
+}
+
+std::string
+campaignManifestToJson(const CampaignManifest &manifest)
+{
+    return toJson(manifest) + "\n";
+}
+
+CampaignManifest
+parseCampaignManifest(const std::string &json)
+{
+    return fromJson<CampaignManifest>(json);
 }
 
 /**
@@ -863,181 +1014,6 @@ atomicWriteFile(const std::string &path, const std::string &content)
         throw std::runtime_error("rename " + tmp + " -> " + path +
                                  ": " + err);
     }
-}
-
-// --- cell serialization ------------------------------------------------------
-
-std::string
-campaignCellToJson(const CampaignCell &cell)
-{
-    std::string out;
-    ObjectWriter w(out);
-    w.str("id", cell.id);
-    w.u64("spec", cell.specIndex);
-    w.u64("config_index", cell.configIndex);
-    w.u64("workload_index", cell.workloadIndex);
-    w.u64("options_index", cell.optionsIndex);
-    w.str("config_label", cell.configLabel);
-    w.str("workload_label", cell.workloadLabel);
-    w.str("options_label", cell.optionsLabel);
-    w.member("config", cmpConfigToJson(cell.config));
-    w.member("workload", workloadParamsToJson(cell.workload));
-    w.member("options", experimentOptionsToJson(cell.options));
-    w.close();
-    return out;
-}
-
-CampaignCell
-parseCampaignCell(const JsonValue &v)
-{
-    CampaignCell cell;
-    cell.id = v.at("id").asString();
-    cell.specIndex = static_cast<std::size_t>(v.at("spec").asU64());
-    cell.configIndex =
-        static_cast<std::size_t>(v.at("config_index").asU64());
-    cell.workloadIndex =
-        static_cast<std::size_t>(v.at("workload_index").asU64());
-    cell.optionsIndex =
-        static_cast<std::size_t>(v.at("options_index").asU64());
-    cell.configLabel = v.at("config_label").asString();
-    cell.workloadLabel = v.at("workload_label").asString();
-    cell.optionsLabel = v.at("options_label").asString();
-    cell.config = parseCmpConfig(v.at("config"));
-    cell.workload = parseWorkloadParams(v.at("workload"));
-    cell.options = parseExperimentOptions(v.at("options"));
-    const std::string expected = campaignCellId(cell);
-    if (cell.id != expected)
-        throw std::runtime_error(
-            "campaign manifest: cell id '" + cell.id +
-            "' does not match its content (expected " + expected +
-            ") — the manifest was edited or corrupted");
-    return cell;
-}
-
-std::uint64_t
-fnv1a(std::uint64_t hash, const std::string &data)
-{
-    for (const char ch : data) {
-        hash ^= static_cast<unsigned char>(ch);
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
-} // namespace
-
-// --- public API --------------------------------------------------------------
-
-std::string
-CampaignCell::label() const
-{
-    return sweepCellLabel(configLabel, workloadLabel, optionsLabel);
-}
-
-std::string
-campaignCellId(const CampaignCell &cell)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    hash = fnv1a(hash, fmtU64(cell.specIndex));
-    hash = fnv1a(hash, cell.label());
-    hash = fnv1a(hash, cmpConfigToJson(cell.config));
-    hash = fnv1a(hash, workloadParamsToJson(cell.workload));
-    hash = fnv1a(hash, experimentOptionsToJson(cell.options));
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(hash));
-    return buf;
-}
-
-CampaignManifest
-buildCampaignManifest(std::span<const SweepSpec> specs,
-                      const SweepRunner &runner, const std::string &tool)
-{
-    // This enumeration must stay in lockstep with SweepRunner::runMany:
-    // same cell order, same filter semantics, same implicit default
-    // options point — the merge-vs-in-process byte-identity guarantee
-    // depends on both walking the identical cell list.
-    static const OptionsAxisPoint default_options{"",
-                                                  ExperimentOptions{}};
-    const auto optionsPoint = [](const SweepSpec &spec, std::size_t o)
-        -> const OptionsAxisPoint & {
-        return spec.optionsAxis().empty() ? default_options
-                                          : spec.optionsAxis()[o];
-    };
-
-    CampaignManifest manifest;
-    manifest.tool = tool;
-    manifest.specCount = specs.size();
-    for (std::size_t g = 0; g < specs.size(); ++g) {
-        const SweepSpec &spec = specs[g];
-        for (std::size_t c = 0; c < spec.configs().size(); ++c) {
-            for (std::size_t w = 0; w < spec.workloads().size(); ++w) {
-                for (std::size_t o = 0; o < spec.optionsPoints(); ++o) {
-                    CampaignCell cell;
-                    cell.specIndex = g;
-                    cell.configIndex = c;
-                    cell.workloadIndex = w;
-                    cell.optionsIndex = o;
-                    cell.configLabel = spec.configs()[c].label;
-                    cell.workloadLabel = spec.workloads()[w].label;
-                    cell.optionsLabel = optionsPoint(spec, o).label;
-                    if (!runner.matchesFilter(cell.label()))
-                        continue;
-                    cell.config = spec.configs()[c].config;
-                    cell.workload = spec.workloads()[w].workload;
-                    cell.options = optionsPoint(spec, o).options;
-                    cell.id = campaignCellId(cell);
-                    manifest.cells.push_back(std::move(cell));
-                }
-            }
-        }
-    }
-    return manifest;
-}
-
-std::string
-campaignManifestToJson(const CampaignManifest &manifest)
-{
-    std::string out = "{\"format\": \"cdir-campaign-manifest\", "
-                      "\"version\": " +
-                      fmtU64(CampaignManifest::kVersion) +
-                      ", \"tool\": " + fmtString(manifest.tool) +
-                      ", \"spec_count\": " + fmtU64(manifest.specCount) +
-                      ",\n \"cells\": [";
-    for (std::size_t i = 0; i < manifest.cells.size(); ++i) {
-        out += i == 0 ? "\n  " : ",\n  ";
-        out += campaignCellToJson(manifest.cells[i]);
-    }
-    out += "\n ]}\n";
-    return out;
-}
-
-CampaignManifest
-parseCampaignManifest(const std::string &json)
-{
-    const JsonValue doc = JsonParser(json).parseDocument();
-    if (doc.at("format").asString() != "cdir-campaign-manifest")
-        throw std::runtime_error(
-            "not a campaign manifest (format: '" +
-            doc.at("format").asString() + "')");
-    if (doc.at("version").asU64() != CampaignManifest::kVersion)
-        throw std::runtime_error(
-            "unsupported campaign manifest version " +
-            fmtU64(doc.at("version").asU64()) + " (tool supports " +
-            fmtU64(CampaignManifest::kVersion) + ")");
-    CampaignManifest manifest;
-    manifest.tool = doc.at("tool").asString();
-    manifest.specCount =
-        static_cast<std::size_t>(doc.at("spec_count").asU64());
-    for (const JsonValue &cell : doc.at("cells").asArray())
-        manifest.cells.push_back(parseCampaignCell(cell));
-    for (const CampaignCell &cell : manifest.cells)
-        if (cell.specIndex >= manifest.specCount)
-            throw std::runtime_error(
-                "campaign manifest: cell " + cell.id +
-                " names spec " + fmtU64(cell.specIndex) +
-                " but spec_count is " + fmtU64(manifest.specCount));
-    return manifest;
 }
 
 void
@@ -1075,34 +1051,27 @@ writeCampaignShard(const std::string &shard_dir,
                    const std::string &cell_id,
                    const ExperimentResult &result)
 {
-    std::string doc = "{\"format\": \"cdir-campaign-shard\", "
-                      "\"version\": " +
-                      fmtU64(CampaignManifest::kVersion) +
-                      ", \"cell\": " + fmtString(cell_id) +
-                      ",\n \"result\": " +
-                      experimentResultToJson(result) + "}\n";
-    atomicWriteFile(campaignShardPath(shard_dir, cell_id), doc);
+    std::string doc;
+    JsonOut w(doc);
+    shardDocument(w, cell_id, result);
+    w.close();
+    atomicWriteFile(campaignShardPath(shard_dir, cell_id), doc + "\n");
 }
 
 bool
 readCampaignShard(const std::string &shard_dir,
                   const std::string &cell_id, ExperimentResult &out)
 {
-    const std::string path = campaignShardPath(shard_dir, cell_id);
-    std::error_code ec;
-    if (!std::filesystem::exists(path, ec))
+    if (!shardExists(shard_dir, cell_id))
         return false;
+    const std::string path = campaignShardPath(shard_dir, cell_id);
     try {
         const JsonValue doc =
             JsonParser(readFileOrThrow(path)).parseDocument();
-        if (doc.at("format").asString() != "cdir-campaign-shard")
-            throw std::runtime_error("not a campaign shard");
-        if (doc.at("version").asU64() != CampaignManifest::kVersion)
-            throw std::runtime_error("unsupported shard version");
-        if (doc.at("cell").asString() != cell_id)
-            throw std::runtime_error(
-                "shard is for cell " + doc.at("cell").asString());
-        out = parseExperimentResultValue(doc.at("result"));
+        ExperimentResult result;
+        JsonIn in(doc);
+        shardDocument(in, cell_id, result);
+        out = std::move(result);
     } catch (const std::exception &e) {
         throw std::runtime_error(path + ": " + e.what());
     }
@@ -1112,45 +1081,13 @@ readCampaignShard(const std::string &shard_dir,
 std::string
 experimentResultToJson(const ExperimentResult &result)
 {
-    std::string out;
-    ObjectWriter w(out);
-    w.str("workload", result.workload);
-    w.str("organization", result.organization);
-    w.num("avg_insertion_attempts", result.avgInsertionAttempts);
-    w.num("forced_invalidation_rate", result.forcedInvalidationRate);
-    w.num("avg_occupancy", result.avgOccupancy);
-    w.member("attempt_histogram",
-             histogramToJson(result.attemptHistogram));
-    w.u64("directory_capacity", result.directoryCapacity);
-    w.member("directory", directoryStatsToJson(result.directory));
-    w.member("system", cmpStatsToJson(result.system));
-    w.member("intervals", intervalStatsToJson(result.intervals));
-    w.str("cost_model", result.costModel);
-    w.u64("latency_p50", result.latencyP50);
-    w.u64("latency_p99", result.latencyP99);
-    w.u64("latency_p999", result.latencyP999);
-    // estimatedBytes is deterministic for a given access history, so it
-    // checkpoints safely. peakRssBytes / wallSeconds are environmental
-    // (host- and concurrency-dependent) and are deliberately NOT
-    // serialized: a campaign-loaded cell reports 0 for them.
-    w.u64("estimated_bytes", result.estimatedBytes);
-    // Feedback witness and SLO-ramp knee: deterministic functions of
-    // the access history, safe to checkpoint and merge.
-    w.u64("feedback_events", result.feedbackEvents);
-    w.u64("feedback_digest", result.feedbackDigest);
-    w.u64("ramp_final_level", result.rampFinalLevel);
-    w.u64("ramp_knee_level", result.rampKneeLevel);
-    w.num("ramp_knee_metric", result.rampKneeMetric);
-    w.num("ramp_cross_metric", result.rampCrossMetric);
-    w.close();
-    return out;
+    return toJson(result);
 }
 
 ExperimentResult
 parseExperimentResult(const std::string &json)
 {
-    return parseExperimentResultValue(
-        JsonParser(json).parseDocument());
+    return fromJson<ExperimentResult>(json);
 }
 
 CampaignRunReport
@@ -1167,14 +1104,14 @@ runCampaignCells(const CampaignManifest &manifest,
 
     CampaignRunReport report;
     std::vector<std::size_t> pending;
+    std::vector<std::string> ids; //!< of the pending cells
     for (std::size_t i = begin; i < end; ++i) {
-        std::error_code ec;
-        if (std::filesystem::exists(
-                campaignShardPath(shard_dir, manifest.cells[i].id),
-                ec)) {
+        std::string id = campaignCellId(manifest.cells[i]);
+        if (shardExists(shard_dir, id)) {
             ++report.skipped;
         } else {
             pending.push_back(i);
+            ids.push_back(std::move(id));
         }
     }
 
@@ -1184,10 +1121,9 @@ runCampaignCells(const CampaignManifest &manifest,
     // disjoint), and its in-flight tmp file must survive.
     {
         std::vector<std::string> stale_prefixes;
-        stale_prefixes.reserve(pending.size());
-        for (const std::size_t i : pending)
-            stale_prefixes.push_back("cell-" + manifest.cells[i].id +
-                                     ".json.tmp.");
+        stale_prefixes.reserve(ids.size());
+        for (const std::string &id : ids)
+            stale_prefixes.push_back("cell-" + id + ".json.tmp.");
         std::error_code ec;
         for (const auto &entry :
              std::filesystem::directory_iterator(shard_dir, ec)) {
@@ -1203,25 +1139,28 @@ runCampaignCells(const CampaignManifest &manifest,
     }
 
     std::vector<std::string> failures(pending.size());
+    std::vector<std::uint64_t> measured(pending.size());
     parallelFor(jobs, pending.size(), [&](std::size_t p) {
-        const CampaignCell &cell = manifest.cells[pending[p]];
+        const SweepCell &cell = manifest.cells[pending[p]];
         try {
             const ExperimentResult result = runExperiment(
                 cell.config, cell.workload, cell.options);
-            writeCampaignShard(shard_dir, cell.id, result);
+            writeCampaignShard(shard_dir, ids[p], result);
+            measured[p] = result.system.accesses;
         } catch (const std::exception &e) {
             failures[p] = e.what();
         }
     });
     for (std::size_t p = 0; p < pending.size(); ++p) {
+        const SweepCell &cell = manifest.cells[pending[p]];
         if (failures[p].empty()) {
             ++report.ran;
+            noteExhaustedCell(cell, measured[p]);
             continue;
         }
         ++report.failed;
         std::fprintf(stderr, "campaign cell '%s' (%s) failed: %s\n",
-                     manifest.cells[pending[p]].label().c_str(),
-                     manifest.cells[pending[p]].id.c_str(),
+                     cell.label().c_str(), ids[p].c_str(),
                      failures[p].c_str());
     }
     return report;
@@ -1234,9 +1173,7 @@ campaignStatus(const CampaignManifest &manifest,
     CampaignStatus status;
     status.total = manifest.cells.size();
     for (std::size_t i = 0; i < manifest.cells.size(); ++i) {
-        std::error_code ec;
-        if (std::filesystem::exists(
-                campaignShardPath(shard_dir, manifest.cells[i].id), ec))
+        if (shardExists(shard_dir, campaignCellId(manifest.cells[i])))
             ++status.done;
         else
             status.missing.push_back(i);
@@ -1256,10 +1193,9 @@ mergeCampaignShards(const CampaignManifest &manifest,
         const std::size_t shown =
             std::min<std::size_t>(status.missing.size(), 8);
         for (std::size_t i = 0; i < shown; ++i) {
-            const CampaignCell &cell =
-                manifest.cells[status.missing[i]];
+            const SweepCell &cell = manifest.cells[status.missing[i]];
             what += "\n  [" + fmtU64(status.missing[i]) + "] " +
-                    cell.label() + " (" + cell.id + ")";
+                    cell.label() + " (" + campaignCellId(cell) + ")";
         }
         if (shown < status.missing.size())
             what += "\n  ... and " +
@@ -1268,57 +1204,14 @@ mergeCampaignShards(const CampaignManifest &manifest,
     }
 
     std::vector<std::vector<SweepRecord>> groups(manifest.specCount);
-    for (const CampaignCell &cell : manifest.cells) {
-        SweepRecord rec;
-        rec.configIndex = cell.configIndex;
-        rec.workloadIndex = cell.workloadIndex;
-        rec.optionsIndex = cell.optionsIndex;
-        rec.configLabel = cell.configLabel;
-        rec.workloadLabel = cell.workloadLabel;
-        rec.optionsLabel = cell.optionsLabel;
-        if (!readCampaignShard(shard_dir, cell.id, rec.result))
-            throw std::runtime_error(
-                "campaign shard for cell " + cell.id +
-                " vanished during merge");
-        groups[cell.specIndex].push_back(std::move(rec));
-    }
-    return groups;
-}
-
-std::vector<std::vector<SweepRecord>>
-runCampaignInProcess(const CampaignManifest &manifest,
-                     const SweepRunner &runner)
-{
-    std::vector<ExperimentResult> results(manifest.cells.size());
-    std::vector<std::string> failures(manifest.cells.size());
-    parallelFor(runner.options().jobs, manifest.cells.size(),
-                [&](std::size_t i) {
-                    const CampaignCell &cell = manifest.cells[i];
-                    try {
-                        results[i] = runExperiment(
-                            cell.config, cell.workload, cell.options);
-                    } catch (const std::exception &e) {
-                        failures[i] = e.what();
-                    }
-                });
-
-    std::vector<std::vector<SweepRecord>> groups(manifest.specCount);
-    for (std::size_t i = 0; i < manifest.cells.size(); ++i) {
-        const CampaignCell &cell = manifest.cells[i];
-        if (!failures[i].empty()) {
-            std::fprintf(stderr, "sweep cell '%s' failed: %s\n",
-                         cell.label().c_str(), failures[i].c_str());
-            continue;
-        }
-        SweepRecord rec;
-        rec.configIndex = cell.configIndex;
-        rec.workloadIndex = cell.workloadIndex;
-        rec.optionsIndex = cell.optionsIndex;
-        rec.configLabel = cell.configLabel;
-        rec.workloadLabel = cell.workloadLabel;
-        rec.optionsLabel = cell.optionsLabel;
-        rec.result = std::move(results[i]);
-        groups[cell.specIndex].push_back(std::move(rec));
+    for (const SweepCell &cell : manifest.cells) {
+        const std::string id = campaignCellId(cell);
+        ExperimentResult result;
+        if (!readCampaignShard(shard_dir, id, result))
+            throw std::runtime_error("campaign shard for cell " + id +
+                                     " vanished during merge");
+        groups[cell.specIndex].push_back(
+            sweepRecord(cell, std::move(result)));
     }
     return groups;
 }
@@ -1328,50 +1221,15 @@ parseCampaignResults(const CampaignManifest &manifest,
                      const std::string &json)
 {
     const JsonValue doc = JsonParser(json).parseDocument();
-    if (doc.at("format").asString() != "cdir-campaign-results")
-        throw std::runtime_error(
-            "not a campaign results document (format: '" +
-            doc.at("format").asString() + "')");
-    if (doc.at("version").asU64() != CampaignManifest::kVersion)
-        throw std::runtime_error(
-            "unsupported campaign results version " +
-            fmtU64(doc.at("version").asU64()));
-    if (doc.at("tool").asString() != manifest.tool)
-        throw std::runtime_error(
-            "results were produced for tool '" +
-            doc.at("tool").asString() + "', not '" + manifest.tool +
-            "'");
-    if (doc.at("spec_count").asU64() != manifest.specCount)
-        throw std::runtime_error("results spec count mismatch");
-    const auto &cells = doc.at("cells").asArray();
-    if (cells.size() != manifest.cells.size())
-        throw std::runtime_error(
-            "results hold " + fmtU64(cells.size()) +
-            " cells but this grid has " +
-            fmtU64(manifest.cells.size()) +
-            " — the grid (or its --filter) changed since the campaign "
-            "ran");
-
+    std::vector<ExperimentResult> results(manifest.cells.size());
+    JsonIn in(doc);
+    resultsDocument(in, manifest, [&](std::size_t i) -> ExperimentResult & {
+        return results[i];
+    });
     std::vector<std::vector<SweepRecord>> groups(manifest.specCount);
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const CampaignCell &cell = manifest.cells[i];
-        if (cells[i].at("id").asString() != cell.id)
-            throw std::runtime_error(
-                "results cell " + fmtU64(i) + " has id " +
-                cells[i].at("id").asString() + " but this grid's cell " +
-                fmtU64(i) + " (" + cell.label() + ") hashes to " +
-                cell.id +
-                " — the grid changed since the campaign ran");
-        SweepRecord rec;
-        rec.configIndex = cell.configIndex;
-        rec.workloadIndex = cell.workloadIndex;
-        rec.optionsIndex = cell.optionsIndex;
-        rec.configLabel = cell.configLabel;
-        rec.workloadLabel = cell.workloadLabel;
-        rec.optionsLabel = cell.optionsLabel;
-        rec.result = parseExperimentResultValue(cells[i].at("result"));
-        groups[cell.specIndex].push_back(std::move(rec));
-    }
+    for (std::size_t i = 0; i < results.size(); ++i)
+        groups[manifest.cells[i].specIndex].push_back(
+            sweepRecord(manifest.cells[i], std::move(results[i])));
     return groups;
 }
 
@@ -1389,28 +1247,21 @@ campaignResultsToJson(const CampaignManifest &manifest,
         const std::size_t g = manifest.cells[i].specIndex;
         if (g < groups.size() && cursor[g] < groups[g].size())
             ordered[i] = &groups[g][cursor[g]++];
-    }
-    for (std::size_t i = 0; i < ordered.size(); ++i)
-        if (!ordered[i])
+        else
             throw std::runtime_error(
                 "campaign results incomplete: no result for cell " +
-                manifest.cells[i].id + " (" +
+                campaignCellId(manifest.cells[i]) + " (" +
                 manifest.cells[i].label() + ")");
-
-    std::string out = "{\"format\": \"cdir-campaign-results\", "
-                      "\"version\": " +
-                      fmtU64(CampaignManifest::kVersion) +
-                      ", \"tool\": " + fmtString(manifest.tool) +
-                      ", \"spec_count\": " + fmtU64(manifest.specCount) +
-                      ",\n \"cells\": [";
-    for (std::size_t i = 0; i < manifest.cells.size(); ++i) {
-        out += i == 0 ? "\n  " : ",\n  ";
-        out += "{\"id\": " + fmtString(manifest.cells[i].id) +
-               ", \"result\": " +
-               experimentResultToJson(ordered[i]->result) + "}";
     }
-    out += "\n ]}\n";
-    return out;
+
+    std::string out;
+    JsonOut w(out);
+    resultsDocument(w, manifest,
+                    [&](std::size_t i) -> const ExperimentResult & {
+                        return ordered[i]->result;
+                    });
+    w.close();
+    return out + "\n";
 }
 
 std::vector<std::vector<SweepRecord>>

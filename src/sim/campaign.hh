@@ -5,11 +5,14 @@
  * A 4096-core x 7-organization x scenario grid is days of CPU — beyond
  * one process. This layer turns any `SweepSpec` grid into a *campaign*:
  *
- *  - **manifest**: the grid's filter-surviving cells serialize into a
- *    versioned JSON work manifest. Every cell carries a stable 64-bit
- *    id (FNV-1a over its spec index, label, and the full serialized
- *    configuration/workload/options), so editing any knob invalidates
- *    stale results instead of silently merging them.
+ *  - **manifest**: the grid's cell list — exactly
+ *    `SweepRunner::cells()`, the sweep engine's one enumeration —
+ *    serialized as a versioned JSON work manifest. A cell's id is not
+ *    stored state but derived: campaignCellId() hashes (FNV-1a) its
+ *    spec index, label and full serialized configuration, workload and
+ *    options, so editing any knob invalidates stale results instead of
+ *    silently merging them. Manifests carry the id for readers and the
+ *    parser rejects a cell whose id disagrees with its content.
  *  - **shards**: each completed cell lands its `ExperimentResult`
  *    (counters, interval series, latency histograms) as one JSON file
  *    `cell-<id>.json` in the manifest's shard directory. Shards are
@@ -22,9 +25,15 @@
  *    and prints doubles with %.17g (strtod round-trips that exactly),
  *    so results reloaded from shards are bit-identical to the
  *    in-memory originals and the merged results document is
- *    byte-identical to a single-process run by construction — the same
- *    merge-of-partials discipline as IntervalStats::merge and
- *    LatencyHistogram::merge.
+ *    byte-identical to an in-process `SweepRunner::runCells()` run over
+ *    the manifest's cells by construction — the same merge-of-partials
+ *    discipline as IntervalStats::merge and LatencyHistogram::merge.
+ *
+ * Every serialized struct has one field list, which both renders and
+ * parses it. Every parse error names the `line:column` where parsing
+ * stopped or where the offending value (or its enclosing object)
+ * starts; nesting depth and histogram sizes are bounded, so hostile
+ * input costs memory proportional to its size.
  *
  * `tools/campaign_tool.cc` is the CLI (run / status / resume / merge /
  * local); harness grids opt in through `campaignRunMany()` and the
@@ -43,27 +52,6 @@
 
 namespace cdir {
 
-/** One unit of campaign work: a fully-serialized sweep cell. */
-struct CampaignCell
-{
-    /** Stable 16-hex-digit content id (see campaignCellId()). */
-    std::string id;
-    /** Which spec of the emitting harness's runMany() span. */
-    std::size_t specIndex = 0;
-    std::size_t configIndex = 0;
-    std::size_t workloadIndex = 0;
-    std::size_t optionsIndex = 0;
-    std::string configLabel;
-    std::string workloadLabel;
-    std::string optionsLabel;
-    CmpConfig config;
-    WorkloadParams workload;
-    ExperimentOptions options;
-
-    /** "config/workload/options" filter label of this cell. */
-    std::string label() const;
-};
-
 /** A versioned campaign work list (see file comment). */
 struct CampaignManifest
 {
@@ -72,18 +60,13 @@ struct CampaignManifest
     std::string tool;
     /** Specs in the emitting runMany() span (grouping key on merge). */
     std::size_t specCount = 0;
-    /** Filter-surviving cells in exact runMany() cell order. */
-    std::vector<CampaignCell> cells;
+    /** The grid's SweepRunner::cells() list. */
+    std::vector<SweepCell> cells;
 };
 
 // --- cell enumeration / ids --------------------------------------------------
 
-/**
- * Enumerate @p specs' cells exactly as SweepRunner::runMany would —
- * spec-major, then options-major within workload within config, with
- * @p runner's filter applied and the implicit default options point
- * when a spec's options axis is empty — and assign content ids.
- */
+/** `{tool, specs.size(), runner.cells(specs)}`. */
 CampaignManifest buildCampaignManifest(std::span<const SweepSpec> specs,
                                        const SweepRunner &runner,
                                        const std::string &tool);
@@ -94,7 +77,7 @@ CampaignManifest buildCampaignManifest(std::span<const SweepSpec> specs,
  * Any knob change — organization, run length, cost model, trace path —
  * changes the id, so stale shards never merge silently.
  */
-std::string campaignCellId(const CampaignCell &cell);
+std::string campaignCellId(const SweepCell &cell);
 
 // --- manifest / shard I/O ----------------------------------------------------
 
@@ -107,6 +90,14 @@ std::string campaignManifestToJson(const CampaignManifest &manifest);
  * mismatch, or a cell whose stored id disagrees with its content.
  */
 CampaignManifest parseCampaignManifest(const std::string &json);
+
+/**
+ * Write @p content to @p path crash-atomically: to `<path>.tmp.<pid>`
+ * first (written, flushed and closed), then rename()d over @p path, so
+ * a reader sees either no file or the complete one.
+ * @throws std::runtime_error on I/O failure (the temporary is removed).
+ */
+void atomicWriteFile(const std::string &path, const std::string &content);
 
 /** Write @p manifest to @p path atomically (tmp + rename). */
 void writeCampaignManifest(const CampaignManifest &manifest,
@@ -170,8 +161,9 @@ struct CampaignRunReport
  * publishing each completed cell atomically. Stale temporary files
  * left by killed workers for this range's cells are removed first. A
  * cell whose experiment throws is reported on stderr and counted
- * failed, like a SweepRunner cell. The shard directory is created if
- * missing.
+ * failed, and a finite cell that measured nothing gets the same
+ * noteExhaustedCell() warning, like a SweepRunner cell. The shard
+ * directory is created if missing.
  */
 CampaignRunReport runCampaignCells(const CampaignManifest &manifest,
                                    const std::string &shard_dir,
@@ -202,19 +194,10 @@ mergeCampaignShards(const CampaignManifest &manifest,
                     const std::string &shard_dir);
 
 /**
- * Reference single-process run: every manifest cell through
- * `runExperiment` on @p runner's pool (cell-order results, any --jobs),
- * grouped like mergeCampaignShards. A cell that throws is dropped with
- * a stderr note, exactly like SweepRunner::runMany.
- */
-std::vector<std::vector<SweepRecord>>
-runCampaignInProcess(const CampaignManifest &manifest,
-                     const SweepRunner &runner);
-
-/**
  * Serialize record groups as the canonical campaign results document.
  * `campaign_tool merge` (from shards) and `campaign_tool local` (from
- * an in-process run) both emit through this writer, which is what makes
+ * `SweepRunner::runCells(manifest.cells, manifest.specCount)`) both
+ * emit through this writer, which is what makes
  * their outputs byte-identical when the underlying results are equal.
  */
 std::string

@@ -264,7 +264,7 @@ CmpSystem::aggregateDirectoryStats() const
 Histogram
 CmpSystem::aggregateAttemptHistogram() const
 {
-    Histogram merged(32);
+    Histogram merged(kAttemptHistogramMax);
     for (const auto &s : slices)
         merged.merge(s->stats().attemptHistogram);
     return merged;

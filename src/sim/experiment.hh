@@ -29,7 +29,7 @@ struct ExperimentResult
     /** Sampled aggregate directory occupancy (Fig. 8). */
     double avgOccupancy = 0.0;
     /** Insertion-attempt distribution (Fig. 11). */
-    Histogram attemptHistogram{32};
+    Histogram attemptHistogram{kAttemptHistogramMax};
     /** Aggregate directory capacity across slices, in entries. */
     std::size_t directoryCapacity = 0;
     /** Full directory counters. */

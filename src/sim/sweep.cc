@@ -134,6 +134,12 @@ appendScenarioWorkloads(SweepSpec &spec, const std::string &specs,
     }
 }
 
+std::string
+SweepCell::label() const
+{
+    return sweepCellLabel(configLabel, workloadLabel, optionsLabel);
+}
+
 SweepRunner::SweepRunner(SweepOptions options) : opts(std::move(options)) {}
 
 bool
@@ -164,94 +170,101 @@ SweepRunner::run(const SweepSpec &spec) const
 std::vector<std::vector<SweepRecord>>
 SweepRunner::runMany(std::span<const SweepSpec> specs) const
 {
-    static const OptionsAxisPoint default_options{
-        "", ExperimentOptions{}};
-    const auto optionsPoint = [](const SweepSpec &spec, std::size_t o)
-        -> const OptionsAxisPoint & {
-        return spec.optionsAxis().empty() ? default_options
-                                          : spec.optionsAxis()[o];
-    };
+    return runCells(cells(specs), specs.size());
+}
 
-    // Enumerate every spec's filter-surviving cells into one flattened
-    // pool up front, so results can be written into their final
-    // (spec-major, cell-order) slots from any worker and the grids of a
-    // multi-configuration harness share the sweep's whole thread pool.
-    struct PendingCell
-    {
-        std::size_t spec;
-        SweepRecord rec;
-    };
-    std::vector<PendingCell> cells;
+std::vector<SweepCell>
+SweepRunner::cells(std::span<const SweepSpec> specs) const
+{
+    static const OptionsAxisPoint default_options{"", ExperimentOptions{}};
+    std::vector<SweepCell> out;
     for (std::size_t g = 0; g < specs.size(); ++g) {
         const SweepSpec &spec = specs[g];
-        cells.reserve(cells.size() + spec.cellCount());
+        out.reserve(out.size() + spec.cellCount());
         for (std::size_t c = 0; c < spec.configs().size(); ++c) {
             for (std::size_t w = 0; w < spec.workloads().size(); ++w) {
                 for (std::size_t o = 0; o < spec.optionsPoints(); ++o) {
-                    SweepRecord rec;
-                    rec.configIndex = c;
-                    rec.workloadIndex = w;
-                    rec.optionsIndex = o;
-                    rec.configLabel = spec.configs()[c].label;
-                    rec.workloadLabel = spec.workloads()[w].label;
-                    rec.optionsLabel = optionsPoint(spec, o).label;
-                    if (!matchesFilter(sweepCellLabel(rec.configLabel,
-                                                      rec.workloadLabel,
-                                                      rec.optionsLabel)))
+                    const OptionsAxisPoint &opt =
+                        spec.optionsAxis().empty() ? default_options
+                                                   : spec.optionsAxis()[o];
+                    SweepCell cell;
+                    cell.specIndex = g;
+                    cell.configIndex = c;
+                    cell.workloadIndex = w;
+                    cell.optionsIndex = o;
+                    cell.configLabel = spec.configs()[c].label;
+                    cell.workloadLabel = spec.workloads()[w].label;
+                    cell.optionsLabel = opt.label;
+                    if (!matchesFilter(cell.label()))
                         continue;
-                    cells.push_back(PendingCell{g, std::move(rec)});
+                    cell.config = spec.configs()[c].config;
+                    cell.workload = spec.workloads()[w].workload;
+                    cell.options = opt.options;
+                    out.push_back(std::move(cell));
                 }
             }
         }
     }
+    return out;
+}
 
-    // A cell that throws (a trace cell's strict reader hitting a bad
-    // record, an out-of-range core id for this grid's CMP) is dropped
-    // like a filtered-out cell — consumers already render missing
-    // cells as '-' — instead of aborting the whole harness through an
-    // uncaught exception in main. Messages are emitted serially after
-    // the sweep so output stays deterministic.
+std::vector<std::vector<SweepRecord>>
+SweepRunner::runCells(std::span<const SweepCell> cells,
+                      std::size_t spec_count) const
+{
+    // Results land in their cell's slot from any worker, so the grids of
+    // a multi-configuration harness share the whole pool. A cell that
+    // throws (a trace cell's strict reader hitting a bad record, an
+    // out-of-range core id for this grid's CMP) is dropped like a
+    // filtered-out cell — consumers already render missing cells as
+    // '-' — instead of aborting the whole harness through an uncaught
+    // exception in main. Messages are emitted serially after the sweep
+    // so output stays deterministic.
+    std::vector<ExperimentResult> results(cells.size());
     std::vector<std::string> failures(cells.size());
     parallelFor(opts.jobs, cells.size(), [&](std::size_t i) {
-        SweepRecord &rec = cells[i].rec;
-        const SweepSpec &spec = specs[cells[i].spec];
         try {
-            rec.result = runExperiment(
-                spec.configs()[rec.configIndex].config,
-                spec.workloads()[rec.workloadIndex].workload,
-                optionsPoint(spec, rec.optionsIndex).options);
+            results[i] = runExperiment(cells[i].config, cells[i].workload,
+                                       cells[i].options);
         } catch (const std::exception &e) {
             failures[i] = e.what();
         }
     });
 
-    std::vector<std::vector<SweepRecord>> surviving(specs.size());
+    std::vector<std::vector<SweepRecord>> groups(spec_count);
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        SweepRecord &rec = cells[i].rec;
-        const std::string label = sweepCellLabel(
-            rec.configLabel, rec.workloadLabel, rec.optionsLabel);
         if (!failures[i].empty()) {
             std::fprintf(stderr, "sweep cell '%s' failed: %s\n",
-                         label.c_str(), failures[i].c_str());
+                         cells[i].label().c_str(), failures[i].c_str());
             continue;
         }
-        // An all-zero cell from a trace (or non-looping scenario)
-        // exhausted during warmup looks exactly like a perfect result;
-        // never let it pass silently.
-        const WorkloadParams &cell_wl = specs[cells[i].spec]
-                                            .workloads()[rec.workloadIndex]
-                                            .workload;
-        const bool finite_cell = !cell_wl.tracePath.empty() ||
-                                 !cell_wl.scenarioSpec.empty();
-        if (finite_cell && rec.result.system.accesses == 0)
-            std::fprintf(stderr,
-                         "sweep cell '%s': workload exhausted during "
-                         "warmup — 0 accesses measured (shrink "
-                         "--warmup= or lengthen the trace/scenario)\n",
-                         label.c_str());
-        surviving[cells[i].spec].push_back(std::move(rec));
+        noteExhaustedCell(cells[i], results[i].system.accesses);
+        groups.at(cells[i].specIndex)
+            .push_back(sweepRecord(cells[i], std::move(results[i])));
     }
-    return surviving;
+    return groups;
+}
+
+SweepRecord
+sweepRecord(const SweepCell &cell, ExperimentResult result)
+{
+    return SweepRecord{cell.configIndex,  cell.workloadIndex,
+                       cell.optionsIndex, cell.configLabel,
+                       cell.workloadLabel, cell.optionsLabel,
+                       std::move(result)};
+}
+
+void
+noteExhaustedCell(const SweepCell &cell, std::uint64_t measured_accesses)
+{
+    const bool finite = !cell.workload.tracePath.empty() ||
+                        !cell.workload.scenarioSpec.empty();
+    if (finite && measured_accesses == 0)
+        std::fprintf(stderr,
+                     "sweep cell '%s': workload exhausted during warmup — "
+                     "0 accesses measured (shrink --warmup= or lengthen "
+                     "the trace/scenario)\n",
+                     cell.label().c_str());
 }
 
 // --- report cells ------------------------------------------------------------

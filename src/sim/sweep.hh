@@ -11,13 +11,19 @@
  *    (system + directory organization), `WorkloadParams`, and
  *    `ExperimentOptions` (run lengths). An omitted options axis means
  *    "one default point".
- *  - `SweepRunner`: runs every cell's `runExperiment` on a fixed
- *    thread pool (`common/thread_pool.hh`). Results land in cell order
- *    regardless of scheduling, and every cell constructs its own
- *    `CmpSystem` and `SyntheticWorkload` RNG, so a sweep is
- *    deterministic at any `--jobs` value. The generic `map()` escape
- *    hatch runs arbitrary per-cell computations (the analytical-model
- *    and cuckoo-table harnesses) on the same pool.
+ *  - `SweepCell`: one grid cell — spec index, axis coordinates and
+ *    labels, and its config/workload/options. `SweepRunner::cells()`
+ *    is the only enumeration of a grid (filter applied, implicit
+ *    default options point included); campaign manifests
+ *    (sim/campaign.hh) are that list, serialized.
+ *  - `SweepRunner`: `runCells()` runs a cell list's `runExperiment`s on
+ *    a fixed thread pool (`common/thread_pool.hh`) and groups the
+ *    records per spec; `runMany(specs)` is `runCells(cells(specs))`.
+ *    Results land in cell order regardless of scheduling, and every
+ *    cell constructs its own `CmpSystem` and `SyntheticWorkload` RNG,
+ *    so a sweep is deterministic at any `--jobs` value. The generic
+ *    `map()` escape hatch runs arbitrary per-cell computations (the
+ *    analytical-model and cuckoo-table harnesses) on the same pool.
  *  - `ReportTable` + `Reporter`: one table abstraction emitted as an
  *    aligned text table, CSV, or JSON, replacing per-harness printf
  *    scattering.
@@ -116,6 +122,29 @@ class SweepSpec
     std::vector<OptionsAxisPoint> optAxis;
 };
 
+/**
+ * One filter-surviving grid cell: which spec of a runMany() span it
+ * came from, its axis coordinates and labels, and the inputs its
+ * experiment runs on. SweepRunner::cells() is the one enumeration of a
+ * grid; campaign manifests (sim/campaign.hh) store this list verbatim.
+ */
+struct SweepCell
+{
+    std::size_t specIndex = 0;
+    std::size_t configIndex = 0;
+    std::size_t workloadIndex = 0;
+    std::size_t optionsIndex = 0;
+    std::string configLabel;
+    std::string workloadLabel;
+    std::string optionsLabel;
+    CmpConfig config;
+    WorkloadParams workload;
+    ExperimentOptions options;
+
+    /** "config/workload/options" filter label of this cell. */
+    std::string label() const;
+};
+
 /** Axis coordinates + labels + metrics of one completed grid cell. */
 struct SweepRecord
 {
@@ -172,6 +201,26 @@ class SweepRunner
     runMany(std::span<const SweepSpec> specs) const;
 
     /**
+     * The filter-surviving cells of @p specs in runMany() order:
+     * spec-major, then options-major within workload within config,
+     * with the implicit default options point when a spec's options
+     * axis is empty.
+     */
+    std::vector<SweepCell> cells(std::span<const SweepSpec> specs) const;
+
+    /**
+     * Run @p cells through `runExperiment` on the pool and group the
+     * records by SweepCell::specIndex into @p spec_count vectors, each
+     * in cell order. A cell that throws is reported on stderr and
+     * dropped; a finite cell that measured nothing gets the
+     * noteExhaustedCell() warning. runMany(specs) is
+     * runCells(cells(specs), specs.size()).
+     */
+    std::vector<std::vector<SweepRecord>>
+    runCells(std::span<const SweepCell> cells,
+             std::size_t spec_count) const;
+
+    /**
      * Generic grid escape hatch: compute `fn(i)` for each cell index on
      * the pool and return the results in index order. For harness grids
      * that are not `runExperiment` cells (analytical model sweeps,
@@ -201,6 +250,17 @@ class SweepRunner
 std::string sweepCellLabel(const std::string &config_label,
                            const std::string &workload_label,
                            const std::string &options_label);
+
+/** The record of @p cell's coordinates and labels carrying @p result. */
+SweepRecord sweepRecord(const SweepCell &cell, ExperimentResult result);
+
+/**
+ * Stderr warning when @p cell replays a trace or scenario that ran dry
+ * during warmup (@p measured_accesses is 0): its all-zero result would
+ * otherwise look exactly like a perfect one.
+ */
+void noteExhaustedCell(const SweepCell &cell,
+                       std::uint64_t measured_accesses);
 
 /**
  * Append one workload axis point per trace file behind @p path (a file,

@@ -116,8 +116,8 @@ std::string
 referenceJson(const CampaignManifest &manifest, unsigned jobs = 1)
 {
     const SweepRunner runner(SweepOptions{jobs, ""});
-    return campaignResultsToJson(manifest,
-                                 runCampaignInProcess(manifest, runner));
+    return campaignResultsToJson(
+        manifest, runner.runCells(manifest.cells, manifest.specCount));
 }
 
 // --- result serialization ----------------------------------------------------
@@ -127,7 +127,7 @@ TEST(CampaignResultJson, WriteParseWriteIsAFixedPoint)
     const CampaignManifest manifest = gridManifest();
     ASSERT_FALSE(manifest.cells.empty());
     // Timed + interval-telemetry cell: every optional section present.
-    const CampaignCell &cell = manifest.cells.front();
+    const SweepCell &cell = manifest.cells.front();
     const ExperimentResult result =
         runExperiment(cell.config, cell.workload, cell.options);
     EXPECT_FALSE(result.intervals.windows.empty());
@@ -194,6 +194,10 @@ TEST(CampaignResultJson, UntimedResultRoundTripsToo)
 
 // --- manifests ---------------------------------------------------------------
 
+/** The acceptance grid's cell ids, recorded before ids became derived. */
+const char *const kPinnedIds[] = {"e4196308884f3d44", "0189ff4dcfe19f56",
+                                  "d09cead63abb9bfe", "3ab8a4082a54feda"};
+
 TEST(CampaignManifest, EnumeratesCellsInRunManyOrderWithStableIds)
 {
     const CampaignManifest manifest = gridManifest();
@@ -205,14 +209,13 @@ TEST(CampaignManifest, EnumeratesCellsInRunManyOrderWithStableIds)
     EXPECT_EQ(manifest.cells[0].label(), "Cuckoo 4x64/wl7/mesh");
     EXPECT_EQ(manifest.cells[1].label(), "Cuckoo 4x64/wl21/mesh");
     EXPECT_EQ(manifest.cells[2].label(), "Sparse 8x32/wl7/mesh");
-    for (const CampaignCell &cell : manifest.cells) {
-        EXPECT_EQ(cell.id.size(), 16u);
-        EXPECT_EQ(cell.id, campaignCellId(cell));
-    }
+    for (std::size_t i = 0; i < manifest.cells.size(); ++i)
+        EXPECT_EQ(campaignCellId(manifest.cells[i]), kPinnedIds[i]) << i;
     // Rebuilding yields the same ids (stability across processes).
     const CampaignManifest again = gridManifest();
     for (std::size_t i = 0; i < manifest.cells.size(); ++i)
-        EXPECT_EQ(manifest.cells[i].id, again.cells[i].id);
+        EXPECT_EQ(campaignCellId(manifest.cells[i]),
+                  campaignCellId(again.cells[i]));
 }
 
 /** FNV-1a 64 of @p text (a compact pin for a whole document). */
@@ -234,11 +237,9 @@ TEST(CampaignManifest, DocumentsPinnedToParent)
     // and serializers were unified with the sweep engine. A byte of
     // drift in any of the three fails here.
     const CampaignManifest manifest = gridManifest();
-    const char *const ids[] = {"e4196308884f3d44", "0189ff4dcfe19f56",
-                               "d09cead63abb9bfe", "3ab8a4082a54feda"};
-    ASSERT_EQ(manifest.cells.size(), std::size(ids));
+    ASSERT_EQ(manifest.cells.size(), std::size(kPinnedIds));
     for (std::size_t i = 0; i < manifest.cells.size(); ++i)
-        EXPECT_EQ(campaignCellId(manifest.cells[i]), ids[i]) << i;
+        EXPECT_EQ(campaignCellId(manifest.cells[i]), kPinnedIds[i]) << i;
     EXPECT_EQ(documentDigest(campaignManifestToJson(manifest)),
               0x3f0ab4c36bee9805ull);
     for (const unsigned jobs : {1u, 4u})
@@ -250,10 +251,10 @@ TEST(CampaignManifest, DocumentsPinnedToParent)
 TEST(CampaignManifest, AnyKnobEditChangesTheCellId)
 {
     const CampaignManifest manifest = gridManifest();
-    CampaignCell cell = manifest.cells.front();
+    SweepCell cell = manifest.cells.front();
     const std::string original = campaignCellId(cell);
 
-    CampaignCell edited = cell;
+    SweepCell edited = cell;
     edited.options.measureAccesses += 1;
     EXPECT_NE(campaignCellId(edited), original);
     edited = cell;
@@ -278,12 +279,13 @@ TEST(CampaignManifest, FileRoundTripPreservesEveryCell)
     EXPECT_EQ(loaded.tool, manifest.tool);
     EXPECT_EQ(loaded.specCount, manifest.specCount);
     for (std::size_t i = 0; i < manifest.cells.size(); ++i) {
-        EXPECT_EQ(loaded.cells[i].id, manifest.cells[i].id);
+        EXPECT_EQ(campaignCellId(loaded.cells[i]),
+                  campaignCellId(manifest.cells[i]));
         EXPECT_EQ(loaded.cells[i].label(), manifest.cells[i].label());
     }
     // A tampered cell id is rejected, not silently accepted.
     std::string text = slurp(path);
-    const std::size_t at = text.find(manifest.cells[0].id);
+    const std::size_t at = text.find(campaignCellId(manifest.cells[0]));
     ASSERT_NE(at, std::string::npos);
     text[at] = text[at] == '0' ? '1' : '0';
     EXPECT_THROW(parseCampaignManifest(text), std::runtime_error);
@@ -330,7 +332,8 @@ TEST(CampaignManifest, EveryEnumValueRoundTrips)
         EXPECT_EQ(got.kind, want.kind);
         EXPECT_EQ(got.directory.format, want.directory.format);
         EXPECT_EQ(got.directory.hash, want.directory.hash);
-        EXPECT_EQ(loaded.cells[i].id, manifest.cells[i].id);
+        EXPECT_EQ(campaignCellId(loaded.cells[i]),
+                  campaignCellId(manifest.cells[i]));
     }
 }
 
@@ -355,7 +358,7 @@ objectAfter(const std::string &text, const std::string &key,
 
 /** campaignCellId's hash over already-serialized cell content. */
 std::string
-cellIdOf(const CampaignCell &cell, const std::string &config,
+cellIdOf(const SweepCell &cell, const std::string &config,
          const std::string &workload, const std::string &options)
 {
     std::uint64_t hash = 0xcbf29ce484222325ull;
@@ -382,8 +385,9 @@ TEST(CampaignManifest, ManifestWithShardsOptionIsRejected)
     std::string text = campaignManifestToJson(manifest);
     EXPECT_EQ(text.find("\"shards\""), std::string::npos);
 
-    const CampaignCell &cell = manifest.cells.front();
-    const std::string id_member = "\"id\": \"" + cell.id + "\"";
+    const SweepCell &cell = manifest.cells.front();
+    const std::string id = campaignCellId(cell);
+    const std::string id_member = "\"id\": \"" + id + "\"";
     const std::size_t at = text.find(id_member);
     ASSERT_NE(at, std::string::npos);
     const std::string config = objectAfter(text, "config", at);
@@ -391,7 +395,7 @@ TEST(CampaignManifest, ManifestWithShardsOptionIsRejected)
     const std::string options = objectAfter(text, "options", at);
     // The reconstruction reproduces today's id, so the old id below is
     // what a manifest from before the removal really carries.
-    ASSERT_EQ(cellIdOf(cell, config, workload, options), cell.id);
+    ASSERT_EQ(cellIdOf(cell, config, workload, options), id);
 
     std::string old_options = options;
     const std::string anchor = "\"occupancy_sample_every\": 1000";
@@ -400,7 +404,7 @@ TEST(CampaignManifest, ManifestWithShardsOptionIsRejected)
                        ", \"shards\": 1");
     const std::string old_id =
         cellIdOf(cell, config, workload, old_options);
-    ASSERT_NE(old_id, cell.id);
+    ASSERT_NE(old_id, id);
 
     text.replace(text.find(options, at), options.size(), old_options);
     text.replace(at, id_member.size(), "\"id\": \"" + old_id + "\"");
@@ -420,7 +424,7 @@ TEST(CampaignManifest, RespectsTheRunnersFilter)
     const CampaignManifest manifest = buildCampaignManifest(
         specs, SweepRunner(SweepOptions{1, "Cuckoo"}), "campaign_test");
     ASSERT_EQ(manifest.cells.size(), 2u);
-    for (const CampaignCell &cell : manifest.cells)
+    for (const SweepCell &cell : manifest.cells)
         EXPECT_EQ(cell.configLabel, "Cuckoo 4x64");
 }
 
@@ -473,7 +477,6 @@ TEST(CampaignMerge, ParseResultsValidatesAgainstTheGrid)
     CampaignManifest edited = buildCampaignManifest(
         specs, SweepRunner(SweepOptions{1, ""}), "campaign_test");
     edited.cells[0].options.measureAccesses += 1;
-    edited.cells[0].id = campaignCellId(edited.cells[0]);
     EXPECT_THROW(parseCampaignResults(edited, doc), std::runtime_error);
     // A foreign tool name is rejected too.
     CampaignManifest renamed = manifest;
@@ -491,7 +494,8 @@ TEST(CampaignMerge, IncompleteCampaignThrowsListingMissingCells)
         FAIL() << "merge of an incomplete campaign must throw";
     } catch (const std::runtime_error &e) {
         const std::string what = e.what();
-        EXPECT_NE(what.find(manifest.cells[1].id), std::string::npos)
+        EXPECT_NE(what.find(campaignCellId(manifest.cells[1])),
+                  std::string::npos)
             << what;
     }
     fs::remove_all(dir);
@@ -512,7 +516,8 @@ TEST(CampaignResume, SkipsDoneCellsSweepsTornTmpsKeepsBytesIdentical)
     CampaignRunReport report = runCampaignCells(manifest, dir, 0, half, 1);
     EXPECT_EQ(report.ran, half);
     const std::string torn =
-        campaignShardPath(dir, manifest.cells[half].id) + ".tmp.99999";
+        campaignShardPath(dir, campaignCellId(manifest.cells[half])) +
+        ".tmp.99999";
     std::ofstream(torn) << "{\"format\": \"cdir-campaign-sha";
     ASSERT_TRUE(fs::exists(torn));
 

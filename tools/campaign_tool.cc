@@ -17,7 +17,8 @@
  * (children are forked before any thread pool exists, then parallelize
  * internally with --jobs). `merge` folds the completed shards into the
  * canonical results document; `local` computes the same document
- * in-process through SweepRunner as the byte-identity reference.
+ * in-process through SweepRunner::runCells as the byte-identity
+ * reference.
  */
 
 #include <algorithm>
@@ -127,30 +128,6 @@ parseCli(int argc, char **argv)
     return cli;
 }
 
-void
-emitResults(const Cli &cli, const std::string &doc)
-{
-    if (cli.outPath.empty()) {
-        std::fwrite(doc.data(), 1, doc.size(), stdout);
-        return;
-    }
-    // Reuse the shard discipline for the merged document: no reader
-    // ever sees a torn results file.
-    const std::string tmp =
-        cli.outPath + ".tmp." + std::to_string(::getpid());
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (f == nullptr ||
-        std::fwrite(doc.data(), 1, doc.size(), f) != doc.size() ||
-        std::fclose(f) != 0 ||
-        std::rename(tmp.c_str(), cli.outPath.c_str()) != 0) {
-        if (f != nullptr)
-            std::remove(tmp.c_str());
-        std::fprintf(stderr, "campaign_tool: cannot write %s\n",
-                     cli.outPath.c_str());
-        std::exit(1);
-    }
-}
-
 int
 runRange(const CampaignManifest &manifest, const Cli &cli,
          std::size_t begin, std::size_t end)
@@ -246,22 +223,22 @@ cmdStatus(const CampaignManifest &manifest, const Cli &cli)
     return status.missing.empty() ? 0 : 1;
 }
 
+/**
+ * `merge` (from the shards) and `local` (in-process): print the results
+ * document, or publish it atomically at --out=.
+ */
 int
-cmdMerge(const CampaignManifest &manifest, const Cli &cli)
-{
-    const std::vector<std::vector<SweepRecord>> groups =
-        mergeCampaignShards(manifest, cli.shardDir);
-    emitResults(cli, campaignResultsToJson(manifest, groups));
-    return 0;
-}
-
-int
-cmdLocal(const CampaignManifest &manifest, const Cli &cli)
+cmdResults(const CampaignManifest &manifest, const Cli &cli)
 {
     const SweepRunner runner(SweepOptions{cli.jobs, ""});
-    const std::vector<std::vector<SweepRecord>> groups =
-        runCampaignInProcess(manifest, runner);
-    emitResults(cli, campaignResultsToJson(manifest, groups));
+    const std::string doc = campaignResultsToJson(
+        manifest, cli.command == "merge"
+                      ? mergeCampaignShards(manifest, cli.shardDir)
+                      : runner.runCells(manifest.cells, manifest.specCount));
+    if (cli.outPath.empty())
+        std::fwrite(doc.data(), 1, doc.size(), stdout);
+    else
+        atomicWriteFile(cli.outPath, doc);
     return 0;
 }
 
@@ -278,10 +255,8 @@ main(int argc, char **argv)
             return cmdRun(manifest, cli);
         if (cli.command == "status")
             return cmdStatus(manifest, cli);
-        if (cli.command == "merge")
-            return cmdMerge(manifest, cli);
-        if (cli.command == "local")
-            return cmdLocal(manifest, cli);
+        if (cli.command == "merge" || cli.command == "local")
+            return cmdResults(manifest, cli);
         usage(("unknown subcommand '" + cli.command + "'").c_str());
     } catch (const std::exception &e) {
         std::fprintf(stderr, "campaign_tool: %s\n", e.what());
