@@ -1,8 +1,9 @@
 /**
  * @file
- * Process-wide heap-allocation counter for allocation-free-path
+ * Process-wide heap-allocation counters for allocation-free-path
  * verification (the zero-alloc tests and the micro benchmark's
- * allocs/op counter).
+ * allocs/op counter) and allocation-size bounds (the campaign parser's
+ * hostile-input tests). Thread-safe.
  *
  * Deliberately NOT part of the cdir library: linking the companion
  * alloc_counter.cc into a binary replaces the global operator
@@ -22,6 +23,16 @@ namespace cdir {
  * Measure a window by differencing two reads.
  */
 std::size_t allocationCount();
+
+/**
+ * Largest single operator-new request since the last
+ * resetLargestAllocation() (or process start), in bytes — how a test
+ * bounds the memory a parser commits to on hostile input.
+ */
+std::size_t largestAllocation();
+
+/** Restart the largestAllocation() window. */
+void resetLargestAllocation();
 
 } // namespace cdir
 

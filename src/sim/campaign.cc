@@ -481,7 +481,11 @@ class JsonIn
     }
 
     /** Length of array member @p key. */
-    std::size_t size(const char *key) const { return array(member(key)).size(); }
+    std::size_t
+    size(const char *key) const
+    {
+        return array(member(key)).size();
+    }
 
     /** Fail with @p what at member @p key's value. */
     [[noreturn]] void

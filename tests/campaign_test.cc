@@ -9,8 +9,16 @@
  *  - manifests round-trip (every sharer-format, hash and config-kind
  *    enumerator included), cell ids are content hashes (any knob edit
  *    changes the id, and a manifest still carrying the removed
- *    "shards" option is rejected), and the cell enumeration matches
- *    SweepRunner::runMany order;
+ *    "shards" option is rejected), the cell list is SweepRunner::cells
+ *    in runMany order, and the grid's ids and document digests are
+ *    pinned;
+ *  - both runners (SweepRunner::runCells and runCampaignCells) report
+ *    a trace cell exhausted during warmup;
+ *  - every parse error names a line:column; deep nesting and hostile
+ *    histogram geometry are refused without allocating; and seeded
+ *    mutants of a manifest, a shard and a results document all parse
+ *    or throw a located std::runtime_error, within an allocation bound
+ *    set by their size;
  *  - merged shards render byte-identically to the single-process
  *    reference at --jobs=1 and --jobs=4, over a 2-organization grid
  *    with the mesh cost model and interval telemetry on;
@@ -27,6 +35,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <random>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -34,7 +45,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/alloc_counter.hh"
 #include "sim/campaign.hh"
+#include "workload/trace.hh"
 
 namespace cdir {
 namespace {
@@ -539,6 +552,297 @@ TEST(CampaignResume, SkipsDoneCellsSweepsTornTmpsKeepsBytesIdentical)
     EXPECT_EQ(campaignResultsToJson(manifest,
                                     mergeCampaignShards(manifest, dir)),
               expected);
+    fs::remove_all(dir);
+}
+
+// --- exhausted finite workloads ----------------------------------------------
+
+TEST(CampaignRun, ExhaustedTraceCellIsReportedOnBothPaths)
+{
+    // A trace that runs dry during warmup measures 0 accesses — an
+    // all-zero result indistinguishable from a perfect one. Both the
+    // in-process runner and the shard runner must say so on stderr.
+    const std::string dir = scratchDir("exhausted");
+    const std::string trace = dir + "/short.trace";
+    {
+        TextTraceWriter out(trace);
+        for (BlockAddr addr = 0; addr < 100; ++addr)
+            out.write(MemAccess{static_cast<CoreId>(addr % 4), addr,
+                                false, false});
+        out.close();
+    }
+    SweepSpec spec;
+    spec.config("Cuckoo 4x64", campaignGrid().configs()[0].config);
+    spec.workload("short", traceWorkloadParams(trace));
+    ExperimentOptions opts;
+    opts.warmupAccesses = 1000;
+    opts.measureAccesses = 1000;
+    spec.options("", opts);
+    const SweepSpec specs[] = {spec};
+    const SweepRunner runner(SweepOptions{1, ""});
+    const CampaignManifest manifest =
+        buildCampaignManifest(specs, runner, "campaign_test");
+    ASSERT_EQ(manifest.cells.size(), 1u);
+    const std::string note = "'Cuckoo 4x64/short': workload exhausted "
+                             "during warmup";
+
+    testing::internal::CaptureStderr();
+    const auto groups =
+        runner.runCells(manifest.cells, manifest.specCount);
+    EXPECT_NE(testing::internal::GetCapturedStderr().find(note),
+              std::string::npos);
+    ASSERT_EQ(groups.size(), 1u);
+    ASSERT_EQ(groups[0].size(), 1u);
+    EXPECT_EQ(groups[0][0].result.system.accesses, 0u);
+
+    testing::internal::CaptureStderr();
+    const CampaignRunReport report =
+        runCampaignCells(manifest, dir + "/shards", 0, 1, 1);
+    EXPECT_NE(testing::internal::GetCapturedStderr().find(note),
+              std::string::npos);
+    EXPECT_EQ(report.ran, 1u);
+    fs::remove_all(dir);
+}
+
+// --- located errors and hostile input ----------------------------------------
+
+/** "line:column" of byte @p offset of @p text, both 1-based. */
+std::string
+locationOf(const std::string &text, std::size_t offset)
+{
+    std::size_t line = 1, line_start = 0;
+    for (std::size_t i = 0; i < offset; ++i)
+        if (text[i] == '\n') {
+            ++line;
+            line_start = i + 1;
+        }
+    return std::to_string(line) + ":" +
+           std::to_string(offset - line_start + 1);
+}
+
+/** The message @p parse throws, or "" if it returns. */
+std::string
+errorOf(const std::function<void()> &parse)
+{
+    try {
+        parse();
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** @p text with the first @p from replaced by @p to. */
+std::string
+replaced(std::string text, const std::string &from, const std::string &to)
+{
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos)
+        text.replace(at, from.size(), to);
+    return text;
+}
+
+TEST(CampaignJson, ErrorsNameLineAndColumn)
+{
+    const CampaignManifest manifest = gridManifest();
+    const std::string text = campaignManifestToJson(manifest);
+    const auto manifestError = [](const std::string &doc) {
+        return errorOf([&] { parseCampaignManifest(doc); });
+    };
+
+    // A wrong type, a range error and a signed integer name the value.
+    for (const auto &[from, to] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"\"ways\": 4", "\"ways\": \"4\""},
+             {"\"cache_assoc\": 2", "\"cache_assoc\": 4294967296"},
+             {"\"seed\": 7", "\"seed\": -7"},
+             {"\"kind\": 0", "\"kind\": 9"},
+         }) {
+        const std::string doc = replaced(text, from, to);
+        const std::size_t value = doc.find(to) + to.find(": ") + 2;
+        EXPECT_NE(manifestError(doc).find("campaign JSON " +
+                                          locationOf(doc, value) + ": "),
+                  std::string::npos)
+            << to << ": " << manifestError(doc);
+    }
+
+    // A missing key names its enclosing object. probe_every is required:
+    // a manifest without it would fail the cell id check anyway.
+    const std::string probe = ", \"probe_every\": 0";
+    const std::string no_probe = replaced(text, probe, "");
+    const std::size_t options = no_probe.find("\"options\": {") + 11;
+    EXPECT_NE(manifestError(no_probe).find(
+                  "campaign JSON " + locationOf(no_probe, options) +
+                  ": missing \"probe_every\""),
+              std::string::npos)
+        << manifestError(no_probe);
+
+    // A syntax error names where parsing stopped.
+    const std::string torn = text.substr(0, text.size() / 2);
+    EXPECT_NE(manifestError(torn).find("campaign JSON "), std::string::npos);
+    const std::string junk = replaced(text, "\"tool\": ", "\"tool\" ");
+    EXPECT_NE(manifestError(junk).find(
+                  "campaign JSON " +
+                  locationOf(junk, junk.find("\"tool\" ") + 7) +
+                  ": expected ':'"),
+              std::string::npos)
+        << manifestError(junk);
+}
+
+TEST(CampaignJson, DeepNestingIsALocatedErrorNotACrash)
+{
+    // Two million '[' once recursed the parser off the end of the stack.
+    const std::string nested(2'000'000, '[');
+    resetLargestAllocation();
+    const std::string what =
+        errorOf([&] { parseCampaignManifest(nested); });
+    EXPECT_NE(what.find("campaign JSON 1:65: nesting deeper than 64"),
+              std::string::npos)
+        << what;
+    EXPECT_LT(largestAllocation(), std::size_t{1} << 20);
+    // The deepest document written (10 levels) is far inside the cap.
+    const std::string deep = std::string(64, '[') + std::string(64, ']');
+    EXPECT_NE(errorOf([&] { parseCampaignManifest(deep); })
+                  .find("1:1: expected an object"),
+              std::string::npos);
+}
+
+TEST(CampaignJson, HostileHistogramsAreRejectedWithoutAllocating)
+{
+    const CampaignManifest manifest = gridManifest();
+    const std::string doc = referenceJson(manifest);
+    const auto resultsError = [&](const std::string &text) {
+        return errorOf([&] { parseCampaignResults(manifest, text); });
+    };
+
+    // An oversized "max" once sized a 2.4 GB bucket array.
+    const std::string huge =
+        replaced(doc, "\"max\": 32", "\"max\": 300000000");
+    resetLargestAllocation();
+    std::string what = resultsError(huge);
+    EXPECT_LT(largestAllocation(), std::size_t{1} << 20);
+    EXPECT_NE(what.find("campaign JSON " +
+                        locationOf(huge, huge.find("300000000")) +
+                        ": histogram max 300000000 is not 32"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(resultsError(replaced(doc, "\"max\": 32", "\"max\": 31"))
+                  .find("histogram max 31 is not 32"),
+              std::string::npos);
+
+    // Bucket indices beyond either histogram's range are located
+    // errors (a latency index once escaped as std::invalid_argument).
+    const std::string attempt = "\"attempt_histogram\": {\"max\": 32, "
+                                "\"buckets\": [[";
+    what = resultsError(replaced(doc, attempt, attempt + "33"));
+    EXPECT_NE(what.find("bucket 331 out of range (histogram has 33 "),
+              std::string::npos)
+        << what;
+    const std::string latency = "\"buckets\": [[";
+    const std::size_t at =
+        doc.find(latency, doc.find("\"latency\": {\"sum\"")) +
+        latency.size();
+    std::string bad = doc;
+    bad.insert(at, "99999");
+    what = resultsError(bad);
+    EXPECT_NE(what.find("campaign JSON " +
+                        locationOf(bad, at - latency.size() + 11) +
+                        ": bucket 99999"),
+              std::string::npos)
+        << what;
+}
+
+/**
+ * Seeded mutation fuzzing over every campaign grammar: the grid's
+ * manifest, one shard and the results document, each put through
+ * byte flips, insertions, deletions, truncations and span duplications.
+ * Every mutant must parse or throw std::runtime_error naming a
+ * line:column — any other exception fails the test, a crash or hang
+ * kills it — and no single allocation may outgrow a bound set by the
+ * mutant's size.
+ */
+TEST(CampaignFuzz, MutantsParseOrThrowALocatedError)
+{
+    constexpr int kMutantsPerKind = 1000;
+    const CampaignManifest manifest = gridManifest();
+    const std::string results = referenceJson(manifest);
+    const std::string dir = scratchDir("fuzz");
+    const std::string cell = campaignCellId(manifest.cells[0]);
+    writeCampaignShard(dir, cell,
+                       parseCampaignResults(manifest, results)[0][0].result);
+    const std::string shard_path = campaignShardPath(dir, cell);
+
+    struct Grammar
+    {
+        const char *name;
+        std::string text;
+        std::function<void(const std::string &)> parse;
+    };
+    const Grammar grammars[] = {
+        {"manifest", campaignManifestToJson(manifest),
+         [](const std::string &t) { parseCampaignManifest(t); }},
+        {"shard", slurp(shard_path),
+         [&](const std::string &t) {
+             std::ofstream(shard_path, std::ios::binary) << t;
+             ExperimentResult out;
+             readCampaignShard(dir, cell, out);
+         }},
+        {"results", results,
+         [&](const std::string &t) { parseCampaignResults(manifest, t); }},
+    };
+
+    enum Kind { Flip, Insert, Delete, Truncate, Duplicate, kKinds };
+    const std::regex located("campaign JSON [0-9]+:[0-9]+: ");
+    const std::string alphabet = "{}[]\",:-+.eE0123456789 \n\\tu";
+    std::mt19937_64 rng(20111012);
+    const auto below = [&](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    std::size_t parsed = 0, rejected = 0;
+    for (const Grammar &g : grammars) {
+        for (int kind = 0; kind < kKinds; ++kind) {
+            for (int n = 0; n < kMutantsPerKind; ++n) {
+                std::string t = g.text;
+                const std::size_t at = below(t.size());
+                switch (kind) {
+                  case Flip:
+                    t[at] = static_cast<char>(t[at] ^ (1 + below(255)));
+                    break;
+                  case Insert:
+                    t.insert(at, 1,
+                             below(2) ? alphabet[below(alphabet.size())]
+                                      : static_cast<char>(below(256)));
+                    break;
+                  case Delete:
+                    t.erase(at, 1 + below(8));
+                    break;
+                  case Truncate:
+                    t.resize(at);
+                    break;
+                  case Duplicate:
+                    t.insert(below(t.size()),
+                             t.substr(at, 1 + below(g.text.size() / 4)));
+                    break;
+                }
+                resetLargestAllocation();
+                try {
+                    g.parse(t);
+                    ++parsed;
+                } catch (const std::runtime_error &e) {
+                    ++rejected;
+                    ASSERT_TRUE(std::regex_search(e.what(), located))
+                        << g.name << " mutant " << kind << "/" << n
+                        << ": " << e.what();
+                }
+                ASSERT_LE(largestAllocation(), (1u << 16) + 256 * t.size())
+                    << g.name << " mutant " << kind << "/" << n;
+            }
+        }
+    }
+    // Both outcomes are exercised: the suite is not vacuous.
+    EXPECT_GT(parsed, 0u);
+    EXPECT_GT(rejected, parsed);
     fs::remove_all(dir);
 }
 
