@@ -197,8 +197,8 @@ mergeCampaignShards(const CampaignManifest &manifest,
  * Serialize record groups as the canonical campaign results document.
  * `campaign_tool merge` (from shards) and `campaign_tool local` (from
  * `SweepRunner::runCells(manifest.cells, manifest.specCount)`) both
- * emit through this writer, which is what makes
- * their outputs byte-identical when the underlying results are equal.
+ * emit through this writer, which is what makes their outputs
+ * byte-identical when the underlying results are equal.
  */
 std::string
 campaignResultsToJson(const CampaignManifest &manifest,

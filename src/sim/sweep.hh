@@ -125,8 +125,7 @@ class SweepSpec
 /**
  * One filter-surviving grid cell: which spec of a runMany() span it
  * came from, its axis coordinates and labels, and the inputs its
- * experiment runs on. SweepRunner::cells() is the one enumeration of a
- * grid; campaign manifests (sim/campaign.hh) store this list verbatim.
+ * experiment runs on (see file comment).
  */
 struct SweepCell
 {
