@@ -18,9 +18,12 @@
 #include <atomic>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/thread_pool.hh"
+#include "model/cost_model.hh"
 #include "sim/sweep.hh"
 
 namespace cdir {
@@ -346,6 +349,54 @@ TEST(HarnessCli, ParsesSharedFlagsAndIgnoresOthers)
     exp = opts.applyOverrides(exp);
     EXPECT_EQ(exp.warmupAccesses, 1000u);
     EXPECT_EQ(exp.measureAccesses, 2000u);
+}
+
+/** parseHarnessOptions over @p args, with "prog" as argv[0]. */
+HarnessOptions
+parseArgs(std::vector<std::string> args)
+{
+    args.insert(args.begin(), "prog");
+    std::vector<char *> argv;
+    for (std::string &arg : args)
+        argv.push_back(arg.data());
+    return parseHarnessOptions(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(HarnessCli, ParsesEveryDeclaredSharedFlag)
+{
+    const HarnessOptions opts = parseArgs(
+        {"--jobs=5", "--format=csv", "--filter=a,b", "--scale=3",
+         "--warmup=1000", "--measure=2000", "--trace=traces",
+         "--probe-every=7", "--cost-model=mesh,fixed",
+         "--campaign-manifest=m.json"});
+    EXPECT_EQ(opts.jobs, 5u);
+    EXPECT_EQ(opts.format, ReportFormat::Csv);
+    EXPECT_EQ(opts.filter, "a,b");
+    EXPECT_EQ(opts.scale, 3u);
+    EXPECT_EQ(opts.trace, "traces");
+    EXPECT_TRUE(opts.scenario.empty());
+    EXPECT_EQ(opts.probeEvery, 7u);
+    EXPECT_EQ(opts.costModels,
+              (std::vector<std::string>{"mesh", "fixed"}));
+    EXPECT_EQ(opts.campaignManifest, "m.json");
+    EXPECT_TRUE(opts.campaignResults.empty());
+    const ExperimentOptions exp = opts.applyOverrides(ExperimentOptions{});
+    EXPECT_EQ(exp.warmupAccesses, 1000u);
+    EXPECT_EQ(exp.measureAccesses, 2000u);
+    EXPECT_EQ(exp.costModel, "mesh");
+    EXPECT_EQ(exp.probeEvery, 7u);
+
+    EXPECT_EQ(parseArgs({"--scenario=migration-storm,fleet:tenants=4"})
+                  .scenario,
+              "migration-storm,fleet:tenants=4");
+    EXPECT_EQ(parseArgs({"--cost-model=all"}).costModels, costModelNames());
+    EXPECT_EQ(parseArgs({"--campaign-results=r.json"}).campaignResults,
+              "r.json");
+
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(parseArgs({"--campaign-manifest=m.json",
+                           "--campaign-results=r.json"}),
+                testing::ExitedWithCode(2), "mutually exclusive");
 }
 
 TEST(HarnessCli, UnsignedFlagValuesParseWholeStringOnly)
