@@ -23,7 +23,6 @@
 #include <memory>
 #include <vector>
 
-#include "bench_util.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "directory/cuckoo_directory.hh"
@@ -31,7 +30,6 @@
 #include "sim/sweep.hh"
 
 using namespace cdir;
-using namespace cdir::bench;
 
 namespace {
 
@@ -128,11 +126,11 @@ constexpr std::size_t kVariantCount = std::size(kVariants);
 int
 main(int argc, char **argv)
 {
-    const HarnessOptions cli = parseHarnessOptions(argc, argv);
-    const std::uint64_t ops = flagU64(argc, argv, "ops", 400000);
-    warnFlagUnused(cli,
-                   {"filter", "trace", "scenario", "cost-model",
-                    "probe-every"});
+    std::uint64_t ops = 400000;
+    const HarnessOptions cli = parseHarnessOptions(
+        argc, argv, kMapGridFlags,
+        {countFlag("ops", ops, 1,
+                   "churn operations per cell (default 400000)")});
     const SweepRunner runner(cli.sweep());
 
     // One cell per (variant, occupancy); both tables read the same run.

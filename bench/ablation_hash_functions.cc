@@ -19,7 +19,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench_util.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "directory/cuckoo_table.hh"
@@ -27,7 +26,6 @@
 #include "sim/sweep.hh"
 
 using namespace cdir;
-using namespace cdir::bench;
 
 namespace {
 
@@ -89,11 +87,11 @@ churn(HashKind kind, double occupancy, std::uint64_t ops,
 int
 main(int argc, char **argv)
 {
-    const HarnessOptions cli = parseHarnessOptions(argc, argv);
-    const std::uint64_t ops = flagU64(argc, argv, "ops", 300000);
-    warnFlagUnused(cli,
-                   {"filter", "trace", "scenario", "cost-model",
-                    "probe-every"});
+    std::uint64_t ops = 300000;
+    const HarnessOptions cli = parseHarnessOptions(
+        argc, argv, kMapGridFlags,
+        {countFlag("ops", ops, 1,
+                   "churn operations per cell (default 300000)")});
     const SweepRunner runner(cli.sweep());
 
     // One cell per (hash kind, occupancy).

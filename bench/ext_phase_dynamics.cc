@@ -20,16 +20,16 @@
  *   $ ./ext_phase_dynamics --scenario=diurnal --interval=25000
  *   $ ./ext_phase_dynamics --series-json=series.json --cost-model=mesh
  *
- * Shared flags apply (--jobs/--format/--filter/--scale/
- * --warmup/--measure/--cost-model); --interval=N sets the telemetry
- * window (in accesses); --series-json=PATH additionally exports the
- * raw per-window series as structured JSON ('-' = stdout), for
- * plotting pipelines that should not scrape the report tables. Besides
- * the time series, each scenario gets a per-phase aggregate table —
- * the windows folded along the schedule (sim/interval_export.hh) with
- * exact integer sums. Everything is bit-identical at any
- * --jobs value (pinned by tests/scenario_test.cc and the CI
- * scenario smoke).
+ * Shared flags apply (--jobs/--format/--filter/--scale/--warmup/
+ * --measure/--scenario/--probe-every/--cost-model); --interval=N sets
+ * the telemetry window (in accesses); --series-json=PATH additionally
+ * exports the raw per-window series as structured JSON ('-' =
+ * stdout), for plotting pipelines that should not scrape the report
+ * tables. Besides the time series, each scenario gets a per-phase
+ * aggregate table — the windows folded along the schedule
+ * (sim/interval_export.hh) with exact integer sums. Everything is
+ * bit-identical at any --jobs value (pinned by tests/scenario_test.cc
+ * and the CI scenario smoke).
  */
 
 #include <algorithm>
@@ -109,30 +109,16 @@ emitSeries(Reporter &report, const std::string &title,
 int
 main(int argc, char **argv)
 {
-    const HarnessOptions cli = parseHarnessOptions(argc, argv);
-    warnFlagUnused(cli, {"trace"});
-
     std::uint64_t interval = 50'000;
     std::string series_json;
-    for (int i = 1; i < argc; ++i) {
-        if (const char *v = cliFlagValue(argv[i], "interval")) {
-            interval = parseCliUnsigned(v).value_or(0);
-            if (interval == 0) {
-                std::fprintf(stderr,
-                             "ext_phase_dynamics: bad --interval value "
-                             "'%s'\n",
-                             v);
-                return 2;
-            }
-        } else if (const char *v = cliFlagValue(argv[i], "series-json")) {
-            if (*v == '\0') {
-                std::fprintf(stderr, "ext_phase_dynamics: --series-json "
-                                     "needs a path (or '-')\n");
-                return 2;
-            }
-            series_json = v;
-        }
-    }
+    const HarnessOptions cli = parseHarnessOptions(
+        argc, argv,
+        kRunGridFlags | kScenarioFlag | kProbeEveryFlag | kCostModelFlag,
+        {countFlag("interval", interval, 1,
+                   "telemetry window in accesses (default 50000)"),
+         textFlag("series-json", series_json, "PATH",
+                  "also write the per-window series as JSON ('-' = "
+                  "stdout)")});
 
     const std::string scenario_arg = cli.scenario.empty()
                                          ? "migration-storm,"

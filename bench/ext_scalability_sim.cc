@@ -141,10 +141,11 @@ tierOptions(std::size_t cores, const HarnessOptions &cli)
 int
 main(int argc, char **argv)
 {
-    HarnessOptions cli = parseHarnessOptions(argc, argv);
-    warnFlagUnused(cli, {"trace", "scenario", "cost-model", "probe-every"});
-    const std::uint64_t maxCores =
-        flagU64(argc, argv, "max-cores", 4096);
+    std::uint64_t maxCores = 4096;
+    const HarnessOptions cli = parseHarnessOptions(
+        argc, argv, kRunGridFlags | kCampaignFlags,
+        {countFlag("max-cores", maxCores, 0,
+                   "drop the core-count tiers above N (default 4096)")});
 
     std::vector<std::size_t> tiers;
     for (const std::size_t cores : {256, 1024, 4096})

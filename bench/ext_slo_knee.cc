@@ -24,7 +24,8 @@
  *   $ ./ext_slo_knee --target=120 --step=50000
  *   $ ./ext_slo_knee --format=csv --jobs=4
  *
- * Harness-specific flags (shared flags also apply):
+ * Harness-specific flags (every shared flag but --trace and --scenario
+ * also applies):
  *   --target=CYCLES   windowed p99 SLO target     (default 260: just
  *                     above the mesh model's unloaded p99 of ~232, so
  *                     the knee separates conflict-prone organizations
@@ -76,35 +77,23 @@ organizationParams(const std::string &name)
 int
 main(int argc, char **argv)
 {
-    HarnessOptions cli = parseHarnessOptions(argc, argv);
-    warnFlagUnused(cli, {"trace", "scenario"});
-    if (cli.costModels.empty())
-        cli.costModels = {"mesh"}; // p99 needs timing; mesh is realistic
-
     std::uint64_t target = 260;
     std::uint64_t step = 25'000;
     std::uint64_t maxLevel = 16;
     std::uint64_t blocks = 8'192;
-    struct
-    {
-        const char *name;
-        std::uint64_t &value;
-    } knobs[] = {{"target", target},
-                 {"step", step},
-                 {"max", maxLevel},
-                 {"blocks", blocks}};
-    for (int i = 1; i < argc; ++i)
-        for (const auto &knob : knobs)
-            if (const char *v = cliFlagValue(argv[i], knob.name)) {
-                knob.value = parseCliUnsigned(v).value_or(0);
-                if (knob.value == 0) {
-                    std::fprintf(stderr,
-                                 "ext_slo_knee: bad --%s value '%s' "
-                                 "(want an integer >= 1)\n",
-                                 knob.name, v);
-                    return 2;
-                }
-            }
+    HarnessOptions cli = parseHarnessOptions(
+        argc, argv,
+        kRunGridFlags | kProbeEveryFlag | kCostModelFlag | kCampaignFlags,
+        {countFlag("target", target, 1,
+                   "windowed p99 SLO target in cycles (default 260)"),
+         countFlag("step", step, 1, "accesses per ramp level (default "
+                                    "25000)"),
+         countFlag("max", maxLevel, 1,
+                   "top ramp level = tenants (default 16)"),
+         countFlag("blocks", blocks, 1,
+                   "per-tenant footprint blocks (default 8192)")});
+    if (cli.costModels.empty())
+        cli.costModels = {"mesh"}; // p99 needs timing; mesh is realistic
 
     // One spec string is the whole workload axis: the ramp escalates
     // one level per step-sized window, so the measure run needs room

@@ -24,8 +24,7 @@
  *   $ ./ext_tail_latency --scenario=all           # presets as the axis
  *   $ ./ext_tail_latency --trace=traces/          # recorded traces
  *
- * Shared flags apply (--jobs/--format/--filter/--scale/
- * --warmup/--measure/--trace/--scenario/--cost-model). Histograms are
+ * Every shared flag applies, the campaign flags included. Histograms are
  * integer-bucketed with exact merge, so every number printed here is
  * bit-identical at any --jobs setting (pinned by
  * tests/cost_model_test.cc and the CI tail-latency smoke).
@@ -92,7 +91,7 @@ recordModel(const SweepRecord &rec)
 int
 main(int argc, char **argv)
 {
-    HarnessOptions cli = parseHarnessOptions(argc, argv);
+    HarnessOptions cli = parseHarnessOptions(argc, argv, kAllSharedFlags);
     if (cli.costModels.empty())
         cli.costModels = costModelNames(); // default: every model
 
@@ -112,11 +111,6 @@ main(int argc, char **argv)
         spec.config(org, paperConfigWith(CmpConfigKind::SharedL2,
                                          organizationParams(org)));
 
-    if (!cli.trace.empty() && !cli.scenario.empty()) {
-        std::fprintf(stderr, "--trace and --scenario are mutually "
-                             "exclusive workload axes\n");
-        return 2;
-    }
     try {
         if (!cli.trace.empty()) {
             appendTraceWorkloads(spec, cli.trace);

@@ -102,10 +102,8 @@ coreColumns()
 int
 main(int argc, char **argv)
 {
-    const HarnessOptions cli = parseHarnessOptions(argc, argv);
-    warnFlagUnused(cli,
-                   {"filter", "trace", "scenario", "cost-model",
-                    "probe-every"});
+    const HarnessOptions cli =
+        parseHarnessOptions(argc, argv, kMapGridFlags);
     const SweepRunner runner(cli.sweep());
 
     // One grid cell per (organization, core count).

@@ -22,7 +22,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench_util.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "directory/cuckoo_table.hh"
@@ -80,12 +79,11 @@ runArity(unsigned ways, std::uint64_t values, std::uint64_t seed)
 int
 main(int argc, char **argv)
 {
-    const HarnessOptions cli = parseHarnessOptions(argc, argv);
-    const std::uint64_t values =
-        bench::flagU64(argc, argv, "values", 400000);
-    warnFlagUnused(cli,
-                   {"filter", "trace", "scenario", "cost-model",
-                    "probe-every"});
+    std::uint64_t values = 400000;
+    const HarnessOptions cli = parseHarnessOptions(
+        argc, argv, kMapGridFlags,
+        {countFlag("values", values, 1,
+                   "values inserted per arity (default 400000)")});
     const SweepRunner runner(cli.sweep());
 
     const auto series = runner.map<AritySeries>(

@@ -25,7 +25,8 @@ using namespace cdir::bench;
 int
 main(int argc, char **argv)
 {
-    const HarnessOptions cli = parseHarnessOptions(argc, argv);
+    const HarnessOptions cli =
+        parseHarnessOptions(argc, argv, kPaperGridFlags);
     const SweepRunner runner(cli.sweep());
 
     const CmpConfigKind kinds[] = {CmpConfigKind::SharedL2,

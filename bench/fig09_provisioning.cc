@@ -86,7 +86,8 @@ sweep(Reporter &report, const SweepRunner &runner, const HarnessOptions &cli,
 int
 main(int argc, char **argv)
 {
-    const HarnessOptions cli = parseHarnessOptions(argc, argv);
+    const HarnessOptions cli =
+        parseHarnessOptions(argc, argv, kPaperGridFlags);
     const SweepRunner runner(cli.sweep());
     Reporter report(cli.format);
 

@@ -40,8 +40,8 @@ worstCase(CmpConfigKind kind, PaperWorkload workload,
 int
 main(int argc, char **argv)
 {
-    const HarnessOptions cli = parseHarnessOptions(argc, argv);
-    warnFlagUnused(cli, {"trace", "scenario", "probe-every"});
+    const HarnessOptions cli = parseHarnessOptions(
+        argc, argv, kRunGridFlags | kCostModelFlag);
     const SweepRunner runner(cli.sweep());
 
     // Both worst cases form one two-cell grid; map() runs the two

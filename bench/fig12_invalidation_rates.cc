@@ -80,7 +80,8 @@ emitComparison(Reporter &report, const SweepSpec &spec,
 int
 main(int argc, char **argv)
 {
-    const HarnessOptions cli = parseHarnessOptions(argc, argv);
+    const HarnessOptions cli =
+        parseHarnessOptions(argc, argv, kAllSharedFlags);
     const SweepRunner runner(cli.sweep());
 
     // Per-slice frame baseline: 2048 (Shared-L2), 16384 (Private-L2).

@@ -97,10 +97,8 @@ applicable(const System &sys, OrgModel org)
 int
 main(int argc, char **argv)
 {
-    const HarnessOptions cli = parseHarnessOptions(argc, argv);
-    warnFlagUnused(cli,
-                   {"filter", "trace", "scenario", "cost-model",
-                    "probe-every"});
+    const HarnessOptions cli =
+        parseHarnessOptions(argc, argv, kMapGridFlags);
     const SweepRunner runner(cli.sweep());
 
     // Grid: system-major, then organization, then core count.

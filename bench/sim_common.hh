@@ -7,7 +7,10 @@
  * A harness declares its grid by taking `paperSweep(kind, cli)` — the
  * nine-workload axis with the per-configuration run lengths — and
  * appending one config axis point per directory sizing it evaluates;
- * `SweepRunner` (src/sim/sweep.hh) runs the cells in parallel.
+ * `SweepRunner` (src/sim/sweep.hh) runs the cells in parallel. Such a
+ * harness parses its command line with
+ * `parseHarnessOptions(argc, argv, kPaperGridFlags)`: paperSweep()
+ * honours every flag of that set, and no other.
  */
 
 #ifndef CDIR_BENCH_SIM_COMMON_HH
@@ -19,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.hh"
 #include "sim/sweep.hh"
 
 namespace cdir::bench {
@@ -67,11 +69,6 @@ paperSweep(CmpConfigKind kind, const HarnessOptions &cli)
     SweepSpec spec;
     appendCostModelOptions(
         spec, "", cli.applyOverrides(optionsFor(kind, cli.scale)), cli);
-    if (!cli.trace.empty() && !cli.scenario.empty()) {
-        std::fprintf(stderr, "--trace and --scenario are mutually "
-                             "exclusive workload axes\n");
-        std::exit(2);
-    }
     if (!cli.trace.empty()) {
         try {
             appendTraceWorkloads(spec, cli.trace);

@@ -22,7 +22,8 @@ using namespace cdir::bench;
 int
 main(int argc, char **argv)
 {
-    const HarnessOptions cli = parseHarnessOptions(argc, argv);
+    const HarnessOptions cli =
+        parseHarnessOptions(argc, argv, kPaperGridFlags);
     const SweepRunner runner(cli.sweep());
 
     std::uint64_t inserts = 0, adds = 0, removes = 0, frees = 0,

@@ -15,7 +15,8 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "common/bit_util.hh"
 #include "common/types.hh"
@@ -27,19 +28,16 @@ using namespace cdir;
 int
 main(int argc, char **argv)
 {
-    const HarnessOptions cli = parseHarnessOptions(argc, argv);
-    const std::size_t cores =
-        argc > 1 && argv[1][0] != '-'
-            ? std::strtoull(argv[1], nullptr, 10)
-            : 64;
-    const unsigned caches_per_core =
-        argc > 2 && argv[2][0] != '-'
-            ? static_cast<unsigned>(std::strtoul(argv[2], nullptr, 10))
-            : 2;
-    const std::size_t cache_kib =
-        argc > 3 && argv[3][0] != '-'
-            ? std::strtoull(argv[3], nullptr, 10)
-            : 64;
+    HarnessOptions cli;
+    CliFlags flags = harnessFlags(argv[0], cli, kMapGridFlags);
+    flags.synopsis = "[cores] [caches_per_core] [cache_kib] [flags]";
+    const std::vector<std::string> args = flags.parse(argc, argv, 3);
+    const auto arg = [&](std::size_t i, std::uint64_t fallback) {
+        return i < args.size() ? flags.count(args[i], 1) : fallback;
+    };
+    const std::size_t cores = arg(0, 64);
+    const auto caches_per_core = static_cast<unsigned>(arg(1, 2));
+    const std::size_t cache_kib = arg(2, 64);
 
     const std::size_t frames = cache_kib * 1024 / blockBytes;
     const std::size_t frames_per_slice =
@@ -92,9 +90,6 @@ main(int argc, char **argv)
         {"Duplicate-Tag", OrgModel::DuplicateTag},
     };
 
-    warnFlagUnused(cli,
-                   {"filter", "trace", "scenario", "cost-model",
-                    "probe-every"});
     const SweepRunner runner(cli.sweep());
     const auto costs = runner.map<DirCost>(
         std::size(candidates), [&](std::size_t i) {

@@ -13,7 +13,7 @@
  */
 
 #include <cstdio>
-#include <cstring>
+#include <string>
 
 #include "sim/sweep.hh"
 
@@ -22,21 +22,13 @@ using namespace cdir;
 int
 main(int argc, char **argv)
 {
-    // Pick a workload preset by name (default: DB2); "--" flags are
-    // ignored.
+    // Pick a workload preset by name (default: DB2). The example takes
+    // no flags, so any "--" argument is rejected.
+    const CliFlags flags{"cmp_simulation", "[workload]", {}};
     PaperWorkload chosen = PaperWorkload::OltpDb2;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--", 2) == 0)
-            continue;
-        bool found = false;
-        for (PaperWorkload w : allPaperWorkloads()) {
-            if (paperWorkloadName(w) == argv[i]) {
-                chosen = w;
-                found = true;
-            }
-        }
-        if (!found) {
-            std::fprintf(stderr, "unknown workload '%s'\n", argv[i]);
+    for (const std::string &name : flags.parse(argc, argv, 1)) {
+        if (!paperWorkloadByName(name, chosen)) {
+            std::fprintf(stderr, "unknown workload '%s'\n", name.c_str());
             return 1;
         }
     }

@@ -9,6 +9,7 @@
  */
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "sim/sweep.hh"
@@ -18,22 +19,18 @@ using namespace cdir;
 int
 main(int argc, char **argv)
 {
+    HarnessOptions cli;
+    CliFlags flags =
+        harnessFlags(argv[0], cli,
+                     (kRunGridFlags & ~kScaleFlag) | kCostModelFlag);
+    flags.synopsis = "[workload] [flags]";
     PaperWorkload chosen = PaperWorkload::WebApache;
-    if (argc > 1 && argv[1][0] != '-') {
-        bool found = false;
-        for (PaperWorkload w : allPaperWorkloads()) {
-            if (paperWorkloadName(w) == argv[1]) {
-                chosen = w;
-                found = true;
-            }
-        }
-        if (!found) {
-            std::fprintf(stderr, "unknown workload '%s'\n", argv[1]);
+    for (const std::string &name : flags.parse(argc, argv, 1)) {
+        if (!paperWorkloadByName(name, chosen)) {
+            std::fprintf(stderr, "unknown workload '%s'\n", name.c_str());
             return 1;
         }
     }
-    const HarnessOptions cli = parseHarnessOptions(argc, argv);
-    warnFlagUnused(cli, {"trace", "scenario", "probe-every"});
 
     struct Contender
     {

@@ -25,10 +25,10 @@ using namespace cdir;
 int
 main(int argc, char **argv)
 {
-    const HarnessOptions cli = parseHarnessOptions(argc, argv);
     // This example runs its one hard-coded scenario (that is the
-    // point); grid-flavoured flags have nothing to apply to.
-    warnFlagUnused(cli, {"filter", "trace", "scenario", "probe-every"});
+    // point); only the output format is a choice.
+    const HarnessOptions cli =
+        parseHarnessOptions(argc, argv, kFormatFlag);
 
     // --- 1. declare the schedule ------------------------------------
     const std::size_t cores = 8;

@@ -16,11 +16,12 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "sim/cmp_system.hh"
+#include "sim/sweep.hh"
 #include "workload/trace.hh"
 
 using namespace cdir;
@@ -65,17 +66,16 @@ int
 main(int argc, char **argv)
 {
     std::string external;
-    std::string prefix = "/tmp/cuckoo_directory_example";
-    std::uint64_t accesses = 200000;
-    int positional = 0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--trace=", 8) == 0)
-            external = argv[i] + 8;
-        else if (positional++ == 0)
-            prefix = argv[i];
-        else
-            accesses = std::strtoull(argv[i], nullptr, 10);
-    }
+    const CliFlags flags{
+        "trace_replay",
+        "[path-prefix] [accesses] [flags]",
+        {textFlag("trace", external, "FILE",
+                  "replay FILE (either format) instead of recording")}};
+    const std::vector<std::string> args = flags.parse(argc, argv, 2);
+    const std::string prefix =
+        args.empty() ? "/tmp/cuckoo_directory_example" : args[0];
+    const std::uint64_t accesses =
+        args.size() < 2 ? 200000 : flags.count(args[1], 1);
 
     const CmpConfig cfg = exampleConfig();
     std::printf("driver: batchWindow=%zu (invalidations deferred to the "

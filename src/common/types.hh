@@ -11,8 +11,11 @@
 #ifndef CDIR_COMMON_TYPES_HH
 #define CDIR_COMMON_TYPES_HH
 
+#include <charconv>
 #include <cstdint>
 #include <cstddef>
+#include <optional>
+#include <string_view>
 
 namespace cdir {
 
@@ -48,6 +51,24 @@ inline constexpr std::size_t blockBytes = 64;
 
 /** Physical address width in bits (Table 1). */
 inline constexpr unsigned physAddrBits = 48;
+
+/**
+ * Whole-string parse of an unsigned decimal: the value iff @p text is
+ * one or more digits that fit in 64 bits, with no sign, whitespace or
+ * trailing characters ("10k", "", "-1" and " 4" are rejected). The one
+ * count grammar of command-line flags and positionals, scenario text
+ * and fleet / slo-ramp spec knobs.
+ */
+inline std::optional<std::uint64_t>
+parseCliUnsigned(std::string_view text)
+{
+    std::uint64_t value = 0;
+    const auto [ptr, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (ec != std::errc{} || ptr != text.data() + text.size())
+        return std::nullopt;
+    return value;
+}
 
 } // namespace cdir
 

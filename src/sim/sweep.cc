@@ -1,9 +1,7 @@
 #include "sim/sweep.hh"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <string_view>
 
@@ -519,164 +517,194 @@ Reporter::note(const std::string &text)
     }
 }
 
-// --- shared harness CLI ------------------------------------------------------
+// --- command-line flags ------------------------------------------------------
 
-const char *
-cliFlagValue(const char *arg, const char *name)
+CliFlag
+textFlag(const char *name, std::string &dest, const char *value,
+         const char *help)
 {
-    const std::size_t len = std::strlen(name);
-    if (std::strncmp(arg, "--", 2) != 0)
-        return nullptr;
-    if (std::strncmp(arg + 2, name, len) != 0 || arg[2 + len] != '=')
-        return nullptr;
-    return arg + 2 + len + 1;
+    return {name, value, help, [&dest](const char *v) {
+                dest = v;
+                return !dest.empty();
+            }};
 }
 
-std::optional<std::uint64_t>
-parseCliUnsigned(const char *text)
+CliFlag
+toggleFlag(const char *name, bool &dest, const char *help)
 {
-    const char *end = text + std::strlen(text);
-    std::uint64_t value = 0;
-    const auto [ptr, ec] = std::from_chars(text, end, value);
-    if (ec != std::errc{} || ptr != end)
-        return std::nullopt;
-    return value;
+    return {name, "", help, [&dest](const char *) {
+                dest = true;
+                return true;
+            }};
 }
 
-namespace {
-
-[[noreturn]] void
-usage(const char *bad)
+CliFlag
+formatFlag(ReportFormat &dest)
 {
-    std::fprintf(
-        stderr,
-        "bad flag value '%s'\n"
-        "shared harness flags:\n"
-        "  --jobs=N              worker threads (0 = all hardware "
-        "threads; default 0)\n"
-        "  --format=table|csv|json  output format (default table)\n"
-        "  --filter=S[,S...]     run only cells whose "
-        "config/workload/options label\n"
-        "                        contains one of the substrings\n"
-        "  --scale=N             run-length multiplier\n"
-        "  --warmup=N            override warmup access count\n"
-        "  --measure=N           override measured access count\n"
-        "  --trace=FILE|DIR      replay recorded traces as the workload "
-        "axis\n"
-        "                        (a directory is swept in sorted order)\n"
-        "  --scenario=S[,S...]   drive dynamic workloads as the workload "
-        "axis\n"
-        "                        (scenario presets/files, 'all', or "
-        "fleet: /\n"
-        "                        slo-ramp: specs — see workload/fleet.hh)\n"
-        "  --probe-every=N       override the feedback probe interval "
-        "of\n"
-        "                        closed-loop workloads (default: the\n"
-        "                        workload's own request)\n"
-        "  --cost-model=M[,M...] time each cell under these cost models\n"
-        "                        ('fixed', 'mesh', or 'all'; default: "
-        "untimed)\n"
-        "                        and report p50/p99/p99.9 latency\n"
-        "  --campaign-manifest=PATH  write this grid as a campaign work\n"
-        "                        manifest and exit (run it with "
-        "campaign_tool)\n"
-        "  --campaign-results=PATH   render tables from a merged "
-        "campaign\n"
-        "                        results document instead of running\n",
-        bad);
+    return choiceFlag<ReportFormat>("format", dest,
+                                    {{"table", ReportFormat::Table},
+                                     {"csv", ReportFormat::Csv},
+                                     {"json", ReportFormat::Json}},
+                                    "output format (default table)");
+}
+
+CliFlag
+costModelFlag(std::vector<std::string> &dest)
+{
+    return {"cost-model", "M[,M...]",
+            "time cells under cost models: fixed, mesh or all",
+            [&dest](const char *v) {
+                if (std::string_view(v) == "all") {
+                    dest = costModelNames();
+                    return true;
+                }
+                dest.clear();
+                std::string_view rest = v;
+                while (true) {
+                    const std::size_t comma = rest.find(',');
+                    dest.emplace_back(rest.substr(0, comma));
+                    if (!isCostModelName(dest.back()))
+                        return false;
+                    if (comma == std::string_view::npos)
+                        return true;
+                    rest.remove_prefix(comma + 1);
+                }
+            }};
+}
+
+CliFlag
+costModelFlag(std::string &dest)
+{
+    return {"cost-model", "M",
+            "time every access under cost model fixed or mesh",
+            [&dest](const char *v) {
+                dest = v;
+                return isCostModelName(dest);
+            }};
+}
+
+std::vector<std::string>
+CliFlags::parse(int argc, char **argv, std::size_t max_args) const
+{
+    std::vector<std::string> args;
+    for (int i = 1; i < argc; ++i) {
+        const std::string_view arg = argv[i];
+        if (!arg.starts_with("--")) {
+            if (args.size() == max_args)
+                fail("unexpected argument '" + std::string(arg) + "'");
+            args.emplace_back(arg);
+            continue;
+        }
+        const std::size_t eq = arg.find('=');
+        const std::string_view name =
+            arg.substr(2, eq == std::string_view::npos ? eq : eq - 2);
+        const auto flag =
+            std::find_if(flags.begin(), flags.end(),
+                         [&](const CliFlag &f) { return f.name == name; });
+        if (flag == flags.end())
+            fail("unknown flag '--" + std::string(name) + "'");
+        const bool toggle = flag->value.empty();
+        if (toggle != (eq == std::string_view::npos) ||
+            !flag->set(toggle ? nullptr : argv[i] + eq + 1))
+            fail("bad value in '" + std::string(arg) + "'");
+    }
+    return args;
+}
+
+std::uint64_t
+CliFlags::count(const std::string &text, std::uint64_t min) const
+{
+    const std::optional<std::uint64_t> value = parseCliUnsigned(text);
+    if (!value || *value < min)
+        fail("bad value in '" + text + "'");
+    return *value;
+}
+
+void
+CliFlags::fail(const std::string &message) const
+{
+    std::fprintf(stderr, "%s: %s\n%s", program.c_str(), message.c_str(),
+                 usage().c_str());
     std::exit(2);
 }
 
-/** parseCliUnsigned of flag @p arg's @p value; exits with usage if bad. */
-std::uint64_t
-parseU64(const char *value, const char *arg)
+std::string
+CliFlags::usage() const
 {
-    const std::optional<std::uint64_t> parsed = parseCliUnsigned(value);
-    if (!parsed)
-        usage(arg);
-    return *parsed;
+    std::string out = "usage: " + program + " " + synopsis + "\n";
+    for (const CliFlag &flag : flags) {
+        std::string line = "  --" + flag.name;
+        if (!flag.value.empty())
+            line += "=" + flag.value;
+        line.resize(std::max<std::size_t>(line.size() + 2, 26), ' ');
+        out += line + flag.help + "\n";
+    }
+    return out;
 }
 
-} // namespace
+// --- shared harness CLI ------------------------------------------------------
+
+CliFlags
+harnessFlags(const char *argv0, HarnessOptions &opts, unsigned shared,
+             std::vector<CliFlag> knobs)
+{
+    CliFlags cli{std::filesystem::path(argv0).filename().string(),
+                 "[flags]", {}};
+    const auto declare = [&](unsigned bit, CliFlag flag) {
+        if (shared & bit)
+            cli.flags.push_back(std::move(flag));
+    };
+    declare(kJobsFlag,
+            countFlag("jobs", opts.jobs, 0,
+                      "worker threads (0 = every hardware thread)"));
+    declare(kFormatFlag, formatFlag(opts.format));
+    declare(kFilterFlag,
+            textFlag("filter", opts.filter, "S[,S...]",
+                     "run only cells whose label contains a substring"));
+    declare(kScaleFlag,
+            countFlag("scale", opts.scale, 1, "run-length multiplier"));
+    declare(kRunLengthFlags,
+            countFlag("warmup", opts.warmupOverride, 0,
+                      "override the warmup access count"));
+    declare(kRunLengthFlags,
+            countFlag("measure", opts.measureOverride, 0,
+                      "override the measured access count"));
+    declare(kTraceFlag,
+            textFlag("trace", opts.trace, "FILE|DIR",
+                     "replay recorded traces as the workload axis"));
+    declare(kScenarioFlag,
+            textFlag("scenario", opts.scenario, "S[,S...]",
+                     "scenarios, 'all' or fleet: specs as the workload "
+                     "axis"));
+    declare(kProbeEveryFlag,
+            countFlag("probe-every", opts.probeEvery, 1,
+                      "probe interval of closed-loop workloads"));
+    declare(kCostModelFlag, costModelFlag(opts.costModels));
+    declare(kCampaignFlags,
+            textFlag("campaign-manifest", opts.campaignManifest, "PATH",
+                     "write the grid as a campaign manifest and exit"));
+    declare(kCampaignFlags,
+            textFlag("campaign-results", opts.campaignResults, "PATH",
+                     "render tables from merged campaign results"));
+    for (CliFlag &knob : knobs)
+        cli.flags.push_back(std::move(knob));
+    return cli;
+}
 
 HarnessOptions
-parseHarnessOptions(int argc, char **argv)
+parseHarnessOptions(int argc, char **argv, unsigned shared,
+                    std::vector<CliFlag> knobs)
 {
     HarnessOptions opts;
-    for (int i = 1; i < argc; ++i) {
-        if (const char *v = cliFlagValue(argv[i], "jobs")) {
-            opts.jobs = static_cast<unsigned>(parseU64(v, argv[i]));
-        } else if (const char *v = cliFlagValue(argv[i], "format")) {
-            if (std::strcmp(v, "table") == 0)
-                opts.format = ReportFormat::Table;
-            else if (std::strcmp(v, "csv") == 0)
-                opts.format = ReportFormat::Csv;
-            else if (std::strcmp(v, "json") == 0)
-                opts.format = ReportFormat::Json;
-            else
-                usage(argv[i]);
-        } else if (const char *v = cliFlagValue(argv[i], "filter")) {
-            opts.filter = v;
-        } else if (const char *v = cliFlagValue(argv[i], "scale")) {
-            opts.scale = parseU64(v, argv[i]);
-            if (opts.scale == 0)
-                usage(argv[i]);
-        } else if (const char *v = cliFlagValue(argv[i], "warmup")) {
-            opts.warmupOverride = parseU64(v, argv[i]);
-        } else if (const char *v = cliFlagValue(argv[i], "measure")) {
-            opts.measureOverride = parseU64(v, argv[i]);
-        } else if (const char *v = cliFlagValue(argv[i], "trace")) {
-            if (*v == '\0')
-                usage(argv[i]);
-            opts.trace = v;
-        } else if (const char *v = cliFlagValue(argv[i], "scenario")) {
-            if (*v == '\0')
-                usage(argv[i]);
-            opts.scenario = v;
-        } else if (const char *v = cliFlagValue(argv[i], "probe-every")) {
-            opts.probeEvery = parseU64(v, argv[i]);
-            if (opts.probeEvery == 0)
-                usage(argv[i]);
-        } else if (const char *v = cliFlagValue(argv[i], "cost-model")) {
-            // Validate every name at parse time so a typo fails with a
-            // usage message here, not once per grid cell mid-sweep.
-            if (std::strcmp(v, "all") == 0) {
-                opts.costModels = costModelNames();
-            } else {
-                std::string_view rest = v;
-                while (!rest.empty()) {
-                    const std::size_t comma = rest.find(',');
-                    const std::string name(rest.substr(0, comma));
-                    if (!isCostModelName(name))
-                        usage(argv[i]);
-                    opts.costModels.push_back(name);
-                    if (comma == std::string_view::npos)
-                        break;
-                    rest.remove_prefix(comma + 1);
-                }
-                if (opts.costModels.empty())
-                    usage(argv[i]);
-            }
-        } else if (const char *v =
-                       cliFlagValue(argv[i], "campaign-manifest")) {
-            if (*v == '\0')
-                usage(argv[i]);
-            opts.campaignManifest = v;
-        } else if (const char *v =
-                       cliFlagValue(argv[i], "campaign-results")) {
-            if (*v == '\0')
-                usage(argv[i]);
-            opts.campaignResults = v;
-        }
-        // Anything else is a harness-specific flag or positional
-        // argument; the harness parses those itself.
-    }
-    if (!opts.campaignManifest.empty() && !opts.campaignResults.empty()) {
-        std::fprintf(stderr,
-                     "--campaign-manifest and --campaign-results are "
-                     "mutually exclusive\n");
-        std::exit(2);
-    }
+    const CliFlags cli =
+        harnessFlags(argv[0], opts, shared, std::move(knobs));
+    cli.parse(argc, argv);
+    if (!opts.trace.empty() && !opts.scenario.empty())
+        cli.fail("--trace and --scenario are mutually exclusive workload "
+                 "axes");
+    if (!opts.campaignManifest.empty() && !opts.campaignResults.empty())
+        cli.fail("--campaign-manifest and --campaign-results are "
+                 "mutually exclusive");
     return opts;
 }
 
@@ -693,49 +721,6 @@ appendCostModelOptions(SweepSpec &spec, const std::string &label,
         ExperimentOptions opts = base;
         opts.costModel = model;
         spec.options(label.empty() ? model : label + "/" + model, opts);
-    }
-}
-
-void
-warnFlagUnused(const HarnessOptions &opts,
-               std::initializer_list<const char *> flags)
-{
-    for (const char *flag : flags) {
-        if (std::strcmp(flag, "filter") == 0) {
-            if (!opts.filter.empty())
-                std::fprintf(stderr,
-                             "note: this harness runs a generic grid; "
-                             "--filter=%s has no effect\n",
-                             opts.filter.c_str());
-        } else if (std::strcmp(flag, "trace") == 0) {
-            if (!opts.trace.empty())
-                std::fprintf(stderr,
-                             "note: this harness's grid is not "
-                             "trace-driven; --trace=%s has no effect\n",
-                             opts.trace.c_str());
-        } else if (std::strcmp(flag, "scenario") == 0) {
-            if (!opts.scenario.empty())
-                std::fprintf(stderr,
-                             "note: this harness's grid is not "
-                             "scenario-driven; --scenario=%s has no "
-                             "effect\n",
-                             opts.scenario.c_str());
-        } else if (std::strcmp(flag, "cost-model") == 0) {
-            if (!opts.costModels.empty())
-                std::fprintf(stderr,
-                             "note: this harness runs no timed "
-                             "experiment; --cost-model has no effect\n");
-        } else if (std::strcmp(flag, "probe-every") == 0) {
-            if (opts.probeEvery != 0)
-                std::fprintf(stderr,
-                             "note: this harness drives no closed-loop "
-                             "workload; --probe-every has no effect\n");
-        } else {
-            std::fprintf(stderr,
-                         "warnFlagUnused: unknown flag name '%s'\n",
-                         flag);
-            std::abort();
-        }
     }
 }
 

@@ -27,9 +27,15 @@
  *  - `ReportTable` + `Reporter`: one table abstraction emitted as an
  *    aligned text table, CSV, or JSON, replacing per-harness printf
  *    scattering.
- *  - `parseHarnessOptions`: the `--jobs= / --format= / --filter=`
- *    (plus `--scale= / --warmup= / --measure=`) CLI shared by every
- *    figure harness and example.
+ *  - `CliFlags`: the one command-line parser of every harness, example
+ *    and tool. A program declares each flag it honours once (name,
+ *    destination, value check, help line); `--name=value` sets a
+ *    declared flag, anything undeclared or malformed exits 2 with the
+ *    usage text generated from the declarations, and positionals go
+ *    back to the caller. `parseHarnessOptions` declares the subset of
+ *    the shared harness flags (`HarnessOptions`) a harness's grid
+ *    honours, plus its own knobs, so an inapplicable flag is rejected
+ *    instead of silently ignored.
  *
  * Thread-safety contract (audited): `runExperiment` touches no global
  * mutable state — `DirectoryRegistry` is only written during static
@@ -42,12 +48,15 @@
 #ifndef CDIR_SIM_SWEEP_HH
 #define CDIR_SIM_SWEEP_HH
 
+#include <concepts>
 #include <cstdint>
 #include <cstdio>
-#include <initializer_list>
+#include <functional>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.hh"
@@ -377,9 +386,107 @@ class Reporter
  */
 std::string jsonEscape(const std::string &s);
 
+// --- command-line flags ------------------------------------------------------
+
+/**
+ * One declared flag: `--name=VALUE`, or a bare `--name` toggle when
+ * `value` is empty. `set` checks a value and stores it in the flag's
+ * destination (a toggle gets nullptr); false means a bad value.
+ */
+struct CliFlag
+{
+    std::string name;  //!< without the leading "--"
+    std::string value; //!< value placeholder in the usage text
+    std::string help;  //!< the flag's one usage line
+    std::function<bool(const char *)> set;
+};
+
+/** `--name=N`: a whole unsigned decimal >= @p min that fits @p dest. */
+template <std::unsigned_integral T>
+CliFlag
+countFlag(const char *name, T &dest, std::uint64_t min, const char *help)
+{
+    return {name, "N", help, [&dest, min](const char *v) {
+                const std::optional<std::uint64_t> n = parseCliUnsigned(v);
+                if (!n || *n < min || *n > std::numeric_limits<T>::max())
+                    return false;
+                dest = static_cast<T>(*n);
+                return true;
+            }};
+}
+
+/** `--name=VALUE`: any non-empty string. */
+CliFlag textFlag(const char *name, std::string &dest, const char *value,
+                 const char *help);
+
+/** Bare `--name`: sets @p dest. */
+CliFlag toggleFlag(const char *name, bool &dest, const char *help);
+
+/** `--name=` one of @p choices' names: stores that choice's value. */
+template <typename T>
+CliFlag
+choiceFlag(const char *name, T &dest,
+           std::vector<std::pair<std::string, T>> choices, const char *help)
+{
+    std::string value;
+    for (const auto &choice : choices)
+        value += (value.empty() ? "" : "|") + choice.first;
+    return {name, std::move(value), help,
+            [&dest, choices = std::move(choices)](const char *v) {
+                for (const auto &[text, choice] : choices)
+                    if (text == v) {
+                        dest = choice;
+                        return true;
+                    }
+                return false;
+            }};
+}
+
+/** `--format=table|csv|json`. */
+CliFlag formatFlag(ReportFormat &dest);
+
+/**
+ * `--cost-model=`: a comma-separated list of cost model names, or
+ * "all" (model/cost_model.hh). Names are checked at parse time, so a
+ * typo fails here, not once per grid cell mid-sweep.
+ */
+CliFlag costModelFlag(std::vector<std::string> &dest);
+
+/** `--cost-model=`: exactly one cost model name. */
+CliFlag costModelFlag(std::string &dest);
+
+/**
+ * A program's declared flag set — the one argv parser of every harness,
+ * example and tool. The usage text is generated from the declarations.
+ */
+struct CliFlags
+{
+    std::string program;             //!< prefix of every error message
+    std::string synopsis = "[flags]"; //!< usage line after the program
+    std::vector<CliFlag> flags;
+
+    /**
+     * Set every `--name=value` in argv[1..argc) and return the other
+     * arguments (positionals), at most @p max_args of them. An
+     * undeclared flag, a bad value or a surplus positional fails().
+     */
+    std::vector<std::string> parse(int argc, char **argv,
+                                   std::size_t max_args = 0) const;
+
+    /** Whole-string count (parseCliUnsigned) >= @p min, or fail(). */
+    std::uint64_t count(const std::string &text,
+                        std::uint64_t min = 0) const;
+
+    /** Print "program: message" and the usage text; exit 2. */
+    [[noreturn]] void fail(const std::string &message) const;
+
+    /** "usage: program synopsis" and one line per declared flag. */
+    std::string usage() const;
+};
+
 // --- shared harness CLI ------------------------------------------------------
 
-/** Options every figure harness and example accepts. */
+/** Options shared by the figure harnesses and examples. */
 struct HarnessOptions
 {
     unsigned jobs = 0;          //!< --jobs=N  (0 = hardware threads)
@@ -460,43 +567,48 @@ struct HarnessOptions
 };
 
 /**
- * Parse the shared flags out of @p argv. Unknown flags and positional
- * arguments are ignored (harness-specific knobs parse them separately).
- * Exits with a usage message on a malformed known flag.
+ * The shared flags as bits: each harness declares the set it honours,
+ * so a flag with no effect on its grid is rejected at parse time.
  */
-HarnessOptions parseHarnessOptions(int argc, char **argv);
+enum SharedFlags : unsigned
+{
+    kJobsFlag = 1u << 0,       //!< --jobs=
+    kFormatFlag = 1u << 1,     //!< --format=
+    kFilterFlag = 1u << 2,     //!< --filter=
+    kScaleFlag = 1u << 3,      //!< --scale=
+    kRunLengthFlags = 1u << 4, //!< --warmup= and --measure=
+    kTraceFlag = 1u << 5,      //!< --trace=
+    kScenarioFlag = 1u << 6,   //!< --scenario=
+    kProbeEveryFlag = 1u << 7, //!< --probe-every=
+    kCostModelFlag = 1u << 8,  //!< --cost-model=
+    kCampaignFlags = 1u << 9,  //!< --campaign-manifest= / -results=
+    /** A generic map() grid: the filter and run lengths do not apply. */
+    kMapGridFlags = kJobsFlag | kFormatFlag,
+    /** A runExperiment grid over fixed workloads. */
+    kRunGridFlags = kMapGridFlags | kFilterFlag | kScaleFlag |
+                    kRunLengthFlags,
+    /** A paperSweep() grid (bench/sim_common.hh). */
+    kPaperGridFlags = kRunGridFlags | kTraceFlag | kScenarioFlag |
+                      kProbeEveryFlag | kCostModelFlag,
+    kAllSharedFlags = kPaperGridFlags | kCampaignFlags,
+};
 
 /**
- * Value of a "--name=value" CLI argument, or nullptr if @p arg is not
- * that flag — the matcher behind parseHarnessOptions, exported for
- * tools that parse additional flags in the same style.
+ * The flag set of a harness: the shared flags in @p shared, stored into
+ * @p opts, then @p knobs. @p argv0 names the program in messages.
  */
-const char *cliFlagValue(const char *arg, const char *name);
+CliFlags harnessFlags(const char *argv0, HarnessOptions &opts,
+                      unsigned shared, std::vector<CliFlag> knobs = {});
 
 /**
- * Whole-string parse of an unsigned decimal flag value: the value iff
- * @p text is one or more digits that fit in 64 bits, with no sign,
- * whitespace or trailing characters ("10k", "" and "-1" are rejected).
+ * Parse a harness command line that takes no positional arguments
+ * through harnessFlags(); exits 2 on an undeclared flag, a bad value,
+ * a positional, or two mutually exclusive flags (--trace with
+ * --scenario, --campaign-manifest with --campaign-results).
  */
-std::optional<std::uint64_t> parseCliUnsigned(const char *text);
-
-/**
- * Stderr note that a shared flag was supplied but has no effect on this
- * harness — one helper for every inapplicable-flag warning, so a
- * harness states which flags its grid cannot honour in a single call
- * instead of duplicating per-flag boilerplate:
- *
- *     warnFlagUnused(cli, {"filter", "trace", "scenario"});
- *
- * Known names: "filter" (generic map() grids have no cell labels),
- * "trace" / "scenario" (the workload axis is not built from
- * paperSweep), "cost-model" (the grid runs no timed experiment), and
- * "probe-every" (the grid drives no closed-loop workload). A flag the
- * user did not supply prints nothing, so the call is free in the
- * common case; an unknown name aborts (programming error).
- */
-void warnFlagUnused(const HarnessOptions &opts,
-                    std::initializer_list<const char *> flags);
+HarnessOptions parseHarnessOptions(int argc, char **argv,
+                                   unsigned shared = kAllSharedFlags,
+                                   std::vector<CliFlag> knobs = {});
 
 /**
  * Append the options axis a grid harness derives from @p base and the

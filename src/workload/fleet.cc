@@ -335,11 +335,11 @@ parseSpecCount(const std::string &head, const std::string &key,
 {
     if (value.empty())
         specFail(head, "'" + key + "' needs a value");
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0')
+    const std::optional<std::uint64_t> parsed =
+        parseCliUnsigned(value);
+    if (!parsed)
         specFail(head, "'" + key + "' is not a count: '" + value + "'");
-    return parsed;
+    return *parsed;
 }
 
 double

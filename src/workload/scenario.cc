@@ -473,12 +473,12 @@ std::uint64_t
 parseCount(const std::string &token, const std::string &name,
            std::uint64_t line, const char *what)
 {
-    char *end = nullptr;
-    const std::uint64_t value = std::strtoull(token.c_str(), &end, 10);
-    if (end == token.c_str() || *end != '\0')
+    const std::optional<std::uint64_t> value =
+        parseCliUnsigned(token);
+    if (!value)
         parseFail(name, line,
                   std::string("malformed ") + what + " '" + token + "'");
-    return value;
+    return *value;
 }
 
 double

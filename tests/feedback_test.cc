@@ -602,6 +602,20 @@ TEST(FleetSpec, ParsesKnobsAndRejectsUnknowns)
                  std::invalid_argument);
     EXPECT_THROW(parseFleetSpec("fleet:tenants=abc", 8),
                  std::invalid_argument);
+    // Counts parse the whole string: a sign or padding is an error
+    // naming the knob, not a count wrapped to 2^64 - n.
+    for (const char *spec : {"fleet:tenants=4:blocks=-4096",
+                             "fleet:tenants= 4", "fleet:tenants=4 ",
+                             "fleet:tenants=+4"}) {
+        try {
+            parseFleetSpec(spec, 8);
+            ADD_FAILURE() << "accepted: " << spec;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("fleet spec: '"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(FleetSpec, SloRampSpecParsesAndForwardsFleetKnobs)
@@ -626,6 +640,10 @@ TEST(FleetSpec, SloRampSpecParsesAndForwardsFleetKnobs)
     EXPECT_THROW(parseSloRampSpec("slo-ramp:metric=bogus", 4),
                  std::invalid_argument);
     EXPECT_THROW(parseSloRampSpec("slo-ramp:nonsense=1", 4),
+                 std::invalid_argument);
+    EXPECT_THROW(parseSloRampSpec("slo-ramp:step=-1", 4),
+                 std::invalid_argument);
+    EXPECT_THROW(parseSloRampSpec("slo-ramp:blocks=-4096", 4),
                  std::invalid_argument);
 }
 

@@ -735,6 +735,14 @@ TEST(ScenarioParser, RejectsStructuralMistakes)
     expectParseError("phase a 100\ncores 4\n",
                      "'cores' must precede the first phase");
     expectParseError("cores 4\nphase a ten\n", "malformed phase length");
+    // Counts parse the whole string: a negative length or footprint is
+    // a located error, not a count wrapped to 2^64 - n.
+    expectParseError("cores 4\nphase warm -1\n",
+                     "bad:2: malformed phase length '-1'");
+    expectParseError("cores 4\nphase a 100\n  set shared-blocks=-5\n",
+                     "bad:3: malformed shared-blocks '-5'");
+    expectParseError("cores +4\nphase a 100\n",
+                     "bad:1: malformed core count '+4'");
     expectParseError("cores 4\nloop maybe\nphase a 10\n",
                      "loop takes 'on' or 'off'");
 }

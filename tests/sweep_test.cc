@@ -332,25 +332,6 @@ TEST(Reporter, TableAlignsColumns)
 
 // --- shared CLI --------------------------------------------------------------
 
-TEST(HarnessCli, ParsesSharedFlagsAndIgnoresOthers)
-{
-    const char *argv[] = {"prog",          "positional",
-                          "--jobs=5",      "--format=json",
-                          "--filter=a,b",  "--scale=3",
-                          "--warmup=1000", "--measure=2000",
-                          "--ops=42"};
-    const HarnessOptions opts = parseHarnessOptions(
-        static_cast<int>(std::size(argv)), const_cast<char **>(argv));
-    EXPECT_EQ(opts.jobs, 5u);
-    EXPECT_EQ(opts.format, ReportFormat::Json);
-    EXPECT_EQ(opts.filter, "a,b");
-    EXPECT_EQ(opts.scale, 3u);
-    ExperimentOptions exp;
-    exp = opts.applyOverrides(exp);
-    EXPECT_EQ(exp.warmupAccesses, 1000u);
-    EXPECT_EQ(exp.measureAccesses, 2000u);
-}
-
 /** parseHarnessOptions over @p args, with "prog" as argv[0]. */
 HarnessOptions
 parseArgs(std::vector<std::string> args)
@@ -397,6 +378,109 @@ TEST(HarnessCli, ParsesEveryDeclaredSharedFlag)
     EXPECT_EXIT(parseArgs({"--campaign-manifest=m.json",
                            "--campaign-results=r.json"}),
                 testing::ExitedWithCode(2), "mutually exclusive");
+}
+
+TEST(HarnessCli, ParsesDeclaredKnobsAndRejectsOthers)
+{
+    std::uint64_t ops = 0;
+    const char *argv[] = {"prog",          "--jobs=5",
+                          "--format=json", "--filter=a,b",
+                          "--scale=3",     "--warmup=1000",
+                          "--measure=2000", "--ops=42"};
+    const HarnessOptions opts = parseHarnessOptions(
+        static_cast<int>(std::size(argv)), const_cast<char **>(argv),
+        kRunGridFlags, {countFlag("ops", ops, 1, "operations")});
+    EXPECT_EQ(opts.jobs, 5u);
+    EXPECT_EQ(opts.format, ReportFormat::Json);
+    EXPECT_EQ(opts.filter, "a,b");
+    EXPECT_EQ(opts.scale, 3u);
+    EXPECT_EQ(ops, 42u);
+    ExperimentOptions exp;
+    exp = opts.applyOverrides(exp);
+    EXPECT_EQ(exp.warmupAccesses, 1000u);
+    EXPECT_EQ(exp.measureAccesses, 2000u);
+
+    // An undeclared knob, a shared flag outside the declared set, a bad
+    // value and a positional each exit 2 with a located message.
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(parseArgs({"--jobs=2", "--ops=42"}),
+                testing::ExitedWithCode(2), "prog: unknown flag '--ops'");
+    const auto map_grid = [] {
+        char prog[] = "fig07";
+        char warmup[] = "--warmup=5";
+        char *args[] = {prog, warmup};
+        parseHarnessOptions(2, args, kMapGridFlags);
+    };
+    EXPECT_EXIT(map_grid(), testing::ExitedWithCode(2),
+                "fig07: unknown flag '--warmup'");
+    EXPECT_EXIT(parseArgs({"--jobs=10k"}), testing::ExitedWithCode(2),
+                "bad value in '--jobs=10k'");
+    EXPECT_EXIT(parseArgs({"--cost-model=mesh,warp"}),
+                testing::ExitedWithCode(2), "bad value in '--cost-model");
+    EXPECT_EXIT(parseArgs({"--format=xml"}), testing::ExitedWithCode(2),
+                "bad value in '--format=xml'");
+    EXPECT_EXIT(parseArgs({"--trace="}), testing::ExitedWithCode(2),
+                "bad value in '--trace='");
+    EXPECT_EXIT(parseArgs({"positional"}), testing::ExitedWithCode(2),
+                "unexpected argument 'positional'");
+    EXPECT_EXIT(parseArgs({"--trace=t", "--scenario=all"}),
+                testing::ExitedWithCode(2), "mutually exclusive");
+}
+
+TEST(CliFlags, ParsesTogglesChoicesAndPositionals)
+{
+    bool text = false;
+    std::string from;
+    std::uint64_t cores = 0;
+    const CliFlags cli{
+        "tool",
+        "<in> <out> [flags]",
+        {toggleFlag("text", text, "write text"),
+         choiceFlag<std::string>("from", from,
+                                 {{"native", "n"}, {"champsim", "c"}},
+                                 "dialect"),
+         countFlag("cores", cores, 1, "cores")}};
+    std::string storage[] = {"convert", "in", "--text", "--from=champsim",
+                             "out", "--cores=4"};
+    std::vector<char *> argv;
+    for (std::string &arg : storage)
+        argv.push_back(arg.data());
+    EXPECT_EQ(cli.parse(static_cast<int>(argv.size()), argv.data(), 2),
+              (std::vector<std::string>{"in", "out"}));
+    EXPECT_TRUE(text);
+    EXPECT_EQ(from, "c");
+    EXPECT_EQ(cores, 4u);
+    EXPECT_EQ(cli.count("17"), 17u);
+
+    const std::string usage = cli.usage();
+    EXPECT_NE(usage.find("usage: tool <in> <out> [flags]\n"),
+              std::string::npos);
+    EXPECT_NE(usage.find("  --text "), std::string::npos);
+    EXPECT_NE(usage.find("  --from=native|champsim "), std::string::npos);
+    EXPECT_NE(usage.find("  --cores=N "), std::string::npos);
+
+    const auto parse = [&](std::vector<std::string> args) {
+        args.insert(args.begin(), "convert");
+        std::vector<char *> ptrs;
+        for (std::string &arg : args)
+            ptrs.push_back(arg.data());
+        cli.parse(static_cast<int>(ptrs.size()), ptrs.data(), 2);
+    };
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(parse({"--text=1"}), testing::ExitedWithCode(2),
+                "tool: bad value in '--text=1'");
+    EXPECT_EXIT(parse({"--cores"}), testing::ExitedWithCode(2),
+                "bad value in '--cores'");
+    EXPECT_EXIT(parse({"--cores=0"}), testing::ExitedWithCode(2),
+                "bad value in '--cores=0'");
+    EXPECT_EXIT(parse({"--from=gem5"}), testing::ExitedWithCode(2),
+                "bad value in '--from=gem5'");
+    EXPECT_EXIT(parse({"a", "b", "c"}), testing::ExitedWithCode(2),
+                "unexpected argument 'c'");
+    EXPECT_EXIT(cli.count("-5"), testing::ExitedWithCode(2),
+                "bad value in '-5'");
+    EXPECT_EXIT(cli.count("0", 1), testing::ExitedWithCode(2),
+                "bad value in '0'");
 }
 
 TEST(HarnessCli, UnsignedFlagValuesParseWholeStringOnly)

@@ -23,7 +23,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <limits>
+#include <string_view>
 #include <string>
 #include <vector>
 
@@ -36,46 +37,6 @@ using namespace cdir;
 
 namespace {
 
-[[noreturn]] void
-usage(const char *why)
-{
-    if (why != nullptr && *why != '\0')
-        std::fprintf(stderr, "campaign_tool: %s\n", why);
-    std::fprintf(
-        stderr,
-        "usage:\n"
-        "  campaign_tool run    --manifest=M [--shard-dir=D] "
-        "[--range=A..B] [--jobs=N] [--workers=W]\n"
-        "  campaign_tool resume (alias of run)\n"
-        "  campaign_tool status --manifest=M [--shard-dir=D]\n"
-        "  campaign_tool merge  --manifest=M [--shard-dir=D] "
-        "[--out=FILE]\n"
-        "  campaign_tool local  --manifest=M [--jobs=N] [--out=FILE]\n"
-        "\n"
-        "  --manifest=M   campaign manifest written by a harness's\n"
-        "                 --campaign-manifest= flag (required)\n"
-        "  --shard-dir=D  result shard directory (default: M.shards)\n"
-        "  --range=A..B   run cells [A, B) of the manifest (default: "
-        "all)\n"
-        "  --jobs=N       worker threads per process (0 = hardware; "
-        "default 1)\n"
-        "  --workers=W    fork W child processes over disjoint "
-        "sub-ranges\n"
-        "  --out=FILE     write the results document to FILE "
-        "atomically\n"
-        "                 (default: stdout)\n");
-    std::exit(2);
-}
-
-std::uint64_t
-parseU64(const char *value, const char *arg)
-{
-    const std::optional<std::uint64_t> parsed = parseCliUnsigned(value);
-    if (!parsed)
-        usage(arg);
-    return *parsed;
-}
-
 struct Cli
 {
     std::string command;
@@ -83,46 +44,71 @@ struct Cli
     std::string shardDir;
     std::string outPath;
     std::size_t rangeBegin = 0;
-    std::size_t rangeEnd = 0; //!< 0 with rangeBegin==0 means "all"
-    bool rangeSet = false;
+    std::size_t rangeEnd = std::numeric_limits<std::size_t>::max();
     unsigned jobs = 1;
     unsigned workers = 0;
 };
 
+/** `--range=A..B`: cells [A, B) of the manifest. */
+CliFlag
+rangeFlag(Cli &cli)
+{
+    return {"range", "A..B", "run cells [A, B) of the manifest (default all)",
+            [&cli](const char *v) {
+                const std::string_view text = v;
+                const std::size_t dots = text.find("..");
+                if (dots == std::string_view::npos)
+                    return false;
+                const auto a = parseCliUnsigned(text.substr(0, dots));
+                const auto b = parseCliUnsigned(text.substr(dots + 2));
+                if (!a || !b || *b < *a)
+                    return false;
+                cli.rangeBegin = *a;
+                cli.rangeEnd = *b;
+                return true;
+            }};
+}
+
+/** Parse the subcommand's flag set; exits 2 on a bad command line. */
 Cli
 parseCli(int argc, char **argv)
 {
-    if (argc < 2)
-        usage("missing subcommand");
     Cli cli;
-    cli.command = argv[1];
-    for (int i = 2; i < argc; ++i) {
-        if (const char *v = cliFlagValue(argv[i], "manifest")) {
-            cli.manifestPath = v;
-        } else if (const char *v = cliFlagValue(argv[i], "shard-dir")) {
-            cli.shardDir = v;
-        } else if (const char *v = cliFlagValue(argv[i], "out")) {
-            cli.outPath = v;
-        } else if (const char *v = cliFlagValue(argv[i], "jobs")) {
-            cli.jobs = static_cast<unsigned>(parseU64(v, argv[i]));
-        } else if (const char *v = cliFlagValue(argv[i], "workers")) {
-            cli.workers = static_cast<unsigned>(parseU64(v, argv[i]));
-        } else if (const char *v = cliFlagValue(argv[i], "range")) {
-            const char *dots = std::strstr(v, "..");
-            if (dots == nullptr)
-                usage(argv[i]);
-            const std::string a(v, dots);
-            cli.rangeBegin = parseU64(a.c_str(), argv[i]);
-            cli.rangeEnd = parseU64(dots + 2, argv[i]);
-            if (cli.rangeEnd < cli.rangeBegin)
-                usage(argv[i]);
-            cli.rangeSet = true;
-        } else {
-            usage(argv[i]);
-        }
-    }
+    CliFlags flags{"campaign_tool",
+                   "run|resume|status|merge|local --manifest=M [flags]",
+                   {}};
+    cli.command = argc > 1 ? argv[1] : "";
+    const bool run = cli.command == "run" || cli.command == "resume";
+    const CliFlag manifest = textFlag(
+        "manifest", cli.manifestPath, "M",
+        "manifest written by a harness's --campaign-manifest=");
+    const CliFlag shard_dir = textFlag(
+        "shard-dir", cli.shardDir, "D",
+        "shard directory (default: the manifest path + .shards)");
+    const CliFlag jobs = countFlag(
+        "jobs", cli.jobs, 0,
+        "worker threads per process (0 = hardware; default 1)");
+    const CliFlag out = textFlag(
+        "out", cli.outPath, "FILE",
+        "write the results to FILE atomically (default stdout)");
+    if (run)
+        flags.flags = {manifest, shard_dir, rangeFlag(cli), jobs,
+                       countFlag("workers", cli.workers, 0,
+                                 "fork W child processes over disjoint "
+                                 "sub-ranges")};
+    else if (cli.command == "status")
+        flags.flags = {manifest, shard_dir};
+    else if (cli.command == "merge")
+        flags.flags = {manifest, shard_dir, out};
+    else if (cli.command == "local")
+        flags.flags = {manifest, jobs, out};
+    else
+        flags.fail(cli.command.empty()
+                       ? "missing subcommand"
+                       : "unknown subcommand '" + cli.command + "'");
+    flags.parse(argc - 1, argv + 1);
     if (cli.manifestPath.empty())
-        usage("--manifest= is required");
+        flags.fail("--manifest= is required");
     if (cli.shardDir.empty())
         cli.shardDir = campaignShardDir(cli.manifestPath);
     return cli;
@@ -144,12 +130,13 @@ runRange(const CampaignManifest &manifest, const Cli &cli,
 int
 cmdRun(const CampaignManifest &manifest, const Cli &cli)
 {
-    const std::size_t begin = cli.rangeSet ? cli.rangeBegin : 0;
-    const std::size_t end =
-        cli.rangeSet ? std::min(cli.rangeEnd, manifest.cells.size())
-                     : manifest.cells.size();
-    if (begin > manifest.cells.size())
-        usage("--range begins past the end of the manifest");
+    const std::size_t begin = cli.rangeBegin;
+    const std::size_t end = std::min(cli.rangeEnd, manifest.cells.size());
+    if (begin > manifest.cells.size()) {
+        std::fprintf(stderr, "campaign_tool: --range begins past the end "
+                             "of the manifest\n");
+        return 2;
+    }
 
     if (cli.workers <= 1)
         return runRange(manifest, cli, begin, end);
@@ -251,13 +238,11 @@ main(int argc, char **argv)
     try {
         const CampaignManifest manifest =
             readCampaignManifest(cli.manifestPath);
-        if (cli.command == "run" || cli.command == "resume")
-            return cmdRun(manifest, cli);
         if (cli.command == "status")
             return cmdStatus(manifest, cli);
         if (cli.command == "merge" || cli.command == "local")
             return cmdResults(manifest, cli);
-        usage(("unknown subcommand '" + cli.command + "'").c_str());
+        return cmdRun(manifest, cli);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "campaign_tool: %s\n", e.what());
         return 1;

@@ -24,13 +24,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <initializer_list>
 #include <memory>
 #include <string>
+#include <vector>
 
-#include "model/cost_model.hh"
 #include "sim/sweep.hh"
 #include "workload/feedback.hh"
 #include "workload/fleet.hh"
@@ -40,68 +37,12 @@ using namespace cdir;
 
 namespace {
 
-int
-usage(const char *error = nullptr)
-{
-    if (error)
-        std::fprintf(stderr, "trace_tool: %s\n\n", error);
-    std::fprintf(
-        stderr,
-        "usage:\n"
-        "  trace_tool record <preset> <out> [--accesses=N] [--cores=N]\n"
-        "             [--seed=N] [--private-l2] [--text]\n"
-        "             [--code-blocks=N] [--shared-blocks=N]\n"
-        "             [--private-blocks=N]\n"
-        "      preset: a Table 2 label (DB2, Oracle, Qry2, Qry16, Qry17,\n"
-        "      Apache, Zeus, em3d, ocean), 'synthetic' (defaults), a\n"
-        "      'fleet:...' multi-tenant spec, a scenario preset, or a\n"
-        "      scenario file. Closed-loop specs (slo-ramp:, scenarios\n"
-        "      with 'until' triggers) are rejected: record runs no\n"
-        "      system, so there is no feedback to steer on.\n"
-        "      The --*-blocks flags shrink footprints for tiny fixture\n"
-        "      traces. Default format is binary; --text writes lines.\n"
-        "  trace_tool replay <trace> [--cores=N] [--private-l2]\n"
-        "             [--org=NAME] [--ways=N] [--sets=N] [--warmup=N]\n"
-        "             [--measure=N] [--cost-model=NAME]\n"
-        "             [--format=table|csv|json]\n"
-        "      runExperiment over the trace: warmup (stats discarded),\n"
-        "      then measure; reports the directory metrics. Defaults\n"
-        "      warmup=2000000 measure=2000000 (--warmup=0 = none); a\n"
-        "      trace shorter than warmup+measure simply ends early.\n"
-        "      --cost-model=fixed|mesh times every directory access and\n"
-        "      adds latency percentile rows (p50/p99/p99.9, in cycles).\n"
-        "  trace_tool info <trace>\n"
-        "      format, record count, per-op and per-core census.\n"
-        "  trace_tool convert <in> <out> [--text] [--from=champsim]\n"
-        "             [--cores=N]\n"
-        "      lossless re-encode; output is binary unless --text.\n"
-        "      --from=champsim imports ChampSim-style external text\n"
-        "      (one '<block-addr-hex> <core> <r|w|i>' per line; 0x\n"
-        "      prefixes accepted); --cores=N rejects out-of-range core\n"
-        "      ids at conversion time. Strict: a malformed input record\n"
-        "      aborts the conversion with its line number.\n");
-    return 2;
-}
-
-bool
-parseU64(const char *value, std::uint64_t &out)
-{
-    const std::optional<std::uint64_t> parsed = parseCliUnsigned(value);
-    if (parsed)
-        out = *parsed;
-    return parsed.has_value();
-}
-
-/** Sentinel for "flag not given" where 0 is a meaningful value. */
-constexpr std::uint64_t kUnset = ~std::uint64_t{0};
-
 struct CommonFlags
 {
     std::uint64_t accesses = 1'000'000;
     std::uint64_t cores = 16;
+    std::uint64_t checkCores = 0;     // convert: 0 = no core-id bound
     std::uint64_t seed = 0;           // 0 = preset default
-    std::uint64_t warmup = kUnset;    // unset = ExperimentOptions default
-    std::uint64_t measure = kUnset;
     std::uint64_t ways = 0;           // 0 = organization default
     std::uint64_t sets = 0;
     std::uint64_t codeBlocks = 0;     // 0 = preset footprint
@@ -109,96 +50,59 @@ struct CommonFlags
     std::uint64_t privateBlocks = 0;
     bool privateL2 = false;
     bool text = false;
-    std::string from;                 // convert input dialect ("" = native)
-    std::string costModel;            // "" = untimed
+    bool champsim = false;            // convert input dialect
     std::string organization = "Cuckoo";
+    ExperimentOptions experiment;     // replay run lengths and cost model
     ReportFormat format = ReportFormat::Table;
-    bool coresGiven = false;          // --cores= was on the command line
 };
 
-/**
- * Parse the subcommand's flags; @return false on a malformed value, an
- * unknown flag, or a flag that exists but does not apply to this
- * subcommand (silently swallowing e.g. `record --warmup=` would let the
- * user believe it had an effect).
- */
-bool
-parseFlags(int argc, char **argv, int first,
-           std::initializer_list<const char *> allowed, CommonFlags &flags)
+/** The flag set of subcommand @p command, stored into @p f. */
+std::vector<CliFlag>
+commandFlags(const std::string &command, CommonFlags &f)
 {
-    for (int i = first; i < argc; ++i) {
-        const char *arg = argv[i];
-        const char *name = nullptr; //!< which known flag matched
-        const char *v = nullptr;
-        bool ok = true;
-        if ((v = cliFlagValue(arg, name = "accesses"))) {
-            ok = parseU64(v, flags.accesses) && flags.accesses != 0;
-        } else if ((v = cliFlagValue(arg, name = "cores"))) {
-            ok = parseU64(v, flags.cores) && flags.cores != 0;
-            flags.coresGiven = true;
-        } else if ((v = cliFlagValue(arg, name = "seed"))) {
-            ok = parseU64(v, flags.seed);
-        } else if ((v = cliFlagValue(arg, name = "warmup"))) {
-            ok = parseU64(v, flags.warmup);
-        } else if ((v = cliFlagValue(arg, name = "measure"))) {
-            ok = parseU64(v, flags.measure);
-        } else if ((v = cliFlagValue(arg, name = "ways"))) {
-            ok = parseU64(v, flags.ways) && flags.ways != 0;
-        } else if ((v = cliFlagValue(arg, name = "sets"))) {
-            ok = parseU64(v, flags.sets) && flags.sets != 0;
-        } else if ((v = cliFlagValue(arg, name = "code-blocks"))) {
-            ok = parseU64(v, flags.codeBlocks) && flags.codeBlocks != 0;
-        } else if ((v = cliFlagValue(arg, name = "shared-blocks"))) {
-            ok = parseU64(v, flags.sharedBlocks) &&
-                 flags.sharedBlocks != 0;
-        } else if ((v = cliFlagValue(arg, name = "private-blocks"))) {
-            ok = parseU64(v, flags.privateBlocks) &&
-                 flags.privateBlocks != 0;
-        } else if ((v = cliFlagValue(arg, name = "org"))) {
-            flags.organization = v;
-        } else if ((v = cliFlagValue(arg, name = "cost-model"))) {
-            flags.costModel = v;
-            ok = isCostModelName(flags.costModel);
-        } else if ((v = cliFlagValue(arg, name = "from"))) {
-            flags.from = v;
-            ok = flags.from == "champsim" || flags.from == "native";
-        } else if ((v = cliFlagValue(arg, name = "format"))) {
-            if (std::strcmp(v, "table") == 0)
-                flags.format = ReportFormat::Table;
-            else if (std::strcmp(v, "csv") == 0)
-                flags.format = ReportFormat::Csv;
-            else if (std::strcmp(v, "json") == 0)
-                flags.format = ReportFormat::Json;
-            else
-                ok = false;
-        } else if (std::strcmp(arg, "--private-l2") == 0) {
-            name = "private-l2";
-            flags.privateL2 = true;
-        } else if (std::strcmp(arg, "--text") == 0) {
-            name = "text";
-            flags.text = true;
-        } else {
-            std::fprintf(stderr, "trace_tool: unknown flag '%s'\n", arg);
-            return false;
-        }
-        if (!ok) {
-            std::fprintf(stderr, "trace_tool: bad value in '%s'\n", arg);
-            return false;
-        }
-        const bool applies =
-            std::find_if(allowed.begin(), allowed.end(),
-                         [&](const char *a) {
-                             return std::strcmp(a, name) == 0;
-                         }) != allowed.end();
-        if (!applies) {
-            std::fprintf(stderr,
-                         "trace_tool: --%s does not apply to the '%s' "
-                         "subcommand\n",
-                         name, argv[1]);
-            return false;
-        }
-    }
-    return true;
+    const CliFlag cores =
+        countFlag("cores", f.cores, 1, "cores of the CMP (default 16)");
+    const CliFlag private_l2 = toggleFlag(
+        "private-l2", f.privateL2, "the Private-L2 configuration");
+    const CliFlag text = toggleFlag(
+        "text", f.text, "write the line format (default binary)");
+    if (command == "record")
+        return {countFlag("accesses", f.accesses, 1,
+                          "accesses to record (default 1000000)"),
+                cores,
+                countFlag("seed", f.seed, 0,
+                          "workload seed (default: the preset's)"),
+                private_l2,
+                text,
+                countFlag("code-blocks", f.codeBlocks, 1,
+                          "code footprint in blocks (tiny fixtures)"),
+                countFlag("shared-blocks", f.sharedBlocks, 1,
+                          "shared-data footprint in blocks"),
+                countFlag("private-blocks", f.privateBlocks, 1,
+                          "per-core private footprint in blocks")};
+    if (command == "replay")
+        return {cores,
+                private_l2,
+                textFlag("org", f.organization, "NAME",
+                         "directory organization (default Cuckoo)"),
+                countFlag("ways", f.ways, 1, "directory ways per slice"),
+                countFlag("sets", f.sets, 1, "directory sets per way"),
+                countFlag("warmup", f.experiment.warmupAccesses, 0,
+                          "warmup accesses, stats discarded (default "
+                          "2000000)"),
+                countFlag("measure", f.experiment.measureAccesses, 0,
+                          "measured accesses (default 2000000)"),
+                costModelFlag(f.experiment.costModel),
+                formatFlag(f.format)};
+    if (command == "convert")
+        return {text,
+                choiceFlag<bool>("from", f.champsim,
+                                 {{"native", false}, {"champsim", true}},
+                                 "input dialect; champsim reads "
+                                 "'<addr> <core> <r|w|i>'"),
+                countFlag("cores", f.checkCores, 1,
+                          "reject core ids >= N at conversion time")};
+    return {};
 }
 
 /** Resolve a preset label to WorkloadParams; @return false if unknown. */
@@ -228,28 +132,19 @@ presetParams(const std::string &preset, const CommonFlags &flags,
 }
 
 int
-cmdRecord(int argc, char **argv)
+cmdRecord(const std::vector<std::string> &args, const CommonFlags &flags)
 {
-    if (argc < 4)
-        return usage("record needs <preset> and <out>");
-    CommonFlags flags;
-    if (!parseFlags(argc, argv, 4,
-                    {"accesses", "cores", "seed", "private-l2", "text",
-                     "code-blocks", "shared-blocks", "private-blocks"},
-                    flags))
-        return usage();
     WorkloadParams params;
     std::unique_ptr<AccessSource> dynamic;
-    if (!presetParams(argv[2], flags, params)) {
+    if (!presetParams(args[0], flags, params)) {
         // Not a Table 2 preset: try the dynamic-workload grammar
-        // (fleet:/slo-ramp: specs, scenario presets, scenario files).
+        // (fleet:/slo-ramp: specs, scenario presets, scenario files),
+        // whose own error is the whole story.
         try {
-            dynamic = makeDynamicSource(argv[2], flags.cores);
+            dynamic = makeDynamicSource(args[0], flags.cores);
         } catch (const std::exception &e) {
             std::fprintf(stderr, "trace_tool: %s\n", e.what());
-            return usage(
-                "unknown preset (try DB2, ocean, ..., synthetic, a "
-                "fleet:/slo-ramp: spec, or a scenario)");
+            return 2;
         }
         // A closed-loop source steers on live system metrics; recording
         // runs no system, so there is nothing to feed back from and the
@@ -266,17 +161,17 @@ cmdRecord(int argc, char **argv)
                 "without the ramp), or capture the closed-loop run "
                 "in-process with TraceRecorder while a CmpSystem drives "
                 "it (see tests/feedback_test.cc)\n",
-                argv[2]);
+                args[0].c_str());
             return 2;
         }
-        params.name = argv[2];
+        params.name = args[0];
         params.numCores = flags.cores;
     }
 
     SyntheticSource synthetic(params);
     AccessSource &source = dynamic ? *dynamic : synthetic;
     const std::unique_ptr<TraceSink> sink =
-        makeTraceSink(argv[3], !flags.text);
+        makeTraceSink(args[1], !flags.text);
     TraceRecorder recorder(source, *sink);
     for (std::uint64_t i = 0;
          i < flags.accesses && !recorder.exhausted(); ++i)
@@ -286,24 +181,14 @@ cmdRecord(int argc, char **argv)
                 "to %s [%s]\n",
                 static_cast<unsigned long long>(sink->recordsWritten()),
                 params.name.c_str(), params.numCores,
-                static_cast<unsigned long long>(params.seed), argv[3],
-                flags.text ? "text" : "binary");
+                static_cast<unsigned long long>(params.seed),
+                args[1].c_str(), flags.text ? "text" : "binary");
     return 0;
 }
 
 int
-cmdReplay(int argc, char **argv)
+cmdReplay(const std::vector<std::string> &args, const CommonFlags &flags)
 {
-    if (argc < 3)
-        return usage("replay needs a trace file");
-    CommonFlags flags;
-    if (!parseFlags(argc, argv, 3,
-                    {"cores", "private-l2", "org", "ways", "sets",
-                     "warmup", "measure", "cost-model",
-                     "format"},
-                    flags))
-        return usage();
-
     CmpConfig config = CmpConfig::paperConfig(
         flags.privateL2 ? CmpConfigKind::PrivateL2
                         : CmpConfigKind::SharedL2,
@@ -314,15 +199,9 @@ cmdReplay(int argc, char **argv)
     if (flags.sets != 0)
         config.directory.sets = flags.sets;
 
-    ExperimentOptions options;
-    if (flags.warmup != kUnset)
-        options.warmupAccesses = flags.warmup; // --warmup=0 is honoured
-    if (flags.measure != kUnset)
-        options.measureAccesses = flags.measure;
-    options.costModel = flags.costModel;
-
+    const ExperimentOptions &options = flags.experiment;
     const ExperimentResult result = runExperiment(
-        config, traceWorkloadParams(argv[2]), options);
+        config, traceWorkloadParams(args[0]), options);
     if (result.system.accesses == 0)
         std::fprintf(stderr,
                      "trace_tool: warning: the trace was exhausted "
@@ -377,14 +256,9 @@ cmdReplay(int argc, char **argv)
 }
 
 int
-cmdInfo(int argc, char **argv)
+cmdInfo(const std::vector<std::string> &args, const CommonFlags &)
 {
-    if (argc < 3)
-        return usage("info needs a trace file");
-    CommonFlags flags;
-    if (!parseFlags(argc, argv, 3, {}, flags))
-        return usage();
-    const std::string path = argv[2];
+    const std::string &path = args[0];
     const bool binary = traceFileIsBinary(path);
 
     std::uint64_t reads = 0, writes = 0, ifetches = 0;
@@ -448,26 +322,19 @@ cmdInfo(int argc, char **argv)
 }
 
 int
-cmdConvert(int argc, char **argv)
+cmdConvert(const std::vector<std::string> &args, const CommonFlags &flags)
 {
-    if (argc < 4)
-        return usage("convert needs <in> and <out>");
-    CommonFlags flags;
-    if (!parseFlags(argc, argv, 4, {"text", "from", "cores"}, flags))
-        return usage();
-
     // Strict: a malformed input record aborts the conversion instead
     // of being silently dropped from a "lossless" re-encode. Errors
     // carry the line number (text dialects) / byte offset (binary).
-    const TraceReadOptions read_opts{
-        flags.coresGiven ? flags.cores : 0, /*strict=*/true};
+    const TraceReadOptions read_opts{flags.checkCores, /*strict=*/true};
     std::unique_ptr<AccessSource> reader;
-    if (flags.from == "champsim")
-        reader = std::make_unique<ChampSimTraceReader>(argv[2], read_opts);
+    if (flags.champsim)
+        reader = std::make_unique<ChampSimTraceReader>(args[0], read_opts);
     else
-        reader = makeTraceReader(argv[2], read_opts);
+        reader = makeTraceReader(args[0], read_opts);
     const std::unique_ptr<TraceSink> sink =
-        makeTraceSink(argv[3], !flags.text);
+        makeTraceSink(args[1], !flags.text);
     std::uint64_t records = 0;
     while (!reader->exhausted()) {
         sink->write(reader->next());
@@ -475,31 +342,80 @@ cmdConvert(int argc, char **argv)
     }
     sink->close();
     std::printf("converted %llu records: %s -> %s [%s]\n",
-                static_cast<unsigned long long>(records), argv[2],
-                argv[3], flags.text ? "text" : "binary");
+                static_cast<unsigned long long>(records), args[0].c_str(),
+                args[1].c_str(), flags.text ? "text" : "binary");
     return 0;
 }
+
+/** A subcommand: its usage synopsis, positional count and body. */
+struct Command
+{
+    const char *name;
+    const char *synopsis;
+    std::size_t args;
+    int (*run)(const std::vector<std::string> &, const CommonFlags &);
+};
+
+const Command kCommands[] = {
+    {"record",
+     "record <preset> <out> [flags]\n"
+     "  Generate a trace. preset: a Table 2 label (DB2, Oracle, Qry2,\n"
+     "  Qry16, Qry17, Apache, Zeus, em3d, ocean), 'synthetic', a\n"
+     "  'fleet:...' spec, a scenario preset, or a scenario file.\n"
+     "  Closed-loop specs (slo-ramp:, scenarios with 'until' triggers)\n"
+     "  are rejected: record runs no system to steer on.",
+     2, cmdRecord},
+    {"replay",
+     "replay <trace> [flags]\n"
+     "  runExperiment over the trace: warmup (stats discarded), then\n"
+     "  measure; a trace shorter than warmup+measure ends early.",
+     1, cmdReplay},
+    {"info", "info <trace>\n  Format, record count, per-op and per-core "
+             "census.",
+     1, cmdInfo},
+    {"convert",
+     "convert <in> <out> [flags]\n"
+     "  Lossless re-encode; a malformed input record aborts the\n"
+     "  conversion with its line number.",
+     2, cmdConvert},
+};
 
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
-        return usage();
-    const std::string command = argv[1];
+    const std::string command = argc > 1 ? argv[1] : "";
+    const Command *cmd = nullptr;
+    for (const Command &c : kCommands)
+        if (command == c.name)
+            cmd = &c;
+    if (cmd == nullptr) {
+        std::fprintf(stderr, "trace_tool: %s\n",
+                     command.empty()
+                         ? "missing subcommand"
+                         : ("unknown subcommand '" + command + "'").c_str());
+        for (const Command &c : kCommands) {
+            CommonFlags unused;
+            std::fprintf(stderr, "%s",
+                         CliFlags{"trace_tool", c.synopsis,
+                                  commandFlags(c.name, unused)}
+                             .usage()
+                             .c_str());
+        }
+        return 2;
+    }
+    CommonFlags flags;
+    const CliFlags cli{"trace_tool", cmd->synopsis,
+                       commandFlags(command, flags)};
+    const std::vector<std::string> args =
+        cli.parse(argc - 1, argv + 1, cmd->args);
+    if (args.size() < cmd->args)
+        cli.fail("missing arguments");
     try {
-        if (command == "record")
-            return cmdRecord(argc, argv);
-        if (command == "replay")
-            return cmdReplay(argc, argv);
-        if (command == "info")
-            return cmdInfo(argc, argv);
-        if (command == "convert")
-            return cmdConvert(argc, argv);
+        return cmd->run(args, flags);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "trace_tool: %s\n", e.what());
         return 1;
     }
-    return usage("unknown subcommand");
 }
