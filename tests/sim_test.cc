@@ -5,8 +5,9 @@
  * retirement, forced invalidations), the directory-covers-caches
  * inclusion invariant under random load for every organization,
  * rejection of mis-sized configurations, system-level equality of the
- * memory-lean sharer formats with the full vector at 256 cores, and the
- * experiment driver.
+ * memory-lean sharer formats with the full vector at 256 cores, the
+ * experiment driver, and the pinned footprint of the benchmark
+ * configurations.
  */
 
 #include <gtest/gtest.h>
@@ -14,8 +15,10 @@
 #include <stdexcept>
 #include <string>
 
+#include "model/cost_model.hh"
 #include "sim/cmp_system.hh"
 #include "sim/experiment.hh"
+#include "workload/fleet.hh"
 
 namespace cdir {
 namespace {
@@ -462,6 +465,47 @@ TEST(Experiment, DeterministicAcrossRuns)
     EXPECT_EQ(a.directory.insertions, b.directory.insertions);
     EXPECT_EQ(a.directory.forcedEvictions, b.directory.forcedEvictions);
     EXPECT_DOUBLE_EQ(a.avgOccupancy, b.avgOccupancy);
+}
+
+TEST(CmpSystemFootprint, EstimatedBytesPinnedToParent)
+{
+    // The benchmark's est_mem_mb and the campaign results digest both
+    // read estimatedMemoryBytes(); where the host puts a system's arrays
+    // must not move it. The two gated benchmark configurations, built
+    // as perfbench builds them, after a fixed short run.
+    struct Case
+    {
+        const char *name;
+        CmpConfig config;
+        WorkloadParams params;
+        std::string costModel;
+        std::size_t bytes;
+    };
+    CmpConfig oltp = CmpConfig::paperConfig(CmpConfigKind::SharedL2);
+    oltp.directory = cuckooSliceParams(4, 512);
+    CmpConfig fleet = CmpConfig::paperConfig(CmpConfigKind::SharedL2);
+    fleet.directory = sparseSliceParams(8, 512);
+    fleet.batchWindow = 64;
+    const Case cases[] = {
+        {"oltp16", oltp,
+         paperWorkloadParams(PaperWorkload::OltpDb2, false, 16), "mesh",
+         1318600},
+        {"fleet16-sparse", fleet,
+         dynamicWorkloadParams(
+             "fleet:tenants=16:blocks=8192:churn=200000:storm=500000"),
+         "", 2629448},
+    };
+    for (const Case &c : cases) {
+        CmpSystem sys(c.config);
+        std::unique_ptr<CostModel> costs;
+        if (!c.costModel.empty()) {
+            costs = makeCostModel(c.costModel, c.config);
+            sys.setCostModel(costs.get());
+        }
+        const auto source = makeWorkloadSource(c.config, c.params);
+        sys.run(*source, 200000);
+        EXPECT_EQ(sys.estimatedMemoryBytes(), c.bytes) << c.name;
+    }
 }
 
 } // namespace
