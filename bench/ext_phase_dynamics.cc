@@ -21,7 +21,8 @@
  *   $ ./ext_phase_dynamics --series-json=series.json --cost-model=mesh
  *
  * Shared flags apply (--jobs/--format/--filter/--scale/--warmup/
- * --measure/--scenario/--probe-every/--cost-model); --interval=N sets
+ * --measure/--scenario/--probe-every); --cost-model=M times every cell
+ * under one cost model (a list is rejected); --interval=N sets
  * the telemetry window (in accesses); --series-json=PATH additionally
  * exports the raw per-window series as structured JSON ('-' =
  * stdout), for plotting pipelines that should not scrape the report
@@ -111,10 +112,11 @@ main(int argc, char **argv)
 {
     std::uint64_t interval = 50'000;
     std::string series_json;
+    std::string cost_model; // tables are not split by model: one name
     const HarnessOptions cli = parseHarnessOptions(
-        argc, argv,
-        kRunGridFlags | kScenarioFlag | kProbeEveryFlag | kCostModelFlag,
-        {countFlag("interval", interval, 1,
+        argc, argv, kRunGridFlags | kScenarioFlag | kProbeEveryFlag,
+        {costModelFlag(cost_model),
+         countFlag("interval", interval, 1,
                    "telemetry window in accesses (default 50000)"),
          textFlag("series-json", series_json, "PATH",
                   "also write the per-window series as JSON ('-' = "
@@ -141,6 +143,7 @@ main(int argc, char **argv)
     opts.measureAccesses = 1'500'000 * cli.scale;
     opts.occupancySampleEvery = 10'000;
     opts = cli.applyOverrides(opts);
+    opts.costModel = cost_model;
     opts.intervalAccesses = interval;
 
     // One spec per scenario, each carrying the full organization axis;

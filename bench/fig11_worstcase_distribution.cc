@@ -12,6 +12,7 @@
  */
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "sim_common.hh"
@@ -23,10 +24,12 @@ namespace {
 
 SweepSpec
 worstCase(CmpConfigKind kind, PaperWorkload workload,
-          const HarnessOptions &cli)
+          const HarnessOptions &cli, const std::string &cost_model)
 {
+    ExperimentOptions opts = cli.applyOverrides(optionsFor(kind, cli.scale));
+    opts.costModel = cost_model;
     SweepSpec spec;
-    spec.options("", cli.applyOverrides(optionsFor(kind, cli.scale)));
+    spec.options("", opts);
     spec.workload(paperWorkloadName(workload),
                   paperWorkloadParams(workload,
                                       kind == CmpConfigKind::PrivateL2));
@@ -40,16 +43,20 @@ worstCase(CmpConfigKind kind, PaperWorkload workload,
 int
 main(int argc, char **argv)
 {
+    // Each worst case is one cell: --cost-model= takes one name.
+    std::string cost_model;
     const HarnessOptions cli = parseHarnessOptions(
-        argc, argv, kRunGridFlags | kCostModelFlag);
+        argc, argv, kRunGridFlags, {costModelFlag(cost_model)});
     const SweepRunner runner(cli.sweep());
 
     // Both worst cases form one two-cell grid; map() runs the two
     // single-cell specs concurrently when --jobs >= 2 (each inner
     // runner is serial but keeps the CLI filter).
     const SweepSpec specs[] = {
-        worstCase(CmpConfigKind::SharedL2, PaperWorkload::OltpOracle, cli),
-        worstCase(CmpConfigKind::PrivateL2, PaperWorkload::SciOcean, cli),
+        worstCase(CmpConfigKind::SharedL2, PaperWorkload::OltpOracle, cli,
+                  cost_model),
+        worstCase(CmpConfigKind::PrivateL2, PaperWorkload::SciOcean, cli,
+                  cost_model),
     };
     const SweepRunner cellRunner(SweepOptions{1, cli.filter});
     const auto results = runner.map<std::vector<SweepRecord>>(

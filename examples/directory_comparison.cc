@@ -19,10 +19,12 @@ using namespace cdir;
 int
 main(int argc, char **argv)
 {
+    // One row per organization, none per cost model: --cost-model=
+    // takes one name.
     HarnessOptions cli;
-    CliFlags flags =
-        harnessFlags(argv[0], cli,
-                     (kRunGridFlags & ~kScaleFlag) | kCostModelFlag);
+    std::string cost_model;
+    CliFlags flags = harnessFlags(argv[0], cli, kRunGridFlags & ~kScaleFlag,
+                                  {costModelFlag(cost_model)});
     flags.synopsis = "[workload] [flags]";
     PaperWorkload chosen = PaperWorkload::WebApache;
     for (const std::string &name : flags.parse(argc, argv, 1)) {
@@ -59,6 +61,7 @@ main(int argc, char **argv)
     ExperimentOptions opts;
     opts.warmupAccesses = 500'000;
     opts.measureAccesses = 500'000;
+    opts.costModel = cost_model;
 
     SweepSpec spec;
     spec.options("", cli.applyOverrides(opts));

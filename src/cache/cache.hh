@@ -15,7 +15,10 @@
  * and dirty bit — touches one host line per set (a 2-way set is 32 B,
  * a 4-way set exactly one line). An empty frame holds kVacantTag. The
  * stamp is the frame's last-use time with the dirty bit folded into its
- * top bit; LRU compares stamps with that bit masked off.
+ * top bit; LRU compares stamps with that bit masked off. A cache built
+ * by a CmpSystem carves its frame array from the system's huge-page
+ * arena (common/arena.hh), so a run's random set reads stay within a
+ * few TLB entries.
  */
 
 #ifndef CDIR_CACHE_CACHE_HH

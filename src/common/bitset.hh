@@ -26,6 +26,8 @@
 #include <new>
 #include <vector>
 
+#include "common/arena.hh"
+
 namespace cdir {
 
 /**
@@ -33,14 +35,17 @@ namespace cdir {
  * std::vector's value semantics while making every word buffer start on
  * a cache-line boundary.
  *
- * It over-allocates by @p Align from plain operator new and keeps the
- * raw pointer just below the aligned block. glibc's aligned allocation
- * instead asks the heap for the size plus worst-case padding, so a
- * freed buffer is too small to serve the same request again unless it
- * coalesces with a free neighbour; a program that rebuilds systems
- * (every sweep cell, every benchmark repetition) then grows its heap by
- * about one system per rebuild. An over-allocated block is an exact fit
- * for its successor.
+ * While an ArenaScope is open on the calling thread (a CmpSystem under
+ * construction), blocks are carved from that scope's huge-page arena
+ * (common/arena.hh); the word just below an arena block tags it, and
+ * deallocate hands it back to its arena. Otherwise the allocator
+ * over-allocates by @p Align from plain operator new and keeps the raw
+ * pointer in that word. glibc's aligned allocation instead asks the
+ * heap for the size plus worst-case padding, so a freed buffer is too
+ * small to serve the same request again unless it coalesces with a free
+ * neighbour; a program that rebuilds systems (every sweep cell, every
+ * benchmark repetition) then grows its heap by about one system per
+ * rebuild. An over-allocated block is an exact fit for its successor.
  */
 template <typename T, std::size_t Align>
 struct AlignedAllocator
@@ -65,6 +70,8 @@ struct AlignedAllocator
     {
         if (n > (SIZE_MAX - Align) / sizeof(T))
             throw std::bad_array_new_length{};
+        if (void *block = arenaAllocate(n * sizeof(T), Align))
+            return static_cast<T *>(block);
         // operator new's result is at least pointer-aligned, so the
         // first multiple of Align above it leaves room for the pointer.
         void *raw = ::operator new(n * sizeof(T) + Align);
@@ -76,8 +83,10 @@ struct AlignedAllocator
     }
 
     void
-    deallocate(T *p, std::size_t) noexcept
+    deallocate(T *p, std::size_t n) noexcept
     {
+        if (arenaRelease(p, n * sizeof(T)))
+            return;
         void *raw;
         std::memcpy(&raw, reinterpret_cast<const char *>(p) - sizeof raw,
                     sizeof raw);

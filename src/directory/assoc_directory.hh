@@ -12,11 +12,13 @@
  * way, which breaks *direct* conflicts but not transitive ones (§4).
  *
  * Tags, LRU stamps, and sharer sets live in parallel 64-byte-aligned
- * SoA arrays; an empty entry holds kVacantTag in the tag lane, so a
- * probe reads tag words only. The stride is chosen per hash kind:
- * Modulo indexing means every way probes the same set, so storage is
- * set-major (pos = idx*ways + w) and one probe's candidates are a single
- * contiguous run — an 8-way set's tags are exactly one host cache line.
+ * SoA arrays, carved inside a CmpSystem from the system's huge-page
+ * arena (common/arena.hh); an empty entry holds kVacantTag in the tag
+ * lane, so a probe reads tag words only. The stride is chosen per hash
+ * kind: Modulo indexing means every way probes the same set, so storage
+ * is set-major (pos = idx*ways + w) and one probe's candidates are a
+ * single contiguous run — an 8-way set's tags are exactly one host
+ * cache line.
  * Skewing/Strong indexing disperses the ways, so storage is way-major
  * (pos = w*sets + idx) and probes gather the candidates before reducing
  * them with the match-mask kernel.

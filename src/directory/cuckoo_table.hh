@@ -31,7 +31,9 @@
  * them with the branchless match-mask kernel — the software analogue of
  * the parallel way comparators the paper's hardware fires. Callers that
  * probe and then insert (a directory miss) compute the indices once and
- * pass them to both findPos() and insert().
+ * pass them to both findPos() and insert(). Inside a CmpSystem the slot
+ * array is carved from the system's huge-page arena (common/arena.hh),
+ * so the d random lines of a probe seldom miss the TLB.
  *
  * The payload type only needs to be movable and default-constructible.
  */

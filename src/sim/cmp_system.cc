@@ -3,6 +3,7 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "common/arena.hh"
 #include "common/bit_util.hh"
 #include "directory/registry.hh"
 #include "model/cost_model.hh"
@@ -29,6 +30,7 @@ CmpConfig::paperConfig(CmpConfigKind kind, std::size_t cores)
 
 CmpSystem::CmpSystem(const CmpConfig &config) : cfg(config)
 {
+    const ArenaScope arena; // every line-aligned array below: huge pages
     if (cfg.numSlices == 0 || !isPowerOfTwo(cfg.numSlices))
         throw std::invalid_argument(
             "CmpConfig: numSlices must be a power of two (got " +

@@ -16,12 +16,22 @@
  *    allocation-free for every organization (the redesign's headline
  *    guarantee), including every sharer format once sets spill past
  *    64 caches, and building a system must not allocate per entry or
- *    per batch-window slot, nor strand heap when it is rebuilt.
+ *    per batch-window slot, nor strand heap or arena pages when it is
+ *    rebuilt;
+ *  - a system's line-aligned arrays live in one huge-page-advised arena
+ *    (common/arena.hh) that returns to its pool however the system
+ *    ends, with colour-staggered carves and, under AddressSanitizer,
+ *    poisoned bytes past every carve.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <set>
+#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #if defined(__GLIBC__)
@@ -29,6 +39,7 @@
 #endif
 
 #include "common/alloc_counter.hh"
+#include "common/arena.hh"
 #include "common/bit_util.hh"
 #include "common/rng.hh"
 #include "dir_test_util.hh"
@@ -650,6 +661,221 @@ TEST(BatchAccess, ConstructionAllocationsDoNotScaleWithWindow)
     EXPECT_EQ(allocationsFor(std::size_t{1} << 24), allocationsFor(1));
 }
 
+// --- huge-page arenas ------------------------------------------------------
+
+/** True iff every arena is back in the pool with no live carve. */
+bool
+everyArenaPooled()
+{
+    for (const ArenaInfo &a : arenaSnapshot())
+        if (!a.pooled || a.liveBytes != 0)
+            return false;
+    return true;
+}
+
+/** True iff this host maps huge-page arenas (else scopes use the heap). */
+bool
+arenasAvailable()
+{
+    const ArenaScope scope;
+    const LineAlignedVector<std::uint64_t> probe(1);
+    return arenaOwns(probe.data());
+}
+
+/** The /proc/self/smaps mapping holding @p addr: its range and flags. */
+struct Mapping
+{
+    std::uintptr_t start = 0, end = 0;
+    std::set<std::string> flags;
+};
+
+Mapping
+mappingOf(std::uintptr_t addr)
+{
+    std::ifstream smaps("/proc/self/smaps");
+    std::string line;
+    Mapping found;
+    bool inside = false;
+    while (std::getline(smaps, line)) {
+        std::uintptr_t lo = 0, hi = 0;
+        char dash = 0;
+        std::istringstream head(line);
+        if (head >> std::hex >> lo >> dash >> hi && dash == '-') {
+            inside = lo <= addr && addr < hi;
+            if (inside)
+                found = Mapping{lo, hi, {}};
+        } else if (inside && line.starts_with("VmFlags:")) {
+            std::istringstream flags(line.substr(8));
+            for (std::string f; flags >> f;)
+                found.flags.insert(f);
+        }
+    }
+    return found;
+}
+
+TEST(Arena, SystemArraysLieInOneHugePageMapping)
+{
+    // Every private-cache frame array and directory table is a
+    // line-aligned vector built in the CmpSystem constructor, so each
+    // one is carved from the system's arena unless it went to the heap.
+    // No heap block of construction is as large as the smallest of
+    // them, and exactly one arena holds live carves: all of them lie in
+    // that arena's one mapping, advised for huge pages ("hg").
+    if (!arenasAvailable())
+        GTEST_SKIP() << "this kernel maps no huge-page arena";
+    for (const bool sparse : {false, true}) {
+        CmpConfig cfg = CmpConfig::paperConfig(CmpConfigKind::SharedL2);
+        cfg.directory = sparse ? sparseSliceParams(8, 512)
+                               : cuckooSliceParams(4, 512);
+        resetLargestAllocation();
+        CmpSystem sys(cfg);
+        const std::size_t largest_heap_block = largestAllocation();
+
+        std::size_t smallest = SIZE_MAX, frame_bytes = 0;
+        for (std::size_t i = 0; i < sys.numCaches(); ++i) {
+            const std::size_t bytes =
+                sys.cache(i).memoryBytes() - sizeof(SetAssocCache);
+            smallest = std::min(smallest, bytes);
+            frame_bytes += bytes;
+        }
+        for (std::size_t s = 0; s < sys.numSlices(); ++s)
+            smallest = std::min(smallest, sys.slice(s).capacity() *
+                                              sizeof(Tag));
+        EXPECT_LT(largest_heap_block, smallest)
+            << "an array of " << largest_heap_block
+            << " bytes went to the heap";
+
+        std::vector<ArenaInfo> holding;
+        for (const ArenaInfo &a : arenaSnapshot())
+            if (a.liveBytes != 0)
+                holding.push_back(a);
+        ASSERT_EQ(holding.size(), 1u);
+        const ArenaInfo &arena = holding.front();
+        EXPECT_FALSE(arena.pooled);
+        EXPECT_GE(arena.liveBytes, frame_bytes);
+        EXPECT_LE(arena.liveBytes, arena.mapped);
+        EXPECT_EQ(arena.base % (std::size_t{2} << 20), 0u);
+
+        // The kernel may merge neighbouring arenas into one mapping.
+        const Mapping m = mappingOf(arena.base);
+        EXPECT_LE(m.start, arena.base);
+        EXPECT_GE(m.end, arena.base + arena.reserved);
+        EXPECT_TRUE(m.flags.count("hg"))
+            << "arena mapping not advised MADV_HUGEPAGE";
+    }
+    EXPECT_TRUE(everyArenaPooled());
+}
+
+TEST(Arena, ConsecutiveEqualCarvesStartOnDifferentPageOffsets)
+{
+    // Packed power-of-two lanes would all start on the same cache sets;
+    // each carve is staggered by a varying number of lines.
+    if (!arenasAvailable())
+        GTEST_SKIP() << "this kernel maps no huge-page arena";
+    const ArenaScope scope;
+    std::vector<LineAlignedVector<std::uint64_t>> lanes;
+    for (int i = 0; i < 16; ++i)
+        lanes.emplace_back(512); // 4 KiB each
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+        const auto at = reinterpret_cast<std::uintptr_t>(lanes[i].data());
+        EXPECT_TRUE(arenaOwns(lanes[i].data()));
+        EXPECT_EQ(at % 64, 0u);
+        if (i > 0) {
+            const auto before =
+                reinterpret_cast<std::uintptr_t>(lanes[i - 1].data());
+            EXPECT_NE(at % 4096, before % 4096) << "carve " << i;
+        }
+    }
+}
+
+TEST(Arena, NoOpenScopeAllocatesFromTheHeap)
+{
+    LineAlignedVector<std::uint64_t> before(64);
+    EXPECT_FALSE(arenaOwns(before.data()));
+    LineAlignedVector<std::uint64_t> carved;
+    {
+        const ArenaScope scope;
+        carved.assign(64, 7);
+    }
+    // A carve outlives its scope; growth after the scope is heap.
+    EXPECT_EQ(arenaOwns(carved.data()), arenasAvailable());
+    LineAlignedVector<std::uint64_t> after(64);
+    EXPECT_FALSE(arenaOwns(after.data()));
+    EXPECT_EQ(carved[63], 7u);
+    carved.resize(4096);
+    EXPECT_FALSE(arenaOwns(carved.data()));
+    EXPECT_EQ(carved[63], 7u);
+}
+
+TEST(Arena, ThrowingConstructorReturnsItsArena)
+{
+    {
+        CmpSystem warm(CmpConfig::paperConfig(CmpConfigKind::SharedL2));
+    }
+    const std::size_t arenas = arenaSnapshot().size();
+    CmpConfig slices = CmpConfig::paperConfig(CmpConfigKind::SharedL2);
+    slices.numSlices = 3;
+    EXPECT_THROW(CmpSystem{slices}, std::invalid_argument);
+    EXPECT_TRUE(everyArenaPooled());
+    CmpConfig window = CmpConfig::paperConfig(CmpConfigKind::SharedL2);
+    window.batchWindow = 0;
+    EXPECT_THROW(CmpSystem{window}, std::invalid_argument);
+    EXPECT_TRUE(everyArenaPooled());
+    // A throw after the caches were carved (zero sets per slice).
+    CmpConfig mirror = CmpConfig::paperConfig(CmpConfigKind::SharedL2);
+    mirror.directory.organization = "DuplicateTag";
+    mirror.numSlices = mirror.privateCache.numSets * 2;
+    EXPECT_THROW(CmpSystem{mirror}, std::invalid_argument);
+    EXPECT_TRUE(everyArenaPooled());
+    EXPECT_EQ(arenaSnapshot().size(), arenas)
+        << "a pooled arena was not reused";
+}
+
+TEST(Arena, FourThreadsBuildAndDestroySystemsAtOnce)
+{
+    const CmpConfig cfg = tinyConfig("Cuckoo", 4);
+    const auto runOne = [&] {
+        CmpSystem sys(cfg);
+        SyntheticSource gen(tinyWorkload(41));
+        sys.run(gen, 20000);
+        return sys.aggregateDirectoryStats();
+    };
+    const DirectoryStats reference = runOne();
+    std::vector<std::vector<DirectoryStats>> results(4);
+    std::vector<std::thread> threads;
+    for (auto &out : results)
+        threads.emplace_back([&] {
+            for (int i = 0; i < 8; ++i)
+                out.push_back(runOne());
+        });
+    for (std::thread &t : threads)
+        t.join();
+    for (const auto &out : results)
+        for (const DirectoryStats &stats : out)
+            expectStatsEqual(stats, reference, "threaded rebuild");
+    EXPECT_TRUE(everyArenaPooled());
+}
+
+TEST(Arena, WriteOnePastAFrameArrayIsReported)
+{
+#if defined(__SANITIZE_ADDRESS__)
+    // Whatever follows a carve — a colour gap, a released carve or the
+    // unused tail — is poisoned, as the heap's redzones are.
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const auto overrun = [] {
+        const ArenaScope scope;
+        LineAlignedVector<SetAssocCache::Frame> frames(2048);
+        if (!arenaOwns(frames.data()))
+            throw std::runtime_error("no arena");
+        volatile SetAssocCache::Frame *past = frames.data() + frames.size();
+        past->tag = 1;
+    };
+    EXPECT_DEATH(overrun(), "use-after-poison");
+#else
+    GTEST_SKIP() << "needs AddressSanitizer";
+#endif
+}
+
 TEST(BatchAccess, RebuiltSystemsReuseTheirHeap)
 {
 #if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__)
@@ -661,8 +887,15 @@ TEST(BatchAccess, RebuiltSystemsReuseTheirHeap)
     cfg.directory = cuckooSliceParams(4, 512);
     const WorkloadParams params =
         paperWorkloadParams(PaperWorkload::OltpDb2, false, 16);
+    const auto arena_mapped_bytes = [] {
+        std::size_t total = 0;
+        for (const ArenaInfo &a : arenaSnapshot())
+            total += a.mapped;
+        return total;
+    };
     std::vector<std::string> records;
     std::size_t heap_after_warmup = 0;
+    std::size_t arena_after_warmup = 0;
     for (int rebuild = 0; rebuild < 60; ++rebuild) {
         {
             CmpSystem sys(cfg);
@@ -672,12 +905,16 @@ TEST(BatchAccess, RebuiltSystemsReuseTheirHeap)
                 records.push_back("a result record too long for SSO " +
                                   std::to_string(i));
         }
-        if (rebuild == 10)
+        if (rebuild == 10) {
             heap_after_warmup = mallinfo2().arena;
+            arena_after_warmup = arena_mapped_bytes();
+        }
     }
     const std::size_t growth = mallinfo2().arena - heap_after_warmup;
     EXPECT_LT(growth, std::size_t{4} << 20)
         << "heap grew " << growth << " bytes over 50 rebuilds";
+    // Each rebuild reuses the pooled arena of the system before it.
+    EXPECT_EQ(arena_mapped_bytes(), arena_after_warmup);
 #else
     GTEST_SKIP() << "needs glibc's mallinfo2 and its allocator";
 #endif

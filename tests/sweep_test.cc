@@ -427,6 +427,28 @@ TEST(HarnessCli, ParsesDeclaredKnobsAndRejectsOthers)
                 testing::ExitedWithCode(2), "mutually exclusive");
 }
 
+TEST(HarnessCli, OneNameCostModelRejectsListsAndAll)
+{
+    // fig11, directory_comparison and ext_phase_dynamics time each cell
+    // under one model, so they declare the one-name flag: a list or
+    // "all" exits 2 instead of silently running its first model.
+    std::string model;
+    const auto parse = [&](const char *value) {
+        std::string arg = std::string("--cost-model=") + value;
+        char prog[] = "fig11";
+        char *args[] = {prog, arg.data()};
+        parseHarnessOptions(2, args, kRunGridFlags,
+                            {costModelFlag(model)});
+    };
+    parse("mesh");
+    EXPECT_EQ(model, "mesh");
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(parse("fixed,mesh"), testing::ExitedWithCode(2),
+                "fig11: bad value in '--cost-model=fixed,mesh'");
+    EXPECT_EXIT(parse("all"), testing::ExitedWithCode(2),
+                "fig11: bad value in '--cost-model=all'");
+}
+
 TEST(CliFlags, ParsesTogglesChoicesAndPositionals)
 {
     bool text = false;
