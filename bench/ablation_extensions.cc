@@ -26,7 +26,6 @@
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "directory/cuckoo_directory.hh"
-#include "directory/elbow_directory.hh"
 #include "sim/sweep.hh"
 
 using namespace cdir;
@@ -91,9 +90,13 @@ const Variant kVariants[] = {
          return makeDirectory(p);
      }},
     {"Elbow 4w (1 displace)",
-     []() -> std::unique_ptr<Directory> {
-         return std::make_unique<ElbowDirectory>(
-             kCaches, 4, kEntries / 4, SharerFormat::FullVector);
+     [] {
+         DirectoryParams p;
+         p.organization = "Elbow";
+         p.numCaches = kCaches;
+         p.ways = 4;
+         p.sets = kEntries / 4;
+         return makeDirectory(p);
      }},
     {"Cuckoo 4w",
      []() -> std::unique_ptr<Directory> {

@@ -39,7 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "directory/registry.hh"
 #include "sim/interval_export.hh"
 #include "sim_common.hh"
 #include "workload/scenario.hh"
@@ -48,30 +47,6 @@ using namespace cdir;
 using namespace cdir::bench;
 
 namespace {
-
-/**
- * Comparison sizing per organization on the 16-core Shared-L2 CMP
- * (2048 frames per slice): the paper's selected Cuckoo (1x) against
- * 2x-provisioned Sparse/Skewed/Elbow, the §2 exact designs, and
- * Tagless. Unknown (future) organizations run on their defaults.
- */
-DirectoryParams
-organizationParams(const std::string &name)
-{
-    if (name == "Cuckoo")
-        return cuckooSliceParams(4, 512);
-    if (name == "Sparse")
-        return sparseSliceParams(8, 512);
-    if (name == "Skewed")
-        return skewedSliceParams(4, 1024);
-    DirectoryParams params;
-    params.organization = name;
-    if (name == "Elbow") {
-        params.ways = 4;
-        params.sets = 1024;
-    }
-    return params;
-}
 
 void
 emitSeries(Reporter &report, const std::string &title,
@@ -161,8 +136,7 @@ main(int argc, char **argv)
         SweepSpec spec;
         spec.options("", opts);
         spec.workload(resolved.back().name, scenarioWorkloadParams(item));
-        for (const std::string &org :
-             DirectoryRegistry::instance().names())
+        for (const std::string &org : directoryOrganizations())
             spec.config(org, paperConfigWith(CmpConfigKind::SharedL2,
                                              organizationParams(org)));
         specs.push_back(std::move(spec));

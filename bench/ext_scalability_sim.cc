@@ -69,7 +69,7 @@ namespace {
 struct OrgPoint
 {
     const char *label;       //!< row label ("Sparse (hier)")
-    const char *organization; //!< registry name
+    const char *organization; //!< organization table name
     SharerFormat format = SharerFormat::FullVector;
     unsigned ways = 4;
     std::size_t sets = 512;

@@ -41,7 +41,6 @@
 #include <string>
 #include <vector>
 
-#include "directory/registry.hh"
 #include "model/cost_model.hh"
 #include "sim/campaign.hh"
 #include "sim_common.hh"
@@ -49,30 +48,6 @@
 
 using namespace cdir;
 using namespace cdir::bench;
-
-namespace {
-
-/** Same comparison sizings as ext_tail_latency (16-core Shared-L2:
- *  selected Cuckoo 1x vs 2x-provisioned conventional designs). */
-DirectoryParams
-organizationParams(const std::string &name)
-{
-    if (name == "Cuckoo")
-        return cuckooSliceParams(4, 512);
-    if (name == "Sparse")
-        return sparseSliceParams(8, 512);
-    if (name == "Skewed")
-        return skewedSliceParams(4, 1024);
-    DirectoryParams params;
-    params.organization = name;
-    if (name == "Elbow") {
-        params.ways = 4;
-        params.sets = 1024;
-    }
-    return params;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -112,7 +87,7 @@ main(int argc, char **argv)
 
     SweepSpec spec;
     appendCostModelOptions(spec, "", cli.applyOverrides(opts), cli);
-    for (const std::string &org : DirectoryRegistry::instance().names())
+    for (const std::string &org : directoryOrganizations())
         spec.config(org, paperConfigWith(CmpConfigKind::SharedL2,
                                          organizationParams(org)));
     try {

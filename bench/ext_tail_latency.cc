@@ -34,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "directory/registry.hh"
 #include "model/cost_model.hh"
 #include "sim/campaign.hh"
 #include "sim_common.hh"
@@ -44,26 +43,6 @@ using namespace cdir;
 using namespace cdir::bench;
 
 namespace {
-
-/** Same comparison sizings as ext_phase_dynamics (16-core Shared-L2:
- *  selected Cuckoo 1x vs 2x-provisioned conventional designs). */
-DirectoryParams
-organizationParams(const std::string &name)
-{
-    if (name == "Cuckoo")
-        return cuckooSliceParams(4, 512);
-    if (name == "Sparse")
-        return sparseSliceParams(8, 512);
-    if (name == "Skewed")
-        return skewedSliceParams(4, 1024);
-    DirectoryParams params;
-    params.organization = name;
-    if (name == "Elbow") {
-        params.ways = 4;
-        params.sets = 1024;
-    }
-    return params;
-}
 
 /** DB2 sharing profile with footprints scaled by @p mult — the load
  *  ladder's rungs (directory pressure grows with footprint). */
@@ -107,7 +86,7 @@ main(int argc, char **argv)
 
     SweepSpec spec;
     appendCostModelOptions(spec, "", cli.applyOverrides(opts), cli);
-    for (const std::string &org : DirectoryRegistry::instance().names())
+    for (const std::string &org : directoryOrganizations())
         spec.config(org, paperConfigWith(CmpConfigKind::SharedL2,
                                          organizationParams(org)));
 
@@ -170,7 +149,7 @@ main(int argc, char **argv)
 
     // Pivot: p99 per organization (columns) as load grows (rows), the
     // harness's headline "who holds the tail under pressure" view.
-    const auto &orgs = DirectoryRegistry::instance().names();
+    const std::vector<std::string> orgs = directoryOrganizations();
     for (const std::string &model : cli.costModels) {
         std::vector<std::string> columns{"workload"};
         columns.insert(columns.end(), orgs.begin(), orgs.end());

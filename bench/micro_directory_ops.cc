@@ -1,7 +1,7 @@
 /**
  * @file
  * google-benchmark microbenchmarks: lookup/insert/remove throughput of
- * every registered directory organization at a realistic steady-state
+ * every directory organization at a realistic steady-state
  * occupancy, plus the allocation story of the access protocol.
  *
  * Not a paper figure — a software-performance sanity check that the
@@ -34,7 +34,7 @@
 
 #include "common/alloc_counter.hh"
 #include "common/rng.hh"
-#include "directory/registry.hh"
+#include "directory/directory.hh"
 #include "hash/hash_family.hh"
 #include "workload/fleet.hh"
 #include "workload/workload.hh"
@@ -247,12 +247,7 @@ BM_ZipfSample(benchmark::State &state)
 
 BENCHMARK(BM_ZipfSample)->Arg(6144)->Arg(24576);
 
-/**
- * Register one instance of each benchmark per organization.
- * Registration must happen from main(), after every organization's
- * static registrar has populated the DirectoryRegistry (static-init
- * order across translation units is unspecified).
- */
+/** Register one instance of each benchmark per organization. */
 void
 registerBenchmarks()
 {
@@ -267,8 +262,7 @@ registerBenchmarks()
         {"BM_AccessBatch", BM_AccessBatch},
     };
     for (const Family &family : families) {
-        for (const std::string &org :
-             DirectoryRegistry::instance().names()) {
+        for (const std::string &org : directoryOrganizations()) {
             const std::string name =
                 std::string(family.name) + "/" + org;
             auto *fn = family.fn;

@@ -102,6 +102,30 @@ paperSweep(CmpConfigKind kind, const HarnessOptions &cli)
     return spec;
 }
 
+/**
+ * Comparison sizing per organization on the 16-core Shared-L2 CMP
+ * (2048 frames per slice): the paper's selected Cuckoo (1x) against
+ * 2x-provisioned Sparse/Skewed/Elbow, the §2 exact designs, InCache and
+ * Tagless on their defaults.
+ */
+inline DirectoryParams
+organizationParams(const std::string &name)
+{
+    if (name == "Cuckoo")
+        return cuckooSliceParams(4, 512);
+    if (name == "Sparse")
+        return sparseSliceParams(8, 512);
+    if (name == "Skewed")
+        return skewedSliceParams(4, 1024);
+    DirectoryParams params;
+    params.organization = name;
+    if (name == "Elbow") {
+        params.ways = 4;
+        params.sets = 1024;
+    }
+    return params;
+}
+
 /** The §5.2 selected Cuckoo sizings. */
 inline DirectoryParams
 selectedCuckoo(CmpConfigKind kind)

@@ -2,8 +2,8 @@
  * @file
  * Quickstart: the Cuckoo directory public API in ~50 lines.
  *
- * Builds a 4-way, 512-set Cuckoo directory slice through the
- * DirectoryRegistry, drives the three protocol operations (read miss,
+ * Builds a 4-way, 512-set Cuckoo directory slice by organization name,
+ * drives the three protocol operations (read miss,
  * write upgrade, eviction) through a reusable DirAccessContext — the
  * allocation-free hot-path API — and prints the statistics the paper's
  * evaluation is built on.
@@ -13,7 +13,7 @@
 
 #include <cstdio>
 
-#include "directory/registry.hh"
+#include "directory/directory.hh"
 
 using namespace cdir;
 
@@ -23,7 +23,7 @@ main()
     // One slice of the paper's Shared-L2 configuration: 4 ways x 512
     // sets (1x provisioning for 16 cores x 2 L1s), full bit-vector
     // sharer entries, Seznec-Bodin skewing hash functions. Every
-    // organization is built by name through the registry.
+    // organization is built by name through makeDirectory().
     DirectoryParams params;
     params.organization = "Cuckoo";
     params.numCaches = 32;

@@ -4,42 +4,45 @@
 #include <sstream>
 
 #include "common/bit_util.hh"
-#include "directory/registry.hh"
 
 namespace cdir {
 
-CDIR_REGISTER_DIRECTORY(sparse, "Sparse", DirectoryTraits{},
-                        [](const DirectoryParams &p) {
-                            return std::make_unique<AssocDirectory>(
-                                p.numCaches, p.ways, p.sets, p.format,
-                                HashKind::Modulo);
-                        });
+namespace {
 
-CDIR_REGISTER_DIRECTORY(skewed, "Skewed", DirectoryTraits{},
-                        [](const DirectoryParams &p) {
-                            return std::make_unique<AssocDirectory>(
-                                p.numCaches, p.ways, p.sets, p.format,
-                                p.hash == HashKind::Modulo
-                                    ? HashKind::Skewing
-                                    : p.hash,
-                                p.hashSeed);
-                        });
-
-AssocDirectory::AssocDirectory(std::size_t num_caches, unsigned num_ways,
-                               std::size_t num_sets, SharerFormat fmt,
-                               HashKind hash, std::uint64_t hash_seed)
-    : Directory(num_caches),
-      sharers(fmt, num_caches),
-      hashKind(hash),
-      family(makeHashFamily(hash, num_ways, num_sets, hash_seed)),
-      ways(num_ways),
-      sets(num_sets),
-      setMajor(hash == HashKind::Modulo),
-      tags(std::size_t{num_ways} * num_sets, kVacantTag),
-      lastUses(std::size_t{num_ways} * num_sets, 0),
-      sharerSets(std::size_t{num_ways} * num_sets)
+/** Indexing of a @p kind slice under @p params (see Kind). */
+HashKind
+hashOf(AssocDirectory::Kind kind, const DirectoryParams &params)
 {
-    assert(num_ways >= 1 && num_ways <= kMaxProbeWays);
+    switch (kind) {
+      case AssocDirectory::Kind::Skewed:
+        return params.hash == HashKind::Modulo ? HashKind::Skewing
+                                               : params.hash;
+      case AssocDirectory::Kind::Elbow:
+        return HashKind::Skewing;
+      case AssocDirectory::Kind::Sparse:
+      case AssocDirectory::Kind::InCache:
+        break;
+    }
+    return HashKind::Modulo;
+}
+
+} // namespace
+
+AssocDirectory::AssocDirectory(Kind slice_kind, const DirectoryParams &p)
+    : Directory(p.numCaches),
+      sharers(slice_kind == Kind::InCache ? SharerFormat::FullVector
+                                          : p.format,
+              p.numCaches),
+      kind(slice_kind),
+      family(makeHashFamily(hashOf(slice_kind, p),
+                            checkedProbeWays(p.ways), p.sets, p.hashSeed)),
+      ways(p.ways),
+      sets(p.sets),
+      setMajor(hashOf(slice_kind, p) == HashKind::Modulo),
+      tags(std::size_t{p.ways} * p.sets, kVacantTag),
+      lastUses(std::size_t{p.ways} * p.sets, 0),
+      sharerSets(std::size_t{p.ways} * p.sets)
+{
 }
 
 std::size_t
@@ -114,6 +117,14 @@ AssocDirectory::access(const DirRequest &request, DirAccessContext &ctx)
             if (victim == npos || lastUses[p] < lastUses[victim])
                 victim = p;
         }
+        if (kind == Kind::Elbow && tags[victim] != kVacantTag) {
+            const std::size_t freed = relocateOne(idx);
+            if (freed != npos) {
+                ++occupied;
+                fill(freed, request, out, 2); // plus the relocation write
+                return;
+            }
+        }
     }
     assert(victim != npos);
 
@@ -128,15 +139,44 @@ AssocDirectory::access(const DirRequest &request, DirAccessContext &ctx)
         ++occupied;
     }
 
-    tags[victim] = request.tag;
-    sharers.add(sharerSets[victim], request.cache);
-    lastUses[victim] = useClock;
+    fill(victim, request, out, 1);
+}
+
+inline void
+AssocDirectory::fill(std::size_t p, const DirRequest &request,
+                     DirAccessOutcome &out, unsigned attempts)
+{
+    tags[p] = request.tag;
+    sharers.add(sharerSets[p], request.cache);
+    lastUses[p] = useClock;
 
     out.inserted = true;
-    out.attempts = 1;
+    out.attempts = attempts;
     ++statistics.insertions;
-    statistics.insertionAttempts.add(1);
-    statistics.attemptHistogram.add(1);
+    statistics.insertionAttempts.add(attempts);
+    statistics.attemptHistogram.add(attempts);
+}
+
+std::size_t
+AssocDirectory::relocateOne(const std::size_t *idx)
+{
+    std::size_t alt_idx[kMaxProbeWays];
+    for (unsigned w = 0; w < ways; ++w) {
+        const std::size_t occ = pos(w, idx[w]);
+        family->indexAll(tags[occ], alt_idx);
+        for (unsigned alt = 0; alt < ways; ++alt) {
+            const std::size_t target = pos(alt, alt_idx[alt]);
+            if (alt == w || tags[target] != kVacantTag)
+                continue;
+            tags[target] = tags[occ];
+            sharerSets[target] = sharerSets[occ];
+            sharerSets[occ] = SharerSet{};
+            lastUses[target] = lastUses[occ];
+            tags[occ] = kVacantTag;
+            return occ;
+        }
+    }
+    return npos;
 }
 
 void
@@ -167,26 +207,11 @@ AssocDirectory::probe(Tag tag, DynamicBitset *sharer_targets) const
 std::string
 AssocDirectory::name() const
 {
+    static constexpr const char *kNames[] = {"Sparse", "Skewed", "Elbow",
+                                             "InCache"};
     std::ostringstream os;
-    os << (hashKind == HashKind::Modulo ? "Sparse-" : "Skewed-") << ways
-       << "x" << sets;
+    os << kNames[static_cast<unsigned>(kind)] << "-" << ways << "x" << sets;
     return os.str();
-}
-
-std::unique_ptr<AssocDirectory>
-makeSparseDirectory(std::size_t num_caches, unsigned ways, std::size_t sets,
-                    SharerFormat format)
-{
-    return std::make_unique<AssocDirectory>(num_caches, ways, sets, format,
-                                            HashKind::Modulo);
-}
-
-std::unique_ptr<AssocDirectory>
-makeSkewedDirectory(std::size_t num_caches, unsigned ways, std::size_t sets,
-                    SharerFormat format, std::uint64_t hash_seed)
-{
-    return std::make_unique<AssocDirectory>(num_caches, ways, sets, format,
-                                            HashKind::Skewing, hash_seed);
 }
 
 } // namespace cdir

@@ -1,15 +1,33 @@
 /**
  * @file
  * Associative directory organizations that evict on conflict: the
- * traditional Sparse directory [17] and the skewed-associative
- * directory (Fig. 12's "Skewed 2x", adapted from Seznec's cache [33]).
+ * traditional Sparse directory [17], the skewed-associative directory
+ * (Fig. 12's "Skewed 2x", adapted from Seznec's cache [33]), the Elbow
+ * cache directory (Spjuth et al. [37,38]; §6) and the In-Cache
+ * directory (§3.2).
  *
- * Both probe one candidate slot per way and, when every candidate is
- * occupied, evict the least-recently-used candidate — forcing the
- * invalidation of the cached blocks that entry tracked. They differ only
- * in indexing: Sparse uses the same low-order index bits for every way
- * (a conventional set), Skewed uses a different skewing function per
- * way, which breaks *direct* conflicts but not transitive ones (§4).
+ * All four probe one candidate slot per way and, when every candidate
+ * is occupied, evict the least-recently-used candidate — forcing the
+ * invalidation of the cached blocks that entry tracked. They differ in
+ * indexing: Sparse uses the same low-order index bits for every way (a
+ * conventional set), Skewed uses a different skewing function per way,
+ * which breaks *direct* conflicts but not transitive ones (§4).
+ *
+ * Elbow is Skewed plus at most one displacement: before evicting, it
+ * scans the candidates for an occupant whose alternate slot in another
+ * way is vacant, relocates that occupant there, and inserts into the
+ * freed slot. The paper places it between Skewed and Cuckoo: the move
+ * needs extra lookups to choose its victim (energy), yet it still
+ * forces more invalidations than the unbounded-displacement Cuckoo
+ * directory.
+ *
+ * In-Cache grafts sharer vectors onto the tags of the inclusive shared
+ * cache, so it must provision them for *every* L2 tag ("grossly
+ * over-provisioning the sharer storage", §3.2; the analytical model
+ * charges exactly that). Behaviourally it is a Sparse directory with
+ * the shared cache's geometry and full-vector sharers, and a forced
+ * eviction corresponds to an inclusion victim. Only meaningful for the
+ * Shared-L2 configuration (private L2s cannot include each other, §5.6).
  *
  * Tags, LRU stamps, and sharer sets live in parallel 64-byte-aligned
  * SoA arrays, carved inside a CmpSystem from the system's huge-page
@@ -38,17 +56,21 @@ namespace cdir {
 class AssocDirectory : public Directory
 {
   public:
+    /** The organization-table row a slice implements (file comment). */
+    enum class Kind : std::uint8_t
+    {
+        Sparse,  //!< Modulo indexing
+        Skewed,  //!< DirectoryParams::hash per way (Modulo => Skewing)
+        Elbow,   //!< Skewing indexing, one relocation before evicting
+        InCache, //!< Modulo indexing, full-vector sharers
+    };
+
     /**
-     * @param num_caches private caches tracked.
-     * @param ways       associativity.
-     * @param sets       sets per way.
-     * @param format     sharer-set format of every entry.
-     * @param hash       Modulo => Sparse; Skewing/Strong => Skewed.
-     * @param hash_seed  seed for the Strong family.
+     * Build a @p kind slice from numCaches, ways, sets, format (except
+     * InCache), hash (Skewed only) and hashSeed of @p params.
+     * @throws std::invalid_argument for ways outside 1..kMaxProbeWays.
      */
-    AssocDirectory(std::size_t num_caches, unsigned ways, std::size_t sets,
-                   SharerFormat format, HashKind hash,
-                   std::uint64_t hash_seed = 1);
+    AssocDirectory(Kind kind, const DirectoryParams &params);
 
     void access(const DirRequest &request, DirAccessContext &ctx) override;
     void removeSharer(Tag tag, CacheId cache) override;
@@ -82,8 +104,27 @@ class AssocDirectory : public Directory
     /** findPosOf with the way indices already computed. */
     std::size_t findPosWithIdx(Tag tag, const std::size_t *idx) const;
 
+    /**
+     * Insert @p request's tag at vacant position @p p and record an
+     * insertion of @p attempts slot writes. Forced inline so the
+     * Sparse/Skewed miss path keeps a constant attempt count and no
+     * call.
+     */
+    [[gnu::always_inline]] inline void fill(std::size_t p,
+                                            const DirRequest &request,
+                                            DirAccessOutcome &out,
+                                            unsigned attempts);
+
+    /**
+     * Elbow's one move, for a tag whose candidates (way indices @p idx)
+     * are all occupied: relocate the first candidate occupant whose slot
+     * in another way is vacant.
+     * @return the freed candidate position, or npos if none can move.
+     */
+    std::size_t relocateOne(const std::size_t *idx);
+
     SharerStore sharers;
-    HashKind hashKind;
+    Kind kind;
     std::unique_ptr<HashFamily> family;
     unsigned ways;
     std::size_t sets;
@@ -95,17 +136,6 @@ class AssocDirectory : public Directory
     std::size_t occupied = 0;
     std::uint64_t useClock = 0;
 };
-
-/** Convenience factory for the traditional Sparse organization. */
-std::unique_ptr<AssocDirectory>
-makeSparseDirectory(std::size_t num_caches, unsigned ways, std::size_t sets,
-                    SharerFormat format = SharerFormat::FullVector);
-
-/** Convenience factory for the skewed-associative organization. */
-std::unique_ptr<AssocDirectory>
-makeSkewedDirectory(std::size_t num_caches, unsigned ways, std::size_t sets,
-                    SharerFormat format = SharerFormat::FullVector,
-                    std::uint64_t hash_seed = 1);
 
 } // namespace cdir
 

@@ -3,18 +3,7 @@
 #include <cassert>
 #include <sstream>
 
-#include "directory/registry.hh"
-
 namespace cdir {
-
-CDIR_REGISTER_DIRECTORY(cuckoo, "Cuckoo",
-                        DirectoryTraits{.usesBucketSlots = true},
-                        [](const DirectoryParams &p) {
-                            return std::make_unique<CuckooDirectory>(
-                                p.numCaches, p.ways, p.sets, p.format,
-                                p.hash, p.maxAttempts, p.hashSeed,
-                                p.bucketSlots, p.stashEntries);
-                        });
 
 CuckooDirectory::CuckooDirectory(std::size_t num_caches, unsigned ways,
                                  std::size_t sets_per_way,
@@ -25,7 +14,8 @@ CuckooDirectory::CuckooDirectory(std::size_t num_caches, unsigned ways,
                                  unsigned stash_entries)
     : Directory(num_caches),
       sharers(fmt, num_caches),
-      family(makeHashFamily(hash, ways, sets_per_way, hash_seed)),
+      family(makeHashFamily(hash, checkedProbeWays(ways), sets_per_way,
+                            hash_seed)),
       table(*family, max_attempts, bucket_slots),
       stashCapacity(stash_entries)
 {

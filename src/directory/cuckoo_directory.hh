@@ -38,6 +38,7 @@ class CuckooDirectory : public Directory
      * @param bucket_slots entries per bucket (Panigrahy extension [30]).
      * @param stash_entries overflow-stash capacity (Kirsch extension
      *        [22]); 0 reproduces the paper, which discards overflow.
+     * @throws std::invalid_argument for ways outside 1..kMaxProbeWays.
      */
     CuckooDirectory(std::size_t num_caches, unsigned ways,
                     std::size_t sets_per_way, SharerFormat format,

@@ -21,14 +21,13 @@
  * window's outcomes in one context. accessBatch() drives a span of
  * requests through one context (trace replay, micro-benchmarks).
  * Call sites that want value semantics off the hot path take a
- * DirAccessResult snapshot via DirAccessContext::snapshot() (the
- * historical value-returning access() shim has been removed).
+ * DirAccessResult snapshot via DirAccessContext::snapshot().
  *
  * Every organization reports the same statistics, so the Fig. 8-12
- * harnesses can iterate over organizations generically. Organizations
- * are constructed through the string-keyed DirectoryRegistry (see
- * registry.hh); each organization self-registers a builder over
- * DirectoryParams from its own translation unit.
+ * harnesses can iterate over organizations generically. The seven
+ * organizations the paper compares are the rows of one fixed table in
+ * directory.cc; makeDirectory() builds DirectoryParams::organization
+ * from its row.
  */
 
 #ifndef CDIR_DIRECTORY_DIRECTORY_HH
@@ -38,6 +37,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bitset.hh"
@@ -201,8 +201,8 @@ class Directory
 /** Configuration for building any directory organization. */
 struct DirectoryParams
 {
-    /** Registry name of the organization to build ("Cuckoo", "Sparse",
-     *  ...; see DirectoryRegistry::names()). */
+    /** Name of the organization to build ("Cuckoo", "Sparse", ...;
+     *  see directoryOrganizations()). */
     std::string organization = "Cuckoo";
     std::size_t numCaches = 16;
     unsigned ways = 4;            //!< associativity / cuckoo arity
@@ -225,9 +225,38 @@ struct DirectoryParams
     std::size_t totalEntries() const;
 };
 
+/** Structural properties consumers need before construction. */
+struct DirectoryTraits
+{
+    /**
+     * Slice geometry mirrors the tracked caches' sets (Fig. 3):
+     * the driver derives `sets` from the private-cache geometry instead
+     * of taking it from DirectoryParams (DuplicateTag, Tagless).
+     */
+    bool mirrorsTrackedCaches = false;
+    /**
+     * Capacity scales with DirectoryParams::bucketSlots (bucketized
+     * Cuckoo tables); used by DirectoryParams::totalEntries().
+     */
+    bool usesBucketSlots = false;
+};
+
+/** Names of the seven organizations, sorted (the table's row order). */
+std::vector<std::string> directoryOrganizations();
+
 /**
- * Build a directory slice for @p params through the DirectoryRegistry.
- * @throws std::invalid_argument for an unknown organization name.
+ * Traits of organization @p name.
+ * @throws std::invalid_argument naming the known organizations if
+ *         @p name is not one of them.
+ */
+const DirectoryTraits &directoryTraits(std::string_view name);
+
+/**
+ * Build a directory slice for @p params from the row of
+ * `params.organization`.
+ * @throws std::invalid_argument as directoryTraits() for an unknown
+ *         organization name, or for ways outside 1..kMaxProbeWays in a
+ *         way-probed organization.
  */
 std::unique_ptr<Directory> makeDirectory(const DirectoryParams &params);
 

@@ -4,16 +4,8 @@
 #include <sstream>
 
 #include "common/bit_util.hh"
-#include "directory/registry.hh"
 
 namespace cdir {
-
-CDIR_REGISTER_DIRECTORY(duplicate_tag, "DuplicateTag",
-                        DirectoryTraits{.mirrorsTrackedCaches = true},
-                        [](const DirectoryParams &p) {
-                            return std::make_unique<DuplicateTagDirectory>(
-                                p.numCaches, p.sets, p.trackedCacheAssoc);
-                        });
 
 DuplicateTagDirectory::DuplicateTagDirectory(std::size_t num_caches,
                                              std::size_t num_sets,

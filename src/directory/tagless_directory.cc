@@ -7,18 +7,9 @@
 
 #include "common/bit_util.hh"
 #include "common/rng.hh"
-#include "directory/registry.hh"
 #include "hash/strong_hash.hh"
 
 namespace cdir {
-
-CDIR_REGISTER_DIRECTORY(tagless, "Tagless",
-                        DirectoryTraits{.mirrorsTrackedCaches = true},
-                        [](const DirectoryParams &p) {
-                            return std::make_unique<TaglessDirectory>(
-                                p.numCaches, p.sets, p.taglessBucketBits,
-                                2, p.hashSeed);
-                        });
 
 // --- TagSharerMap ----------------------------------------------------------
 

@@ -25,6 +25,12 @@ namespace cdir {
  */
 inline constexpr unsigned kMaxProbeWays = 64;
 
+/**
+ * @p ways, checked for a way-probed structure.
+ * @throws std::invalid_argument unless 1 <= @p ways <= kMaxProbeWays.
+ */
+unsigned checkedProbeWays(unsigned ways);
+
 /** Family of per-way hash functions over block tags. */
 class HashFamily
 {

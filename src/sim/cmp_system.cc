@@ -5,7 +5,6 @@
 
 #include "common/arena.hh"
 #include "common/bit_util.hh"
-#include "directory/registry.hh"
 #include "model/cost_model.hh"
 #include "sim/probe.hh"
 
@@ -48,9 +47,7 @@ CmpSystem::CmpSystem(const CmpConfig &config) : cfg(config)
     DirectoryParams dir = cfg.directory;
     dir.numCaches = n_caches;
     dir.trackedCacheAssoc = cfg.privateCache.assoc;
-    if (DirectoryRegistry::instance()
-            .traits(dir.organization)
-            .mirrorsTrackedCaches) {
+    if (directoryTraits(dir.organization).mirrorsTrackedCaches) {
         // These organizations mirror the tracked caches' sets; a slice
         // covers cacheSets / numSlices of them (Fig. 3). A very large
         // system whose slice count exceeds the private cache's sets

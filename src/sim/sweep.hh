@@ -38,9 +38,8 @@
  *    instead of silently ignored.
  *
  * Thread-safety contract (audited): `runExperiment` touches no global
- * mutable state — `DirectoryRegistry` is only written during static
- * initialization and its reads are lock-free, hash families and Zipf
- * samplers are per-instance, and the only process-wide tables
+ * mutable state — the directory organization table is constant data,
+ * hash families and Zipf samplers are per-instance, and the only process-wide tables
  * (`allPaperWorkloads`) are immutable after their thread-safe magic
  * static initialization. Concurrent cells therefore share nothing.
  */

@@ -43,7 +43,7 @@
 #include "common/bit_util.hh"
 #include "common/rng.hh"
 #include "dir_test_util.hh"
-#include "directory/registry.hh"
+#include "directory/directory.hh"
 #include "model/cost_model.hh"
 #include "sim/cmp_system.hh"
 #include "sim/experiment.hh"
@@ -110,10 +110,10 @@ makeStream(std::uint64_t seed, std::size_t count, std::size_t tag_space)
 
 TEST(BatchAccess, ScalarAndBatchProduceBitIdenticalStats)
 {
-    for (const std::string &name : DirectoryRegistry::instance().names()) {
+    for (const std::string &name : directoryOrganizations()) {
         const DirectoryParams p = paramsFor(name);
-        auto scalar_dir = DirectoryRegistry::instance().build(name, p);
-        auto batch_dir = DirectoryRegistry::instance().build(name, p);
+        auto scalar_dir = makeDirectory(p);
+        auto batch_dir = makeDirectory(p);
         ASSERT_NE(scalar_dir, nullptr) << name;
         ASSERT_NE(batch_dir, nullptr) << name;
 
@@ -153,10 +153,10 @@ TEST(BatchAccess, SnapshotsMatchContextOutcomes)
     // DirAccessResult snapshots (the value-semantics convenience used
     // by tests/examples) must reproduce the live context outcome field
     // by field, including the pooled invalidation/eviction storage.
-    for (const std::string &name : DirectoryRegistry::instance().names()) {
+    for (const std::string &name : directoryOrganizations()) {
         const DirectoryParams p = paramsFor(name);
-        auto snap_dir = DirectoryRegistry::instance().build(name, p);
-        auto ctx_dir = DirectoryRegistry::instance().build(name, p);
+        auto snap_dir = makeDirectory(p);
+        auto ctx_dir = makeDirectory(p);
 
         const auto stream = makeStream(23, 2048, 256);
         DirAccessContext ctx = ctx_dir->makeContext();
@@ -226,7 +226,7 @@ tinyConfig(const std::string &organization, std::size_t batch_window)
 
 TEST(BatchAccess, WindowedRunsKeepCoverageForEveryOrganization)
 {
-    for (const std::string &name : DirectoryRegistry::instance().names()) {
+    for (const std::string &name : directoryOrganizations()) {
         for (const std::size_t window : {std::size_t{4}, std::size_t{64}}) {
             CmpSystem sys(tinyConfig(name, window));
             SyntheticSource gen(tinyWorkload(11));
@@ -437,7 +437,7 @@ TEST(BatchAccess, DeferredApplyMatchesStagedReplay)
     // counter — system, directory, latency and cache contents — for
     // every organization, window and timing mode.
     constexpr std::uint64_t kAccesses = 20000, kSampleEvery = 1000;
-    for (const std::string &name : DirectoryRegistry::instance().names()) {
+    for (const std::string &name : directoryOrganizations()) {
         for (const std::size_t window : {1, 4, 64}) {
             for (const std::string timing : {"", "mesh"}) {
                 const std::string label = name + " window " +
@@ -597,8 +597,8 @@ expectChurnAllocationFree(Directory &dir, CacheId a, CacheId b,
 
 TEST(BatchAccess, SteadyStateChurnIsAllocationFree)
 {
-    for (const std::string &name : DirectoryRegistry::instance().names()) {
-        auto dir = DirectoryRegistry::instance().build(name, paramsFor(name));
+    for (const std::string &name : directoryOrganizations()) {
+        auto dir = makeDirectory(paramsFor(name));
         expectChurnAllocationFree(*dir, 0, 1, name);
     }
     // Past 64 caches a set with sharers in two 64-cache spans (0 and
@@ -614,7 +614,7 @@ TEST(BatchAccess, SteadyStateChurnIsAllocationFree)
             DirectoryParams p = paramsFor(name);
             p.numCaches = kWideCaches;
             p.format = format;
-            auto dir = DirectoryRegistry::instance().build(name, p);
+            auto dir = makeDirectory(p);
             expectChurnAllocationFree(
                 *dir, 0, kWideCaches - 1,
                 name + " format #" +

@@ -19,7 +19,6 @@
 #include "directory/cuckoo_table.hh"
 #include "directory/directory.hh"
 #include "directory/duplicate_tag_directory.hh"
-#include "directory/in_cache_directory.hh"
 #include "directory/tagless_directory.hh"
 
 #include "dir_test_util.hh"
@@ -53,6 +52,18 @@ makeOrg(const std::string &organization)
         p.ways = 4;
         p.sets = 256;
     }
+    return makeDirectory(p);
+}
+
+/** A Sparse or Skewed slice of @p ways x @p sets. */
+std::unique_ptr<Directory>
+makeAssoc(const std::string &organization, unsigned ways, std::size_t sets)
+{
+    DirectoryParams p;
+    p.organization = organization;
+    p.numCaches = kCaches;
+    p.ways = ways;
+    p.sets = sets;
     return makeDirectory(p);
 }
 
@@ -248,7 +259,7 @@ TEST(SparseDirectory, ConflictForcesEviction)
 {
     // 2-way sparse with 4 sets: three tags in the same set conflict
     // (the Fig. 3 example).
-    auto dir = makeSparseDirectory(kCaches, 2, 4);
+    auto dir = makeAssoc("Sparse", 2, 4);
     test::accessDir(*dir, 0x00, 0, false); // set 0
     test::accessDir(*dir, 0x04, 1, false); // set 0
     auto res = test::accessDir(*dir, 0x08, 2, false); // set 0 again -> conflict
@@ -261,7 +272,7 @@ TEST(SparseDirectory, ConflictForcesEviction)
 
 TEST(SparseDirectory, EvictedEntryTargetsAllSharers)
 {
-    auto dir = makeSparseDirectory(kCaches, 1, 4);
+    auto dir = makeAssoc("Sparse", 1, 4);
     test::accessDir(*dir, 0x00, 3, false);
     test::accessDir(*dir, 0x00, 9, false);
     auto res = test::accessDir(*dir, 0x04, 1, false);
@@ -334,7 +345,7 @@ TEST(SkewedDirectory, BreaksDirectConflictsButStillEvicts)
 {
     // Skewing spreads same-set tags, but with enough colliding inserts
     // the skewed directory must evict (no displacement), unlike Cuckoo.
-    auto skewed = makeSkewedDirectory(kCaches, 4, 64);
+    auto skewed = makeAssoc("Skewed", 4, 64);
     Rng rng(8);
     // Fill well past capacity.
     for (int i = 0; i < 2000; ++i)
@@ -346,8 +357,8 @@ TEST(SkewedVsSparse, SkewedHasFewerConflictsAtEqualSize)
 {
     // The Fig. 12 ordering: Skewed 2x < Sparse 2x in invalidation rate
     // under a skewed (hot-set) insertion pattern.
-    auto sparse = makeSparseDirectory(kCaches, 4, 64);
-    auto skewed = makeSkewedDirectory(kCaches, 4, 64);
+    auto sparse = makeAssoc("Sparse", 4, 64);
+    auto skewed = makeAssoc("Skewed", 4, 64);
     Rng rng(9);
     for (int i = 0; i < 4000; ++i) {
         // Bias low index bits to create hot sets.
@@ -365,8 +376,8 @@ TEST(CuckooVsAll, LowestInvalidationRateAtHalfCapacity)
     // the sparse capacity; Cuckoo must force (near-)zero invalidations.
     auto cuckoo = std::make_unique<CuckooDirectory>(
         kCaches, 4, 128, SharerFormat::FullVector);
-    auto sparse = makeSparseDirectory(kCaches, 8, 128); // 2x capacity
-    auto skewed = makeSkewedDirectory(kCaches, 4, 256); // 2x capacity
+    auto sparse = makeAssoc("Sparse", 8, 128); // 2x capacity
+    auto skewed = makeAssoc("Skewed", 4, 256); // 2x capacity
     Rng rng(10);
     std::vector<Tag> live;
     for (int i = 0; i < 30000; ++i) {
@@ -493,9 +504,9 @@ TEST(Tagless, NeverForcesEvictions)
 
 TEST(InCache, NameAndGeometry)
 {
-    InCacheDirectory dir(kCaches, 16, 64);
-    EXPECT_EQ(dir.capacity(), 16u * 64u);
-    EXPECT_EQ(dir.name().substr(0, 7), "InCache");
+    const auto dir = makeOrg("InCache"); // 16 ways x 64 sets
+    EXPECT_EQ(dir->capacity(), 16u * 64u);
+    EXPECT_EQ(dir->name(), "InCache-16x64");
 }
 
 // --- factory -------------------------------------------------------------------
@@ -532,7 +543,7 @@ TEST(DirectoryLayout, MemoryIsCapacityTimesEntrySize)
 
     // Sparse: tag, LRU stamp and sharer lanes — 8 + 8 + 16 bytes per
     // entry (16 caches need no sharer spill storage).
-    const auto sparse = makeSparseDirectory(16, 8, 512);
+    const auto sparse = makeAssoc("Sparse", 8, 512); // kCaches == 16
     EXPECT_EQ(sparse->memoryBytes(),
               sizeof(AssocDirectory) + sparse->capacity() * 32);
 }

@@ -15,7 +15,6 @@
 #include "common/stats.hh"
 #include "directory/cuckoo_directory.hh"
 #include "directory/cuckoo_table.hh"
-#include "directory/elbow_directory.hh"
 
 #include "dir_test_util.hh"
 
@@ -196,31 +195,50 @@ TEST(StashCuckoo, DrainsBackIntoTableOnFrees)
 
 // --- Elbow directory ------------------------------------------------------------
 
+/** An Elbow slice built through the organization table. */
+std::unique_ptr<Directory>
+makeElbow(std::size_t num_caches, unsigned ways, std::size_t sets)
+{
+    DirectoryParams p;
+    p.organization = "Elbow";
+    p.numCaches = num_caches;
+    p.ways = ways;
+    p.sets = sets;
+    return makeDirectory(p);
+}
+
+/** Insertions an Elbow slice resolved by its one relocation. */
+std::uint64_t
+relocations(const Directory &dir)
+{
+    return dir.stats().attemptHistogram.at(2);
+}
+
 TEST(Elbow, SingleRelocationResolvesSimpleConflict)
 {
-    ElbowDirectory dir(8, 2, 8, SharerFormat::FullVector);
+    auto dir = makeElbow(8, 2, 8);
     Rng rng(19);
     // Load until the first relocation happens; no eviction may precede
     // it unless no one-hop move existed.
-    while (dir.relocations() == 0 && dir.validEntries() < 14) {
+    while (relocations(*dir) == 0 && dir->validEntries() < 14) {
         const Tag tag = rng.next() >> 3;
-        if (!dir.probe(tag))
-            test::accessDir(dir, tag, 0, false);
+        if (!dir->probe(tag))
+            test::accessDir(*dir, tag, 0, false);
     }
-    EXPECT_GT(dir.relocations(), 0u);
+    EXPECT_GT(relocations(*dir), 0u);
 }
 
 TEST(Elbow, ProtocolSemanticsMatchOtherOrganizations)
 {
-    ElbowDirectory dir(8, 4, 64, SharerFormat::FullVector);
-    test::accessDir(dir, 0x10, 1, false);
-    test::accessDir(dir, 0x10, 2, false);
-    auto res = test::accessDir(dir, 0x10, 1, true);
+    auto dir = makeElbow(8, 4, 64);
+    test::accessDir(*dir, 0x10, 1, false);
+    test::accessDir(*dir, 0x10, 2, false);
+    auto res = test::accessDir(*dir, 0x10, 1, true);
     ASSERT_TRUE(res.hadSharerInvalidations);
     EXPECT_TRUE(res.sharerInvalidations.test(2));
     EXPECT_FALSE(res.sharerInvalidations.test(1));
-    dir.removeSharer(0x10, 1);
-    EXPECT_FALSE(dir.probe(0x10));
+    dir->removeSharer(0x10, 1);
+    EXPECT_FALSE(dir->probe(0x10));
 }
 
 TEST(Elbow, MoreForcedInvalidationsThanCuckooAtEqualSize)
@@ -229,7 +247,7 @@ TEST(Elbow, MoreForcedInvalidationsThanCuckooAtEqualSize)
     // the Cuckoo directory" because it is limited to one displacement.
     const unsigned ways = 4;
     const std::size_t sets = 256;
-    ElbowDirectory elbow(8, ways, sets, SharerFormat::FullVector);
+    auto elbow = makeElbow(8, ways, sets);
     CuckooDirectory cuckoo(8, ways, sets, SharerFormat::FullVector);
     Rng rng(23);
     std::vector<Tag> live;
@@ -237,20 +255,20 @@ TEST(Elbow, MoreForcedInvalidationsThanCuckooAtEqualSize)
     for (int i = 0; i < 120000; ++i) {
         if (live.size() >= target) {
             const std::size_t k = rng.below(live.size());
-            elbow.removeSharer(live[k], 0);
+            elbow->removeSharer(live[k], 0);
             cuckoo.removeSharer(live[k], 0);
             live[k] = live.back();
             live.pop_back();
         } else {
             const Tag tag = rng.next() >> 4;
-            if (elbow.probe(tag) || cuckoo.probe(tag))
+            if (elbow->probe(tag) || cuckoo.probe(tag))
                 continue;
-            test::accessDir(elbow, tag, 0, false);
+            test::accessDir(*elbow, tag, 0, false);
             test::accessDir(cuckoo, tag, 0, false);
             live.push_back(tag);
         }
     }
-    EXPECT_GT(elbow.stats().forcedEvictions,
+    EXPECT_GT(elbow->stats().forcedEvictions,
               cuckoo.stats().forcedEvictions);
 }
 

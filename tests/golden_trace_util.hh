@@ -20,7 +20,7 @@
 
 namespace cdir::test {
 
-/** The organizations pinned, in registry-stable (alphabetical) order. */
+/** The organizations pinned, in the organization table's (sorted) order. */
 inline const char *const kGoldenOrganizations[] = {
     "Cuckoo", "DuplicateTag", "Elbow", "InCache",
     "Skewed", "Sparse",       "Tagless",

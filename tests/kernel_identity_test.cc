@@ -25,7 +25,7 @@
 
 #include "common/bit_util.hh"
 #include "common/rng.hh"
-#include "directory/registry.hh"
+#include "directory/directory.hh"
 #include "sim/sweep.hh"
 
 #include "dir_test_util.hh"

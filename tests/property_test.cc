@@ -31,7 +31,6 @@
 #include "directory/cuckoo_directory.hh"
 #include "directory/cuckoo_table.hh"
 #include "directory/directory.hh"
-#include "directory/registry.hh"
 #include "sim/experiment.hh"
 
 #include "dir_test_util.hh"
@@ -360,7 +359,6 @@ TEST(DifferentialStress, AllOrganizationsHoldCoherenceInvariants)
     if (const char *extra = std::getenv("CDIR_STRESS_SEED"))
         seeds.push_back(std::strtoull(extra, nullptr, 10));
 
-    const DirectoryRegistry &registry = DirectoryRegistry::instance();
     for (const std::uint64_t seed : seeds) {
         SCOPED_TRACE("stress seed " + std::to_string(seed) +
                      " (replay with CDIR_STRESS_SEED=" +
@@ -376,7 +374,7 @@ TEST(DifferentialStress, AllOrganizationsHoldCoherenceInvariants)
         bool have_reference = false;
         CmpStats reference;
 
-        for (const std::string &org : registry.names()) {
+        for (const std::string &org : directoryOrganizations()) {
             SCOPED_TRACE("organization " + org);
             const StressOutcome out = replayStress(org, wl, kAccesses);
             const CmpStats &sys = out.system;
@@ -403,7 +401,7 @@ TEST(DifferentialStress, AllOrganizationsHoldCoherenceInvariants)
             EXPECT_LE(dir.forcedEvictions, dir.insertions);
             EXPECT_LE(dir.sharerRemovals, sys.cacheEvictions);
 
-            if (registry.traits(org).mirrorsTrackedCaches) {
+            if (directoryTraits(org).mirrorsTrackedCaches) {
                 // Mirrored geometry cannot conflict (§3.1).
                 EXPECT_EQ(dir.forcedEvictions, 0u);
                 EXPECT_EQ(dir.forcedBlockInvalidations, 0u);

@@ -1,24 +1,27 @@
 /**
  * @file
- * DirectoryRegistry coverage: every organization self-registers and
- * round-trips (list -> build -> name()), traits drive the CMP geometry
- * decisions, and unknown names fail with a message naming the
- * alternatives.
+ * Organization-table coverage: the seven organizations are listed in
+ * order and round-trip (list -> makeDirectory -> name()), traits drive
+ * the CMP geometry decisions, unknown names fail with a message naming
+ * the alternatives, and every way-probed organization rejects a way
+ * count its probe loops cannot hold.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
-#include "directory/registry.hh"
+#include "directory/directory.hh"
+#include "hash/hash_family.hh"
 
 #include "dir_test_util.hh"
 
 namespace cdir {
 namespace {
 
-/** Workable small parameters for any registered organization. */
+/** Workable small parameters for any organization. */
 DirectoryParams
 paramsFor(const std::string &organization)
 {
@@ -32,29 +35,23 @@ paramsFor(const std::string &organization)
     return p;
 }
 
-TEST(DirectoryRegistry, AllSevenOrganizationsRegistered)
+TEST(OrganizationTable, AllSevenOrganizationsInOrder)
 {
-    const auto names = DirectoryRegistry::instance().names();
-    for (const char *expected :
-         {"Cuckoo", "Sparse", "Skewed", "DuplicateTag", "InCache",
-          "Tagless", "Elbow"}) {
-        EXPECT_TRUE(std::find(names.begin(), names.end(), expected) !=
-                    names.end())
-            << expected << " missing from registry";
-        EXPECT_TRUE(DirectoryRegistry::instance().contains(expected));
-    }
-    EXPECT_GE(names.size(), 7u);
-    EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+    // Harnesses emit one row or column per organization in this order.
+    const std::vector<std::string> expected{
+        "Cuckoo", "DuplicateTag", "Elbow", "InCache",
+        "Skewed", "Sparse",       "Tagless"};
+    EXPECT_EQ(directoryOrganizations(), expected);
 }
 
-TEST(DirectoryRegistry, EveryNameRoundTripsThroughBuild)
+TEST(OrganizationTable, EveryNameRoundTripsThroughBuild)
 {
-    for (const std::string &name : DirectoryRegistry::instance().names()) {
+    for (const std::string &name : directoryOrganizations()) {
         const DirectoryParams p = paramsFor(name);
-        auto dir = DirectoryRegistry::instance().build(name, p);
+        auto dir = makeDirectory(p);
         ASSERT_NE(dir, nullptr) << name;
-        // Reported names are "<Organization>-<geometry>"; the registry
-        // key must prefix them so reports stay greppable.
+        // Reported names are "<Organization>-<geometry>"; the table
+        // name must prefix them so reports stay greppable.
         EXPECT_EQ(dir->name().rfind(name, 0), 0u)
             << "'" << dir->name() << "' does not start with '" << name
             << "'";
@@ -67,23 +64,21 @@ TEST(DirectoryRegistry, EveryNameRoundTripsThroughBuild)
     }
 }
 
-TEST(DirectoryRegistry, MirrorTraitsMatchOrganizations)
+TEST(OrganizationTable, MirrorTraitsMatchOrganizations)
 {
-    const auto &registry = DirectoryRegistry::instance();
-    EXPECT_TRUE(registry.traits("DuplicateTag").mirrorsTrackedCaches);
-    EXPECT_TRUE(registry.traits("Tagless").mirrorsTrackedCaches);
-    EXPECT_FALSE(registry.traits("Cuckoo").mirrorsTrackedCaches);
-    EXPECT_FALSE(registry.traits("Sparse").mirrorsTrackedCaches);
-    EXPECT_FALSE(registry.traits("Skewed").mirrorsTrackedCaches);
-    EXPECT_FALSE(registry.traits("InCache").mirrorsTrackedCaches);
-    EXPECT_FALSE(registry.traits("Elbow").mirrorsTrackedCaches);
+    EXPECT_TRUE(directoryTraits("DuplicateTag").mirrorsTrackedCaches);
+    EXPECT_TRUE(directoryTraits("Tagless").mirrorsTrackedCaches);
+    EXPECT_FALSE(directoryTraits("Cuckoo").mirrorsTrackedCaches);
+    EXPECT_FALSE(directoryTraits("Sparse").mirrorsTrackedCaches);
+    EXPECT_FALSE(directoryTraits("Skewed").mirrorsTrackedCaches);
+    EXPECT_FALSE(directoryTraits("InCache").mirrorsTrackedCaches);
+    EXPECT_FALSE(directoryTraits("Elbow").mirrorsTrackedCaches);
 }
 
-TEST(DirectoryRegistry, UnknownNameFailsListingAlternatives)
+TEST(OrganizationTable, UnknownNameFailsListingAlternatives)
 {
-    const DirectoryParams p = paramsFor("NoSuchOrganization");
     try {
-        DirectoryRegistry::instance().build("NoSuchOrganization", p);
+        makeDirectory(paramsFor("NoSuchOrganization"));
         FAIL() << "expected std::invalid_argument";
     } catch (const std::invalid_argument &e) {
         const std::string message = e.what();
@@ -92,20 +87,34 @@ TEST(DirectoryRegistry, UnknownNameFailsListingAlternatives)
         EXPECT_NE(message.find("Cuckoo"), std::string::npos);
         EXPECT_NE(message.find("Tagless"), std::string::npos);
     }
-    EXPECT_THROW(DirectoryRegistry::instance().traits("NoSuchOrganization"),
+    EXPECT_THROW(directoryTraits("NoSuchOrganization"),
                  std::invalid_argument);
-    EXPECT_THROW(makeDirectory(paramsFor("NoSuchOrganization")),
+    EXPECT_THROW(paramsFor("NoSuchOrganization").totalEntries(),
                  std::invalid_argument);
 }
 
-TEST(DirectoryRegistry, DuplicateRegistrationIsRejected)
+TEST(OrganizationTable, WaysOutsideProbeBoundAreRejected)
 {
-    EXPECT_THROW(DirectoryRegistry::instance().registerOrganization(
-                     "Cuckoo", DirectoryTraits{},
-                     [](const DirectoryParams &) {
-                         return std::unique_ptr<Directory>();
-                     }),
-                 std::logic_error);
+    // The probe loops index fixed kMaxProbeWays-entry stack arrays, so
+    // every way-probed organization must refuse a wider slice.
+    for (const char *name :
+         {"Cuckoo", "Elbow", "InCache", "Skewed", "Sparse"}) {
+        for (const unsigned ways : {0u, kMaxProbeWays + 1}) {
+            DirectoryParams p = paramsFor(name);
+            p.ways = ways;
+            try {
+                makeDirectory(p);
+                ADD_FAILURE() << name << " built with " << ways << " ways";
+            } catch (const std::invalid_argument &e) {
+                EXPECT_NE(std::string(e.what()).find("1..64"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+        DirectoryParams p = paramsFor(name);
+        p.ways = kMaxProbeWays;
+        EXPECT_NO_THROW(makeDirectory(p)) << name;
+    }
 }
 
 } // namespace

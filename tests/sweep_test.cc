@@ -9,7 +9,7 @@
  *    contract: every cell owns its CmpSystem and workload RNG);
  *  - two concurrent runExperiment calls on the same organization name
  *    match the serial baseline (no shared mutable state behind the
- *    registry or hash/Zipf machinery);
+ *    organization table or hash/Zipf machinery);
  *  - the comma-OR cell filter and the CSV/JSON reporters behave.
  */
 
@@ -200,8 +200,9 @@ TEST(SweepRunMany, FlattensSpecsIntoOnePoolWithPerSpecResults)
 TEST(SweepDeterminism, ConcurrentSameOrganizationMatchesSerial)
 {
     // Two threads run the *same* organization name simultaneously; if
-    // any state were shared behind the registry, hash families, or
-    // workload samplers, results would diverge from the serial run.
+    // any state were shared behind the organization table, hash
+    // families, or workload samplers, results would diverge from the
+    // serial run.
     CmpConfig cfg = CmpConfig::paperConfig(CmpConfigKind::SharedL2, 4);
     cfg.privateCache = CacheConfig{64, 2};
     cfg.directory = cuckooSliceParams(4, 64);
