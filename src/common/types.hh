@@ -12,6 +12,7 @@
 #define CDIR_COMMON_TYPES_HH
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstddef>
 #include <optional>
@@ -56,8 +57,10 @@ inline constexpr unsigned physAddrBits = 48;
  * Whole-string parse of an unsigned decimal: the value iff @p text is
  * one or more digits that fit in 64 bits, with no sign, whitespace or
  * trailing characters ("10k", "", "-1" and " 4" are rejected). The one
- * count grammar of command-line flags and positionals, scenario text
- * and fleet / slo-ramp spec knobs.
+ * count grammar of every declared setting (countFlag, common/
+ * cli_flag.hh: command-line flags, scenario `set`/`burst`/`trace`
+ * arguments, fleet / slo-ramp spec knobs), of positionals and of the
+ * scenario text's other counts.
  */
 inline std::optional<std::uint64_t>
 parseCliUnsigned(std::string_view text)
@@ -66,6 +69,25 @@ parseCliUnsigned(std::string_view text)
     const auto [ptr, ec] =
         std::from_chars(text.data(), text.data() + text.size(), value);
     if (ec != std::errc{} || ptr != text.data() + text.size())
+        return std::nullopt;
+    return value;
+}
+
+/**
+ * Whole-string parse of a finite real: the value iff @p text is one
+ * decimal or exponent-form number ("0.5", "-2", "1e-3", ".5") with no
+ * leading '+', whitespace or trailing characters. "nan", "inf" and
+ * out-of-range magnitudes are rejected. The one real grammar of
+ * realFlag settings and phase-trigger thresholds.
+ */
+inline std::optional<double>
+parseCliReal(std::string_view text)
+{
+    double value = 0.0;
+    const auto [ptr, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (ec != std::errc{} || ptr != text.data() + text.size() ||
+        !std::isfinite(value))
         return std::nullopt;
     return value;
 }

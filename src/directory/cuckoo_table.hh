@@ -87,19 +87,18 @@ class CuckooTable
      *        paper's design; >1 implements Panigrahy's bucketized
      *        variant [30], which §6 notes "may offer additional
      *        improvement ... at high directory occupancy".
-     * @throws std::invalid_argument unless @p family has 1 to
+     * @throws std::invalid_argument unless @p family has 2 to
      *         kMaxProbeWays ways.
      */
     CuckooTable(const HashFamily &family, unsigned max_attempts = 32,
                 unsigned bucket_slots = 1)
         : hashes(family),
-          ways(checkedProbeWays(family.numWays())),
+          ways(checkedProbeWays(family.numWays(), 2)),
           sets(family.setsPerWay()),
           maxAttempts(max_attempts),
           bucketSlots(bucket_slots),
           slots(std::size_t{ways} * sets * bucket_slots)
     {
-        assert(ways >= 2 && "cuckoo displacement needs >= 2 ways");
         assert(max_attempts >= 1);
         assert(bucket_slots >= 1 && bucket_slots <= kKernelWidth);
     }

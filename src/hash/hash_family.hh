@@ -26,10 +26,12 @@ namespace cdir {
 inline constexpr unsigned kMaxProbeWays = 64;
 
 /**
- * @p ways, checked for a way-probed structure.
- * @throws std::invalid_argument unless 1 <= @p ways <= kMaxProbeWays.
+ * @p ways, checked for a way-probed structure (a Cuckoo table passes
+ * @p min_ways 2: displacement needs a second way).
+ * @throws std::invalid_argument unless
+ * @p min_ways <= @p ways <= kMaxProbeWays.
  */
-unsigned checkedProbeWays(unsigned ways);
+unsigned checkedProbeWays(unsigned ways, unsigned min_ways = 1);
 
 /** Family of per-way hash functions over block tags. */
 class HashFamily
@@ -90,8 +92,10 @@ inline constexpr HashKind kLastHashKind = HashKind::Modulo;
  *
  * @param kind         implementation to build.
  * @param num_ways     number of member functions.
- * @param sets_per_way codomain size; must be a power of two.
+ * @param sets_per_way codomain size: a power of two, and 4..2^24 for
+ *                     the Skewing family.
  * @param seed         seed for the Strong family (ignored otherwise).
+ * @throws std::invalid_argument for a set count @p kind cannot index.
  */
 std::unique_ptr<HashFamily> makeHashFamily(HashKind kind, unsigned num_ways,
                                            std::size_t sets_per_way,

@@ -53,33 +53,48 @@ sweepCellLabel(const std::string &config_label,
     return label;
 }
 
+namespace {
+
+/**
+ * Append @p params as workload points labelled by their names, except
+ * that a name two points share falls back to that point's @p fallbacks
+ * entry (a corpus holding oltp.ctr and oltp.trace, or a/night.scn and
+ * b/night.scn), so axis labels stay unique and --filter can tell the
+ * cells apart.
+ */
+void
+appendUniquelyLabelled(SweepSpec &spec, std::vector<WorkloadParams> params,
+                       const std::vector<std::string> &fallbacks)
+{
+    std::vector<std::string> labels;
+    for (std::size_t i = 0; i < params.size(); ++i) {
+        const auto same = [&](const WorkloadParams &p) {
+            return p.name == params[i].name;
+        };
+        labels.push_back(
+            std::count_if(params.begin(), params.end(), same) > 1
+                ? fallbacks[i]
+                : params[i].name);
+    }
+    for (std::size_t i = 0; i < params.size(); ++i) {
+        params[i].name = labels[i];
+        spec.workload(std::move(labels[i]), std::move(params[i]));
+    }
+}
+
+} // namespace
+
 void
 appendTraceWorkloads(SweepSpec &spec, const std::string &path)
 {
-    const std::vector<std::string> files = listTraceFiles(path);
-
-    // Label by stem, but fall back to the full filename when stems
-    // collide (e.g. a corpus holding oltp.ctr and oltp.trace) so axis
-    // labels stay unique and --filter can tell the cells apart.
+    // Label by stem, falling back to the full filename.
     std::vector<WorkloadParams> params;
-    params.reserve(files.size());
-    for (const std::string &file : files)
+    std::vector<std::string> filenames;
+    for (const std::string &file : listTraceFiles(path)) {
         params.push_back(traceWorkloadParams(file));
-    const auto stem_collides = [&](std::size_t i) {
-        for (std::size_t j = 0; j < files.size(); ++j)
-            if (j != i && std::filesystem::path(files[j]).stem() ==
-                              std::filesystem::path(files[i]).stem())
-                return true;
-        return false;
-    };
-    for (std::size_t i = 0; i < params.size(); ++i) {
-        std::string label =
-            stem_collides(i)
-                ? std::filesystem::path(files[i]).filename().string()
-                : params[i].name;
-        params[i].name = label;
-        spec.workload(std::move(label), std::move(params[i]));
+        filenames.push_back(std::filesystem::path(file).filename().string());
     }
+    appendUniquelyLabelled(spec, std::move(params), filenames);
 }
 
 void
@@ -92,7 +107,6 @@ appendScenarioWorkloads(SweepSpec &spec, const std::string &specs,
 
     const auto &presets = scenarioPresetNames();
     std::vector<WorkloadParams> params;
-    params.reserve(items.size());
     for (const std::string &item : items) {
         // Fail fast on a bad spec, file path, schedule, or core bound:
         // a preset name is known-good (and adapts to any core count), a
@@ -113,23 +127,8 @@ appendScenarioWorkloads(SweepSpec &spec, const std::string &specs,
         }
         params.push_back(dynamicWorkloadParams(item));
     }
-    // Label by stem/preset name, but fall back to the full spec when
-    // labels collide (e.g. a/night.scn + b/night.scn) so axis labels
-    // stay unique and --filter can tell the cells apart — the same
-    // hardening appendTraceWorkloads has.
-    std::vector<std::string> stems;
-    stems.reserve(params.size());
-    for (const WorkloadParams &p : params)
-        stems.push_back(p.name);
-    for (std::size_t i = 0; i < params.size(); ++i) {
-        bool collides = false;
-        for (std::size_t j = 0; j < stems.size(); ++j)
-            if (j != i && stems[j] == stems[i])
-                collides = true;
-        std::string label = collides ? items[i] : stems[i];
-        params[i].name = label;
-        spec.workload(std::move(label), std::move(params[i]));
-    }
+    // Label by stem/preset name, falling back to the full spec.
+    appendUniquelyLabelled(spec, std::move(params), items);
 }
 
 std::string
@@ -145,17 +144,10 @@ SweepRunner::matchesFilter(const std::string &cell_label) const
 {
     if (opts.filter.empty())
         return true;
-    std::string_view rest = opts.filter;
-    while (!rest.empty()) {
-        const std::size_t comma = rest.find(',');
-        const std::string_view needle = rest.substr(0, comma);
+    for (const std::string_view needle : splitList(opts.filter, ','))
         if (!needle.empty() &&
             cell_label.find(needle) != std::string::npos)
             return true;
-        if (comma == std::string_view::npos)
-            break;
-        rest.remove_prefix(comma + 1);
-    }
     return false;
 }
 
@@ -520,25 +512,6 @@ Reporter::note(const std::string &text)
 // --- command-line flags ------------------------------------------------------
 
 CliFlag
-textFlag(const char *name, std::string &dest, const char *value,
-         const char *help)
-{
-    return {name, value, help, [&dest](const char *v) {
-                dest = v;
-                return !dest.empty();
-            }};
-}
-
-CliFlag
-toggleFlag(const char *name, bool &dest, const char *help)
-{
-    return {name, "", help, [&dest](const char *) {
-                dest = true;
-                return true;
-            }};
-}
-
-CliFlag
 formatFlag(ReportFormat &dest)
 {
     return choiceFlag<ReportFormat>("format", dest,
@@ -553,22 +526,16 @@ costModelFlag(std::vector<std::string> &dest)
 {
     return {"cost-model", "M[,M...]",
             "time cells under cost models: fixed, mesh or all",
-            [&dest](const char *v) {
-                if (std::string_view(v) == "all") {
+            [&dest](std::string_view v) {
+                if (v == "all") {
                     dest = costModelNames();
                     return true;
                 }
                 dest.clear();
-                std::string_view rest = v;
-                while (true) {
-                    const std::size_t comma = rest.find(',');
-                    dest.emplace_back(rest.substr(0, comma));
-                    if (!isCostModelName(dest.back()))
+                for (const std::string_view name : splitList(v, ','))
+                    if (!isCostModelName(dest.emplace_back(name)))
                         return false;
-                    if (comma == std::string_view::npos)
-                        return true;
-                    rest.remove_prefix(comma + 1);
-                }
+                return true;
             }};
 }
 
@@ -577,7 +544,7 @@ costModelFlag(std::string &dest)
 {
     return {"cost-model", "M",
             "time every access under cost model fixed or mesh",
-            [&dest](const char *v) {
+            [&dest](std::string_view v) {
                 dest = v;
                 return isCostModelName(dest);
             }};
@@ -595,17 +562,11 @@ CliFlags::parse(int argc, char **argv, std::size_t max_args) const
             args.emplace_back(arg);
             continue;
         }
-        const std::size_t eq = arg.find('=');
-        const std::string_view name =
-            arg.substr(2, eq == std::string_view::npos ? eq : eq - 2);
-        const auto flag =
-            std::find_if(flags.begin(), flags.end(),
-                         [&](const CliFlag &f) { return f.name == name; });
-        if (flag == flags.end())
-            fail("unknown flag '--" + std::string(name) + "'");
-        const bool toggle = flag->value.empty();
-        if (toggle != (eq == std::string_view::npos) ||
-            !flag->set(toggle ? nullptr : argv[i] + eq + 1))
+        bool ok = false;
+        if (setFlag(flags, arg.substr(2), ok) == nullptr)
+            fail("unknown flag '" +
+                 std::string(arg.substr(0, arg.find('='))) + "'");
+        if (!ok)
             fail("bad value in '" + std::string(arg) + "'");
     }
     return args;

@@ -28,14 +28,16 @@
  *    aligned text table, CSV, or JSON, replacing per-harness printf
  *    scattering.
  *  - `CliFlags`: the one command-line parser of every harness, example
- *    and tool. A program declares each flag it honours once (name,
- *    destination, value check, help line); `--name=value` sets a
- *    declared flag, anything undeclared or malformed exits 2 with the
- *    usage text generated from the declarations, and positionals go
- *    back to the caller. `parseHarnessOptions` declares the subset of
- *    the shared harness flags (`HarnessOptions`) a harness's grid
- *    honours, plus its own knobs, so an inapplicable flag is rejected
- *    instead of silently ignored.
+ *    and tool. A program declares each flag it honours once as a
+ *    `CliFlag` (name, destination, value check, help line; declared in
+ *    common/cli_flag.hh, whose `setFlag` lookup the workload spec
+ *    grammars share); `--name=value` sets a declared flag, anything
+ *    undeclared or malformed exits 2 with the usage text generated
+ *    from the declarations, and positionals go back to the caller.
+ *    `parseHarnessOptions` declares the subset of the shared harness
+ *    flags (`HarnessOptions`) a harness's grid honours, plus its own
+ *    knobs, so an inapplicable flag is rejected instead of silently
+ *    ignored.
  *
  * Thread-safety contract (audited): `runExperiment` touches no global
  * mutable state — the directory organization table is constant data,
@@ -47,17 +49,13 @@
 #ifndef CDIR_SIM_SWEEP_HH
 #define CDIR_SIM_SWEEP_HH
 
-#include <concepts>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
-#include <limits>
-#include <optional>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "common/cli_flag.hh"
 #include "common/thread_pool.hh"
 #include "sim/experiment.hh"
 
@@ -386,60 +384,6 @@ class Reporter
 std::string jsonEscape(const std::string &s);
 
 // --- command-line flags ------------------------------------------------------
-
-/**
- * One declared flag: `--name=VALUE`, or a bare `--name` toggle when
- * `value` is empty. `set` checks a value and stores it in the flag's
- * destination (a toggle gets nullptr); false means a bad value.
- */
-struct CliFlag
-{
-    std::string name;  //!< without the leading "--"
-    std::string value; //!< value placeholder in the usage text
-    std::string help;  //!< the flag's one usage line
-    std::function<bool(const char *)> set;
-};
-
-/** `--name=N`: a whole unsigned decimal >= @p min that fits @p dest. */
-template <std::unsigned_integral T>
-CliFlag
-countFlag(const char *name, T &dest, std::uint64_t min, const char *help)
-{
-    return {name, "N", help, [&dest, min](const char *v) {
-                const std::optional<std::uint64_t> n = parseCliUnsigned(v);
-                if (!n || *n < min || *n > std::numeric_limits<T>::max())
-                    return false;
-                dest = static_cast<T>(*n);
-                return true;
-            }};
-}
-
-/** `--name=VALUE`: any non-empty string. */
-CliFlag textFlag(const char *name, std::string &dest, const char *value,
-                 const char *help);
-
-/** Bare `--name`: sets @p dest. */
-CliFlag toggleFlag(const char *name, bool &dest, const char *help);
-
-/** `--name=` one of @p choices' names: stores that choice's value. */
-template <typename T>
-CliFlag
-choiceFlag(const char *name, T &dest,
-           std::vector<std::pair<std::string, T>> choices, const char *help)
-{
-    std::string value;
-    for (const auto &choice : choices)
-        value += (value.empty() ? "" : "|") + choice.first;
-    return {name, std::move(value), help,
-            [&dest, choices = std::move(choices)](const char *v) {
-                for (const auto &[text, choice] : choices)
-                    if (text == v) {
-                        dest = choice;
-                        return true;
-                    }
-                return false;
-            }};
-}
 
 /** `--format=table|csv|json`. */
 CliFlag formatFlag(ReportFormat &dest);

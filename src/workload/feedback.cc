@@ -1,45 +1,32 @@
 #include "workload/feedback.hh"
 
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <stdexcept>
 
 namespace cdir {
 
+namespace {
+
+/** Grammar names, indexed by TriggerMetric. */
+constexpr const char *kMetricNames[] = {"occupancy", "p50", "p99",
+                                        "forced-per-1k", "attempts"};
+
+} // namespace
+
 const char *
 triggerMetricName(TriggerMetric metric)
 {
-    switch (metric) {
-      case TriggerMetric::Occupancy:
-        return "occupancy";
-      case TriggerMetric::P50:
-        return "p50";
-      case TriggerMetric::P99:
-        return "p99";
-      case TriggerMetric::ForcedPer1k:
-        return "forced-per-1k";
-      case TriggerMetric::Attempts:
-        return "attempts";
-    }
-    return "?";
+    return kMetricNames[static_cast<std::size_t>(metric)];
 }
 
-bool
-triggerMetricByName(const std::string &name, TriggerMetric &metric)
+CliFlag
+triggerMetricFlag(TriggerMetric &dest)
 {
-    if (name == "occupancy")
-        metric = TriggerMetric::Occupancy;
-    else if (name == "p50")
-        metric = TriggerMetric::P50;
-    else if (name == "p99")
-        metric = TriggerMetric::P99;
-    else if (name == "forced-per-1k")
-        metric = TriggerMetric::ForcedPer1k;
-    else if (name == "attempts")
-        metric = TriggerMetric::Attempts;
-    else
-        return false;
-    return true;
+    std::vector<std::pair<std::string, TriggerMetric>> choices;
+    for (std::size_t i = 0; i < std::size(kMetricNames); ++i)
+        choices.emplace_back(kMetricNames[i], TriggerMetric(i));
+    return choiceFlag("metric", dest, std::move(choices), "metric");
 }
 
 bool
@@ -69,31 +56,30 @@ triggerMetricValue(const ProbeSnapshot &snapshot, TriggerMetric metric)
 PhaseTrigger
 parsePhaseTrigger(const std::string &text)
 {
-    const std::size_t gt = text.find('>');
-    const std::size_t lt = text.find('<');
-    if (gt == std::string::npos && lt == std::string::npos)
+    const std::size_t op = text.find_first_of("<>");
+    if (op == std::string::npos)
         throw std::invalid_argument(
             "trigger '" + text + "' has no comparison ('>' or '<')");
-    if (gt != std::string::npos && lt != std::string::npos)
+    PhaseTrigger trigger;
+    trigger.greater = text[op] == '>';
+    if (text.find(trigger.greater ? '<' : '>') != std::string::npos)
         throw std::invalid_argument(
             "trigger '" + text + "' mixes '>' and '<'");
-    const std::size_t op = gt != std::string::npos ? gt : lt;
 
-    PhaseTrigger trigger;
-    trigger.greater = gt != std::string::npos;
     const std::string name = text.substr(0, op);
-    if (!triggerMetricByName(name, trigger.metric))
-        throw std::invalid_argument(
-            "trigger '" + text + "' names unknown metric '" + name +
-            "' (try occupancy, p50, p99, forced-per-1k, attempts)");
+    const CliFlag metric = triggerMetricFlag(trigger.metric);
+    if (!metric.set(name))
+        throw std::invalid_argument("trigger '" + text +
+                                    "' names unknown metric '" + name +
+                                    "' (try " + metric.value + ")");
 
     const std::string value = text.substr(op + 1);
-    char *end = nullptr;
-    trigger.threshold = std::strtod(value.c_str(), &end);
-    if (value.empty() || end == value.c_str() || *end != '\0')
+    const std::optional<double> threshold = parseCliReal(value);
+    if (!threshold)
         throw std::invalid_argument(
             "trigger '" + text + "' has malformed threshold '" + value +
             "'");
+    trigger.threshold = *threshold;
     if (trigger.threshold < 0.0)
         throw std::invalid_argument(
             "trigger '" + text + "' threshold must be >= 0");

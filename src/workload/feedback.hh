@@ -35,6 +35,8 @@
 #include <string>
 #include <vector>
 
+#include "common/cli_flag.hh"
+
 namespace cdir {
 
 /**
@@ -142,7 +144,8 @@ class FeedbackConsumer
     virtual std::uint64_t feedbackDigest() const { return 0; }
 };
 
-/** Metrics a trigger can test (all read from a ProbeSnapshot). */
+/** Metrics a trigger can test (all read from a ProbeSnapshot), in the
+ *  order of their grammar names (feedback.cc). */
 enum class TriggerMetric
 {
     Occupancy,     //!< aggregate occupancy fraction in [0, 1]
@@ -155,8 +158,11 @@ enum class TriggerMetric
 /** Grammar name of @p metric ("occupancy", "p99", ...). */
 const char *triggerMetricName(TriggerMetric metric);
 
-/** Reverse lookup; @return false for an unknown name. */
-bool triggerMetricByName(const std::string &name, TriggerMetric &metric);
+/**
+ * `metric=` one of the metric names, stored into @p dest: the slo-ramp
+ * `metric` knob, and the metric half of a trigger expression.
+ */
+CliFlag triggerMetricFlag(TriggerMetric &dest);
 
 /** True for metrics that are only meaningful under a cost model. */
 bool triggerMetricNeedsTiming(TriggerMetric metric);

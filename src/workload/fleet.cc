@@ -1,6 +1,7 @@
 #include "workload/fleet.hh"
 
-#include <cstdlib>
+#include <algorithm>
+#include <span>
 #include <stdexcept>
 
 #include "workload/scenario.hh"
@@ -22,28 +23,6 @@ constexpr BlockAddr slotStride = BlockAddr{1} << 33;
 
 /** Slot count bound keeping tenant slots clear of address wrap. */
 constexpr std::size_t maxTenants = std::size_t{1} << 19;
-
-/** 8KB pages of 64B blocks, 128 page colors — the same Solaris-style
- *  page-coloring structure as workload.cc's scatterPages, replicated
- *  here so fleet footprints stress the directories the same way the
- *  Table 2 generators do. */
-constexpr std::uint64_t pageBlocks = 128;
-constexpr std::uint64_t pageColors = 128;
-
-BlockAddr
-scatterFleetPages(std::uint64_t salt, std::uint64_t rank)
-{
-    const std::uint64_t page = rank / pageBlocks;
-    const std::uint64_t offset = rank % pageBlocks;
-    const std::uint64_t color = page % pageColors;
-    const std::uint64_t group = page / pageColors;
-    const std::uint64_t frame_high =
-        ((group * 0x6364136223846793ull) ^
-         (salt * 0x9e3779b97f4a7c15ull)) &
-        ((1ull << 19) - 1);
-    const std::uint64_t frame = frame_high * pageColors + color;
-    return frame * pageBlocks + offset;
-}
 
 /**
  * Accesses before the first event of a knob firing at every positive
@@ -108,13 +87,13 @@ FleetWorkload::tenantAddr(std::size_t tenant, std::uint64_t rank) const
     // redeploy moves the whole footprint to fresh frames (cold start)
     // while staying injective inside the tenant's 2^33-block slot. The
     // generation is spread by an odd multiplier so it lands in the low
-    // bits — scatterFleetPages keeps only the low 19 bits of its frame
+    // bits — scatterPages keeps only the low 19 bits of its frame
     // scramble, and a multiply never carries high-bit changes downward.
     const std::uint64_t salt =
         cfg.seed ^ ((tenant + 1) * 0x100000001b3ull) ^
         (std::uint64_t{generation[tenant]} * 0xd1b54a32d192ed03ull);
     return fleetRegion + BlockAddr{tenant} * slotStride +
-           scatterFleetPages(salt, rank);
+           scatterPages(salt, rank);
 }
 
 void
@@ -187,8 +166,8 @@ FleetWorkload::next()
         // it lands in a slot of its own past the last tenant.
         access.instruction = true;
         access.addr = fleetRegion + BlockAddr{cfg.tenants} * slotStride +
-                      scatterFleetPages(cfg.seed ^ 0x5a5a5a5aull,
-                                        sharedZipf.sample(rng));
+                      scatterPages(cfg.seed ^ 0x5a5a5a5aull,
+                                   sharedZipf.sample(rng));
         return access;
     }
 
@@ -304,99 +283,71 @@ SloRampWorkload::next()
 
 // --- spec grammar ------------------------------------------------------------
 
+std::vector<CliFlag>
+fleetKnobs(FleetParams &p)
+{
+    return {
+        countFlag("tenants", p.tenants, 0, "tenant count"),
+        countFlag("blocks", p.blocksPerTenant, 0, "key blocks per tenant"),
+        realFlag("theta", p.theta, "key popularity skew"),
+        realFlag("write", p.writeFraction, "write probability"),
+        countFlag("shared", p.sharedBlocks, 0, "shared frontend blocks"),
+        realFlag("shared-frac", p.sharedFraction, "frontend probability"),
+        countFlag("churn", p.churnEvery, 0, "accesses between redeploys"),
+        countFlag("storm", p.stormEvery, 0, "accesses between storms"),
+        countFlag("storm-len", p.stormLength, 0, "storm length"),
+        realFlag("storm-frac", p.stormFraction, "hot-key probability"),
+        countFlag("diurnal", p.diurnalPeriod, 0, "diurnal period"),
+        countFlag("min-active", p.minActiveTenants, 0, "diurnal floor"),
+        countFlag("seed", p.seed, 0, "generator seed"),
+    };
+}
+
+std::vector<CliFlag>
+sloRampKnobs(SloRampParams &p)
+{
+    std::vector<CliFlag> knobs = fleetKnobs(p.fleet);
+    knobs.insert(knobs.begin(),
+                 {triggerMetricFlag(p.metric),
+                  realFlag("target", p.target, "SLO target"),
+                  countFlag("step", p.step, 0, "accesses per level"),
+                  countFlag("start", p.startLevel, 0, "first level"),
+                  countFlag("max", p.maxLevel, 0, "top level")});
+    return knobs;
+}
+
 namespace {
 
-[[noreturn]] void
-specFail(const std::string &head, const std::string &what)
+/**
+ * Set @p knobs from "<head>:knob=value:..." @p spec.
+ * @throws std::invalid_argument "<head> spec: ..." naming the bad knob.
+ */
+void
+setSpecKnobs(const std::string &spec, const std::string &head,
+             std::span<const CliFlag> knobs)
 {
-    throw std::invalid_argument(head + " spec: " + what);
-}
-
-std::vector<std::string>
-splitSpecTokens(const std::string &spec)
-{
-    std::vector<std::string> tokens;
-    std::size_t start = 0;
-    while (start <= spec.size()) {
-        const std::size_t colon = spec.find(':', start);
-        const std::size_t end =
-            colon == std::string::npos ? spec.size() : colon;
-        tokens.push_back(spec.substr(start, end - start));
-        if (colon == std::string::npos)
-            break;
-        start = colon + 1;
+    const auto fail = [&](const std::string &what) {
+        throw std::invalid_argument(head + " spec: " + what);
+    };
+    const std::vector<std::string_view> tokens = splitList(spec, ':');
+    if (tokens.front() != head)
+        fail("expected '" + head + "[:knob=value...]', got '" + spec + "'");
+    for (const std::string_view token : std::span(tokens).subspan(1)) {
+        bool ok = false;
+        const CliFlag *knob = setFlag(knobs, token, ok);
+        if (knob == nullptr)
+            fail("unknown knob '" + std::string(token) + "' (known: " +
+                 flagNames(knobs) + ")");
+        if (!ok)
+            fail("'" + knob->name + "' is not " +
+                 (knob->value == "N"   ? "a count"
+                  : knob->value == "X" ? "a number"
+                                       : "one of " + knob->value) +
+                 ": '" +
+                 std::string(token.substr(
+                     std::min(token.size(), knob->name.size() + 1))) +
+                 "'");
     }
-    return tokens;
-}
-
-std::uint64_t
-parseSpecCount(const std::string &head, const std::string &key,
-               const std::string &value)
-{
-    if (value.empty())
-        specFail(head, "'" + key + "' needs a value");
-    const std::optional<std::uint64_t> parsed =
-        parseCliUnsigned(value);
-    if (!parsed)
-        specFail(head, "'" + key + "' is not a count: '" + value + "'");
-    return *parsed;
-}
-
-double
-parseSpecReal(const std::string &head, const std::string &key,
-              const std::string &value)
-{
-    if (value.empty())
-        specFail(head, "'" + key + "' needs a value");
-    char *end = nullptr;
-    const double parsed = std::strtod(value.c_str(), &end);
-    if (end == nullptr || *end != '\0')
-        specFail(head, "'" + key + "' is not a number: '" + value + "'");
-    return parsed;
-}
-
-/** Apply one fleet knob; @return false if @p key is not a fleet knob. */
-bool
-applyFleetKnob(FleetParams &params, const std::string &head,
-               const std::string &key, const std::string &value)
-{
-    if (key == "tenants")
-        params.tenants = parseSpecCount(head, key, value);
-    else if (key == "blocks")
-        params.blocksPerTenant = parseSpecCount(head, key, value);
-    else if (key == "theta")
-        params.theta = parseSpecReal(head, key, value);
-    else if (key == "write")
-        params.writeFraction = parseSpecReal(head, key, value);
-    else if (key == "shared")
-        params.sharedBlocks = parseSpecCount(head, key, value);
-    else if (key == "shared-frac")
-        params.sharedFraction = parseSpecReal(head, key, value);
-    else if (key == "churn")
-        params.churnEvery = parseSpecCount(head, key, value);
-    else if (key == "storm")
-        params.stormEvery = parseSpecCount(head, key, value);
-    else if (key == "storm-len")
-        params.stormLength = parseSpecCount(head, key, value);
-    else if (key == "storm-frac")
-        params.stormFraction = parseSpecReal(head, key, value);
-    else if (key == "diurnal")
-        params.diurnalPeriod = parseSpecCount(head, key, value);
-    else if (key == "min-active")
-        params.minActiveTenants = parseSpecCount(head, key, value);
-    else if (key == "seed")
-        params.seed = parseSpecCount(head, key, value);
-    else
-        return false;
-    return true;
-}
-
-bool
-specHead(const std::string &spec, const std::string &head)
-{
-    return spec == head ||
-           (spec.size() > head.size() && spec[head.size()] == ':' &&
-            spec.compare(0, head.size(), head) == 0);
 }
 
 } // namespace
@@ -404,70 +355,30 @@ specHead(const std::string &spec, const std::string &head)
 bool
 isFleetSpec(const std::string &spec)
 {
-    return specHead(spec, "fleet");
+    return spec.substr(0, spec.find(':')) == "fleet";
 }
 
 bool
 isSloRampSpec(const std::string &spec)
 {
-    return specHead(spec, "slo-ramp");
+    return spec.substr(0, spec.find(':')) == "slo-ramp";
 }
 
 FleetParams
 parseFleetSpec(const std::string &spec, std::size_t num_cores)
 {
-    if (!isFleetSpec(spec))
-        specFail("fleet", "expected 'fleet[:knob=value...]', got '" +
-                              spec + "'");
     FleetParams params;
     params.numCores = num_cores;
-    const std::vector<std::string> tokens = splitSpecTokens(spec);
-    for (std::size_t i = 1; i < tokens.size(); ++i) {
-        const std::string &token = tokens[i];
-        const std::size_t eq = token.find('=');
-        if (eq == std::string::npos)
-            specFail("fleet", "knob '" + token + "' is not key=value");
-        const std::string key = token.substr(0, eq);
-        const std::string value = token.substr(eq + 1);
-        if (!applyFleetKnob(params, "fleet", key, value))
-            specFail("fleet", "unknown knob '" + key + "'");
-    }
+    setSpecKnobs(spec, "fleet", fleetKnobs(params));
     return params;
 }
 
 SloRampParams
 parseSloRampSpec(const std::string &spec, std::size_t num_cores)
 {
-    if (!isSloRampSpec(spec))
-        specFail("slo-ramp",
-                 "expected 'slo-ramp[:knob=value...]', got '" + spec +
-                     "'");
     SloRampParams params;
     params.fleet.numCores = num_cores;
-    const std::vector<std::string> tokens = splitSpecTokens(spec);
-    for (std::size_t i = 1; i < tokens.size(); ++i) {
-        const std::string &token = tokens[i];
-        const std::size_t eq = token.find('=');
-        if (eq == std::string::npos)
-            specFail("slo-ramp", "knob '" + token + "' is not key=value");
-        const std::string key = token.substr(0, eq);
-        const std::string value = token.substr(eq + 1);
-        if (key == "metric") {
-            if (!triggerMetricByName(value, params.metric))
-                specFail("slo-ramp", "unknown metric '" + value + "'");
-        } else if (key == "target") {
-            params.target = parseSpecReal("slo-ramp", key, value);
-        } else if (key == "step") {
-            params.step = parseSpecCount("slo-ramp", key, value);
-        } else if (key == "start") {
-            params.startLevel = parseSpecCount("slo-ramp", key, value);
-        } else if (key == "max") {
-            params.maxLevel = parseSpecCount("slo-ramp", key, value);
-        } else if (!applyFleetKnob(params.fleet, "slo-ramp", key,
-                                   value)) {
-            specFail("slo-ramp", "unknown knob '" + key + "'");
-        }
-    }
+    setSpecKnobs(spec, "slo-ramp", sloRampKnobs(params));
     return params;
 }
 

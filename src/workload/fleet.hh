@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli_flag.hh"
 #include "common/rng.hh"
 #include "workload/feedback.hh"
 #include "workload/trace.hh"
@@ -239,18 +240,33 @@ bool isFleetSpec(const std::string &spec);
 bool isSloRampSpec(const std::string &spec);
 
 /**
- * Parse "fleet:tenants=8:blocks=16384:theta=0.9:write=0.15:shared=4096:
- * shared-frac=0.05:churn=250000:storm=500000:storm-len=20000:
- * storm-frac=0.5:diurnal=1000000:min-active=1:seed=42" (every knob
- * optional, any order). @p num_cores binds FleetParams::numCores.
- * @throws std::invalid_argument naming the bad knob.
+ * The `fleet:` knobs, declared once and bound to @p params' fields:
+ * tenants, blocks, theta, write, shared, shared-frac, churn, storm,
+ * storm-len, storm-frac, diurnal, min-active, seed (counts and finite
+ * reals; ranges are checked by FleetWorkload).
+ */
+std::vector<CliFlag> fleetKnobs(FleetParams &params);
+
+/**
+ * The `slo-ramp:` knobs bound to @p params: metric (a trigger metric
+ * name), target, step, start, max, then every fleetKnobs() knob bound
+ * to params.fleet.
+ */
+std::vector<CliFlag> sloRampKnobs(SloRampParams &params);
+
+/**
+ * Parse "fleet:tenants=8:churn=250000:..." through fleetKnobs() (every
+ * knob optional, any order, a later one wins). @p num_cores binds
+ * FleetParams::numCores.
+ * @throws std::invalid_argument "fleet spec: ..." naming the bad knob.
  */
 FleetParams parseFleetSpec(const std::string &spec, std::size_t num_cores);
 
 /**
- * Parse "slo-ramp:metric=p99:target=150:step=20000:start=1:max=16"
- * plus any fleet knob (forwarded to the embedded FleetParams).
- * @throws std::invalid_argument naming the bad knob.
+ * Parse "slo-ramp:metric=p99:target=150:tenants=8:..." through
+ * sloRampKnobs().
+ * @throws std::invalid_argument "slo-ramp spec: ..." naming the bad
+ * knob.
  */
 SloRampParams parseSloRampSpec(const std::string &spec,
                                std::size_t num_cores);

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -20,18 +20,25 @@ namespace {
  */
 constexpr BlockAddr burstRegion = BlockAddr{1} << 52;
 
-std::string
-eventName(ScenarioEvent::Kind kind)
+/** Directive names, indexed by ScenarioEvent::Kind. */
+constexpr const char *kEventNames[] = {"migrate", "offline", "online"};
+
+/** Apply @p event to a thread-to-core map and an online set. */
+void
+applyEvent(const ScenarioEvent &event, std::vector<CoreId> &thread_to_core,
+           std::vector<bool> &online)
 {
-    switch (kind) {
+    switch (event.kind) {
       case ScenarioEvent::Kind::Migrate:
-        return "migrate";
+        thread_to_core[event.from] = event.to;
+        break;
       case ScenarioEvent::Kind::Offline:
-        return "offline";
+        online[event.from] = false;
+        break;
       case ScenarioEvent::Kind::Online:
-        return "online";
+        online[event.from] = true;
+        break;
     }
-    return "?";
 }
 
 } // namespace
@@ -98,20 +105,11 @@ Scenario::validate() const
             if (event.from >= numCores ||
                 (event.kind == ScenarioEvent::Kind::Migrate &&
                  event.to >= numCores))
-                fail(at + ": " + eventName(event.kind) +
+                fail(at + ": " +
+                     kEventNames[static_cast<std::size_t>(event.kind)] +
                      " names a core id >= numCores (" +
                      std::to_string(numCores) + ")");
-            switch (event.kind) {
-              case ScenarioEvent::Kind::Migrate:
-                map[event.from] = event.to;
-                break;
-              case ScenarioEvent::Kind::Offline:
-                on[event.from] = false;
-                break;
-              case ScenarioEvent::Kind::Online:
-                on[event.from] = true;
-                break;
-            }
+            applyEvent(event, map, on);
         }
 
         const BurstParams &burst = phase.burst;
@@ -162,22 +160,6 @@ ScenarioWorkload::ScenarioWorkload(const Scenario &scenario)
 }
 
 void
-ScenarioWorkload::applyEvent(const ScenarioEvent &event)
-{
-    switch (event.kind) {
-      case ScenarioEvent::Kind::Migrate:
-        threadToCore[event.from] = event.to;
-        break;
-      case ScenarioEvent::Kind::Offline:
-        online[event.from] = false;
-        break;
-      case ScenarioEvent::Kind::Online:
-        online[event.from] = true;
-        break;
-    }
-}
-
-void
 ScenarioWorkload::enterPhase(std::size_t index)
 {
     phaseIndex = index;
@@ -190,7 +172,7 @@ ScenarioWorkload::enterPhase(std::size_t index)
     evaluatedSequence = phaseEntrySequence;
     const ScenarioPhase &phase = script.phases[index];
     for (const ScenarioEvent &event : phase.events)
-        applyEvent(event);
+        applyEvent(event, threadToCore, online);
 
     WorkloadParams params = phase.workload;
     params.numCores = script.numCores;
@@ -469,90 +451,44 @@ parseFail(const std::string &name, std::uint64_t line,
                              what);
 }
 
-std::uint64_t
-parseCount(const std::string &token, const std::string &name,
-           std::uint64_t line, const char *what)
-{
-    const std::optional<std::uint64_t> value =
-        parseCliUnsigned(token);
-    if (!value)
-        parseFail(name, line,
-                  std::string("malformed ") + what + " '" + token + "'");
-    return *value;
-}
-
-double
-parseFraction(const std::string &token, const std::string &name,
-              std::uint64_t line, const char *what)
-{
-    char *end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0')
-        parseFail(name, line,
-                  std::string("malformed ") + what + " '" + token + "'");
-    return value;
-}
-
-CoreId
-parseCore(const std::string &token, std::size_t num_cores,
-          const std::string &name, std::uint64_t line)
-{
-    const std::uint64_t value = parseCount(token, name, line, "core id");
-    if (value >= num_cores)
-        parseFail(name, line,
-                  "core id " + token + " out of range (cores " +
-                      std::to_string(num_cores) + ")");
-    return static_cast<CoreId>(value);
-}
-
-/** Split "key=value"; @return false if there is no '='. */
-bool
-splitKeyValue(const std::string &token, std::string &key,
-              std::string &value)
-{
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos)
-        return false;
-    key = token.substr(0, eq);
-    value = token.substr(eq + 1);
-    return true;
-}
-
-/** Apply one `set <knob>=<value>` override; @return false if unknown. */
-bool
-applyKnob(WorkloadParams &params, const std::string &key,
-          const std::string &value, const std::string &name,
-          std::uint64_t line)
-{
-    if (key == "code-blocks")
-        params.codeBlocks = parseCount(value, name, line, key.c_str());
-    else if (key == "shared-blocks")
-        params.sharedBlocks = parseCount(value, name, line, key.c_str());
-    else if (key == "private-blocks")
-        params.privateBlocksPerCore =
-            parseCount(value, name, line, key.c_str());
-    else if (key == "instr-frac")
-        params.instructionFraction =
-            parseFraction(value, name, line, key.c_str());
-    else if (key == "shared-frac")
-        params.sharedDataFraction =
-            parseFraction(value, name, line, key.c_str());
-    else if (key == "write-frac")
-        params.writeFraction = parseFraction(value, name, line, key.c_str());
-    else if (key == "code-theta")
-        params.codeTheta = parseFraction(value, name, line, key.c_str());
-    else if (key == "shared-theta")
-        params.sharedTheta = parseFraction(value, name, line, key.c_str());
-    else if (key == "private-theta")
-        params.privateTheta = parseFraction(value, name, line, key.c_str());
-    else if (key == "seed")
-        params.seed = parseCount(value, name, line, key.c_str());
-    else
-        return false;
-    return true;
-}
-
 } // namespace
+
+std::vector<CliFlag>
+workloadKnobs(WorkloadParams &p)
+{
+    return {
+        countFlag("code-blocks", p.codeBlocks, 0, "shared code blocks"),
+        countFlag("shared-blocks", p.sharedBlocks, 0, "shared data blocks"),
+        countFlag("private-blocks", p.privateBlocksPerCore, 0,
+                  "private blocks per core"),
+        realFlag("instr-frac", p.instructionFraction, "ifetch probability"),
+        realFlag("shared-frac", p.sharedDataFraction, "shared probability"),
+        realFlag("write-frac", p.writeFraction, "write probability"),
+        realFlag("code-theta", p.codeTheta, "code popularity skew"),
+        realFlag("shared-theta", p.sharedTheta, "shared popularity skew"),
+        realFlag("private-theta", p.privateTheta, "private popularity skew"),
+        countFlag("seed", p.seed, 0, "generator seed"),
+    };
+}
+
+std::vector<CliFlag>
+burstKnobs(BurstParams &p)
+{
+    return {
+        realFlag("fraction", p.fraction, "burst access probability"),
+        countFlag("ring", p.ringBlocks, 0, "ring blocks"),
+        countFlag("producer", p.producer, 0, "producer core"),
+    };
+}
+
+std::vector<CliFlag>
+traceOptions(ScenarioPhase &phase)
+{
+    return {
+        countFlag("offset", phase.traceOffset, 0, "records to skip"),
+        toggleFlag("cursor", phase.traceCursor, "persistent reader"),
+    };
+}
 
 Scenario
 parseScenarioText(const std::string &text, const std::string &name)
@@ -564,10 +500,19 @@ parseScenarioText(const std::string &text, const std::string &name)
     std::string line;
     std::uint64_t line_number = 0;
     bool in_phase = false;
-    bool saw_phase = false;
     ScenarioPhase phase;
+    std::uint64_t phase_line = 0;
     std::uint64_t auto_start = 0;
 
+    // Check the schedule so far, so a phase that overlaps, leaves a gap
+    // or starves the CMP fails at its own `phase` line.
+    const auto checkSchedule = [&](std::uint64_t at) {
+        try {
+            scenario.validate();
+        } catch (const std::invalid_argument &e) {
+            parseFail(name, at, e.what());
+        }
+    };
     const auto finishPhase = [&] {
         if (!in_phase)
             return;
@@ -575,6 +520,7 @@ parseScenarioText(const std::string &text, const std::string &name)
         scenario.phases.push_back(std::move(phase));
         phase = ScenarioPhase{};
         in_phase = false;
+        checkSchedule(phase_line);
     };
 
     while (std::getline(in, line)) {
@@ -598,10 +544,51 @@ parseScenarioText(const std::string &text, const std::string &name)
                                         : std::string()) +
                               " argument(s)");
         };
+        const auto count = [&](const std::string &token, const char *what) {
+            const std::optional<std::uint64_t> value =
+                parseCliUnsigned(token);
+            if (!value)
+                parseFail(name, line_number,
+                          std::string("malformed ") + what + " '" + token +
+                              "'");
+            return *value;
+        };
+        const auto core = [&](std::uint64_t id) {
+            if (id >= scenario.numCores)
+                parseFail(name, line_number,
+                          "core id " + std::to_string(id) +
+                              " out of range (cores " +
+                              std::to_string(scenario.numCores) + ")");
+            return static_cast<CoreId>(id);
+        };
         const auto phaseScoped = [&] {
             if (!in_phase)
                 parseFail(name, line_number,
                           "'" + directive + "' outside a phase");
+        };
+        // `set`, `burst` and `trace` options are declared settings.
+        const auto setKnobs = [&](std::span<const std::string> settings,
+                                  std::span<const CliFlag> knobs) {
+            const std::string what =
+                directive == "set" ? "" : directive + " ";
+            for (const std::string &setting : settings) {
+                bool ok = false;
+                const CliFlag *knob = setFlag(knobs, setting, ok);
+                if (knob == nullptr)
+                    parseFail(name, line_number,
+                              "unknown " + what +
+                                  (directive == "trace" ? "option '"
+                                                        : "knob '") +
+                                  setting + "' (known: " +
+                                  flagNames(knobs) + ")");
+                if (!ok)
+                    parseFail(name, line_number,
+                              "malformed " + what + knob->name + " '" +
+                                  setting.substr(std::min(
+                                      setting.size(),
+                                      knob->name.size() + 1)) +
+                                  "'");
+            }
         };
 
         if (directive == "scenario") {
@@ -609,17 +596,15 @@ parseScenarioText(const std::string &text, const std::string &name)
             scenario.name = args[0];
         } else if (directive == "cores") {
             want(1, 1);
-            if (saw_phase)
+            if (in_phase || !scenario.phases.empty())
                 parseFail(name, line_number,
                           "'cores' must precede the first phase");
-            scenario.numCores =
-                parseCount(args[0], name, line_number, "core count");
+            scenario.numCores = count(args[0], "core count");
             if (scenario.numCores == 0)
                 parseFail(name, line_number, "core count must be >= 1");
         } else if (directive == "probe") {
             want(1, 1);
-            scenario.probeEvery =
-                parseCount(args[0], name, line_number, "probe interval");
+            scenario.probeEvery = count(args[0], "probe interval");
             if (scenario.probeEvery == 0)
                 parseFail(name, line_number,
                           "probe interval must be >= 1");
@@ -635,17 +620,14 @@ parseScenarioText(const std::string &text, const std::string &name)
             want(2, 3);
             finishPhase();
             in_phase = true;
-            saw_phase = true;
+            phase_line = line_number;
             phase.label = args[0];
             if (args.size() == 2) {
                 phase.startAccess = auto_start;
-                phase.accesses = parseCount(args[1], name, line_number,
-                                            "phase length");
+                phase.accesses = count(args[1], "phase length");
             } else {
-                phase.startAccess = parseCount(args[1], name, line_number,
-                                               "phase start");
-                phase.accesses = parseCount(args[2], name, line_number,
-                                            "phase length");
+                phase.startAccess = count(args[1], "phase start");
+                phase.accesses = count(args[2], "phase length");
             }
         } else if (directive == "preset") {
             want(1, 1);
@@ -664,69 +646,31 @@ parseScenarioText(const std::string &text, const std::string &name)
         } else if (directive == "set") {
             want(1, 64);
             phaseScoped();
-            for (const std::string &arg : args) {
-                std::string key, value;
-                if (!splitKeyValue(arg, key, value) ||
-                    !applyKnob(phase.workload, key, value, name,
-                               line_number))
-                    parseFail(name, line_number,
-                              "unknown knob '" + arg + "'");
-            }
+            setKnobs(args, workloadKnobs(phase.workload));
         } else if (directive == "trace") {
             want(1, 3);
             phaseScoped();
             phase.workload.tracePath = args[0];
-            for (std::size_t a = 1; a < args.size(); ++a) {
-                std::string key, value;
-                if (args[a] == "cursor")
-                    phase.traceCursor = true;
-                else if (splitKeyValue(args[a], key, value) &&
-                         key == "offset")
-                    phase.traceOffset = parseCount(value, name,
-                                                   line_number,
-                                                   "trace offset");
-                else
-                    parseFail(name, line_number,
-                              "unknown trace option '" + args[a] +
-                                  "' (try offset=N or cursor)");
-            }
+            setKnobs(std::span(args).subspan(1), traceOptions(phase));
         } else if (directive == "migrate") {
             want(2, 2);
             phaseScoped();
-            phase.events.push_back(ScenarioEvent{
-                ScenarioEvent::Kind::Migrate,
-                parseCore(args[0], scenario.numCores, name, line_number),
-                parseCore(args[1], scenario.numCores, name,
-                          line_number)});
+            phase.events.push_back(
+                ScenarioEvent{ScenarioEvent::Kind::Migrate,
+                              core(count(args[0], "core id")),
+                              core(count(args[1], "core id"))});
         } else if (directive == "offline" || directive == "online") {
             want(1, 1);
             phaseScoped();
             phase.events.push_back(ScenarioEvent{
                 directive == "offline" ? ScenarioEvent::Kind::Offline
                                        : ScenarioEvent::Kind::Online,
-                parseCore(args[0], scenario.numCores, name, line_number),
-                0});
+                core(count(args[0], "core id")), 0});
         } else if (directive == "burst") {
             want(1, 3);
             phaseScoped();
-            for (const std::string &arg : args) {
-                std::string key, value;
-                if (!splitKeyValue(arg, key, value))
-                    parseFail(name, line_number,
-                              "burst takes key=value arguments");
-                if (key == "fraction")
-                    phase.burst.fraction = parseFraction(
-                        value, name, line_number, "burst fraction");
-                else if (key == "ring")
-                    phase.burst.ringBlocks = parseCount(
-                        value, name, line_number, "burst ring");
-                else if (key == "producer")
-                    phase.burst.producer = parseCore(
-                        value, scenario.numCores, name, line_number);
-                else
-                    parseFail(name, line_number,
-                              "unknown burst knob '" + key + "'");
-            }
+            setKnobs(args, burstKnobs(phase.burst));
+            core(phase.burst.producer);
         } else if (directive == "until" || directive == "when") {
             // Two spellings of the same thing: "until occupancy>0.8"
             // reads naturally for ramps, "when p99>150" for alarms.
@@ -745,14 +689,7 @@ parseScenarioText(const std::string &text, const std::string &name)
         }
     }
     finishPhase();
-
-    try {
-        scenario.validate();
-    } catch (const std::invalid_argument &e) {
-        // Schedule-level errors (overlap, gap, starvation) carry the
-        // file name like parse errors, just without a line.
-        throw std::runtime_error(name + ": " + e.what());
-    }
+    checkSchedule(line_number); // an empty schedule fails at the end
     return scenario;
 }
 
@@ -968,15 +905,40 @@ footprintRamp(std::size_t cores, std::uint64_t accesses)
     return sc;
 }
 
+/** One built-in scenario preset: its name and its schedule builder. */
+struct ScenarioPresetRow
+{
+    std::string_view name;
+    Scenario (*build)(std::size_t cores, std::uint64_t accesses);
+};
+
+/** The presets, in the order `all` expands to. */
+constexpr ScenarioPresetRow kScenarioPresets[] = {
+    {"migration-storm", migrationStorm}, {"phase-oltp-dss", phaseOltpDss},
+    {"diurnal", diurnal},                {"producer-ring", producerRing},
+    {"consolidation", consolidation},    {"footprint-ramp", footprintRamp},
+};
+
+const ScenarioPresetRow *
+findPreset(std::string_view name)
+{
+    for (const ScenarioPresetRow &row : kScenarioPresets)
+        if (row.name == name)
+            return &row;
+    return nullptr;
+}
+
 } // namespace
 
 const std::vector<std::string> &
 scenarioPresetNames()
 {
-    static const std::vector<std::string> names = {
-        "migration-storm", "phase-oltp-dss", "diurnal",
-        "producer-ring",   "consolidation",  "footprint-ramp",
-    };
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> out;
+        for (const ScenarioPresetRow &row : kScenarioPresets)
+            out.emplace_back(row.name);
+        return out;
+    }();
     return names;
 }
 
@@ -987,29 +949,16 @@ scenarioPreset(const std::string &name, std::size_t num_cores,
     if (num_cores == 0 || phase_accesses == 0)
         throw std::invalid_argument(
             "scenarioPreset needs num_cores >= 1 and phase_accesses >= 1");
-    Scenario scenario;
-    if (name == "migration-storm")
-        scenario = migrationStorm(num_cores, phase_accesses);
-    else if (name == "phase-oltp-dss")
-        scenario = phaseOltpDss(num_cores, phase_accesses);
-    else if (name == "diurnal")
-        scenario = diurnal(num_cores, phase_accesses);
-    else if (name == "producer-ring")
-        scenario = producerRing(num_cores, phase_accesses);
-    else if (name == "consolidation")
-        scenario = consolidation(num_cores, phase_accesses);
-    else if (name == "footprint-ramp")
-        scenario = footprintRamp(num_cores, phase_accesses);
-    else
-        throw std::invalid_argument(
-            "unknown scenario preset '" + name + "' (try " +
-            [] {
-                std::string all;
-                for (const std::string &n : scenarioPresetNames())
-                    all += (all.empty() ? "" : ", ") + n;
-                return all;
-            }() +
-            ", or a scenario file path)");
+    const ScenarioPresetRow *preset = findPreset(name);
+    if (preset == nullptr) {
+        std::string known;
+        for (const std::string &n : scenarioPresetNames())
+            known += (known.empty() ? "" : ", ") + n;
+        throw std::invalid_argument("unknown scenario preset '" + name +
+                                    "' (try " + known +
+                                    ", or a scenario file path)");
+    }
+    Scenario scenario = preset->build(num_cores, phase_accesses);
     scenario.validate();
     return scenario;
 }
@@ -1018,23 +967,14 @@ std::vector<std::string>
 splitScenarioSpecs(const std::string &specs)
 {
     std::vector<std::string> items;
-    std::size_t begin = 0;
-    while (begin <= specs.size()) {
-        const std::size_t comma = specs.find(',', begin);
-        const std::size_t end =
-            comma == std::string::npos ? specs.size() : comma;
-        const std::string item = specs.substr(begin, end - begin);
+    for (const std::string_view item : splitList(specs, ',')) {
         // "all" expands to every preset wherever it appears, so it
         // composes with extra files ("all,my.scn").
-        if (item == "all") {
-            const auto &presets = scenarioPresetNames();
-            items.insert(items.end(), presets.begin(), presets.end());
-        } else if (!item.empty()) {
-            items.push_back(item);
-        }
-        if (comma == std::string::npos)
-            break;
-        begin = comma + 1;
+        if (item == "all")
+            items.insert(items.end(), scenarioPresetNames().begin(),
+                         scenarioPresetNames().end());
+        else if (!item.empty())
+            items.emplace_back(item);
     }
     return items;
 }
@@ -1042,8 +982,7 @@ splitScenarioSpecs(const std::string &specs)
 Scenario
 resolveScenario(const std::string &spec, std::size_t num_cores)
 {
-    const auto &names = scenarioPresetNames();
-    if (std::find(names.begin(), names.end(), spec) != names.end())
+    if (findPreset(spec) != nullptr)
         return scenarioPreset(spec, num_cores);
     Scenario scenario = parseScenarioFile(spec);
     if (scenario.numCores > num_cores)
@@ -1059,11 +998,9 @@ scenarioWorkloadParams(const std::string &spec)
 {
     WorkloadParams params;
     params.scenarioSpec = spec;
-    const auto &names = scenarioPresetNames();
-    params.name =
-        std::find(names.begin(), names.end(), spec) != names.end()
-            ? spec
-            : std::filesystem::path(spec).stem().string();
+    params.name = findPreset(spec) != nullptr
+                      ? spec
+                      : std::filesystem::path(spec).stem().string();
     return params;
 }
 

@@ -45,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli_flag.hh"
 #include "common/rng.hh"
 #include "workload/feedback.hh"
 #include "workload/trace.hh"
@@ -55,6 +56,7 @@ namespace cdir {
 /** One transition applied when a phase begins (in declaration order). */
 struct ScenarioEvent
 {
+    /** In directive-name order ("migrate", "offline", "online"). */
     enum class Kind
     {
         /** Logical thread @ref from starts issuing from physical core
@@ -250,7 +252,6 @@ class ScenarioWorkload : public AccessSource, public FeedbackConsumer
 
   private:
     void enterPhase(std::size_t index);
-    void applyEvent(const ScenarioEvent &event);
     MemAccess burstAccess();
     /** Advance past finished phases; false when the scenario ends. */
     bool ensurePhase();
@@ -328,17 +329,18 @@ class ScenarioWorkload : public AccessSource, public FeedbackConsumer
  *       until <metric><op><value>         # event trigger: end early
  *       when <metric><op><value>          # alias of `until`
  *
- * `set` knobs: code-blocks, shared-blocks, private-blocks, instr-frac,
- * shared-frac, write-frac, code-theta, shared-theta, private-theta,
- * seed. `trace` options: `offset=N` skips the segment's first N records
- * and `cursor` makes the reader persistent across passes (windowing one
- * long trace — see ScenarioPhase); either one makes the segment
- * *windowed*, rejected at run time if it cannot cover its phase.
+ * `set`, `burst` and `trace` arguments are declared settings
+ * (workloadKnobs, burstKnobs, traceOptions below). `trace` options:
+ * `offset=N` skips the segment's first N records and `cursor` makes the
+ * reader persistent across passes (windowing one long trace — see
+ * ScenarioPhase); either one makes the segment *windowed*, rejected at
+ * run time if it cannot cover its phase.
  * Directives before the first `phase` configure the scenario;
  * `loop <on|off>` controls wrapping. Errors (unknown directive/event,
  * malformed value, core id out of range) throw std::runtime_error
- * carrying "<name>:<line>: message"; schedule errors (overlapping
- * phases, gaps) are reported with the same prefix after parsing.
+ * carrying "<name>:<line>: message"; a schedule error (overlapping
+ * phases, gaps, starvation) carries the line of the `phase` directive
+ * that causes it, and an empty schedule the last line.
  */
 Scenario parseScenarioText(const std::string &text,
                            const std::string &name);
@@ -346,6 +348,21 @@ Scenario parseScenarioText(const std::string &text,
 /** Read and parse @p path; throws std::runtime_error (file errors and
  *  parse errors both carry the path). */
 Scenario parseScenarioFile(const std::string &path);
+
+/**
+ * The scenario `set` knobs bound to @p params: code-blocks,
+ * shared-blocks, private-blocks, seed (counts), instr-frac,
+ * shared-frac, write-frac, code-theta, shared-theta, private-theta
+ * (finite reals).
+ */
+std::vector<CliFlag> workloadKnobs(WorkloadParams &params);
+
+/** The `burst` knobs bound to @p params: fraction, ring, producer (a
+ *  core id, which the parser also bounds by the scenario's cores). */
+std::vector<CliFlag> burstKnobs(BurstParams &params);
+
+/** The `trace` options bound to @p phase: offset=N and bare cursor. */
+std::vector<CliFlag> traceOptions(ScenarioPhase &phase);
 
 // --- presets -----------------------------------------------------------------
 

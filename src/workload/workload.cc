@@ -14,46 +14,6 @@ constexpr BlockAddr regionStride = 1ull << 33;
 constexpr BlockAddr codeRegion = 1 * regionStride;
 constexpr BlockAddr sharedRegion = 2 * regionStride;
 constexpr BlockAddr privateRegion = 4 * regionStride;
-
-/** Blocks per page: 8KB pages (Table 1) of 64B blocks. */
-constexpr std::uint64_t pageBlocks = 128;
-
-/**
- * Page colors preserved by the allocator: Solaris 8 (the paper's OS)
- * colors physical pages so that a page's low frame bits match its
- * virtual page number modulo the color count (1MB L2 / 8KB pages = 128
- * colors). Higher frame bits are effectively random.
- *
- * This is the address structure the directory experiments hinge on:
- * threads allocating mirrored structures at the same virtual offsets
- * get the *same color bits* on every core, so their blocks collide in
- * low-order-indexed (Sparse) directory sets 16 deep — the Fig. 3
- * conflict — while skewed/Cuckoo hashing folds in the randomized high
- * frame bits and disperses them.
- */
-constexpr std::uint64_t pageColors = 128;
-
-/**
- * Map a region-relative block rank to a physical block offset with
- * page-coloring structure: the color bits (virtual page mod 128) are
- * preserved, the higher frame bits are a salted bijective scramble.
- * The mapping is injective per salt, so footprint sizes are exact.
- */
-BlockAddr
-scatterPages(std::uint64_t salt, std::uint64_t rank)
-{
-    const std::uint64_t page = rank / pageBlocks;
-    const std::uint64_t offset = rank % pageBlocks;
-    const std::uint64_t color = page % pageColors;
-    const std::uint64_t group = page / pageColors;
-    const std::uint64_t frame_high =
-        ((group * 0x6364136223846793ull) ^
-         (salt * 0x9e3779b97f4a7c15ull)) &
-        ((1ull << 19) - 1);
-    const std::uint64_t frame = frame_high * pageColors + color;
-    return frame * pageBlocks + offset;
-}
-
 } // namespace
 
 SyntheticWorkload::SyntheticWorkload(const WorkloadParams &params)

@@ -44,6 +44,47 @@ struct MemAccess
     bool instruction = false;
 };
 
+/** Blocks per page: 8KB pages (Table 1) of 64B blocks. */
+inline constexpr std::uint64_t kPageBlocks = 128;
+
+/**
+ * Page colors preserved by the allocator: Solaris 8 (the paper's OS)
+ * colors physical pages so that a page's low frame bits match its
+ * virtual page number modulo the color count (1MB L2 / 8KB pages = 128
+ * colors). Higher frame bits are effectively random.
+ *
+ * This is the address structure the directory experiments hinge on:
+ * threads allocating mirrored structures at the same virtual offsets
+ * get the *same color bits* on every core, so their blocks collide in
+ * low-order-indexed (Sparse) directory sets 16 deep — the Fig. 3
+ * conflict — while skewed/Cuckoo hashing folds in the randomized high
+ * frame bits and disperses them.
+ */
+inline constexpr std::uint64_t kPageColors = 128;
+
+/**
+ * Map a region-relative block rank to a physical block offset with
+ * page-coloring structure: the color bits (virtual page mod 128) are
+ * preserved, the higher frame bits are a salted bijective scramble.
+ * The mapping is injective per salt, so footprint sizes are exact.
+ * Both generators (SyntheticWorkload, FleetWorkload) place every
+ * footprint through it, once per access, so it stays inline.
+ */
+inline BlockAddr
+scatterPages(std::uint64_t salt, std::uint64_t rank)
+{
+    const std::uint64_t page = rank / kPageBlocks;
+    const std::uint64_t offset = rank % kPageBlocks;
+    const std::uint64_t color = page % kPageColors;
+    const std::uint64_t group = page / kPageColors;
+    const std::uint64_t frame_high =
+        ((group * 0x6364136223846793ull) ^
+         (salt * 0x9e3779b97f4a7c15ull)) &
+        ((1ull << 19) - 1);
+    const std::uint64_t frame = frame_high * kPageColors + color;
+    return frame * kPageBlocks + offset;
+}
+
 /**
  * Tunable sharing profile of a synthetic workload — or, when
  * @ref tracePath is set, a recorded trace standing in for the

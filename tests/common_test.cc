@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for src/common: bit utilities, RNG, dynamic bitset, stats.
+ * Unit tests for src/common: declared settings and the whole-string
+ * number parsers, bit utilities, RNG, dynamic bitset, stats.
  */
 
 #include <gtest/gtest.h>
@@ -8,16 +9,85 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <string_view>
 #include <vector>
 
 #include "common/bit_util.hh"
 #include "common/bitset.hh"
+#include "common/cli_flag.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "rng_test_util.hh"
 
 namespace cdir {
 namespace {
+
+// --- declared settings (cli_flag) and number parsers ----------------------
+
+TEST(CliNumbers, RealParsesWholeFiniteNumbersOnly)
+{
+    EXPECT_EQ(parseCliReal("0.5"), 0.5);
+    EXPECT_EQ(parseCliReal("-2"), -2.0);
+    EXPECT_EQ(parseCliReal("1e-3"), 1e-3);
+    EXPECT_EQ(parseCliReal(".5"), 0.5);
+    EXPECT_EQ(parseCliReal("150"), 150.0);
+    for (const char *bad : {"nan", "NaN", "inf", "-inf", "infinity",
+                            "1e400", "", "+0.5", " 0.5", "0.5 ", "0.5x",
+                            "0x1p-2", "1,5", "abc"})
+        EXPECT_FALSE(parseCliReal(bad).has_value()) << bad;
+}
+
+TEST(CliFlag, SetFlagLooksUpDeclaredNames)
+{
+    std::uint64_t count = 0;
+    double real = 0.0;
+    bool toggle = false;
+    int choice = 0;
+    const std::vector<CliFlag> flags = {
+        countFlag("count", count, 1, "a count"),
+        realFlag("real", real, "a real"),
+        toggleFlag("toggle", toggle, "a toggle"),
+        choiceFlag<int>("choice", choice, {{"one", 1}, {"two", 2}},
+                        "a choice"),
+    };
+    EXPECT_EQ(flagNames(flags), "count=N, real=X, toggle, choice=one|two");
+
+    bool ok = false;
+    EXPECT_EQ(setFlag(flags, "count=5", ok), &flags[0]);
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(count, 5u);
+    EXPECT_EQ(setFlag(flags, "real=0.25", ok), &flags[1]);
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(real, 0.25);
+    EXPECT_EQ(setFlag(flags, "toggle", ok), &flags[2]);
+    EXPECT_TRUE(ok);
+    EXPECT_TRUE(toggle);
+    EXPECT_EQ(setFlag(flags, "choice=two", ok), &flags[3]);
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(choice, 2);
+
+    // A bad value names its flag; an undeclared name finds none.
+    for (const char *bad : {"count=0", "count=-1", "count", "real=nan",
+                            "real=", "toggle=1", "choice=three"}) {
+        ok = true;
+        EXPECT_NE(setFlag(flags, bad, ok), nullptr) << bad;
+        EXPECT_FALSE(ok) << bad;
+    }
+    EXPECT_EQ(setFlag(flags, "counts=5", ok), nullptr);
+    EXPECT_EQ(setFlag(flags, "", ok), nullptr);
+    EXPECT_EQ(count, 5u);
+    EXPECT_EQ(real, 0.25);
+}
+
+TEST(CliFlag, SplitListKeepsEmptyItems)
+{
+    using Items = std::vector<std::string_view>;
+    EXPECT_EQ(splitList("", ','), Items{""});
+    EXPECT_EQ(splitList("a", ','), Items{"a"});
+    EXPECT_EQ(splitList("a,,b", ','), (Items{"a", "", "b"}));
+    EXPECT_EQ(splitList("fleet:", ':'), (Items{"fleet", ""}));
+    EXPECT_EQ(splitList(":x:", ':'), (Items{"", "x", ""}));
+}
 
 // --- bit_util ------------------------------------------------------------
 

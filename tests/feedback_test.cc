@@ -153,6 +153,23 @@ TEST(TriggerGrammar, RejectsMalformedTriggers)
     EXPECT_THROW(parsePhaseTrigger("p99>1<2"), std::invalid_argument);
 }
 
+TEST(TriggerGrammar, RejectsNonFiniteThresholds)
+{
+    // "nan" passes both range checks (every comparison is false), and
+    // an infinite threshold can never fire or always fires.
+    for (const char *text : {"occupancy>nan", "p99<inf", "attempts>-nan",
+                             "forced-per-1k>infinity", "p50>1e999"}) {
+        try {
+            parsePhaseTrigger(text);
+            ADD_FAILURE() << "accepted: " << text;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("malformed threshold"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(TriggerGrammar, TimingMetadataAndEvaluation)
 {
     EXPECT_FALSE(triggerMetricNeedsTiming(TriggerMetric::Occupancy));
@@ -645,6 +662,41 @@ TEST(FleetSpec, SloRampSpecParsesAndForwardsFleetKnobs)
                  std::invalid_argument);
     EXPECT_THROW(parseSloRampSpec("slo-ramp:blocks=-4096", 4),
                  std::invalid_argument);
+}
+
+TEST(FleetSpec, RejectsNonFiniteKnobs)
+{
+    // A non-finite knob would record a degenerate stream.
+    for (const char *knob : {"theta", "write", "shared-frac", "storm-frac"})
+        for (const char *value : {"nan", "inf", "-inf"}) {
+            const std::string spec =
+                std::string("fleet:") + knob + "=" + value;
+            try {
+                parseFleetSpec(spec, 8);
+                ADD_FAILURE() << "accepted: " << spec;
+            } catch (const std::invalid_argument &e) {
+                EXPECT_NE(std::string(e.what()).find(
+                              std::string("fleet spec: '") + knob +
+                              "' is not a number"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+}
+
+TEST(FleetSpec, SloRampRejectsNonFiniteKnobs)
+{
+    for (const char *spec : {"slo-ramp:target=nan", "slo-ramp:target=inf",
+                             "slo-ramp:theta=nan"}) {
+        try {
+            parseSloRampSpec(spec, 4);
+            ADD_FAILURE() << "accepted: " << spec;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("slo-ramp spec: '"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(FleetSpec, DynamicDispatchAndNaming)

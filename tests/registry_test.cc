@@ -4,7 +4,8 @@
  * order and round-trip (list -> makeDirectory -> name()), traits drive
  * the CMP geometry decisions, unknown names fail with a message naming
  * the alternatives, and every way-probed organization rejects a way
- * count its probe loops cannot hold.
+ * count its probe loops cannot hold, a set count its hash cannot
+ * index, and (Cuckoo) a single way.
  */
 
 #include <gtest/gtest.h>
@@ -115,6 +116,58 @@ TEST(OrganizationTable, WaysOutsideProbeBoundAreRejected)
         p.ways = kMaxProbeWays;
         EXPECT_NO_THROW(makeDirectory(p)) << name;
     }
+}
+
+TEST(OrganizationTable, SetCountsTheHashCannotIndexAreRejected)
+{
+    // Every hash family masks its index, so a set count that is not a
+    // power of two would leave sets unreachable (Sparse) or index past
+    // the LFSR table (the skewing family spans 4..2^24 sets).
+    for (const char *name :
+         {"Cuckoo", "Elbow", "InCache", "Skewed", "Sparse"}) {
+        for (const std::size_t sets : {std::size_t{0}, std::size_t{3},
+                                       std::size_t{6}, std::size_t{96}}) {
+            DirectoryParams p = paramsFor(name);
+            p.sets = sets;
+            try {
+                makeDirectory(p);
+                ADD_FAILURE() << name << " built with " << sets << " sets";
+            } catch (const std::invalid_argument &e) {
+                EXPECT_NE(std::string(e.what()).find(
+                              "directory sets must be a power of two"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+    for (const char *name : {"Cuckoo", "Elbow", "Skewed"}) {
+        DirectoryParams p = paramsFor(name);
+        p.sets = 2;
+        EXPECT_THROW(makeDirectory(p), std::invalid_argument) << name;
+        p.sets = 4;
+        EXPECT_NO_THROW(makeDirectory(p)) << name;
+    }
+    DirectoryParams sparse = paramsFor("Sparse");
+    sparse.sets = 1;
+    EXPECT_NO_THROW(makeDirectory(sparse));
+}
+
+TEST(OrganizationTable, CuckooNeedsTwoWays)
+{
+    // One way leaves displacement nowhere to go: every insertion would
+    // swap the same slot until the attempt bound.
+    DirectoryParams p = paramsFor("Cuckoo");
+    p.ways = 1;
+    try {
+        makeDirectory(p);
+        ADD_FAILURE() << "Cuckoo built with 1 way";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("2..64 (got 1)"),
+                  std::string::npos)
+            << e.what();
+    }
+    p.ways = 2;
+    EXPECT_NO_THROW(makeDirectory(p));
 }
 
 } // namespace

@@ -8,6 +8,9 @@
  *  - scenario text-format parsing and its rejection cases (unknown
  *    directives/events, bad core ids, overlapping phases, gaps — all
  *    carrying "name:line:" context);
+ *  - the declared knobs of the scenario `set`/`burst`/`trace`, `fleet:`
+ *    and `slo-ramp:` grammars, pinned field by field, and a seeded
+ *    mutation suite over all three spec grammars;
  *  - record -> replay of a ScenarioWorkload through the trace pipeline
  *    (bit-identical system state);
  *  - the acceptance pin: a scenario sweep's time series is
@@ -21,12 +24,17 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
+#include <random>
+#include <regex>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "sim/experiment.hh"
 #include "sim/sweep.hh"
+#include "workload/fleet.hh"
 #include "workload/scenario.hh"
 
 namespace cdir {
@@ -155,6 +163,22 @@ TEST(ScenarioPresets, UnknownNameThrows)
                  std::invalid_argument);
     EXPECT_THROW(resolveScenario("no-such-file.scn", 8),
                  std::runtime_error);
+}
+
+TEST(ScenarioPresets, UnknownNameListsEveryPreset)
+{
+    try {
+        scenarioPreset("no-such-scenario", 8);
+        ADD_FAILURE() << "accepted an unknown preset";
+    } catch (const std::invalid_argument &e) {
+        for (const std::string &name : scenarioPresetNames())
+            EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+                << name;
+    }
+    // The table's order is the order "all" expands to.
+    EXPECT_EQ(splitScenarioSpecs("all"), scenarioPresetNames());
+    EXPECT_EQ(scenarioPresetNames().front(), "migration-storm");
+    EXPECT_EQ(scenarioPresetNames().back(), "footprint-ramp");
 }
 
 TEST(ScenarioPresets, PresetsWorkOnOneCore)
@@ -763,6 +787,351 @@ TEST(ScenarioParser, FileRoundTripAndResolve)
     EXPECT_EQ(resolveScenario(path, 8).numCores, 4u);
     EXPECT_THROW(resolveScenario(path, 2), std::runtime_error);
     std::filesystem::remove(path);
+}
+
+TEST(ScenarioParser, RejectsNonFiniteSetKnobs)
+{
+    // A NaN write fraction would record a degenerate stream.
+    expectParseError("cores 4\nphase a 100\n  set write-frac=nan\n",
+                     "bad:3: malformed write-frac 'nan'");
+    expectParseError("cores 4\nphase a 100\n  set code-theta=inf\n",
+                     "bad:3: malformed code-theta 'inf'");
+}
+
+TEST(ScenarioParser, RejectsNonFiniteBurstFraction)
+{
+    // NaN would pass the validator's [0, 1] check: both comparisons
+    // are false.
+    expectParseError("cores 4\nphase a 100\n  burst fraction=nan\n",
+                     "bad:3: malformed burst fraction 'nan'");
+    expectParseError("cores 4\nphase a 100\n  burst fraction=-inf\n",
+                     "bad:3: malformed burst fraction '-inf'");
+}
+
+TEST(ScenarioParser, ScheduleErrorsNameThePhaseLine)
+{
+    expectParseError("cores 4\nphase a 100\n\nphase b 50 100\n",
+                     "bad:4: scenario 'bad': phase 'b': overlaps");
+    expectParseError("cores 2\nphase a 100\n  offline 0\n  offline 1\n",
+                     "bad:2: scenario 'bad': phase 'a': every thread");
+    expectParseError("cores 4\n# nothing else\n",
+                     "bad:2: scenario 'bad': schedule has no phases");
+}
+
+// --- declared knobs ----------------------------------------------------------
+
+/** One declared knob's non-default setting and the check that it landed. */
+template <typename Params>
+struct KnobRow
+{
+    const char *value; //!< ignored for a toggle
+    std::function<bool(const Params &)> landed;
+};
+
+template <typename Params>
+using KnobTable = std::map<std::string, KnobRow<Params>>;
+
+/**
+ * The table-driven pin over one grammar's declarations: every declared
+ * knob has a row (and every row a knob); its row's value, parsed
+ * through the grammar (@p parse of one setting), lands in the row's
+ * field and not in a default-constructed Params; and a malformed value
+ * is rejected with an error naming the knob.
+ */
+template <typename Params>
+void
+expectKnobsLandInTheirFields(std::vector<CliFlag> (*declare)(Params &),
+                             const KnobTable<Params> &rows,
+                             const std::function<Params(std::string)> &parse)
+{
+    Params defaults;
+    const std::vector<CliFlag> knobs = declare(defaults);
+    EXPECT_EQ(knobs.size(), rows.size());
+    for (const CliFlag &knob : knobs) {
+        SCOPED_TRACE(knob.name);
+        const auto row = rows.find(knob.name);
+        ASSERT_NE(row, rows.end()) << "declared knob without a row";
+        EXPECT_FALSE(row->second.landed(defaults));
+        EXPECT_TRUE(row->second.landed(
+            parse(knob.value.empty()
+                      ? knob.name
+                      : knob.name + "=" + row->second.value)));
+        try {
+            parse(knob.name + "=bogus");
+            ADD_FAILURE() << "accepted " << knob.name << "=bogus";
+        } catch (const std::exception &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(knob.name), std::string::npos) << what;
+            EXPECT_EQ(what.find("unknown"), std::string::npos) << what;
+        }
+    }
+}
+
+/** The scenario phase one directive line with @p setting parses to. */
+ScenarioPhase
+phaseWith(const std::string &directive, const std::string &setting)
+{
+    return parseScenarioText("cores 8\nphase a 10\n  " + directive + " " +
+                                 setting + "\n",
+                             "knobs")
+        .phases[0];
+}
+
+TEST(DeclaredKnobs, ScenarioSetKnobsLandInWorkloadParams)
+{
+    using P = WorkloadParams;
+    const KnobTable<P> rows = {
+        {"code-blocks", {"7", [](const P &p) { return p.codeBlocks == 7; }}},
+        {"shared-blocks",
+         {"7", [](const P &p) { return p.sharedBlocks == 7; }}},
+        {"private-blocks",
+         {"7", [](const P &p) { return p.privateBlocksPerCore == 7; }}},
+        {"instr-frac",
+         {"0.375",
+          [](const P &p) { return p.instructionFraction == 0.375; }}},
+        {"shared-frac",
+         {"0.375", [](const P &p) { return p.sharedDataFraction == 0.375; }}},
+        {"write-frac",
+         {"0.375", [](const P &p) { return p.writeFraction == 0.375; }}},
+        {"code-theta",
+         {"0.375", [](const P &p) { return p.codeTheta == 0.375; }}},
+        {"shared-theta",
+         {"0.375", [](const P &p) { return p.sharedTheta == 0.375; }}},
+        {"private-theta",
+         {"0.375", [](const P &p) { return p.privateTheta == 0.375; }}},
+        {"seed", {"7", [](const P &p) { return p.seed == 7; }}},
+    };
+    expectKnobsLandInTheirFields<P>(workloadKnobs, rows, [](std::string s) {
+        return phaseWith("set", s).workload;
+    });
+}
+
+TEST(DeclaredKnobs, BurstKnobsLandInBurstParams)
+{
+    using P = BurstParams;
+    const KnobTable<P> rows = {
+        {"fraction", {"0.375", [](const P &p) { return p.fraction == 0.375; }}},
+        {"ring", {"7", [](const P &p) { return p.ringBlocks == 7; }}},
+        {"producer", {"7", [](const P &p) { return p.producer == 7; }}},
+    };
+    expectKnobsLandInTheirFields<P>(burstKnobs, rows, [](std::string s) {
+        return phaseWith("burst", s).burst;
+    });
+    // The producer stays bounded by the scenario's core count.
+    expectParseError("cores 8\nphase a 10\n  burst producer=8\n",
+                     "bad:3: core id 8 out of range (cores 8)");
+}
+
+TEST(DeclaredKnobs, TraceOptionsLandInThePhase)
+{
+    using P = ScenarioPhase;
+    const KnobTable<P> rows = {
+        {"offset", {"7", [](const P &p) { return p.traceOffset == 7; }}},
+        {"cursor", {"", [](const P &p) { return p.traceCursor; }}},
+    };
+    expectKnobsLandInTheirFields<P>(traceOptions, rows, [](std::string s) {
+        return phaseWith("trace t.ctr", s);
+    });
+}
+
+/** The fleet rows, over any Params holding a FleetParams at @p fleet. */
+template <typename P>
+KnobTable<P>
+fleetRows(const FleetParams &(*fleet)(const P &))
+{
+    const auto row = [fleet](const char *value,
+                             std::function<bool(const FleetParams &)> f) {
+        return KnobRow<P>{value, [fleet, f](const P &p) {
+                              return f(fleet(p));
+                          }};
+    };
+    using F = FleetParams;
+    return {
+        {"tenants", row("7", [](const F &f) { return f.tenants == 7; })},
+        {"blocks",
+         row("7", [](const F &f) { return f.blocksPerTenant == 7; })},
+        {"theta", row("0.375", [](const F &f) { return f.theta == 0.375; })},
+        {"write",
+         row("0.375", [](const F &f) { return f.writeFraction == 0.375; })},
+        {"shared", row("7", [](const F &f) { return f.sharedBlocks == 7; })},
+        {"shared-frac",
+         row("0.375", [](const F &f) { return f.sharedFraction == 0.375; })},
+        {"churn", row("7", [](const F &f) { return f.churnEvery == 7; })},
+        {"storm", row("7", [](const F &f) { return f.stormEvery == 7; })},
+        {"storm-len",
+         row("7", [](const F &f) { return f.stormLength == 7; })},
+        {"storm-frac",
+         row("0.375", [](const F &f) { return f.stormFraction == 0.375; })},
+        {"diurnal",
+         row("7", [](const F &f) { return f.diurnalPeriod == 7; })},
+        {"min-active",
+         row("7", [](const F &f) { return f.minActiveTenants == 7; })},
+        {"seed", row("7", [](const F &f) { return f.seed == 7; })},
+    };
+}
+
+TEST(DeclaredKnobs, FleetKnobsLandInFleetParams)
+{
+    expectKnobsLandInTheirFields<FleetParams>(
+        fleetKnobs,
+        fleetRows<FleetParams>(
+            [](const FleetParams &p) -> const FleetParams & { return p; }),
+        [](std::string s) { return parseFleetSpec("fleet:" + s, 8); });
+}
+
+TEST(DeclaredKnobs, SloRampKnobsLandInSloRampParams)
+{
+    using P = SloRampParams;
+    KnobTable<P> rows = fleetRows<P>(
+        [](const P &p) -> const FleetParams & { return p.fleet; });
+    rows.insert({
+        {"metric",
+         {"attempts",
+          [](const P &p) { return p.metric == TriggerMetric::Attempts; }}},
+        {"target", {"0.375", [](const P &p) { return p.target == 0.375; }}},
+        {"step", {"7", [](const P &p) { return p.step == 7; }}},
+        {"start", {"7", [](const P &p) { return p.startLevel == 7; }}},
+        {"max", {"7", [](const P &p) { return p.maxLevel == 7; }}},
+    });
+    expectKnobsLandInTheirFields<P>(sloRampKnobs, rows, [](std::string s) {
+        return parseSloRampSpec("slo-ramp:" + s, 8);
+    });
+}
+
+TEST(DeclaredKnobs, UnknownKnobsListTheDeclaredNames)
+{
+    try {
+        parseFleetSpec("fleet:tenant=4", 8);
+        ADD_FAILURE() << "accepted an undeclared knob";
+    } catch (const std::invalid_argument &e) {
+        FleetParams p;
+        EXPECT_NE(std::string(e.what()).find(
+                      "fleet spec: unknown knob 'tenant=4' (known: " +
+                      flagNames(fleetKnobs(p)) + ")"),
+                  std::string::npos)
+            << e.what();
+    }
+    WorkloadParams w;
+    expectParseError("cores 2\nphase a 10\n  set bogus=1\n",
+                     "bad:3: unknown knob 'bogus=1' (known: " +
+                         flagNames(workloadKnobs(w)) + ")");
+    expectParseError("cores 2\nphase a 10\n  trace t.ctr speed=9\n",
+                     "(known: offset=N, cursor)");
+}
+
+// --- spec mutation fuzzing ---------------------------------------------------
+
+/** A scenario text using every directive (the fuzz suite's seed). */
+constexpr const char *kFuzzScenarioText =
+    "# every directive once\n"
+    "scenario fuzz-example\n"
+    "cores 4\n"
+    "probe 2000\n"
+    "loop on\n"
+    "phase warm 1000\n"
+    "  preset DB2\n"
+    "  set shared-blocks=512 write-frac=0.5 seed=3\n"
+    "  until occupancy>0.5\n"
+    "phase shift 1000 500   # explicit start\n"
+    "  preset synthetic\n"
+    "  migrate 0 2\n"
+    "  offline 3\n"
+    "  burst fraction=0.25 ring=32 producer=2\n"
+    "  when p99>120\n"
+    "phase replay 800\n"
+    "  trace t.ctr offset=10 cursor\n"
+    "  online 3\n";
+
+/**
+ * Seeded mutation fuzzing over the workload spec grammars: a fleet
+ * spec, an slo-ramp spec and a scenario text using every directive,
+ * each put through byte flips, insertions, deletions, truncations and
+ * span duplications. Every mutant must parse, or throw
+ * std::invalid_argument / std::runtime_error whose message starts with
+ * its location — the spec head, or "<name>:<line>:" — any other
+ * exception fails the test, a crash or hang kills it.
+ */
+TEST(SpecFuzz, MutantsParseOrThrowALocatedError)
+{
+    constexpr int kMutantsPerKind = 600;
+    struct Grammar
+    {
+        const char *name;
+        std::string text;
+        std::regex located;
+        std::function<void(const std::string &)> parse;
+    };
+    const Grammar grammars[] = {
+        {"fleet",
+         "fleet:tenants=8:blocks=4096:theta=0.9:write=0.15:shared=256:"
+         "shared-frac=0.05:churn=20000:storm=30000:storm-len=500:"
+         "storm-frac=0.5:diurnal=100000:min-active=2:seed=7",
+         std::regex("^fleet spec: "),
+         [](const std::string &t) { parseFleetSpec(t, 16); }},
+        {"slo-ramp",
+         "slo-ramp:metric=p99:target=150:step=10000:start=1:max=8:"
+         "tenants=8:blocks=4096:write=0.2",
+         std::regex("^slo-ramp spec: "),
+         [](const std::string &t) { parseSloRampSpec(t, 16); }},
+        {"scenario", kFuzzScenarioText, std::regex("^fuzz:[0-9]+: "),
+         [](const std::string &t) { parseScenarioText(t, "fuzz"); }},
+    };
+
+    enum Kind { Flip, Insert, Delete, Truncate, Duplicate, kKinds };
+    const std::string alphabet = "=:.,-+#<>0123456789eniafx \n";
+    std::mt19937_64 rng(20111012);
+    const auto below = [&](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    for (const Grammar &g : grammars) {
+        std::size_t parsed = 0, rejected = 0;
+        for (int kind = 0; kind < kKinds; ++kind) {
+            for (int n = 0; n < kMutantsPerKind; ++n) {
+                std::string t = g.text;
+                const std::size_t at = below(t.size());
+                switch (kind) {
+                  case Flip:
+                    t[at] = static_cast<char>(t[at] ^ (1 + below(255)));
+                    break;
+                  case Insert:
+                    t.insert(at, 1,
+                             below(2) ? alphabet[below(alphabet.size())]
+                                      : static_cast<char>(below(256)));
+                    break;
+                  case Delete:
+                    t.erase(at, 1 + below(8));
+                    break;
+                  case Truncate:
+                    t.resize(at);
+                    break;
+                  case Duplicate:
+                    t.insert(below(t.size()),
+                             t.substr(at, 1 + below(g.text.size() / 4)));
+                    break;
+                }
+                const auto fail = [&](const char *what) {
+                    return ::testing::Message()
+                           << g.name << " mutant " << kind << "/" << n
+                           << " '" << t << "': " << what;
+                };
+                try {
+                    g.parse(t);
+                    ++parsed;
+                } catch (const std::invalid_argument &e) {
+                    ++rejected;
+                    ASSERT_TRUE(std::regex_search(e.what(), g.located))
+                        << fail(e.what());
+                } catch (const std::runtime_error &e) {
+                    ++rejected;
+                    ASSERT_TRUE(std::regex_search(e.what(), g.located))
+                        << fail(e.what());
+                }
+            }
+        }
+        // Both outcomes are exercised: the suite is not vacuous.
+        EXPECT_GT(parsed, 0u) << g.name;
+        EXPECT_GT(rejected, 0u) << g.name;
+    }
 }
 
 // --- scenarios through the trace pipeline ------------------------------------

@@ -54,8 +54,7 @@ CliFlag
 rangeFlag(Cli &cli)
 {
     return {"range", "A..B", "run cells [A, B) of the manifest (default all)",
-            [&cli](const char *v) {
-                const std::string_view text = v;
+            [&cli](std::string_view text) {
                 const std::size_t dots = text.find("..");
                 if (dots == std::string_view::npos)
                     return false;
