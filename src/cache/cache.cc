@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "common/bit_util.hh"
-
 namespace cdir {
 
 SetAssocCache::SetAssocCache(const CacheConfig &config) : cfg(config)
@@ -12,12 +10,6 @@ SetAssocCache::SetAssocCache(const CacheConfig &config) : cfg(config)
     assert(cfg.assoc >= 1 && cfg.assoc <= kKernelWidth);
     indexMask = cfg.numSets - 1;
     frames.assign(cfg.numSets * cfg.assoc, Frame{kVacantTag, 0});
-}
-
-std::size_t
-SetAssocCache::setIndex(BlockAddr addr) const
-{
-    return static_cast<std::size_t>(addr) & indexMask;
 }
 
 std::size_t

@@ -28,6 +28,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/bit_util.hh"
 #include "common/bitset.hh"
 #include "common/types.hh"
 
@@ -69,6 +70,16 @@ class SetAssocCache
      * @return hit/victim outcome for the coherence layer.
      */
     CacheAccessResult access(BlockAddr addr, bool is_write);
+
+    /**
+     * Hint that @p addr is about to be accessed: prefetch the host
+     * lines holding its set's frames. Changes no state.
+     */
+    void
+    prefetch(BlockAddr addr) const
+    {
+        prefetchRun(&frames[setIndex(addr) * cfg.assoc], cfg.assoc);
+    }
 
     /** True iff @p addr is resident. */
     bool contains(BlockAddr addr) const;
@@ -116,7 +127,11 @@ class SetAssocCache
     static constexpr std::size_t nframe = ~std::size_t{0};
     static constexpr std::uint64_t dirtyBit = std::uint64_t{1} << 63;
 
-    std::size_t setIndex(BlockAddr addr) const;
+    std::size_t
+    setIndex(BlockAddr addr) const
+    {
+        return static_cast<std::size_t>(addr) & indexMask;
+    }
 
     /** Flat frame index of @p addr, or nframe. */
     std::size_t findFrame(BlockAddr addr) const;

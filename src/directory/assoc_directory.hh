@@ -48,6 +48,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/bit_util.hh"
 #include "directory/directory.hh"
 
 namespace cdir {
@@ -75,6 +76,22 @@ class AssocDirectory : public Directory
     void access(const DirRequest &request, DirAccessContext &ctx) override;
     void removeSharer(Tag tag, CacheId cache) override;
     bool probe(Tag tag, DynamicBitset *sharers = nullptr) const override;
+
+    /** Set-major slices: prefetch the set's tag, LRU and sharer lines. */
+    void
+    prefetch(Tag tag) const override
+    {
+        if (!setMajor)
+            return;
+        // Modulo indexing: the set is the tag's low bits (sets is a
+        // power of two).
+        const std::size_t base =
+            (static_cast<std::size_t>(tag) & (sets - 1)) * ways;
+        prefetchRun(&tags[base], ways);
+        prefetchRun(&lastUses[base], ways);
+        prefetchRun(&sharerSets[base], ways);
+    }
+
     std::size_t validEntries() const override { return occupied; }
     std::size_t capacity() const override { return tags.size(); }
     std::string name() const override;

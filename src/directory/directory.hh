@@ -142,6 +142,20 @@ class Directory
      */
     virtual bool probe(Tag tag, DynamicBitset *sharers = nullptr) const = 0;
 
+    /**
+     * Hint that a request or removal for @p tag is about to arrive:
+     * prefetch the host lines its lookup will read. A pure hint — it
+     * changes no state, statistic or outcome, so calling it or not
+     * leaves every run bit-identical. The default does nothing. Only
+     * the set-major slices (Modulo-indexed: Sparse, In-Cache) override
+     * it, where the set is a mask of the tag. A hashed organization
+     * (Cuckoo, Skewed, Elbow) would hash every tag a second time to
+     * find its candidates, and its 16-core slices (under 1 MiB in all
+     * for the paper's Cuckoo 4x512) leave the host's L2 little miss to
+     * hide.
+     */
+    virtual void prefetch(Tag /*tag*/) const {}
+
     /** Currently valid entries. */
     virtual std::size_t validEntries() const = 0;
 

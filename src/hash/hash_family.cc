@@ -24,15 +24,18 @@ std::unique_ptr<HashFamily>
 makeHashFamily(HashKind kind, unsigned num_ways, std::size_t sets_per_way,
                std::uint64_t seed)
 {
-    // Every family masks its index, so the set count is a power of two;
-    // the skewing family's LFSRs span widths 2..24 only.
-    const bool skewing = kind == HashKind::Skewing;
-    if (!isPowerOfTwo(sets_per_way) ||
-        (skewing && (sets_per_way < 4 || sets_per_way > (1u << 24))))
+    // Every family masks its index, so the set count is a power of two.
+    // The skewing family's LFSRs span widths 2..24 only, and the same
+    // 2^24 ceiling bounds every kind: a slice allocates ways x sets
+    // slots before its first access.
+    const std::size_t min_sets = kind == HashKind::Skewing ? 4 : 1;
+    constexpr std::size_t max_sets = std::size_t{1} << 24;
+    if (!isPowerOfTwo(sets_per_way) || sets_per_way < min_sets ||
+        sets_per_way > max_sets)
         throw std::invalid_argument(
-            std::string("directory sets must be a power of two") +
-            (skewing ? " in 4..16777216" : "") + " (got " +
-            std::to_string(sets_per_way) + ")");
+            "directory sets must be a power of two in " +
+            std::to_string(min_sets) + ".." + std::to_string(max_sets) +
+            " (got " + std::to_string(sets_per_way) + ")");
     switch (kind) {
       case HashKind::Skewing:
         return std::make_unique<SkewingHashFamily>(num_ways, sets_per_way);

@@ -92,8 +92,8 @@ inline constexpr HashKind kLastHashKind = HashKind::Modulo;
  *
  * @param kind         implementation to build.
  * @param num_ways     number of member functions.
- * @param sets_per_way codomain size: a power of two, and 4..2^24 for
- *                     the Skewing family.
+ * @param sets_per_way codomain size: a power of two in 1..2^24, and
+ *                     at least 4 for the Skewing family.
  * @param seed         seed for the Strong family (ignored otherwise).
  * @throws std::invalid_argument for a set count @p kind cannot index.
  */

@@ -1,5 +1,6 @@
 #include "sim/cmp_system.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -190,6 +191,14 @@ std::uint64_t
 CmpSystem::run(AccessSource &source, std::uint64_t count,
                std::uint64_t sample_every)
 {
+    // Accesses pulled from the source ahead of the one executing: slot
+    // i % kReadAhead holds access i. The ring stays in this frame, so
+    // it adds nothing to the system's footprint.
+    constexpr std::uint64_t kReadAhead = 8;
+    MemAccess ahead[kReadAhead];
+    std::uint64_t fetched = 0;
+    bool dry = false; // the source reported exhausted(); never asked again
+
     const std::size_t window = cfg.batchWindow;
     std::size_t staged = 0;
     // Accesses left until the next occupancy sample; with sampling off
@@ -197,8 +206,30 @@ CmpSystem::run(AccessSource &source, std::uint64_t count,
     std::uint64_t until_sample =
         sample_every != 0 ? sample_every : ~std::uint64_t{0};
     std::uint64_t executed = 0;
-    while (executed < count && !source.exhausted()) {
-        stage(source.next());
+    for (;;) {
+        // Read ahead, but never past count nor past the next probe
+        // boundary: a closed-loop source steers on the capture taken
+        // there, so it must not be asked for the access after it until
+        // that capture is published.
+        std::uint64_t horizon = std::min(count, executed + kReadAhead);
+        if (feedbackProbe != nullptr) {
+            const std::uint64_t interval = feedbackProbe->intervalAccesses();
+            horizon = std::min(horizon,
+                               executed + interval -
+                                   feedbackProbe->accessesSeen() % interval);
+        }
+        for (; fetched < horizon && !dry; ++fetched) {
+            if (source.exhausted()) {
+                dry = true;
+                break;
+            }
+            const MemAccess &mem = ahead[fetched % kReadAhead] = source.next();
+            caches[cacheIdFor(mem.core, mem.instruction)]->prefetch(mem.addr);
+            slices[sliceOf(mem.addr)]->prefetch(tagOf(mem.addr));
+        }
+        if (executed == fetched)
+            break;
+        stage(ahead[executed % kReadAhead]);
         ++executed;
         ++staged;
         const bool sample_due = --until_sample == 0;

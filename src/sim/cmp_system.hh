@@ -42,6 +42,17 @@
  * outcomes and counters as staging every slice's removals and requests
  * and replaying each slice in turn.
  *
+ * Read-ahead: run() pulls accesses up to eight ahead of the one it
+ * executes into a ring in its own frame, and as each enters the ring it
+ * hints the reference's private-cache set (SetAssocCache::prefetch) and
+ * home-slice set (Directory::prefetch) into the host cache, so the
+ * dependent reads of consecutive references overlap instead of
+ * stalling one after another. It never reads past the requested count,
+ * past the source's exhaustion, or past the attached probe's next
+ * boundary, so every source sees the same next()/exhausted() sequence
+ * and every closed-loop decision is the same as without the ring. The
+ * hints change no state.
+ *
  * A CmpSystem is single-threaded; parallel sweeps (`--jobs`) run one
  * independent system per experiment cell, so every metric is
  * bit-identical at any `--jobs` setting.
@@ -158,6 +169,13 @@ class CmpSystem
      * scenario) until @p count accesses have run or the source is
      * exhausted, sampling directory occupancy every @p sample_every
      * accesses (0 = never) into stats().directoryOccupancy.
+     *
+     * Reads the source up to eight accesses ahead of the one executing
+     * (file comment), bounded by @p count, by the source's exhaustion
+     * and by the attached probe's next boundary: it never calls
+     * next() more than @p count times, calls exhausted() before each
+     * next() and not again once it returned true, and at every capture
+     * has pulled exactly probe()->accessesSeen() accesses.
      * @return accesses actually executed.
      */
     std::uint64_t run(AccessSource &source, std::uint64_t count,

@@ -5,7 +5,8 @@
  * the CMP geometry decisions, unknown names fail with a message naming
  * the alternatives, and every way-probed organization rejects a way
  * count its probe loops cannot hold, a set count its hash cannot
- * index, and (Cuckoo) a single way.
+ * index or above the 2^24 ceiling (before allocating), and (Cuckoo) a
+ * single way.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/alloc_counter.hh"
 #include "directory/directory.hh"
 #include "hash/hash_family.hh"
 
@@ -150,6 +152,31 @@ TEST(OrganizationTable, SetCountsTheHashCannotIndexAreRejected)
     DirectoryParams sparse = paramsFor("Sparse");
     sparse.sets = 1;
     EXPECT_NO_THROW(makeDirectory(sparse));
+
+    // Every hash kind stops at 2^24 sets: a slice allocates ways x sets
+    // slots up front, so 2^25 Sparse sets would ask for gigabytes
+    // before the first access. The rejection must come first.
+    constexpr std::size_t above = std::size_t{1} << 25;
+    DirectoryParams strong = paramsFor("Cuckoo");
+    strong.hash = HashKind::Strong;
+    std::vector<DirectoryParams> cases{paramsFor("Sparse"),
+                                       paramsFor("InCache"), strong};
+    for (DirectoryParams &p : cases) {
+        p.sets = above;
+        resetLargestAllocation();
+        try {
+            makeDirectory(p);
+            ADD_FAILURE() << p.organization << " built with 2^25 sets";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "directory sets must be a power of two in "
+                          "1..16777216 (got 33554432)"),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_LT(largestAllocation(), std::size_t{1} << 20)
+            << p.organization;
+    }
 }
 
 TEST(OrganizationTable, CuckooNeedsTwoWays)

@@ -4,20 +4,24 @@
  * coherence semantics end-to-end (write invalidation, eviction
  * retirement, forced invalidations), the directory-covers-caches
  * inclusion invariant under random load for every organization,
- * rejection of mis-sized configurations, system-level equality of the
- * memory-lean sharer formats with the full vector at 256 cores, the
- * experiment driver, and the pinned footprint of the benchmark
- * configurations.
+ * the run loop's read-ahead bounds (count, probe boundary, source
+ * exhaustion), rejection of mis-sized configurations, system-level
+ * equality of the memory-lean sharer formats with the full vector at
+ * 256 cores, the experiment driver, and the pinned footprint of the
+ * benchmark configurations.
  */
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "model/cost_model.hh"
 #include "sim/cmp_system.hh"
 #include "sim/experiment.hh"
+#include "sim/probe.hh"
 #include "workload/fleet.hh"
 
 namespace cdir {
@@ -281,6 +285,110 @@ TEST(CmpSystem, ForcedInvalidationsRemoveCachedBlocks)
     sys.run(w, 20000);
     EXPECT_GT(sys.stats().forcedInvalidations, 0u);
     ASSERT_TRUE(sys.directoryCoversCaches());
+}
+
+// --- read-ahead contract ---------------------------------------------------
+
+/**
+ * The tiny synthetic stream, optionally cut off after @p limit
+ * accesses, counting how the driver reads it. With a probe channel
+ * attached, each next() that follows a capture records the pulls made
+ * before it beside the capture's access index.
+ */
+class CountingSource : public AccessSource
+{
+  public:
+    explicit CountingSource(std::uint64_t limit = ~std::uint64_t{0})
+        : workload(tinyWorkload()), limit(limit)
+    {}
+
+    MemAccess
+    next() override
+    {
+        if (channel != nullptr &&
+            channel->latest().sequence != seenSequence) {
+            seenSequence = channel->latest().sequence;
+            pullsAtCapture.push_back(
+                {pulled, channel->latest().accessIndex});
+        }
+        ++pulled;
+        return workload.next();
+    }
+
+    bool
+    exhausted() const override
+    {
+        ++exhaustedCalls;
+        return pulled >= limit;
+    }
+
+    SyntheticWorkload workload;
+    std::uint64_t limit;
+    std::uint64_t pulled = 0;
+    mutable std::uint64_t exhaustedCalls = 0;
+    const FeedbackChannel *channel = nullptr;
+    std::uint64_t seenSequence = 0;
+    /** {pulls before the first next() after a capture, its index}. */
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> pullsAtCapture;
+};
+
+TEST(CmpSystem, ReadAheadPullsNothingPastCountProbeOrExhaustion)
+{
+    // Sparse: both prefetch hints (cache set, set-major slice) run.
+    const CmpConfig cfg = tinyConfig(CmpConfigKind::SharedL2, "Sparse");
+
+    // A bounded run asks for exactly count accesses, and asks
+    // exhausted() once before each.
+    for (const std::uint64_t n : {std::uint64_t{13}, std::uint64_t{40001}}) {
+        CmpSystem sys(cfg);
+        CountingSource src;
+        EXPECT_EQ(sys.run(src, n), n);
+        EXPECT_EQ(src.pulled, n);
+        EXPECT_EQ(src.exhaustedCalls, n);
+    }
+
+    // With a probe attached the source is never asked for the access
+    // after a boundary before that boundary's capture is published, so
+    // at every capture it has been pulled exactly accessesSeen() times.
+    {
+        CmpSystem sys(cfg);
+        SystemProbe probe(7);
+        sys.setProbe(&probe);
+        CountingSource src;
+        src.channel = &probe.channel();
+        sys.run(src, 13);
+        sys.run(src, 40001);
+        EXPECT_EQ(src.pulled, probe.accessesSeen());
+        for (const auto &[pulls, index] : src.pullsAtCapture)
+            ASSERT_EQ(pulls, index);
+        // 40014 accesses: the last capture (at 40012) precedes two pulls.
+        EXPECT_EQ(probe.captures(), 40014u / 7);
+        EXPECT_EQ(src.pullsAtCapture.size(), probe.captures());
+    }
+
+    // A finite source that runs dry inside the ring yields exactly the
+    // accesses it gave, in order: the same system state as driving
+    // them one at a time.
+    for (const std::uint64_t limit : {std::uint64_t{5}, std::uint64_t{21}}) {
+        CmpSystem sys(cfg);
+        CountingSource src(limit);
+        EXPECT_EQ(sys.run(src, 100), limit);
+        EXPECT_EQ(src.pulled, limit);
+        EXPECT_EQ(src.exhaustedCalls, limit + 1);
+
+        CmpSystem ref(cfg);
+        SyntheticWorkload same(tinyWorkload());
+        for (std::uint64_t i = 0; i < limit; ++i)
+            ref.access(same.next());
+        EXPECT_EQ(sys.stats().accesses, limit);
+        EXPECT_EQ(sys.stats().cacheHits, ref.stats().cacheHits);
+        EXPECT_EQ(sys.aggregateDirectoryStats().insertions,
+                  ref.aggregateDirectoryStats().insertions);
+        for (std::size_t c = 0; c < sys.numCaches(); ++c)
+            EXPECT_EQ(sys.cache(c).residentAddresses(),
+                      ref.cache(c).residentAddresses())
+                << "cache " << c;
+    }
 }
 
 // --- configuration validation -----------------------------------------------
