@@ -55,9 +55,7 @@ main()
     if (write.hadSharerInvalidations) {
         std::printf("write hit:  invalidate caches:");
         const DynamicBitset &targets = ctx.sharerInvalidations(write);
-        for (std::size_t c = targets.findFirst(); c < targets.size();
-             c = targets.findNext(c))
-            std::printf(" %zu", c);
+        targets.forEachSetBit([](std::size_t c) { std::printf(" %zu", c); });
         std::printf("\n");
     }
 

@@ -15,11 +15,7 @@ namespace {
 
 constexpr std::size_t kLine = 64;
 constexpr std::size_t kHugePage = std::size_t{2} << 20;
-/**
- * Address space per arena. MAP_NORESERVE commits nothing up front; this
- * covers ext_scalability_sim's largest cell (about 1.5 GB) with room.
- */
-constexpr std::size_t kReservation = std::size_t{4} << 30;
+constexpr std::size_t kReservation = kArenaReservationBytes;
 /** Low bit of the word below a carve: set for arena blocks only. */
 constexpr std::uintptr_t kArenaTag = 1;
 

@@ -40,6 +40,13 @@
 
 namespace cdir {
 
+/**
+ * Address space per arena. MAP_NORESERVE commits nothing up front; this
+ * covers ext_scalability_sim's largest cell (about 1.5 GB) with room,
+ * and CmpSystem rejects a geometry whose arrays cannot fit in it.
+ */
+inline constexpr std::size_t kArenaReservationBytes = std::size_t{4} << 30;
+
 struct Arena;
 
 /**

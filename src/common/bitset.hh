@@ -8,12 +8,10 @@
  * iteration over set bits.
  *
  * Word storage is 64-byte aligned (one cache line) so the bulk kernels —
- * orWith/andWith, popcountRange, setRange, forEachSetBit — stream whole
- * lines and auto-vectorize cleanly; a 1024-core sharer vector is exactly
- * two lines. forEachSetBit is the invalidation fan-out primitive: it
- * walks words and extracts set bits with countr_zero instead of
- * re-scanning from the start per bit the way findFirst/findNext chains
- * do.
+ * count, setRange, forEachSetBit — stream whole lines and auto-vectorize
+ * cleanly; a 1024-core sharer vector is exactly two lines.
+ * forEachSetBit is the one iteration primitive (invalidation fan-out):
+ * it walks words and extracts set bits with countr_zero.
  */
 
 #ifndef CDIR_COMMON_BITSET_HH
@@ -184,29 +182,6 @@ class DynamicBitset
         return total;
     }
 
-    /** Number of set bits in [lo, hi). */
-    std::size_t
-    popcountRange(std::size_t lo, std::size_t hi) const
-    {
-        assert(lo <= hi && hi <= numBits);
-        if (lo >= hi)
-            return 0;
-        const std::size_t first = lo >> 6;
-        const std::size_t last = (hi - 1) >> 6;
-        if (first == last) {
-            const std::uint64_t m =
-                highBitsFrom(lo & 63) & lowBits(((hi - 1) & 63) + 1);
-            return static_cast<std::size_t>(std::popcount(words[first] & m));
-        }
-        std::size_t total = static_cast<std::size_t>(
-            std::popcount(words[first] & highBitsFrom(lo & 63)));
-        for (std::size_t wi = first + 1; wi < last; ++wi)
-            total += static_cast<std::size_t>(std::popcount(words[wi]));
-        total += static_cast<std::size_t>(
-            std::popcount(words[last] & lowBits(((hi - 1) & 63) + 1)));
-        return total;
-    }
-
     /** True iff no bit is set. */
     bool
     none() const
@@ -221,45 +196,9 @@ class DynamicBitset
     bool any() const { return !none(); }
 
     /**
-     * Index of the first set bit at or after @p from, or size() if none.
-     * Enables cheap iteration: for (i = findFirst(); i < size();
-     * i = findNext(i)).
-     */
-    std::size_t
-    findFirstFrom(std::size_t from) const
-    {
-        if (from >= numBits)
-            return numBits;
-        std::size_t wi = from >> 6;
-        std::uint64_t w = words[wi] & ~lowBits(from & 63);
-        while (true) {
-            if (w != 0) {
-                std::size_t pos =
-                    (wi << 6) +
-                    static_cast<std::size_t>(std::countr_zero(w));
-                return pos < numBits ? pos : numBits;
-            }
-            if (++wi >= words.size())
-                return numBits;
-            w = words[wi];
-        }
-    }
-
-    /** Index of the first set bit, or size() if none. */
-    std::size_t findFirst() const { return findFirstFrom(0); }
-
-    /** Index of the next set bit strictly after @p pos, or size(). */
-    std::size_t findNext(std::size_t pos) const
-    {
-        return findFirstFrom(pos + 1);
-    }
-
-    /**
-     * Invoke @p visitor(pos) for every set bit in ascending order. One
-     * linear pass over the words with countr_zero extraction — the fan
-     * -out loops (cache invalidations, hierarchical expansion) use this
-     * instead of a findFirst/findNext chain, which re-reads words from
-     * the start on every step.
+     * Invoke @p visitor(pos) for every set bit in ascending order: one
+     * linear pass over the words with countr_zero extraction (cache
+     * invalidations, hierarchical expansion).
      */
     template <typename Visitor>
     void
@@ -299,42 +238,6 @@ class DynamicBitset
         for (std::size_t wi = first + 1; wi < last; ++wi)
             words[wi] = ~std::uint64_t{0};
         words[last] |= tail;
-    }
-
-    /** In-place union kernel. Sizes must match. */
-    void
-    orWith(const DynamicBitset &other)
-    {
-        assert(numBits == other.numBits);
-        const std::size_t n = words.size();
-        for (std::size_t i = 0; i < n; ++i)
-            words[i] |= other.words[i];
-    }
-
-    /** In-place intersection kernel. Sizes must match. */
-    void
-    andWith(const DynamicBitset &other)
-    {
-        assert(numBits == other.numBits);
-        const std::size_t n = words.size();
-        for (std::size_t i = 0; i < n; ++i)
-            words[i] &= other.words[i];
-    }
-
-    /** In-place union. Sizes must match. */
-    DynamicBitset &
-    operator|=(const DynamicBitset &other)
-    {
-        orWith(other);
-        return *this;
-    }
-
-    /** In-place intersection. Sizes must match. */
-    DynamicBitset &
-    operator&=(const DynamicBitset &other)
-    {
-        andWith(other);
-        return *this;
     }
 
     /** Equality (same size and same bits). */

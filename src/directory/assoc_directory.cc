@@ -74,8 +74,7 @@ AssocDirectory::findPosWithIdx(Tag tag, const std::size_t *idx) const
 void
 AssocDirectory::access(const DirRequest &request, DirAccessContext &ctx)
 {
-    DirAccessOutcome &out = ctx.beginOutcome();
-    ++statistics.lookups;
+    DirAccessOutcome &out = beginAccess(ctx);
     ++useClock;
 
     std::size_t idx[kMaxProbeWays];
@@ -83,8 +82,7 @@ AssocDirectory::access(const DirRequest &request, DirAccessContext &ctx)
 
     const std::size_t found = findPosWithIdx(request.tag, idx);
     if (found != npos) {
-        out.hit = true;
-        ++statistics.hits;
+        recordHit(out);
         lastUses[found] = useClock;
         updateEntryOnHit(sharers, sharerSets[found], request, ctx, out);
         return;
@@ -129,11 +127,11 @@ AssocDirectory::access(const DirRequest &request, DirAccessContext &ctx)
     assert(victim != npos);
 
     if (tags[victim] != kVacantTag) {
-        EvictedEntry &evicted = ctx.appendEviction(out);
-        evicted.tag = tags[victim];
-        sharers.invalidationTargets(sharerSets[victim], evicted.targets);
-        ++statistics.forcedEvictions;
-        statistics.forcedBlockInvalidations += evicted.targets.count();
+        recordForcedEviction(ctx, out, tags[victim],
+                             [&](DynamicBitset &targets) {
+                                 sharers.invalidationTargets(
+                                     sharerSets[victim], targets);
+                             });
         sharers.clear(sharerSets[victim]);
     } else {
         ++occupied;
@@ -149,12 +147,7 @@ AssocDirectory::fill(std::size_t p, const DirRequest &request,
     tags[p] = request.tag;
     sharers.add(sharerSets[p], request.cache);
     lastUses[p] = useClock;
-
-    out.inserted = true;
-    out.attempts = attempts;
-    ++statistics.insertions;
-    statistics.insertionAttempts.add(attempts);
-    statistics.attemptHistogram.add(attempts);
+    recordInsertion(out, attempts);
 }
 
 std::size_t

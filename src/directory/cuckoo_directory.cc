@@ -58,8 +58,7 @@ CuckooDirectory::drainStash()
 void
 CuckooDirectory::access(const DirRequest &request, DirAccessContext &ctx)
 {
-    DirAccessOutcome &out = ctx.beginOutcome();
-    ++statistics.lookups;
+    DirAccessOutcome &out = beginAccess(ctx);
 
     // Hash once: the probe and, on a miss, the first insertion attempt
     // use the same way indices.
@@ -67,14 +66,12 @@ CuckooDirectory::access(const DirRequest &request, DirAccessContext &ctx)
     family->indexAll(request.tag, idx);
     const std::size_t pos = table.findPos(request.tag, idx);
     if (pos != CuckooTable<SharerSet>::npos) {
-        out.hit = true;
-        ++statistics.hits;
+        recordHit(out);
         updateEntryOnHit(sharers, table.payloadAt(pos), request, ctx, out);
         return;
     }
     if (StashEntry *entry = findStash(request.tag)) {
-        out.hit = true;
-        ++statistics.hits;
+        recordHit(out);
         updateEntryOnHit(sharers, entry->set, request, ctx, out);
         return;
     }
@@ -83,12 +80,7 @@ CuckooDirectory::access(const DirRequest &request, DirAccessContext &ctx)
     SharerSet set;
     sharers.add(set, request.cache);
     auto ins = table.insert(request.tag, std::move(set), idx);
-
-    out.inserted = true;
-    out.attempts = ins.attempts;
-    ++statistics.insertions;
-    statistics.insertionAttempts.add(ins.attempts);
-    statistics.attemptHistogram.add(ins.attempts);
+    recordInsertion(out, ins.attempts);
 
     if (ins.discarded) {
         assert(ins.discardedPayload.has_value());
@@ -100,12 +92,11 @@ CuckooDirectory::access(const DirRequest &request, DirAccessContext &ctx)
         } else {
             out.insertDiscarded = true;
             ++statistics.insertFailures;
-            ++statistics.forcedEvictions;
-            EvictedEntry &evicted = ctx.appendEviction(out);
-            evicted.tag = ins.discardedTag;
-            sharers.invalidationTargets(*ins.discardedPayload,
-                                        evicted.targets);
-            statistics.forcedBlockInvalidations += evicted.targets.count();
+            recordForcedEviction(ctx, out, ins.discardedTag,
+                                 [&](DynamicBitset &targets) {
+                                     sharers.invalidationTargets(
+                                         *ins.discardedPayload, targets);
+                                 });
             sharers.clear(*ins.discardedPayload);
         }
     }

@@ -169,14 +169,6 @@ class CuckooTable
         return slots[pos].payload;
     }
 
-    /** Tag stored at a position returned by findPos(). */
-    Tag
-    tagAt(std::size_t pos) const
-    {
-        assert(pos < slots.size() && slots[pos].tag != kVacantTag);
-        return slots[pos].tag;
-    }
-
     /**
      * Insert @p tag with @p payload. The tag must not already be
      * present (callers look up first, as the hardware does).

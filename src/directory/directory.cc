@@ -98,12 +98,7 @@ Directory::updateEntryOnHit(SharerStore &store, SharerSet &set,
     if (request.isWrite) {
         DynamicBitset &targets = ctx.sharerTargets(out);
         store.invalidationTargets(set, targets);
-        if (request.cache < targets.size() && targets.test(request.cache))
-            targets.reset(request.cache);
-        if (targets.any()) {
-            out.hadSharerInvalidations = true;
-            ++statistics.writeUpgrades;
-        }
+        recordWriteTargets(request, targets, out);
         store.assign(set, request.cache);
     } else {
         store.add(set, request.cache);

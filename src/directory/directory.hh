@@ -24,7 +24,10 @@
  * DirAccessResult snapshot via DirAccessContext::snapshot().
  *
  * Every organization reports the same statistics, so the Fig. 8-12
- * harnesses can iterate over organizations generically. The seven
+ * harnesses can iterate over organizations generically; each records
+ * its lookups, hits, insertions, write targets and forced evictions
+ * through Directory's protected helpers, the one place an event's
+ * outcome flags and counters are written. The seven
  * organizations the paper compares are the rows of one fixed table in
  * directory.cc; makeDirectory() builds DirectoryParams::organization
  * from its row.
@@ -198,6 +201,72 @@ class Directory
     void resetStats() { statistics.reset(); }
 
   protected:
+    // Event bookkeeping (file comment): each helper writes one event
+    // into the outcome and the statistics together.
+
+    /** Start the outcome of the next access in @p ctx; count a lookup. */
+    DirAccessOutcome &
+    beginAccess(DirAccessContext &ctx)
+    {
+        ++statistics.lookups;
+        return ctx.beginOutcome();
+    }
+
+    /** The access found its tag tracked. */
+    void
+    recordHit(DirAccessOutcome &out)
+    {
+        out.hit = true;
+        ++statistics.hits;
+    }
+
+    /** A new entry was allocated after @p attempts insertion attempts. */
+    void
+    recordInsertion(DirAccessOutcome &out, unsigned attempts)
+    {
+        out.inserted = true;
+        out.attempts = attempts;
+        ++statistics.insertions;
+        statistics.insertionAttempts.add(attempts);
+        statistics.attemptHistogram.add(attempts);
+    }
+
+    /**
+     * Write @p request's invalidation vector @p targets (claimed from
+     * the context for @p out, filled with every cache that may hold the
+     * block): drop the requester, and if any cache remains flag @p out
+     * and count a write upgrade. @return true iff any cache remains.
+     */
+    bool
+    recordWriteTargets(const DirRequest &request, DynamicBitset &targets,
+                       DirAccessOutcome &out)
+    {
+        if (request.cache < targets.size() && targets.test(request.cache))
+            targets.reset(request.cache);
+        if (targets.none())
+            return false;
+        out.hadSharerInvalidations = true;
+        ++statistics.writeUpgrades;
+        return true;
+    }
+
+    /**
+     * Evict entry @p tag by force: append its record to @p out, let
+     * @p fill(targets) name the caches that must drop the block, and
+     * count the eviction and the blocks it invalidates.
+     */
+    template <typename Fill>
+    void
+    recordForcedEviction(DirAccessContext &ctx, DirAccessOutcome &out,
+                         Tag tag, Fill &&fill)
+    {
+        EvictedEntry &evicted = ctx.appendEviction(out);
+        evicted.tag = tag;
+        fill(evicted.targets);
+        ++statistics.forcedEvictions;
+        statistics.forcedBlockInvalidations += evicted.targets.count();
+    }
+
     /**
      * Shared hit-path update of entry sharers @p set (kept by
      * @p store): a write collects an invalidation vector for the other

@@ -55,8 +55,7 @@ void
 DuplicateTagDirectory::access(const DirRequest &request,
                               DirAccessContext &ctx)
 {
-    DirAccessOutcome &out = ctx.beginOutcome();
-    ++statistics.lookups;
+    DirAccessOutcome &out = beginAccess(ctx);
     ++useClock;
     const Tag tag = request.tag;
     const std::size_t set = setIndex(tag);
@@ -66,19 +65,13 @@ DuplicateTagDirectory::access(const DirRequest &request,
     holders.clear();
     collectHolders(set, tag, holders);
 
-    if (holders.any()) {
-        out.hit = true;
-        ++statistics.hits;
-    }
+    if (holders.any())
+        recordHit(out);
 
     if (request.isWrite) {
         DynamicBitset &targets = ctx.sharerTargets(out);
         targets = holders;
-        if (request.cache < targets.size() && targets.test(request.cache))
-            targets.reset(request.cache);
-        if (targets.any()) {
-            out.hadSharerInvalidations = true;
-            ++statistics.writeUpgrades;
+        if (recordWriteTargets(request, targets, out)) {
             // The invalidated caches' mirrored tags are cleared: the
             // duplicate tags always reflect the private caches.
             targets.forEachSetBit([&](std::size_t c) {
@@ -115,11 +108,9 @@ DuplicateTagDirectory::access(const DirRequest &request,
         if (destValid) {
             // Only reachable if the caller failed to report the cache's
             // own eviction first; mirror the cache by evicting LRU.
-            EvictedEntry &evicted = ctx.appendEviction(out);
-            evicted.tag = tags[dest];
-            evicted.targets.set(request.cache);
-            ++statistics.forcedEvictions;
-            ++statistics.forcedBlockInvalidations;
+            recordForcedEviction(
+                ctx, out, tags[dest],
+                [&](DynamicBitset &targets) { targets.set(request.cache); });
             --occupied;
         }
         tags[dest] = tag;
@@ -130,17 +121,13 @@ DuplicateTagDirectory::access(const DirRequest &request,
         lastUses[dest] = useClock;
         ++occupied;
 
+        // A new tag entered the directory; mirroring an additional
+        // cache's copy of an already-tracked tag is a sharer add.
         out.attempts = 1;
-        if (!out.hit) {
-            // A new tag entered the directory; mirroring an additional
-            // cache's copy of an already-tracked tag is a sharer add.
-            out.inserted = true;
-            ++statistics.insertions;
-            statistics.insertionAttempts.add(1);
-            statistics.attemptHistogram.add(1);
-        } else if (!request.isWrite) {
+        if (!out.hit)
+            recordInsertion(out, 1);
+        else if (!request.isWrite)
             ++statistics.sharerAdds;
-        }
     }
 }
 

@@ -204,8 +204,7 @@ TaglessDirectory::filterRemove(Tag tag, CacheId cache)
 void
 TaglessDirectory::access(const DirRequest &request, DirAccessContext &ctx)
 {
-    DirAccessOutcome &out = ctx.beginOutcome();
-    ++statistics.lookups;
+    DirAccessOutcome &out = beginAccess(ctx);
     const Tag tag = request.tag;
     const CacheId cache = request.cache;
 
@@ -219,19 +218,13 @@ TaglessDirectory::access(const DirRequest &request, DirAccessContext &ctx)
         if (filterMatch(tag, c))
             filter_holders.set(c);
 
-    if (tracked) {
-        out.hit = true;
-        ++statistics.hits;
-    }
+    if (tracked)
+        recordHit(out);
 
     if (request.isWrite) {
         DynamicBitset &targets = ctx.sharerTargets(out);
         targets = filter_holders;
-        if (cache < targets.size() && targets.test(cache))
-            targets.reset(cache);
-        if (targets.any()) {
-            out.hadSharerInvalidations = true;
-            ++statistics.writeUpgrades;
+        if (recordWriteTargets(request, targets, out)) {
             // Acks reveal the true holders; clear their filter state.
             if (tracked) {
                 targets.forEachSetBit([&](std::size_t c) {
@@ -255,16 +248,12 @@ TaglessDirectory::access(const DirRequest &request, DirAccessContext &ctx)
             truth = &shadow.insert(tag);
         truth->set(cache);
         filterAdd(tag, cache);
+        // New tag; adding a cache to a tracked tag is a sharer add.
         out.attempts = 1;
-        if (!tracked) {
-            // New tag; adding a cache to a tracked tag is a sharer add.
-            out.inserted = true;
-            ++statistics.insertions;
-            statistics.insertionAttempts.add(1);
-            statistics.attemptHistogram.add(1);
-        } else if (!request.isWrite) {
+        if (!tracked)
+            recordInsertion(out, 1);
+        else if (!request.isWrite)
             ++statistics.sharerAdds;
-        }
     }
     // An emptied entry disappears from the shadow map.
     if (truth != nullptr && truth->none())

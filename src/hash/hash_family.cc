@@ -25,17 +25,16 @@ makeHashFamily(HashKind kind, unsigned num_ways, std::size_t sets_per_way,
                std::uint64_t seed)
 {
     // Every family masks its index, so the set count is a power of two.
-    // The skewing family's LFSRs span widths 2..24 only, and the same
-    // 2^24 ceiling bounds every kind: a slice allocates ways x sets
-    // slots before its first access.
+    // The skewing family's 2^24 ceiling bounds every kind: a slice
+    // allocates ways x sets slots before its first access.
     const std::size_t min_sets = kind == HashKind::Skewing ? 4 : 1;
-    constexpr std::size_t max_sets = std::size_t{1} << 24;
     if (!isPowerOfTwo(sets_per_way) || sets_per_way < min_sets ||
-        sets_per_way > max_sets)
+        sets_per_way > kMaxDirectorySets)
         throw std::invalid_argument(
             "directory sets must be a power of two in " +
-            std::to_string(min_sets) + ".." + std::to_string(max_sets) +
-            " (got " + std::to_string(sets_per_way) + ")");
+            std::to_string(min_sets) + ".." +
+            std::to_string(kMaxDirectorySets) + " (got " +
+            std::to_string(sets_per_way) + ")");
     switch (kind) {
       case HashKind::Skewing:
         return std::make_unique<SkewingHashFamily>(num_ways, sets_per_way);

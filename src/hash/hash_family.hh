@@ -26,6 +26,12 @@ namespace cdir {
 inline constexpr unsigned kMaxProbeWays = 64;
 
 /**
+ * Upper bound on sets per way of every hash kind: the skewing family's
+ * LFSRs span widths 2..24 only.
+ */
+inline constexpr std::size_t kMaxDirectorySets = std::size_t{1} << 24;
+
+/**
  * @p ways, checked for a way-probed structure (a Cuckoo table passes
  * @p min_ways 2: displacement needs a second way).
  * @throws std::invalid_argument unless

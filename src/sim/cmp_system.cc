@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
 #include <stdexcept>
 
 #include "common/arena.hh"
@@ -28,6 +29,42 @@ CmpConfig::paperConfig(CmpConfigKind kind, std::size_t cores)
     return cfg;
 }
 
+namespace {
+
+/**
+ * Reject a geometry whose arrays cannot fit in one arena before any is
+ * allocated: its lower bound is every private-cache frame plus, per
+ * directory entry, the smallest slot any organization stores (a tag
+ * and a sharer set). A mirroring organization's slices take their sets
+ * from the caches, so the frames bound them. Sets or ways outside the
+ * slices' own bounds are left to their constructors' messages.
+ */
+void
+checkFootprint(const CmpConfig &cfg, bool mirrors)
+{
+    const DirectoryParams &dir = cfg.directory;
+    if (dir.sets > kMaxDirectorySets || dir.ways > kMaxProbeWays)
+        return;
+    const double entries =
+        mirrors ? 0.0 : double(cfg.numSlices) * double(dir.totalEntries());
+    const double bytes =
+        double(cfg.numCaches()) * double(cfg.privateCache.capacityBlocks()) *
+            double(sizeof(SetAssocCache::Frame)) +
+        entries * double(sizeof(Tag) + sizeof(SharerSet));
+    if (bytes <= double(kArenaReservationBytes))
+        return;
+    char need[32];
+    std::snprintf(need, sizeof(need), "%.0f", bytes);
+    throw std::invalid_argument(
+        "CmpConfig: " + std::to_string(cfg.numSlices) +
+        " directory slices of " + std::to_string(dir.ways) + " ways x " +
+        std::to_string(dir.sets) + " sets need at least " + need +
+        " bytes, more than the " + std::to_string(kArenaReservationBytes) +
+        "-byte arena reservation");
+}
+
+} // namespace
+
 CmpSystem::CmpSystem(const CmpConfig &config) : cfg(config)
 {
     const ArenaScope arena; // every line-aligned array below: huge pages
@@ -37,6 +74,9 @@ CmpSystem::CmpSystem(const CmpConfig &config) : cfg(config)
             std::to_string(cfg.numSlices) + ")");
     if (cfg.batchWindow < 1)
         throw std::invalid_argument("CmpConfig: batchWindow must be >= 1");
+    const bool mirrors =
+        directoryTraits(cfg.directory.organization).mirrorsTrackedCaches;
+    checkFootprint(cfg, mirrors);
     sliceMask = cfg.numSlices - 1;
     sliceShift = floorLog2(cfg.numSlices);
 
@@ -48,7 +88,7 @@ CmpSystem::CmpSystem(const CmpConfig &config) : cfg(config)
     DirectoryParams dir = cfg.directory;
     dir.numCaches = n_caches;
     dir.trackedCacheAssoc = cfg.privateCache.assoc;
-    if (directoryTraits(dir.organization).mirrorsTrackedCaches) {
+    if (mirrors) {
         // These organizations mirror the tracked caches' sets; a slice
         // covers cacheSets / numSlices of them (Fig. 3). A very large
         // system whose slice count exceeds the private cache's sets
@@ -291,13 +331,38 @@ CmpSystem::aggregateDirectoryStats() const
     return agg;
 }
 
-Histogram
-CmpSystem::aggregateAttemptHistogram() const
+IntervalRecord
+CmpSystem::cutInterval(IntervalRecord &mark) const
 {
-    Histogram merged(kAttemptHistogramMax);
-    for (const auto &s : slices)
-        merged.merge(s->stats().attemptHistogram);
-    return merged;
+    const DirectoryStats dir = aggregateDirectoryStats();
+    IntervalRecord now;
+    now.accesses = counters.accesses;
+    now.cacheMisses = counters.cacheMisses;
+    now.insertions = dir.insertions;
+    now.attemptSum =
+        static_cast<std::uint64_t>(dir.insertionAttempts.sum());
+    now.insertionAttemptCount = dir.insertionAttempts.count();
+    now.forcedEvictions = dir.forcedEvictions;
+    now.sharingInvalidations = counters.sharingInvalidations;
+    now.forcedInvalidations = counters.forcedInvalidations;
+    now.latency = counters.latency;
+
+    IntervalRecord window = now;
+    window.accesses -= mark.accesses;
+    window.cacheMisses -= mark.cacheMisses;
+    window.insertions -= mark.insertions;
+    window.attemptSum -= mark.attemptSum;
+    window.insertionAttemptCount -= mark.insertionAttemptCount;
+    window.forcedEvictions -= mark.forcedEvictions;
+    window.sharingInvalidations -= mark.sharingInvalidations;
+    window.forcedInvalidations -= mark.forcedInvalidations;
+    window.latency.subtract(mark.latency); // exact bucket-wise difference
+    for (const auto &s : slices) {
+        window.occupiedEntries += s->validEntries();
+        window.capacityEntries += s->capacity();
+    }
+    mark = std::move(now);
+    return window;
 }
 
 void

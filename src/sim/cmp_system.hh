@@ -68,6 +68,7 @@
 #include "common/stats.hh"
 #include "directory/directory.hh"
 #include "model/latency_histogram.hh"
+#include "sim/interval_stats.hh"
 #include "workload/trace.hh"
 #include "workload/workload.hh"
 
@@ -157,7 +158,9 @@ class CmpSystem
      * non-power-of-two slice count, zero batch window, or a
      * cache-mirroring organization (Duplicate-Tag/Tagless) whose slice
      * count exceeds the private cache's sets — the very-large-system
-     * geometry that would silently round to zero-set slices.
+     * geometry that would silently round to zero-set slices — or a
+     * geometry whose frames and directory entries need more than
+     * kArenaReservationBytes (checked before anything is allocated).
      */
     explicit CmpSystem(const CmpConfig &config);
 
@@ -228,8 +231,15 @@ class CmpSystem
     /** Sum of per-slice directory statistics. */
     DirectoryStats aggregateDirectoryStats() const;
 
-    /** Merged attempt histogram across slices (Fig. 11). */
-    Histogram aggregateAttemptHistogram() const;
+    /**
+     * The one counter-window cut, shared by interval telemetry and the
+     * feedback probe: @return the counter deltas since @p mark plus the
+     * directory occupancy now, and advance @p mark to the current
+     * cumulative counters. A default-constructed mark stands for the
+     * counters right after resetStats(). The attempt sums are
+     * integer-valued, so every delta is exact.
+     */
+    IntervalRecord cutInterval(IntervalRecord &mark) const;
 
     /** System counters. */
     const CmpStats &stats() const { return counters; }

@@ -26,41 +26,11 @@ processPeakRssBytes()
 
 namespace {
 
-/** Point-in-time aggregate counters an interval delta is cut from. */
-struct StatsSnapshot
-{
-    std::uint64_t cacheMisses = 0;
-    std::uint64_t insertions = 0;
-    double attemptSum = 0.0;
-    std::uint64_t attemptCount = 0;
-    std::uint64_t forcedEvictions = 0;
-    std::uint64_t sharingInvalidations = 0;
-    std::uint64_t forcedInvalidations = 0;
-    LatencyHistogram latency; //!< cumulative; windows cut via subtract()
-};
-
-StatsSnapshot
-takeSnapshot(const CmpSystem &system)
-{
-    const DirectoryStats dir = system.aggregateDirectoryStats();
-    StatsSnapshot snap;
-    snap.cacheMisses = system.stats().cacheMisses;
-    snap.insertions = dir.insertions;
-    snap.attemptSum = dir.insertionAttempts.sum();
-    snap.attemptCount = dir.insertionAttempts.count();
-    snap.forcedEvictions = dir.forcedEvictions;
-    snap.sharingInvalidations = system.stats().sharingInvalidations;
-    snap.forcedInvalidations = system.stats().forcedInvalidations;
-    snap.latency = system.stats().latency;
-    return snap;
-}
-
 /**
  * Measure run with interval telemetry: cut into intervalAccesses-sized
- * windows, each recording the counter deltas since the previous
- * boundary plus an occupancy point sample. The attempt sums are
- * integer-valued (exactly representable doubles), so the delta
- * arithmetic is exact.
+ * windows, each the CmpSystem::cutInterval record since the previous
+ * boundary. Called right after resetStats(), so the first mark is the
+ * default (all-zero) record.
  */
 void
 runMeasureWithIntervals(CmpSystem &system, AccessSource &source,
@@ -68,11 +38,7 @@ runMeasureWithIntervals(CmpSystem &system, AccessSource &source,
                         IntervalStats &intervals)
 {
     intervals.intervalAccesses = options.intervalAccesses;
-    std::uint64_t capacity = 0;
-    for (std::size_t s = 0; s < system.numSlices(); ++s)
-        capacity += system.slice(s).capacity();
-
-    StatsSnapshot prev = takeSnapshot(system);
+    IntervalRecord mark;
     std::uint64_t remaining = options.measureAccesses;
     while (remaining > 0) {
         const std::uint64_t chunk =
@@ -81,31 +47,7 @@ runMeasureWithIntervals(CmpSystem &system, AccessSource &source,
             system.run(source, chunk, options.occupancySampleEvery);
         if (executed == 0)
             break; // source exhausted on the window boundary
-        const StatsSnapshot cur = takeSnapshot(system);
-
-        IntervalRecord rec;
-        rec.accesses = executed;
-        rec.cacheMisses = cur.cacheMisses - prev.cacheMisses;
-        rec.insertions = cur.insertions - prev.insertions;
-        rec.attemptSum = static_cast<std::uint64_t>(cur.attemptSum -
-                                                    prev.attemptSum);
-        rec.insertionAttemptCount = cur.attemptCount - prev.attemptCount;
-        rec.forcedEvictions =
-            cur.forcedEvictions - prev.forcedEvictions;
-        rec.sharingInvalidations =
-            cur.sharingInvalidations - prev.sharingInvalidations;
-        rec.forcedInvalidations =
-            cur.forcedInvalidations - prev.forcedInvalidations;
-        // Window histogram = cumulative minus the previous boundary's
-        // snapshot (exact bucket-wise difference); no-op when untimed.
-        rec.latency = cur.latency;
-        rec.latency.subtract(prev.latency);
-        for (std::size_t s = 0; s < system.numSlices(); ++s)
-            rec.occupiedEntries += system.slice(s).validEntries();
-        rec.capacityEntries = capacity;
-        intervals.windows.push_back(rec);
-
-        prev = cur;
+        intervals.windows.push_back(system.cutInterval(mark));
         remaining -= executed;
         if (executed < chunk)
             break; // source exhausted mid-window
@@ -208,7 +150,7 @@ runExperiment(const CmpConfig &config, const WorkloadParams &workload,
     result.organization = system.slice(0).name();
     result.directory = system.aggregateDirectoryStats();
     result.system = system.stats();
-    result.attemptHistogram = system.aggregateAttemptHistogram();
+    result.attemptHistogram = result.directory.attemptHistogram;
     for (std::size_t s = 0; s < system.numSlices(); ++s)
         result.directoryCapacity += system.slice(s).capacity();
     result.avgInsertionAttempts =

@@ -9,7 +9,8 @@
  * time-resolved counterpart: the measure run is cut into fixed-length
  * access windows and each window records the *deltas* of the aggregate
  * counters plus a point sample of directory occupancy at the window
- * boundary.
+ * boundary. Every window is cut by CmpSystem::cutInterval, which the
+ * feedback probe (sim/probe.hh) also uses for its windowed metrics.
  *
  * Design constraints, mirroring the PR 4 counter discipline:
  *

@@ -17,66 +17,36 @@ SystemProbe::SystemProbe(std::uint64_t interval_accesses)
 void
 SystemProbe::capture(const CmpSystem &system)
 {
+    const IntervalRecord window = system.cutInterval(mark);
     ProbeSnapshot snap;
     snap.sequence = ++sequence;
     snap.accessIndex = accessCount;
 
-    // Point-in-time occupancy, per slice and aggregate. Serial reads
-    // of slice-local entry counts — capture runs between flushes, so
-    // no lane owns any slice at this moment.
+    // Point-in-time occupancy, per slice and aggregate. Capture runs
+    // between flushes, so every staged outcome has been applied.
     snap.sliceOccupancy.reserve(system.numSlices());
-    std::uint64_t occupied = 0, capacity = 0;
-    for (std::size_t s = 0; s < system.numSlices(); ++s) {
-        const std::uint64_t valid = system.slice(s).validEntries();
-        const std::uint64_t total = system.slice(s).capacity();
-        occupied += valid;
-        capacity += total;
-        snap.sliceOccupancy.push_back(
-            total != 0 ? double(valid) / double(total) : 0.0);
-    }
-    snap.occupiedEntries = occupied;
-    snap.capacityEntries = capacity;
-    snap.occupancy = capacity != 0 ? double(occupied) / double(capacity)
-                                   : 0.0;
+    for (std::size_t s = 0; s < system.numSlices(); ++s)
+        snap.sliceOccupancy.push_back(system.slice(s).occupancy());
+    snap.occupiedEntries = window.occupiedEntries;
+    snap.capacityEntries = window.capacityEntries;
+    snap.occupancy = window.occupancy();
 
-    // Windowed deltas against the previous capture. The attempt sums
-    // are integer-valued doubles, so the subtraction is exact — the
-    // same argument interval telemetry relies on.
-    const DirectoryStats dir = system.aggregateDirectoryStats();
-    const CmpStats &sys = system.stats();
-    snap.windowAccesses = accessCount - prevAccessIndex;
-    snap.windowInsertions = dir.insertions - prevInsertions;
-    const double attemptSum = dir.insertionAttempts.sum();
-    const std::uint64_t attemptCount = dir.insertionAttempts.count();
-    const std::uint64_t windowAttempts = attemptCount - prevAttemptCount;
-    snap.windowAttemptMean =
-        windowAttempts != 0
-            ? (attemptSum - prevAttemptSum) / double(windowAttempts)
-            : 0.0;
-    snap.windowForcedInvalidations =
-        sys.forcedInvalidations - prevForcedInvalidations;
+    // Windowed deltas against the previous capture.
+    snap.windowAccesses = accessCount - markIndex;
+    snap.windowInsertions = window.insertions;
+    snap.windowAttemptMean = window.avgInsertionAttempts();
+    snap.windowForcedInvalidations = window.forcedInvalidations;
     snap.forcedPer1k =
         snap.windowAccesses != 0
             ? 1000.0 * double(snap.windowForcedInvalidations) /
                   double(snap.windowAccesses)
             : 0.0;
-
     snap.timed = system.costModel() != nullptr;
-    if (snap.timed) {
-        LatencyHistogram window = sys.latency;
-        window.subtract(prevLatency);
-        if (window.count() != 0) {
-            snap.windowP50 = window.percentile(500);
-            snap.windowP99 = window.percentile(990);
-        }
-        prevLatency = sys.latency;
+    if (window.latency.count() != 0) {
+        snap.windowP50 = window.latency.percentile(500);
+        snap.windowP99 = window.latency.percentile(990);
     }
-
-    prevAccessIndex = accessCount;
-    prevInsertions = dir.insertions;
-    prevAttemptSum = attemptSum;
-    prevAttemptCount = attemptCount;
-    prevForcedInvalidations = sys.forcedInvalidations;
+    markIndex = accessCount;
 
     feed.publish(std::move(snap));
 }
@@ -88,12 +58,8 @@ SystemProbe::onStatsReset()
     // the reset point. accessCount and sequence are *not* reset: probe
     // boundaries stay on the same absolute access grid, which is what
     // keeps a warmup-spanning recording replayable.
-    prevAccessIndex = accessCount;
-    prevInsertions = 0;
-    prevAttemptSum = 0.0;
-    prevAttemptCount = 0;
-    prevForcedInvalidations = 0;
-    prevLatency = LatencyHistogram{};
+    markIndex = accessCount;
+    mark = IntervalRecord{};
 }
 
 } // namespace cdir

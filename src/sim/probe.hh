@@ -10,9 +10,10 @@
  * system *after* the serial apply phase: occupancy per slice and in
  * aggregate, plus windowed deltas (insertions, insertion attempts,
  * forced invalidations, and latency percentiles when a cost model is
- * attached) cut against the previous capture with the same
- * exact-subtract machinery interval telemetry uses. The snapshot is
- * published into the probe's FeedbackChannel for consumer workloads.
+ * attached) since the previous capture. The window is the
+ * CmpSystem::cutInterval record, the same cut interval telemetry
+ * takes. The snapshot is published into the probe's FeedbackChannel
+ * for consumer workloads.
  *
  * Because boundaries are exact access counts and capture runs in the
  * apply phase, every snapshot — and every trigger decision a workload
@@ -28,7 +29,7 @@
 
 #include <cstdint>
 
-#include "model/latency_histogram.hh"
+#include "sim/interval_stats.hh"
 #include "workload/feedback.hh"
 
 namespace cdir {
@@ -81,13 +82,9 @@ class SystemProbe
     std::uint64_t sequence = 0;
     FeedbackChannel feed;
 
-    // Previous-capture cumulative values the window deltas subtract.
-    std::uint64_t prevAccessIndex = 0;
-    std::uint64_t prevInsertions = 0;
-    double prevAttemptSum = 0.0;
-    std::uint64_t prevAttemptCount = 0;
-    std::uint64_t prevForcedInvalidations = 0;
-    LatencyHistogram prevLatency;
+    // The previous capture: its access count and cumulative counters.
+    std::uint64_t markIndex = 0;
+    IntervalRecord mark;
 };
 
 } // namespace cdir

@@ -203,7 +203,7 @@ SweepRunner::runCells(std::span<const SweepCell> cells,
                       std::size_t spec_count) const
 {
     // Results land in their cell's slot from any worker, so the grids of
-    // a multi-configuration harness share the whole pool. A cell that
+    // a multi-configuration harness share every worker. A cell that
     // throws (a trace cell's strict reader hitting a bad record, an
     // out-of-range core id for this grid's CMP) is dropped like a
     // filtered-out cell — consumers already render missing cells as

@@ -16,14 +16,14 @@
  *    is the only enumeration of a grid (filter applied, implicit
  *    default options point included); campaign manifests
  *    (sim/campaign.hh) are that list, serialized.
- *  - `SweepRunner`: `runCells()` runs a cell list's `runExperiment`s on
- *    a fixed thread pool (`common/thread_pool.hh`) and groups the
+ *  - `SweepRunner`: `runCells()` runs a cell list's `runExperiment`s
+ *    through `parallelFor` (`common/parallel_for.hh`) and groups the
  *    records per spec; `runMany(specs)` is `runCells(cells(specs))`.
  *    Results land in cell order regardless of scheduling, and every
  *    cell constructs its own `CmpSystem` and `SyntheticWorkload` RNG,
  *    so a sweep is deterministic at any `--jobs` value. The generic
  *    `map()` escape hatch runs arbitrary per-cell computations (the
- *    analytical-model and cuckoo-table harnesses) on the same pool.
+ *    analytical-model and cuckoo-table harnesses) the same way.
  *  - `ReportTable` + `Reporter`: one table abstraction emitted as an
  *    aligned text table, CSV, or JSON, replacing per-harness printf
  *    scattering.
@@ -56,7 +56,7 @@
 #include <vector>
 
 #include "common/cli_flag.hh"
-#include "common/thread_pool.hh"
+#include "common/parallel_for.hh"
 #include "sim/experiment.hh"
 
 namespace cdir {
@@ -177,7 +177,7 @@ struct SweepOptions
     std::string filter;
 };
 
-/** Runs SweepSpec grids (and generic grids) on a thread pool. */
+/** Runs SweepSpec grids (and generic grids) through parallelFor. */
 class SweepRunner
 {
   public:
@@ -185,8 +185,8 @@ class SweepRunner
 
     /**
      * Run every (filter-surviving) cell of @p spec through
-     * `runExperiment` on the pool. A cell whose experiment throws
-     * (e.g. a trace cell replaying a damaged file or one with core
+     * `runExperiment` on `opts.jobs` threads. A cell whose experiment
+     * throws (e.g. a trace cell replaying a damaged file or one with core
      * ids beyond the grid's CMP) is reported on stderr and dropped
      * from the results like a filtered-out cell.
      * @return records in cell order — options-major within workload
@@ -214,8 +214,9 @@ class SweepRunner
     std::vector<SweepCell> cells(std::span<const SweepSpec> specs) const;
 
     /**
-     * Run @p cells through `runExperiment` on the pool and group the
-     * records by SweepCell::specIndex into @p spec_count vectors, each
+     * Run @p cells through `runExperiment` on `opts.jobs` threads and
+     * group the records by SweepCell::specIndex into @p spec_count
+     * vectors, each
      * in cell order. A cell that throws is reported on stderr and
      * dropped; a finite cell that measured nothing gets the
      * noteExhaustedCell() warning. runMany(specs) is
@@ -227,8 +228,9 @@ class SweepRunner
 
     /**
      * Generic grid escape hatch: compute `fn(i)` for each cell index on
-     * the pool and return the results in index order. For harness grids
-     * that are not `runExperiment` cells (analytical model sweeps,
+     * `opts.jobs` threads and return the results in index order. For
+     * harness grids that are not `runExperiment` cells (analytical model
+     * sweeps,
      * cuckoo-table churn); the filter does not apply.
      */
     template <typename Result, typename Fn>

@@ -105,9 +105,6 @@ class FleetWorkload : public AccessSource
     /** Active tenants the next access will draw from. */
     std::size_t activeTenants() const;
 
-    /** Accesses emitted so far. */
-    std::uint64_t accessesEmitted() const { return emitted; }
-
     /** Churn events applied so far. */
     std::uint64_t churnEvents() const { return churns; }
 

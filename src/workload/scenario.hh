@@ -226,12 +226,6 @@ class ScenarioWorkload : public AccessSource, public FeedbackConsumer
     /** Label of the phase the next access falls into. */
     const std::string &currentPhaseLabel() const;
 
-    /** Physical core logical thread @p thread currently issues from. */
-    CoreId coreOf(CoreId thread) const { return threadToCore[thread]; }
-
-    /** True iff physical core @p core is online. */
-    bool coreOnline(CoreId core) const { return online[core]; }
-
     // FeedbackConsumer interface (see class comment).
     bool wantsFeedback() const override;
     std::uint64_t probeInterval() const override;

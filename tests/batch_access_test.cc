@@ -483,8 +483,10 @@ TEST(BatchAccess, DeferredApplyMatchesStagedReplay)
 
                 expectStatsEqual(sys.aggregateDirectoryStats(),
                                  shell.aggregateDirectoryStats(), label);
-                const Histogram a = sys.aggregateAttemptHistogram();
-                const Histogram b = shell.aggregateAttemptHistogram();
+                const Histogram a =
+                    sys.aggregateDirectoryStats().attemptHistogram;
+                const Histogram b =
+                    shell.aggregateDirectoryStats().attemptHistogram;
                 ASSERT_EQ(a.maxValue(), b.maxValue()) << label;
                 for (std::size_t v = 0; v <= a.maxValue(); ++v)
                     EXPECT_EQ(a.at(v), b.at(v)) << label << " attempts " << v;

@@ -319,24 +319,6 @@ TEST(DynamicBitset, ClearResetsEverything)
     EXPECT_TRUE(bs.none());
 }
 
-TEST(DynamicBitset, FindFirstAndNext)
-{
-    DynamicBitset bs(200);
-    bs.set(5);
-    bs.set(64);
-    bs.set(199);
-    EXPECT_EQ(bs.findFirst(), 5u);
-    EXPECT_EQ(bs.findNext(5), 64u);
-    EXPECT_EQ(bs.findNext(64), 199u);
-    EXPECT_EQ(bs.findNext(199), 200u);
-}
-
-TEST(DynamicBitset, FindFirstOnEmpty)
-{
-    DynamicBitset bs(64);
-    EXPECT_EQ(bs.findFirst(), 64u);
-}
-
 TEST(DynamicBitset, IterationVisitsAllSetBits)
 {
     DynamicBitset bs(300);
@@ -345,27 +327,10 @@ TEST(DynamicBitset, IterationVisitsAllSetBits)
         bs.set(i);
         expect.insert(i);
     }
-    std::set<std::size_t> got;
-    for (std::size_t i = bs.findFirst(); i < bs.size(); i = bs.findNext(i))
-        got.insert(i);
-    EXPECT_EQ(got, expect);
-}
-
-TEST(DynamicBitset, UnionAndIntersection)
-{
-    DynamicBitset a(100), b(100);
-    a.set(1);
-    a.set(50);
-    b.set(50);
-    b.set(99);
-    DynamicBitset u = a;
-    u |= b;
-    EXPECT_EQ(u.count(), 3u);
-    EXPECT_TRUE(u.test(1) && u.test(50) && u.test(99));
-    DynamicBitset i = a;
-    i &= b;
-    EXPECT_EQ(i.count(), 1u);
-    EXPECT_TRUE(i.test(50));
+    std::vector<std::size_t> got;
+    bs.forEachSetBit([&](std::size_t i) { got.push_back(i); });
+    EXPECT_EQ(got, std::vector<std::size_t>(expect.begin(), expect.end()))
+        << "every set bit, once, in ascending order";
 }
 
 TEST(DynamicBitset, EqualityIncludesSize)
@@ -384,7 +349,7 @@ TEST(DynamicBitset, ZeroSizedIsSane)
     DynamicBitset bs(0);
     EXPECT_EQ(bs.size(), 0u);
     EXPECT_TRUE(bs.none());
-    EXPECT_EQ(bs.findFirst(), 0u);
+    bs.forEachSetBit([](std::size_t i) { ADD_FAILURE() << "visited " << i; });
 }
 
 // --- stats -------------------------------------------------------------------

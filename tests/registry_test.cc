@@ -6,7 +6,8 @@
  * the alternatives, and every way-probed organization rejects a way
  * count its probe loops cannot hold, a set count its hash cannot
  * index or above the 2^24 ceiling (before allocating), and (Cuckoo) a
- * single way.
+ * single way; and a CmpSystem whose geometry cannot fit in one arena
+ * is rejected, naming the geometry, before anything is allocated.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "common/alloc_counter.hh"
 #include "directory/directory.hh"
 #include "hash/hash_family.hh"
+#include "sim/experiment.hh"
 
 #include "dir_test_util.hh"
 
@@ -177,6 +179,48 @@ TEST(OrganizationTable, SetCountsTheHashCannotIndexAreRejected)
         EXPECT_LT(largestAllocation(), std::size_t{1} << 20)
             << p.organization;
     }
+}
+
+TEST(OrganizationTable, SystemsBeyondOneArenaAreRejectedBeforeAllocating)
+{
+    // 16 slices of 4 x 2^24 entries, each at least a tag and a sharer
+    // set (24 bytes): 24 GiB before the first access, far beyond one
+    // arena's reservation.
+    const auto expectRejected = [](const CmpConfig &cfg,
+                                   const std::string &geometry) {
+        resetLargestAllocation();
+        try {
+            CmpSystem system(cfg);
+            ADD_FAILURE() << geometry << " was built";
+        } catch (const std::invalid_argument &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(geometry), std::string::npos) << what;
+            EXPECT_NE(what.find("more than the " +
+                                std::to_string(kArenaReservationBytes) +
+                                "-byte arena reservation"),
+                      std::string::npos)
+                << what;
+        }
+        EXPECT_LT(largestAllocation(), std::size_t{1} << 20) << geometry;
+    };
+    for (const char *name : {"Cuckoo", "InCache", "Skewed", "Sparse"}) {
+        CmpConfig cfg = CmpConfig::paperConfig(CmpConfigKind::SharedL2);
+        cfg.directory.organization = name;
+        cfg.directory.ways = 4;
+        cfg.directory.sets = kMaxDirectorySets;
+        expectRejected(cfg, "16 directory slices of 4 ways x 16777216 "
+                            "sets need at least 25770328064");
+    }
+    // A mirroring organization's slices follow the caches, whose frames
+    // alone are bounded: 32 caches of 2^24 sets x 16 ways x 16 bytes.
+    CmpConfig mirror = CmpConfig::paperConfig(CmpConfigKind::SharedL2);
+    mirror.directory.organization = "DuplicateTag";
+    mirror.privateCache = CacheConfig{kMaxDirectorySets, 16};
+    expectRejected(mirror, "need at least 137438953472 bytes");
+    // The paper's largest slices fit.
+    CmpConfig paper = CmpConfig::paperConfig(CmpConfigKind::PrivateL2);
+    paper.directory = sparseSliceParams(16, 4096);
+    EXPECT_NO_THROW(CmpSystem{paper});
 }
 
 TEST(OrganizationTable, CuckooNeedsTwoWays)

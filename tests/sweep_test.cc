@@ -2,8 +2,9 @@
  * @file
  * Sweep-engine coverage:
  *
- *  - ThreadPool runs every submitted task and parallelFor propagates
- *    the first exception;
+ *  - parallelFor runs every index exactly once at any width (hardware
+ *    default, clamped to the count, nested) and rethrows the first
+ *    exception without running any index twice;
  *  - a grid run with --jobs 1, 2 and 8 yields *bit-identical*
  *    ExperimentResult metrics in the same cell order (the determinism
  *    contract: every cell owns its CmpSystem and workload RNG);
@@ -16,61 +17,110 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/thread_pool.hh"
+#include "common/parallel_for.hh"
 #include "model/cost_model.hh"
 #include "sim/sweep.hh"
 
 namespace cdir {
 namespace {
 
-// --- thread pool -------------------------------------------------------------
+// --- parallelFor -------------------------------------------------------------
 
-TEST(ThreadPool, RunsEverySubmittedTask)
+/** Run parallelFor(@p jobs, @p count) and return how often each index ran. */
+std::vector<int>
+hitsOf(unsigned jobs, std::size_t count)
 {
-    ThreadPool pool(4);
-    std::atomic<int> sum{0};
-    for (int i = 1; i <= 100; ++i)
-        pool.submit([&sum, i] { sum += i; });
-    pool.wait();
-    EXPECT_EQ(sum.load(), 5050);
-}
-
-TEST(ThreadPool, DestructorDrainsQueue)
-{
-    std::atomic<int> ran{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 50; ++i)
-            pool.submit([&ran] { ++ran; });
-    }
-    EXPECT_EQ(ran.load(), 50);
+    std::vector<std::atomic<int>> hits(count);
+    parallelFor(jobs, count, [&](std::size_t i) { ++hits[i]; });
+    return std::vector<int>(hits.begin(), hits.end());
 }
 
 TEST(ParallelFor, CoversEveryIndexAtAnyWidth)
 {
-    for (unsigned jobs : {1u, 3u, 8u}) {
-        std::vector<int> hits(257, 0);
-        parallelFor(jobs, hits.size(),
-                    [&](std::size_t i) { hits[i]++; });
-        for (std::size_t i = 0; i < hits.size(); ++i)
-            ASSERT_EQ(hits[i], 1) << "jobs " << jobs << " index " << i;
+    // 0 = one thread per hardware thread; more jobs than indices are
+    // clamped to the count; 0 and 1 indices run inline.
+    for (const unsigned jobs : {0u, 1u, 3u, 8u, 64u}) {
+        for (const std::size_t count :
+             {std::size_t{0}, std::size_t{1}, std::size_t{5},
+              std::size_t{257}}) {
+            const std::vector<int> hits = hitsOf(jobs, count);
+            for (std::size_t i = 0; i < count; ++i)
+                ASSERT_EQ(hits[i], 1) << "jobs " << jobs << " count "
+                                      << count << " index " << i;
+        }
     }
+}
+
+TEST(ParallelFor, MoreJobsThanIndicesRunsEveryIndexAtOnce)
+{
+    // 32 jobs over 3 indices: one thread per index, all three running
+    // at the same time, none of them the caller.
+    constexpr std::size_t kCount = 3;
+    std::mutex mutex;
+    std::condition_variable allIn;
+    std::size_t arrived = 0;
+    bool together = true;
+    std::set<std::thread::id> threads;
+    parallelFor(32, kCount, [&](std::size_t) {
+        std::unique_lock<std::mutex> lock(mutex);
+        threads.insert(std::this_thread::get_id());
+        if (++arrived == kCount)
+            allIn.notify_all();
+        together &= allIn.wait_for(lock, std::chrono::seconds(30),
+                                   [&] { return arrived == kCount; });
+    });
+    EXPECT_TRUE(together);
+    EXPECT_EQ(threads.size(), kCount);
+    EXPECT_EQ(threads.count(std::this_thread::get_id()), 0u);
+}
+
+TEST(ParallelFor, NestedCallsRunEveryInnerIndexOnce)
+{
+    // The shape of fig11_worstcase_distribution: an outer map whose
+    // cells each run an inner grid.
+    constexpr std::size_t kOuter = 3, kInner = 41;
+    std::vector<std::atomic<int>> hits(kOuter * kInner);
+    parallelFor(2, kOuter, [&](std::size_t o) {
+        parallelFor(3, kInner,
+                    [&](std::size_t i) { ++hits[o * kInner + i]; });
+    });
+    for (std::size_t i = 0; i < hits.size(); ++i)
+        ASSERT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
 TEST(ParallelFor, PropagatesFirstException)
 {
-    EXPECT_THROW(parallelFor(4, 64,
-                             [](std::size_t i) {
-                                 if (i == 13)
-                                     throw std::runtime_error("boom");
-                             }),
-                 std::runtime_error);
+    for (const unsigned jobs : {1u, 4u}) {
+        std::vector<std::atomic<int>> hits(64);
+        try {
+            parallelFor(jobs, hits.size(), [&](std::size_t i) {
+                ++hits[i];
+                if (i == 13)
+                    throw std::runtime_error("boom 13");
+            });
+            ADD_FAILURE() << "jobs " << jobs << ": nothing thrown";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "boom 13");
+        }
+        EXPECT_EQ(hits[13].load(), 1) << "jobs " << jobs;
+        for (std::size_t i = 0; i < hits.size(); ++i)
+            ASSERT_LE(hits[i].load(), 1) << "jobs " << jobs << " index " << i;
+        if (jobs == 1) {
+            // Inline: the loop stops at the throw.
+            for (std::size_t i = 14; i < hits.size(); ++i)
+                ASSERT_EQ(hits[i].load(), 0) << "index " << i;
+        }
+    }
 }
 
 // --- sweep determinism -------------------------------------------------------
@@ -156,6 +206,24 @@ TEST(SweepDeterminism, SerialAndParallelJobsBitIdentical)
     for (const auto &rec : serial)
         inserts += rec.result.directory.insertions;
     EXPECT_GT(inserts, 0u);
+}
+
+TEST(SweepDeterminism, NestedMapAroundRunMatchesSerial)
+{
+    // fig11_worstcase_distribution's shape: an outer map over specs
+    // whose cells each run a whole grid on an inner runner.
+    const SweepSpec specs[] = {smallGrid(), smallGrid()};
+    const auto serial = SweepRunner(SweepOptions{1, ""}).run(specs[0]);
+    const SweepRunner outer(SweepOptions{2, ""});
+    const SweepRunner inner(SweepOptions{2, ""});
+    const auto nested = outer.map<std::vector<SweepRecord>>(
+        2, [&](std::size_t i) { return inner.run(specs[i]); });
+    ASSERT_EQ(nested.size(), 2u);
+    for (const auto &records : nested) {
+        ASSERT_EQ(records.size(), serial.size());
+        for (std::size_t i = 0; i < serial.size(); ++i)
+            expectIdentical(records[i], serial[i]);
+    }
 }
 
 TEST(SweepRunMany, FlattensSpecsIntoOnePoolWithPerSpecResults)

@@ -207,8 +207,9 @@ TEST(Workload, InstructionsAreReadOnly)
     SyntheticWorkload w(tinyParams());
     for (int i = 0; i < 20000; ++i) {
         const MemAccess a = w.next();
-        if (a.instruction)
+        if (a.instruction) {
             EXPECT_FALSE(a.write);
+        }
     }
 }
 
