@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "sim/interval_export.hh"
 #include "sim_common.hh"
 #include "workload/scenario.hh"
@@ -226,7 +227,7 @@ main(int argc, char **argv)
             groups.push_back(std::move(group));
         }
         try {
-            writeIntervalSeriesJsonFile(series_json, groups);
+            writeDocumentFile(series_json, intervalSeriesToJson(groups));
         } catch (const std::exception &e) {
             std::fprintf(stderr, "--series-json: %s\n", e.what());
             return 1;

@@ -5,8 +5,8 @@
  * Runs every Table 2 workload on the Table 1 16-core CMP in both the
  * Shared-L2 and Private-L2 configurations with the §5.2-selected Cuckoo
  * directories, sampling aggregate occupancy during measurement. The two
- * per-configuration grids are declared as sweep specs and run on the
- * shared thread pool (--jobs=).
+ * per-configuration grids are declared as sweep specs and run on
+ * --jobs= worker threads.
  *
  * Paper shape to reproduce: occupancy well below 1 everywhere in the
  * Shared-L2 system (shared instructions/data compress the distinct-tag

@@ -6,7 +6,7 @@
  * over-provisioned down to 3/8x under-provisioned, reporting the
  * suite-wide average insertion attempts (bars) and forced-invalidation
  * rate (line). Each configuration's grid — 6 sizings x 9 workloads — is
- * one sweep spec run on the shared thread pool.
+ * one sweep spec run on --jobs= worker threads.
  *
  * Paper shape: under-provisioning (<1x) explodes attempts and forced
  * invalidations exponentially; Shared-L2 needs no over-provisioning and

@@ -3,7 +3,7 @@
  * Example: head-to-head comparison of directory organizations on one
  * workload — a single-workload slice of Fig. 12 plus occupancy and
  * capacity context, useful for exploring the design space. The six
- * contenders are one sweep grid run on the thread pool.
+ * contenders are one sweep grid run on --jobs= worker threads.
  *
  *   $ ./directory_comparison [workload] [--jobs=N] [--format=csv] ...
  */

@@ -1,604 +1,37 @@
 #include "sim/campaign.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
-#include <charconv>
-#include <concepts>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <limits>
 #include <stdexcept>
-#include <type_traits>
 #include <utility>
 
 #include <unistd.h>
 
+#include "common/fnv1a.hh"
+#include "common/json.hh"
+
 namespace cdir {
 
-namespace {
-
-// --- formatting --------------------------------------------------------------
+// --- the field lists ---------------------------------------------------------
 //
-// The campaign format is written and read by this translation unit
-// only, so a minimal deterministic writer + recursive-descent parser
-// keep the repo dependency-free. Byte-identity of merge-vs-local output
-// rests on two properties: every counter is an integer (exact in JSON),
-// and doubles print with %.17g, which strtod() round-trips to the same
-// bit pattern — so parse(write(x)) == x field-for-field, and rendering
-// the reloaded struct reproduces the original bytes.
-
-std::string
-fmtU64(std::uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%llu",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-std::string
-fmtDouble(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-// --- JSON parsing ------------------------------------------------------------
-
-/**
- * Deepest array/object nesting the parser accepts. The deepest document
- * written is 10 levels (results > cells > cell > result > intervals >
- * windows > window > latency > buckets > pair); the cap keeps the
- * recursive descent off the end of the stack on hostile input.
- */
-constexpr unsigned kMaxJsonDepth = 64;
-
-struct JsonValue
-{
-    enum class Kind
-    {
-        Null,
-        Bool,
-        Number,
-        String,
-        Array,
-        Object,
-    };
-
-    Kind kind = Kind::Null;
-    std::size_t line = 0;   //!< 1-based position of the first character
-    std::size_t column = 0;
-    std::string text; //!< number token or decoded string contents
-    std::vector<JsonValue> items;
-    std::vector<std::pair<std::string, JsonValue>> members;
-
-    const JsonValue *
-    find(const char *key) const
-    {
-        for (const auto &[k, v] : members)
-            if (k == key)
-                return &v;
-        return nullptr;
-    }
-};
-
-[[noreturn]] void
-failAt(std::size_t line, std::size_t column, const std::string &what)
-{
-    throw std::runtime_error("campaign JSON " + fmtU64(line) + ":" +
-                             fmtU64(column) + ": " + what);
-}
-
-[[noreturn]] void
-failAt(const JsonValue &v, const std::string &what)
-{
-    failAt(v.line, v.column, what);
-}
-
-class JsonParser
-{
-  public:
-    explicit JsonParser(const std::string &input)
-        : p(input.data()), end(input.data() + input.size()), lineStart(p)
-    {
-    }
-
-    JsonValue
-    parseDocument()
-    {
-        JsonValue v = parseValue();
-        skipSpace();
-        if (p != end)
-            fail("trailing content after document");
-        return v;
-    }
-
-  private:
-    [[noreturn]] void
-    fail(const std::string &what) const
-    {
-        failAt(line, static_cast<std::size_t>(p - lineStart) + 1, what);
-    }
-
-    void
-    skipSpace()
-    {
-        for (; p != end; ++p) {
-            if (*p == '\n') {
-                ++line;
-                lineStart = p + 1;
-            } else if (*p != ' ' && *p != '\t' && *p != '\r') {
-                return;
-            }
-        }
-    }
-
-    char
-    peek()
-    {
-        skipSpace();
-        if (p == end)
-            fail("unexpected end of input");
-        return *p;
-    }
-
-    void
-    expect(char ch)
-    {
-        if (peek() != ch)
-            fail(std::string("expected '") + ch + "' got '" + *p + "'");
-        ++p;
-    }
-
-    bool
-    consume(char ch)
-    {
-        if (peek() != ch)
-            return false;
-        ++p;
-        return true;
-    }
-
-    JsonValue
-    parseValue()
-    {
-        const char ch = peek();
-        JsonValue v;
-        v.line = line;
-        v.column = static_cast<std::size_t>(p - lineStart) + 1;
-        if (ch == '{' || ch == '[') {
-            if (++depth > kMaxJsonDepth)
-                fail("nesting deeper than " + fmtU64(kMaxJsonDepth) +
-                     " levels");
-            if (ch == '{')
-                parseObject(v);
-            else
-                parseArray(v);
-            --depth;
-        } else if (ch == '"') {
-            v.kind = JsonValue::Kind::String;
-            parseString(v.text);
-        } else if (ch == 't' || ch == 'f') {
-            v.kind = JsonValue::Kind::Bool;
-            parseLiteral(ch == 't' ? "true" : "false");
-        } else if (ch == 'n') {
-            parseLiteral("null");
-        } else {
-            v.kind = JsonValue::Kind::Number;
-            const char *start = p;
-            while (p != end &&
-                   (std::isdigit(static_cast<unsigned char>(*p)) ||
-                    *p == '-' || *p == '+' || *p == '.' || *p == 'e' ||
-                    *p == 'E'))
-                ++p;
-            if (p == start)
-                fail(std::string("unexpected '") + ch + "'");
-            v.text.assign(start, p);
-        }
-        return v;
-    }
-
-    void
-    parseLiteral(const char *word)
-    {
-        const std::size_t len = std::strlen(word);
-        if (static_cast<std::size_t>(end - p) < len ||
-            std::strncmp(p, word, len) != 0)
-            fail(std::string("expected '") + word + "'");
-        p += len;
-    }
-
-    void
-    parseString(std::string &out)
-    {
-        expect('"');
-        while (true) {
-            if (p == end)
-                fail("unterminated string");
-            // Raw control characters are invalid JSON (the writer
-            // escapes them all), and keep line numbers honest.
-            if (static_cast<unsigned char>(*p) < 0x20)
-                fail("control character in string");
-            const char ch = *p++;
-            if (ch == '"')
-                return;
-            if (ch != '\\') {
-                out += ch;
-                continue;
-            }
-            if (p == end)
-                fail("unterminated escape");
-            const char esc = *p++;
-            static const char kEscaped[] = "\"\\/bfnrt";
-            static const char kDecoded[] = "\"\\/\b\f\n\r\t";
-            if (const char *at = std::strchr(kEscaped, esc);
-                at != nullptr && esc != '\0') {
-                out += kDecoded[at - kEscaped];
-                continue;
-            }
-            if (esc != 'u')
-                fail("unknown escape");
-            unsigned code = 0;
-            const char *hex_end = p + std::min<std::ptrdiff_t>(end - p, 4);
-            if (std::from_chars(p, hex_end, code, 16).ptr != p + 4)
-                fail("bad \\u escape");
-            p += 4;
-            // The writer only emits \u00xx control codes; reject
-            // anything wider rather than mis-decoding it.
-            if (code > 0xff)
-                fail("unsupported \\u escape beyond U+00FF");
-            out += static_cast<char>(code);
-        }
-    }
-
-    void
-    parseArray(JsonValue &v)
-    {
-        expect('[');
-        v.kind = JsonValue::Kind::Array;
-        if (consume(']'))
-            return;
-        while (true) {
-            v.items.push_back(parseValue());
-            if (consume(']'))
-                return;
-            expect(',');
-        }
-    }
-
-    void
-    parseObject(JsonValue &v)
-    {
-        expect('{');
-        v.kind = JsonValue::Kind::Object;
-        if (consume('}'))
-            return;
-        while (true) {
-            if (peek() != '"')
-                fail("expected a string key");
-            std::string key;
-            parseString(key);
-            expect(':');
-            v.members.emplace_back(std::move(key), parseValue());
-            if (consume('}'))
-                return;
-            expect(',');
-        }
-    }
-
-    const char *p;
-    const char *end;
-    const char *lineStart;
-    std::size_t line = 1;
-    unsigned depth = 0;
-};
-
-// --- field lists -------------------------------------------------------------
-//
-// Each serialized struct has one `fields(io, s)` template that lists its
-// keys once, in output order. JsonOut renders the list as an object's
-// members; JsonIn reads the same list back out of a parsed object,
-// converting each integer into its declared type with a range check.
-// `optional` marks keys older documents may lack, `constant` a value the
-// reader must find exactly (document headers, cell ids), and `block` /
-// `rows` only choose the document-level line layout.
-
-/** S is T or const T, so one field list serves writer and reader. */
-template <class S, class T>
-concept Is = std::same_as<std::remove_const_t<S>, T>;
-
-template <class T>
-concept Vector = requires { typename T::value_type; } &&
-                 std::same_as<T, std::vector<typename T::value_type>>;
-
-template <class T>
-concept Pair = requires {
-    typename T::first_type;
-    typename T::second_type;
-} && std::same_as<T, std::pair<typename T::first_type,
-                               typename T::second_type>>;
+// The campaign format, rendered and parsed by the one JSON codec
+// (common/json.hh). Byte-identity of merge-vs-local output rests on two
+// of its properties: every counter is an integer (exact in JSON), and
+// doubles print with %.17g, which strtod() round-trips to the same bit
+// pattern — so parse(write(x)) == x field-for-field, and rendering the
+// reloaded struct reproduces the original bytes. The lists live in
+// namespace cdir, beside the types they serialize, because the codec
+// finds them (and lastOf) by argument-dependent lookup.
 
 /** Largest enumerator of each serialized enum (the reader's bound). */
 constexpr CmpConfigKind lastOf(CmpConfigKind) { return kLastCmpConfigKind; }
 constexpr SharerFormat lastOf(SharerFormat) { return kLastSharerFormat; }
 constexpr HashKind lastOf(HashKind) { return kLastHashKind; }
 
-/** Renders field lists as JSON object members (see above). */
-class JsonOut
-{
-  public:
-    static constexpr bool reading = false;
-
-    explicit JsonOut(std::string &out) : buf(out) { buf += '{'; }
-
-    void close() { buf += '}'; }
-
-    template <class T>
-    void
-    field(const char *key, const T &v)
-    {
-        member(key, ", ");
-        write(v);
-    }
-
-    template <class T>
-    void optional(const char *key, const T &v) { field(key, v); }
-
-    template <class T>
-    void constant(const char *key, const T &v) { field(key, v); }
-
-    /** field() on a line of its own. */
-    template <class T>
-    void
-    block(const char *key, const T &v)
-    {
-        member(key, ",\n ");
-        write(v);
-    }
-
-    /** An array of @p n objects, one per line, filled by fn(row, i). */
-    template <class Fn>
-    void
-    rows(const char *key, std::size_t n, Fn fn)
-    {
-        member(key, ",\n ");
-        buf += '[';
-        for (std::size_t i = 0; i < n; ++i) {
-            buf += i == 0 ? "\n  " : ",\n  ";
-            JsonOut row(buf);
-            fn(row, i);
-            row.close();
-        }
-        buf += "\n ]";
-    }
-
-  private:
-    void
-    member(const char *key, const char *separator)
-    {
-        if (!first)
-            buf += separator;
-        first = false;
-        buf += '"';
-        buf += key;
-        buf += "\": ";
-    }
-
-    template <class T>
-    void
-    write(const T &v)
-    {
-        if constexpr (std::is_same_v<T, std::string>) {
-            buf += '"';
-            buf += jsonEscape(v);
-            buf += '"';
-        } else if constexpr (std::is_floating_point_v<T>) {
-            buf += fmtDouble(v);
-        } else if constexpr (std::is_enum_v<T> || std::is_integral_v<T>) {
-            buf += fmtU64(static_cast<std::uint64_t>(v));
-        } else if constexpr (Vector<T>) {
-            buf += '[';
-            for (std::size_t i = 0; i < v.size(); ++i) {
-                if (i != 0)
-                    buf += ", ";
-                write(v[i]);
-            }
-            buf += ']';
-        } else if constexpr (Pair<T>) {
-            buf += '[';
-            write(v.first);
-            buf += ", ";
-            write(v.second);
-            buf += ']';
-        } else {
-            JsonOut inner(buf);
-            fields(inner, v);
-            inner.close();
-        }
-    }
-
-    std::string &buf;
-    bool first = true;
-};
-
-/** Reads field lists back out of a parsed JSON object (see above). */
-class JsonIn
-{
-  public:
-    static constexpr bool reading = true;
-
-    explicit JsonIn(const JsonValue &value) : obj(value)
-    {
-        if (obj.kind != JsonValue::Kind::Object)
-            failAt(obj, "expected an object");
-    }
-
-    template <class T>
-    void field(const char *key, T &v) { read(member(key), v); }
-
-    template <class T>
-    void
-    optional(const char *key, T &v)
-    {
-        if (const JsonValue *m = obj.find(key))
-            read(*m, v);
-    }
-
-    template <class T>
-    void
-    constant(const char *key, const T &want)
-    {
-        const JsonValue &m = member(key);
-        T got{};
-        read(m, got);
-        if (got != want)
-            failAt(m, std::string("\"") + key + "\" is " + show(got) +
-                          ", expected " + show(want));
-    }
-
-    template <class T>
-    void block(const char *key, T &v) { field(key, v); }
-
-    /** Read an array of exactly @p n objects through fn(row, i). */
-    template <class Fn>
-    void
-    rows(const char *key, std::size_t n, Fn fn)
-    {
-        const JsonValue &m = member(key);
-        const std::vector<JsonValue> &items = array(m);
-        if (items.size() != n)
-            failAt(m, std::string("\"") + key + "\" holds " +
-                          fmtU64(items.size()) + " entries, expected " +
-                          fmtU64(n));
-        for (std::size_t i = 0; i < n; ++i) {
-            JsonIn row(items[i]);
-            fn(row, i);
-        }
-    }
-
-    /** Length of array member @p key. */
-    std::size_t
-    size(const char *key) const
-    {
-        return array(member(key)).size();
-    }
-
-    /** Fail with @p what at member @p key's value. */
-    [[noreturn]] void
-    fail(const char *key, const std::string &what) const
-    {
-        failAt(member(key), what);
-    }
-
-  private:
-    const JsonValue &
-    member(const char *key) const
-    {
-        if (const JsonValue *m = obj.find(key))
-            return *m;
-        failAt(obj, std::string("missing \"") + key + "\"");
-    }
-
-    static std::string show(const std::string &s) { return '"' + s + '"'; }
-    static std::string show(std::uint64_t v) { return fmtU64(v); }
-
-    static const std::vector<JsonValue> &
-    array(const JsonValue &v)
-    {
-        if (v.kind != JsonValue::Kind::Array)
-            failAt(v, "expected an array");
-        return v.items;
-    }
-
-    /** @p v as an integer in [0, @p max]. */
-    static std::uint64_t
-    integer(const JsonValue &v, std::uint64_t max)
-    {
-        if (v.kind != JsonValue::Kind::Number)
-            failAt(v, "expected an integer");
-        const char *begin = v.text.data();
-        const char *end = begin + v.text.size();
-        std::uint64_t x = 0;
-        const auto [ptr, ec] = std::from_chars(begin, end, x);
-        if (ec == std::errc::result_out_of_range || (ptr == end && x > max))
-            failAt(v, "integer " + v.text + " out of range (max " +
-                          fmtU64(max) + ")");
-        if (ec != std::errc{} || ptr != end)
-            failAt(v, "bad integer '" + v.text + "'");
-        return x;
-    }
-
-    template <class T>
-    static void
-    read(const JsonValue &v, T &out)
-    {
-        if constexpr (std::is_same_v<T, std::string>) {
-            if (v.kind != JsonValue::Kind::String)
-                failAt(v, "expected a string");
-            out = v.text;
-        } else if constexpr (std::is_floating_point_v<T>) {
-            if (v.kind != JsonValue::Kind::Number)
-                failAt(v, "expected a number");
-            char *end = nullptr;
-            out = std::strtod(v.text.c_str(), &end);
-            if (end != v.text.c_str() + v.text.size())
-                failAt(v, "bad number '" + v.text + "'");
-        } else if constexpr (std::is_enum_v<T>) {
-            out = static_cast<T>(
-                integer(v, static_cast<std::uint64_t>(lastOf(T{}))));
-        } else if constexpr (std::is_integral_v<T>) {
-            out = static_cast<T>(
-                integer(v, std::numeric_limits<T>::max()));
-        } else if constexpr (Vector<T>) {
-            const std::vector<JsonValue> &items = array(v);
-            out.clear();
-            out.resize(items.size());
-            for (std::size_t i = 0; i < items.size(); ++i)
-                read(items[i], out[i]);
-        } else if constexpr (Pair<T>) {
-            const std::vector<JsonValue> &items = array(v);
-            if (items.size() != 2)
-                failAt(v, "expected a pair");
-            read(items[0], out.first);
-            read(items[1], out.second);
-        } else {
-            JsonIn inner(v);
-            fields(inner, out);
-        }
-    }
-
-    const JsonValue &obj;
-};
-
-/** Serialize @p v's field list as one JSON object. */
-template <class T>
-std::string
-toJson(const T &v)
-{
-    std::string out;
-    JsonOut w(out);
-    fields(w, v);
-    w.close();
-    return out;
-}
-
-/** Parse @p json and read a T's field list out of it. */
-template <class T>
-T
-fromJson(const std::string &json)
-{
-    const JsonValue doc = JsonParser(json).parseDocument();
-    T v;
-    JsonIn in(doc);
-    fields(in, v);
-    return v;
-}
-
-// --- the field lists ---------------------------------------------------------
 
 template <class IO, Is<RunningMean> S>
 void
@@ -632,9 +65,10 @@ sparseBuckets(IO &io, Buckets &buckets, std::size_t size, At at)
     if constexpr (IO::reading)
         for (const auto &bucket : buckets)
             if (bucket.first >= size)
-                io.fail("buckets", "bucket " + fmtU64(bucket.first) +
-                                       " out of range (histogram has " +
-                                       fmtU64(size) + " buckets)");
+                io.fail("buckets",
+                        "bucket " + std::to_string(bucket.first) +
+                            " out of range (histogram has " +
+                            std::to_string(size) + " buckets)");
 }
 
 template <class IO, Is<Histogram> S>
@@ -647,8 +81,9 @@ fields(IO &io, S &h)
     io.field("max", max);
     if constexpr (IO::reading)
         if (max != kAttemptHistogramMax)
-            io.fail("max", "histogram max " + fmtU64(max) + " is not " +
-                               fmtU64(kAttemptHistogramMax));
+            io.fail("max", "histogram max " + std::to_string(max) +
+                               " is not " +
+                               std::to_string(kAttemptHistogramMax));
     Buckets buckets;
     sparseBuckets(io, buckets, max + 1,
                   [&](std::size_t v) { return h.at(v); });
@@ -877,10 +312,11 @@ fields(IO &io, S &m)
         fields(row, m.cells[i]);
         if constexpr (IO::reading)
             if (m.cells[i].specIndex >= m.specCount)
-                row.fail("spec", "cell names spec " +
-                                     fmtU64(m.cells[i].specIndex) +
-                                     " but spec_count is " +
-                                     fmtU64(m.specCount));
+                row.fail("spec",
+                         "cell names spec " +
+                             std::to_string(m.cells[i].specIndex) +
+                             " but spec_count is " +
+                             std::to_string(m.specCount));
     });
 }
 
@@ -912,34 +348,36 @@ resultsDocument(IO &io, const CampaignManifest &manifest, ResultAt result)
             });
 }
 
-// --- files -------------------------------------------------------------------
+namespace {
 
-std::string
-readFileOrThrow(const std::string &path)
+/**
+ * Parse campaign document @p json and read it through read(in). Located
+ * errors from the codec name the document kind: "campaign JSON L:C: ...".
+ */
+template <class Read>
+void
+readDocument(const std::string &json, Read read)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        throw std::runtime_error(path + ": " + std::strerror(errno));
-    std::string content;
-    char buf[1 << 16];
-    std::size_t got;
-    while ((got = std::fread(buf, 1, sizeof buf, f)) > 0)
-        content.append(buf, got);
-    const bool failed = std::ferror(f) != 0;
-    std::fclose(f);
-    if (failed)
-        throw std::runtime_error(path + ": read failed");
-    return content;
+    try {
+        const JsonValue doc = parseJson(json);
+        JsonIn in(doc);
+        read(in);
+    } catch (const JsonError &e) {
+        throw std::runtime_error(std::string("campaign ") + e.what());
+    }
 }
 
-std::uint64_t
-fnv1a(std::uint64_t hash, const std::string &data)
+/** One campaign document: the object write(out) fills, then a newline. */
+template <class Write>
+std::string
+writeDocument(Write write)
 {
-    for (const char ch : data) {
-        hash ^= static_cast<unsigned char>(ch);
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
+    std::string doc;
+    JsonOut out(doc);
+    out.beginObject();
+    write(out);
+    out.endObject();
+    return doc + "\n";
 }
 
 bool
@@ -957,8 +395,7 @@ shardExists(const std::string &shard_dir, const std::string &cell_id)
 std::string
 campaignCellId(const SweepCell &cell)
 {
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    hash = fnv1a(hash, fmtU64(cell.specIndex));
+    std::uint64_t hash = fnv1a(fnv1aInit(), std::to_string(cell.specIndex));
     hash = fnv1a(hash, cell.label());
     hash = fnv1a(hash, toJson(cell.config));
     hash = fnv1a(hash, toJson(cell.workload));
@@ -979,13 +416,15 @@ buildCampaignManifest(std::span<const SweepSpec> specs,
 std::string
 campaignManifestToJson(const CampaignManifest &manifest)
 {
-    return toJson(manifest) + "\n";
+    return writeDocument([&](JsonOut &out) { fields(out, manifest); });
 }
 
 CampaignManifest
 parseCampaignManifest(const std::string &json)
 {
-    return fromJson<CampaignManifest>(json);
+    CampaignManifest manifest;
+    readDocument(json, [&](JsonIn &in) { fields(in, manifest); });
+    return manifest;
 }
 
 /**
@@ -1000,17 +439,11 @@ atomicWriteFile(const std::string &path, const std::string &content)
 {
     const std::string tmp =
         path + ".tmp." + std::to_string(::getpid());
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f)
-        throw std::runtime_error(tmp + ": " + std::strerror(errno));
-    const bool wrote =
-        std::fwrite(content.data(), 1, content.size(), f) ==
-        content.size();
-    const bool flushed = std::fflush(f) == 0;
-    const bool closed = std::fclose(f) == 0;
-    if (!wrote || !flushed || !closed) {
+    try {
+        writeDocumentFile(tmp, content);
+    } catch (...) {
         std::remove(tmp.c_str());
-        throw std::runtime_error(tmp + ": write failed");
+        throw;
     }
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
         const std::string err = std::strerror(errno);
@@ -1031,7 +464,7 @@ CampaignManifest
 readCampaignManifest(const std::string &path)
 {
     try {
-        return parseCampaignManifest(readFileOrThrow(path));
+        return parseCampaignManifest(readDocumentFile(path));
     } catch (const std::exception &e) {
         throw std::runtime_error(path + ": " + e.what());
     }
@@ -1055,11 +488,10 @@ writeCampaignShard(const std::string &shard_dir,
                    const std::string &cell_id,
                    const ExperimentResult &result)
 {
-    std::string doc;
-    JsonOut w(doc);
-    shardDocument(w, cell_id, result);
-    w.close();
-    atomicWriteFile(campaignShardPath(shard_dir, cell_id), doc + "\n");
+    atomicWriteFile(campaignShardPath(shard_dir, cell_id),
+                    writeDocument([&](JsonOut &out) {
+                        shardDocument(out, cell_id, result);
+                    }));
 }
 
 bool
@@ -1070,11 +502,10 @@ readCampaignShard(const std::string &shard_dir,
         return false;
     const std::string path = campaignShardPath(shard_dir, cell_id);
     try {
-        const JsonValue doc =
-            JsonParser(readFileOrThrow(path)).parseDocument();
         ExperimentResult result;
-        JsonIn in(doc);
-        shardDocument(in, cell_id, result);
+        readDocument(readDocumentFile(path), [&](JsonIn &in) {
+            shardDocument(in, cell_id, result);
+        });
         out = std::move(result);
     } catch (const std::exception &e) {
         throw std::runtime_error(path + ": " + e.what());
@@ -1091,7 +522,9 @@ experimentResultToJson(const ExperimentResult &result)
 ExperimentResult
 parseExperimentResult(const std::string &json)
 {
-    return fromJson<ExperimentResult>(json);
+    ExperimentResult result;
+    readDocument(json, [&](JsonIn &in) { fields(in, result); });
+    return result;
 }
 
 CampaignRunReport
@@ -1101,9 +534,9 @@ runCampaignCells(const CampaignManifest &manifest,
 {
     if (begin > end || end > manifest.cells.size())
         throw std::runtime_error(
-            "campaign range " + fmtU64(begin) + ".." + fmtU64(end) +
-            " out of bounds (manifest has " +
-            fmtU64(manifest.cells.size()) + " cells)");
+            "campaign range " + std::to_string(begin) + ".." +
+            std::to_string(end) + " out of bounds (manifest has " +
+            std::to_string(manifest.cells.size()) + " cells)");
     std::filesystem::create_directories(shard_dir);
 
     CampaignRunReport report;
@@ -1192,18 +625,18 @@ mergeCampaignShards(const CampaignManifest &manifest,
     const CampaignStatus status = campaignStatus(manifest, shard_dir);
     if (!status.missing.empty()) {
         std::string what = "campaign incomplete: " +
-                           fmtU64(status.missing.size()) + " of " +
-                           fmtU64(status.total) + " cells missing:";
+                           std::to_string(status.missing.size()) + " of " +
+                           std::to_string(status.total) + " cells missing:";
         const std::size_t shown =
             std::min<std::size_t>(status.missing.size(), 8);
         for (std::size_t i = 0; i < shown; ++i) {
             const SweepCell &cell = manifest.cells[status.missing[i]];
-            what += "\n  [" + fmtU64(status.missing[i]) + "] " +
+            what += "\n  [" + std::to_string(status.missing[i]) + "] " +
                     cell.label() + " (" + campaignCellId(cell) + ")";
         }
         if (shown < status.missing.size())
             what += "\n  ... and " +
-                    fmtU64(status.missing.size() - shown) + " more";
+                    std::to_string(status.missing.size() - shown) + " more";
         throw std::runtime_error(what);
     }
 
@@ -1224,11 +657,12 @@ std::vector<std::vector<SweepRecord>>
 parseCampaignResults(const CampaignManifest &manifest,
                      const std::string &json)
 {
-    const JsonValue doc = JsonParser(json).parseDocument();
     std::vector<ExperimentResult> results(manifest.cells.size());
-    JsonIn in(doc);
-    resultsDocument(in, manifest, [&](std::size_t i) -> ExperimentResult & {
-        return results[i];
+    readDocument(json, [&](JsonIn &in) {
+        resultsDocument(in, manifest,
+                        [&](std::size_t i) -> ExperimentResult & {
+                            return results[i];
+                        });
     });
     std::vector<std::vector<SweepRecord>> groups(manifest.specCount);
     for (std::size_t i = 0; i < results.size(); ++i)
@@ -1258,14 +692,12 @@ campaignResultsToJson(const CampaignManifest &manifest,
                 manifest.cells[i].label() + ")");
     }
 
-    std::string out;
-    JsonOut w(out);
-    resultsDocument(w, manifest,
-                    [&](std::size_t i) -> const ExperimentResult & {
-                        return ordered[i]->result;
-                    });
-    w.close();
-    return out + "\n";
+    return writeDocument([&](JsonOut &out) {
+        resultsDocument(out, manifest,
+                        [&](std::size_t i) -> const ExperimentResult & {
+                            return ordered[i]->result;
+                        });
+    });
 }
 
 std::vector<std::vector<SweepRecord>>
@@ -1294,7 +726,7 @@ campaignRunMany(const HarnessOptions &cli, const SweepRunner &runner,
             const CampaignManifest manifest =
                 buildCampaignManifest(specs, runner, tool);
             return parseCampaignResults(
-                manifest, readFileOrThrow(cli.campaignResults));
+                manifest, readDocumentFile(cli.campaignResults));
         } catch (const std::exception &e) {
             std::fprintf(stderr, "campaign: %s: %s\n",
                          cli.campaignResults.c_str(), e.what());

@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "sim/sweep.hh"
+#include "common/json.hh"
 
 namespace cdir {
 
@@ -33,97 +33,76 @@ aggregateByPhase(const Scenario &scenario, std::uint64_t first_access,
 
 namespace {
 
+/** Window @p rec's members: camelCase counters and derived metrics. */
 void
-emitWindow(std::FILE *out, std::uint64_t start, const IntervalRecord &rec)
+windowFields(JsonOut &io, const IntervalRecord &rec)
 {
-    std::fprintf(out,
-                 "{\"access\": %llu, \"accesses\": %llu, "
-                 "\"cacheMisses\": %llu, \"insertions\": %llu, "
-                 "\"forcedEvictions\": %llu, "
-                 "\"sharingInvalidations\": %llu, "
-                 "\"forcedInvalidations\": %llu, "
-                 "\"occupiedEntries\": %llu, \"capacityEntries\": %llu, "
-                 "\"occupancy\": %.17g, \"invalidationRate\": %.17g, "
-                 "\"avgInsertionAttempts\": %.17g",
-                 static_cast<unsigned long long>(start),
-                 static_cast<unsigned long long>(rec.accesses),
-                 static_cast<unsigned long long>(rec.cacheMisses),
-                 static_cast<unsigned long long>(rec.insertions),
-                 static_cast<unsigned long long>(rec.forcedEvictions),
-                 static_cast<unsigned long long>(rec.sharingInvalidations),
-                 static_cast<unsigned long long>(rec.forcedInvalidations),
-                 static_cast<unsigned long long>(rec.occupiedEntries),
-                 static_cast<unsigned long long>(rec.capacityEntries),
-                 rec.occupancy(), rec.invalidationRate(),
-                 rec.avgInsertionAttempts());
-    if (!rec.latency.empty())
-        std::fprintf(
-            out,
-            ", \"latencySamples\": %llu, \"latencyMean\": %.17g, "
-            "\"latencyP50\": %llu, \"latencyP99\": %llu, "
-            "\"latencyP999\": %llu",
-            static_cast<unsigned long long>(rec.latency.count()),
-            rec.latency.mean(),
-            static_cast<unsigned long long>(rec.latency.percentile(500)),
-            static_cast<unsigned long long>(rec.latency.percentile(990)),
-            static_cast<unsigned long long>(rec.latency.percentile(999)));
-    std::fprintf(out, "}");
+    io.field("accesses", rec.accesses);
+    io.field("cacheMisses", rec.cacheMisses);
+    io.field("insertions", rec.insertions);
+    io.field("forcedEvictions", rec.forcedEvictions);
+    io.field("sharingInvalidations", rec.sharingInvalidations);
+    io.field("forcedInvalidations", rec.forcedInvalidations);
+    io.field("occupiedEntries", rec.occupiedEntries);
+    io.field("capacityEntries", rec.capacityEntries);
+    io.field("occupancy", rec.occupancy());
+    io.field("invalidationRate", rec.invalidationRate());
+    io.field("avgInsertionAttempts", rec.avgInsertionAttempts());
+    if (rec.latency.empty())
+        return;
+    io.field("latencySamples", rec.latency.count());
+    io.field("latencyMean", rec.latency.mean());
+    io.field("latencyP50", rec.latency.percentile(500));
+    io.field("latencyP99", rec.latency.percentile(990));
+    io.field("latencyP999", rec.latency.percentile(999));
 }
 
 } // namespace
 
-void
-writeIntervalSeriesJson(std::FILE *out,
-                        std::span<const IntervalSeriesGroup> groups)
+std::string
+intervalSeriesToJson(std::span<const IntervalSeriesGroup> groups)
 {
-    std::fprintf(out, "[");
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-        const IntervalSeriesGroup &group = groups[g];
+    std::string doc;
+    JsonOut out(doc);
+    out.beginArray();
+    for (const IntervalSeriesGroup &group : groups) {
         std::uint64_t interval = 0;
         for (const LabelledIntervalSeries &s : group.series)
             if (s.stats != nullptr && s.stats->intervalAccesses != 0)
                 interval = s.stats->intervalAccesses;
-        std::fprintf(out,
-                     "%s\n{\"name\": \"%s\", \"firstAccess\": %llu, "
-                     "\"intervalAccesses\": %llu, \"series\": [",
-                     g == 0 ? "" : ",", jsonEscape(group.name).c_str(),
-                     static_cast<unsigned long long>(group.firstAccess),
-                     static_cast<unsigned long long>(interval));
-        for (std::size_t s = 0; s < group.series.size(); ++s) {
-            const LabelledIntervalSeries &series = group.series[s];
-            std::fprintf(out, "%s\n {\"label\": \"%s\", \"windows\": [",
-                         s == 0 ? "" : ",",
-                         jsonEscape(series.label).c_str());
+        out.newline(0);
+        out.beginObject();
+        out.field("name", group.name);
+        out.field("firstAccess", group.firstAccess);
+        out.field("intervalAccesses", interval);
+        out.key("series");
+        out.beginArray();
+        for (const LabelledIntervalSeries &series : group.series) {
+            out.newline(1);
+            out.beginObject();
+            out.field("label", series.label);
+            out.key("windows");
+            out.beginArray();
             const IntervalStats empty;
             const IntervalStats &stats =
                 series.stats != nullptr ? *series.stats : empty;
             for (std::size_t w = 0; w < stats.windows.size(); ++w) {
-                std::fprintf(out, "%s\n  ", w == 0 ? "" : ",");
-                emitWindow(out,
-                           group.firstAccess +
-                               w * stats.intervalAccesses,
-                           stats.windows[w]);
+                out.newline(2);
+                out.beginObject();
+                out.field("access",
+                          group.firstAccess + w * stats.intervalAccesses);
+                windowFields(out, stats.windows[w]);
+                out.endObject();
             }
-            std::fprintf(out, "]}");
+            out.endArray();
+            out.endObject();
         }
-        std::fprintf(out, "]}");
+        out.endArray();
+        out.endObject();
     }
-    std::fprintf(out, "\n]\n");
-}
-
-void
-writeIntervalSeriesJsonFile(const std::string &path,
-                            std::span<const IntervalSeriesGroup> groups)
-{
-    if (path == "-") {
-        writeIntervalSeriesJson(stdout, groups);
-        return;
-    }
-    std::FILE *out = std::fopen(path.c_str(), "w");
-    if (out == nullptr)
-        throw std::runtime_error("cannot open " + path + " for writing");
-    writeIntervalSeriesJson(out, groups);
-    std::fclose(out);
+    out.newline(0);
+    out.endArray();
+    return doc + "\n";
 }
 
 } // namespace cdir

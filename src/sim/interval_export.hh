@@ -22,7 +22,6 @@
 #ifndef CDIR_SIM_INTERVAL_EXPORT_HH
 #define CDIR_SIM_INTERVAL_EXPORT_HH
 
-#include <cstdio>
 #include <span>
 #include <string>
 #include <vector>
@@ -73,22 +72,15 @@ struct IntervalSeriesGroup
 };
 
 /**
- * Write @p groups as one JSON document: an array of
- * `{"name", "intervalAccesses", "series": [{"label", "windows": [...]}]}`
- * objects, each window carrying the raw integer counters plus the
- * derived occupancy / invalidation-rate / attempt metrics and — when a
- * cost model ran — the window's latency percentiles. Numbers use the
- * same `%.17g` round-trip precision as the Reporter's CSV.
+ * @p groups as one JSON document (through common/json.hh): an array of
+ * `{"name", "firstAccess", "intervalAccesses", "series": [{"label",
+ * "windows": [...]}]}` objects, each window carrying the raw integer
+ * counters plus the derived occupancy / invalidation-rate / attempt
+ * metrics and — when a cost model ran — the window's latency
+ * percentiles. Doubles print with the same `%.17g` round-trip precision
+ * as the Reporter's CSV.
  */
-void writeIntervalSeriesJson(std::FILE *out,
-                             std::span<const IntervalSeriesGroup> groups);
-
-/**
- * writeIntervalSeriesJson to @p path ("-" = stdout).
- * @throws std::runtime_error if the file cannot be opened.
- */
-void writeIntervalSeriesJsonFile(
-    const std::string &path, std::span<const IntervalSeriesGroup> groups);
+std::string intervalSeriesToJson(std::span<const IntervalSeriesGroup> groups);
 
 } // namespace cdir
 

@@ -325,35 +325,6 @@ ReportTable::addRow(std::vector<ReportCell> cells)
 
 // --- Reporter ----------------------------------------------------------------
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char ch : s) {
-        switch (ch) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          default:
-            if (static_cast<unsigned char>(ch) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-                out += buf;
-            } else {
-                out += ch;
-            }
-        }
-    }
-    return out;
-}
-
 namespace {
 
 /** Quote a CSV field only when it needs it. */
@@ -428,29 +399,29 @@ emitCsvTable(const ReportTable &t, std::FILE *out)
     }
 }
 
+/** @p t as one element of the report's JSON array. */
 void
-emitJsonTable(const ReportTable &t, std::FILE *out)
+emitJsonTable(const ReportTable &t, JsonOut &json)
 {
-    std::fprintf(out, "{\"title\": \"%s\", \"columns\": [",
-                 jsonEscape(t.title()).c_str());
-    for (std::size_t c = 0; c < t.columns().size(); ++c)
-        std::fprintf(out, "%s\"%s\"", c == 0 ? "" : ", ",
-                     jsonEscape(t.columns()[c]).c_str());
-    std::fprintf(out, "], \"rows\": [");
-    for (std::size_t r = 0; r < t.rows().size(); ++r) {
-        std::fprintf(out, "%s\n  [", r == 0 ? "" : ",");
-        const auto &row = t.rows()[r];
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            std::fprintf(out, "%s", c == 0 ? "" : ", ");
-            if (row[c].numeric)
-                std::fprintf(out, "%.17g", row[c].value);
+    json.newline(0);
+    json.beginObject();
+    json.field("title", t.title());
+    json.field("columns", t.columns());
+    json.key("rows");
+    json.beginArray();
+    for (const auto &row : t.rows()) {
+        json.newline(2);
+        json.beginArray();
+        for (const ReportCell &cell : row) {
+            if (cell.numeric)
+                json.value(cell.value);
             else
-                std::fprintf(out, "\"%s\"",
-                             jsonEscape(row[c].text).c_str());
+                json.value(cell.text);
         }
-        std::fprintf(out, "]");
+        json.endArray();
     }
-    std::fprintf(out, "]}");
+    json.endArray();
+    json.endObject();
 }
 
 } // namespace
@@ -458,19 +429,27 @@ emitJsonTable(const ReportTable &t, std::FILE *out)
 Reporter::Reporter(ReportFormat format, std::FILE *out)
     : fmt(format), stream(out)
 {
+    if (fmt == ReportFormat::Json)
+        json.beginArray();
 }
 
 Reporter::~Reporter()
 {
-    if (fmt == ReportFormat::Json)
-        std::fprintf(stream, jsonStarted ? "\n]\n" : "[]\n");
+    if (fmt == ReportFormat::Json) {
+        if (jsonStarted)
+            json.newline(0);
+        json.endArray();
+        jsonText += '\n';
+        flushJson();
+    }
     std::fflush(stream);
 }
 
 void
-Reporter::jsonSeparator()
+Reporter::flushJson()
 {
-    std::fprintf(stream, jsonStarted ? ",\n" : "[\n");
+    std::fwrite(jsonText.data(), 1, jsonText.size(), stream);
+    jsonText.clear();
     jsonStarted = true;
 }
 
@@ -485,8 +464,8 @@ Reporter::table(const ReportTable &t)
         emitCsvTable(t, stream);
         break;
       case ReportFormat::Json:
-        jsonSeparator();
-        emitJsonTable(t, stream);
+        emitJsonTable(t, json);
+        flushJson();
         break;
     }
 }
@@ -502,9 +481,11 @@ Reporter::note(const std::string &text)
         std::fprintf(stream, "# %s\n", text.c_str());
         break;
       case ReportFormat::Json:
-        jsonSeparator();
-        std::fprintf(stream, "{\"note\": \"%s\"}",
-                     jsonEscape(text).c_str());
+        json.newline(0);
+        json.beginObject();
+        json.field("note", text);
+        json.endObject();
+        flushJson();
         break;
     }
 }

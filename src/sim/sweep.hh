@@ -25,8 +25,8 @@
  *    `map()` escape hatch runs arbitrary per-cell computations (the
  *    analytical-model and cuckoo-table harnesses) the same way.
  *  - `ReportTable` + `Reporter`: one table abstraction emitted as an
- *    aligned text table, CSV, or JSON, replacing per-harness printf
- *    scattering.
+ *    aligned text table, CSV, or JSON (written through the one codec,
+ *    common/json.hh), replacing per-harness printf scattering.
  *  - `CliFlags`: the one command-line parser of every harness, example
  *    and tool. A program declares each flag it honours once as a
  *    `CliFlag` (name, destination, value check, help line; declared in
@@ -56,6 +56,7 @@
 #include <vector>
 
 #include "common/cli_flag.hh"
+#include "common/json.hh"
 #include "common/parallel_for.hh"
 #include "sim/experiment.hh"
 
@@ -371,19 +372,15 @@ class Reporter
     ReportFormat format() const { return fmt; }
 
   private:
-    void jsonSeparator();
+    /** Write what @ref json holds so far to the stream. */
+    void flushJson();
 
     ReportFormat fmt;
     std::FILE *stream;
-    bool jsonStarted = false;
+    std::string jsonText; //!< JSON written but not yet flushed
+    JsonOut json{jsonText};
+    bool jsonStarted = false; //!< a table or note was emitted
 };
-
-/**
- * Minimal JSON string escaping (quotes, backslashes, control chars) for
- * every JSON emitter: Reporter, series export and campaign documents.
- * Returns the string body without the surrounding quotes.
- */
-std::string jsonEscape(const std::string &s);
 
 // --- command-line flags ------------------------------------------------------
 

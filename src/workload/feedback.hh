@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "common/cli_flag.hh"
+#include "common/fnv1a.hh"
 
 namespace cdir {
 
@@ -192,23 +193,6 @@ std::string formatPhaseTrigger(const PhaseTrigger &trigger);
 /** Evaluate @p trigger against @p snapshot. */
 bool triggerSatisfied(const PhaseTrigger &trigger,
                       const ProbeSnapshot &snapshot);
-
-/** Fold @p value into an FNV-1a accumulator (seed with fnv1aInit()). */
-constexpr std::uint64_t
-fnv1aInit()
-{
-    return 14695981039346656037ull;
-}
-
-constexpr std::uint64_t
-fnv1aMix(std::uint64_t hash, std::uint64_t value)
-{
-    for (unsigned byte = 0; byte < 8; ++byte) {
-        hash ^= (value >> (8 * byte)) & 0xff;
-        hash *= 1099511628211ull;
-    }
-    return hash;
-}
 
 } // namespace cdir
 

@@ -40,6 +40,20 @@ fleetFail(const std::string &what)
     throw std::invalid_argument("fleet workload: " + what);
 }
 
+/**
+ * The sampler over a footprint knob's @p n ranks, checked before its
+ * tables are built so the error names the knob.
+ */
+ZipfSampler
+footprintZipf(const char *knob, std::size_t n, double theta)
+{
+    if (n == 0 || n > ZipfSampler::kMaxRanks)
+        fleetFail(std::string(knob) + " must be in 1.." +
+                  std::to_string(ZipfSampler::kMaxRanks) + " (got " +
+                  std::to_string(n) + ")");
+    return ZipfSampler(n, theta);
+}
+
 } // namespace
 
 // --- FleetWorkload -----------------------------------------------------------
@@ -50,10 +64,10 @@ FleetWorkload::FleetWorkload(const FleetParams &params)
       writeOdds(params.writeFraction),
       sharedOdds(params.sharedFraction),
       stormOdds(params.stormFraction),
-      keyZipf(params.blocksPerTenant >= 1 ? params.blocksPerTenant : 1,
-              params.theta),
-      sharedZipf(params.sharedBlocks >= 1 ? params.sharedBlocks : 1,
-                 params.theta),
+      keyZipf(footprintZipf("blocks per tenant", params.blocksPerTenant,
+                            params.theta)),
+      sharedZipf(footprintZipf("shared blocks", params.sharedBlocks,
+                               params.theta)),
       churnIn(firstCountdown(params.churnEvery)),
       stormIn(firstCountdown(params.stormEvery))
 {
@@ -63,10 +77,6 @@ FleetWorkload::FleetWorkload(const FleetParams &params)
         fleetFail("tenants must be >= 1");
     if (cfg.tenants > maxTenants)
         fleetFail("tenants must be <= " + std::to_string(maxTenants));
-    if (cfg.blocksPerTenant == 0)
-        fleetFail("blocks per tenant must be >= 1");
-    if (cfg.sharedBlocks == 0)
-        fleetFail("shared blocks must be >= 1");
     if (cfg.theta < 0.0)
         fleetFail("theta must be >= 0");
     if (cfg.writeFraction < 0.0 || cfg.writeFraction > 1.0 ||

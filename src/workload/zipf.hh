@@ -25,6 +25,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -35,13 +37,22 @@ namespace cdir {
 class ZipfSampler
 {
   public:
+    /** Most ranks a sampler holds: the guide table stores 32-bit ranks. */
+    static constexpr std::size_t kMaxRanks =
+        std::numeric_limits<std::uint32_t>::max();
+
     /**
      * @param n     number of ranks.
      * @param theta skew; 0 = uniform, ~1 = classic Zipf.
+     * @throws std::invalid_argument unless 1 <= n <= kMaxRanks, before
+     * allocating anything.
      */
     ZipfSampler(std::size_t n, double theta) : items(n), skew(theta)
     {
-        assert(n >= 1 && n <= std::numeric_limits<std::uint32_t>::max());
+        if (n < 1 || n > kMaxRanks)
+            throw std::invalid_argument(
+                "Zipf rank count must be in 1.." + std::to_string(kMaxRanks) +
+                " (got " + std::to_string(n) + ")");
         if (skew <= 0.0)
             return; // uniform fast path
         cdf.reserve(n);

@@ -46,6 +46,7 @@
 #include <unistd.h>
 
 #include "common/alloc_counter.hh"
+#include "common/fnv1a.hh"
 #include "sim/campaign.hh"
 #include "workload/trace.hh"
 
@@ -235,12 +236,7 @@ TEST(CampaignManifest, EnumeratesCellsInRunManyOrderWithStableIds)
 std::uint64_t
 documentDigest(const std::string &text)
 {
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    for (const char ch : text) {
-        hash ^= static_cast<unsigned char>(ch);
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
+    return fnv1a(fnv1aInit(), text);
 }
 
 TEST(CampaignManifest, DocumentsPinnedToParent)

@@ -12,7 +12,10 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <stdexcept>
+#include <string>
 
+#include "common/alloc_counter.hh"
 #include "rng_test_util.hh"
 #include "workload/feedback.hh"
 #include "workload/fleet.hh"
@@ -69,6 +72,51 @@ TEST(Zipf, SingleItemAlwaysZero)
     Rng rng(4);
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(z.sample(rng), 0u);
+}
+
+TEST(Zipf, RankCountOutOfRangeThrowsBeforeAllocating)
+{
+    // The bound is the guide table's 32-bit rank type; it once lived in
+    // an assert only, so release builds went on to reserve the tables.
+    for (const double theta : {0.0, 0.9}) {
+        for (const std::size_t n :
+             {std::size_t{0}, std::size_t{ZipfSampler::kMaxRanks} + 1,
+              std::size_t{5'000'000'000}}) {
+            resetLargestAllocation();
+            std::string what;
+            try {
+                (void)ZipfSampler(n, theta);
+            } catch (const std::invalid_argument &e) {
+                what = e.what();
+            }
+            EXPECT_NE(what.find("Zipf rank count must be in 1..4294967295 "
+                                "(got " + std::to_string(n) + ")"),
+                      std::string::npos)
+                << n << ": " << what;
+            EXPECT_LT(largestAllocation(), std::size_t{1} << 20) << n;
+        }
+    }
+}
+
+TEST(Fleet, OversizedFootprintNamesItsKnob)
+{
+    for (const auto &[spec, knob] :
+         {std::pair<const char *, const char *>{"fleet:blocks=5000000000",
+                                                "blocks per tenant"},
+          {"fleet:shared=5000000000", "shared blocks"}}) {
+        resetLargestAllocation();
+        std::string what;
+        try {
+            FleetWorkload fleet(parseFleetSpec(spec, 16));
+        } catch (const std::invalid_argument &e) {
+            what = e.what();
+        }
+        EXPECT_NE(what.find(std::string(knob) +
+                            " must be in 1..4294967295 (got 5000000000)"),
+                  std::string::npos)
+            << spec << ": " << what;
+        EXPECT_LT(largestAllocation(), std::size_t{1} << 20) << spec;
+    }
 }
 
 /** The sampler's CDF, rebuilt with the same arithmetic. */

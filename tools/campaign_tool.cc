@@ -14,8 +14,8 @@
  * cells whose shard already exists — killing a worker and re-running the
  * same command recomputes only what is missing. `--workers=W` splits the
  * range into W contiguous chunks and forks one child process per chunk
- * (children are forked before any thread pool exists, then parallelize
- * internally with --jobs). `merge` folds the completed shards into the
+ * (children are forked before this process starts any thread, then
+ * parallelize internally with --jobs). `merge` folds the completed shards into the
  * canonical results document; `local` computes the same document
  * in-process through SweepRunner::runCells as the byte-identity
  * reference.
@@ -140,8 +140,8 @@ cmdRun(const CampaignManifest &manifest, const Cli &cli)
     if (cli.workers <= 1)
         return runRange(manifest, cli, begin, end);
 
-    // Fork the workers *before* any thread pool exists in this
-    // process (nothing above spins one up), so every child starts with
+    // Fork the workers *before* this process starts any thread
+    // (nothing above starts one), so every child starts with
     // clean single-threaded state; each child then parallelizes
     // internally with --jobs. Contiguous chunks keep each worker's
     // shard writes clustered, and runCampaignCells's stale-tmp sweep
