@@ -41,17 +41,17 @@ fleetFail(const std::string &what)
 }
 
 /**
- * The sampler over a footprint knob's @p n ranks, checked before its
- * tables are built so the error names the knob.
+ * The sampler over footprint knob @p knob's @p n ranks. It rejects a
+ * rank count before building its tables; the error names the knob.
  */
 ZipfSampler
 footprintZipf(const char *knob, std::size_t n, double theta)
 {
-    if (n == 0 || n > ZipfSampler::kMaxRanks)
-        fleetFail(std::string(knob) + " must be in 1.." +
-                  std::to_string(ZipfSampler::kMaxRanks) + " (got " +
-                  std::to_string(n) + ")");
-    return ZipfSampler(n, theta);
+    try {
+        return ZipfSampler(n, theta);
+    } catch (const std::invalid_argument &e) {
+        fleetFail(std::string(knob) + ": " + e.what());
+    }
 }
 
 } // namespace

@@ -112,7 +112,8 @@ TEST(Fleet, OversizedFootprintNamesItsKnob)
             what = e.what();
         }
         EXPECT_NE(what.find(std::string(knob) +
-                            " must be in 1..4294967295 (got 5000000000)"),
+                            ": Zipf rank count must be in 1..4294967295 "
+                            "(got 5000000000)"),
                   std::string::npos)
             << spec << ": " << what;
         EXPECT_LT(largestAllocation(), std::size_t{1} << 20) << spec;
