@@ -221,18 +221,26 @@ class JsonOut
         Element, //!< a value: a separator comes first
     };
 
-    /** Separate a key or value from what precedes it. */
+    /**
+     * What goes before a token: a comma after a value (unless
+     * @p closing), then the pending line break or else, after a value,
+     * a space.
+     */
     void
-    separate()
+    separate(bool closing = false)
     {
         if (next == Next::Value)
             return;
-        if (next == Next::Element)
+        const bool after_value = next == Next::Element && !closing;
+        if (after_value)
             buf += ',';
-        if (lineIndent >= 0)
-            breakLine();
-        else if (next == Next::Element)
+        if (lineIndent >= 0) {
+            buf += '\n';
+            buf.append(static_cast<std::size_t>(lineIndent), ' ');
+            lineIndent = -1;
+        } else if (after_value) {
             buf += ' ';
+        }
     }
 
     void
@@ -246,18 +254,9 @@ class JsonOut
     void
     close(char bracket)
     {
-        if (lineIndent >= 0)
-            breakLine();
+        separate(true);
         buf += bracket;
         next = Next::Element;
-    }
-
-    void
-    breakLine()
-    {
-        buf += '\n';
-        buf.append(static_cast<std::size_t>(lineIndent), ' ');
-        lineIndent = -1;
     }
 
     /** @p v with %.17g. */

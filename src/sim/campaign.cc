@@ -32,7 +32,6 @@ constexpr CmpConfigKind lastOf(CmpConfigKind) { return kLastCmpConfigKind; }
 constexpr SharerFormat lastOf(SharerFormat) { return kLastSharerFormat; }
 constexpr HashKind lastOf(HashKind) { return kLastHashKind; }
 
-
 template <class IO, Is<RunningMean> S>
 void
 fields(IO &io, S &m)

@@ -1,7 +1,5 @@
 #include "sim/interval_export.hh"
 
-#include <stdexcept>
-
 #include "common/json.hh"
 
 namespace cdir {
